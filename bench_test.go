@@ -18,6 +18,7 @@ import (
 	"snd/internal/exp"
 	"snd/internal/radio"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // benchSizes are the deployment sizes the spatial-query benchmarks sweep.
@@ -315,7 +316,7 @@ func BenchmarkRunnerSharding(b *testing.B) {
 // BenchmarkRunnerCacheHit measures re-running a sweep whose trials are all
 // memoized: the second run should be orders of magnitude cheaper.
 func BenchmarkRunnerCacheHit(b *testing.B) {
-	eng := runner.New(runner.Options{Workers: 4, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 4, Cache: store.NewMemStore()})
 	if _, err := exp.Compare(context.Background(), exp.CompareParams{Trials: 8, Seed: 42, Engine: eng}); err != nil {
 		b.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // ordered cumulative buckets ending in +Inf whose total agrees with
 // _count, with both the _count and _sum series present and the _sum
 // plausible (not NaN, zero when _count is zero). CI pipes a live
-// sndserve's /metrics through it, and also feeds it a deliberately
+// sndserve's /v1/metrics through it, and also feeds it a deliberately
 // incoherent histogram that must fail.
 //
-//	curl -s localhost:8080/metrics | promlint
+//	curl -s localhost:8080/v1/metrics | promlint
 //
 // Exit status is 0 when the exposition is clean, 1 when any rule fails
 // or the input cannot be read (each problem is printed).

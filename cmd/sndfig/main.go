@@ -4,9 +4,9 @@
 // sndserve dispatch through — so -list always matches what the other
 // entrypoints accept. Each experiment prints the same rows/series the
 // paper reports. Trials execute on the internal/runner engine: -workers
-// shards them across a bounded pool, and -cachedir memoizes completed
-// trials on disk so re-running a sweep with the same parameters is nearly
-// free.
+// shards them across a bounded pool, and -store memoizes completed trials
+// in a blob store (file://dir, s3://bucket/prefix) so re-running a sweep
+// with the same parameters is nearly free.
 //
 // Ctrl-C (or SIGTERM) cancels the in-progress sweep cooperatively: no new
 // trials are scheduled, completed trials stay in the cache, and sndfig
@@ -24,7 +24,7 @@
 //	sndfig -exp ablation          # alias: noise + scheme + engines
 //	sndfig -exp fig3 -params '{"Nodes":400}'        # typed JSON overrides
 //	sndfig -all                   # everything, registration order
-//	sndfig -all -workers 8 -cachedir ~/.cache/snd   # sharded + cached
+//	sndfig -all -workers 8 -store file://$HOME/.cache/snd   # sharded + cached
 package main
 
 import (
@@ -40,6 +40,7 @@ import (
 	"snd/internal/exp"
 	"snd/internal/obs"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		trials   = fs.Int("trials", 0, "trial count override (0 = experiment default)")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		workers  = fs.Int("workers", 0, "trial execution workers (0 = GOMAXPROCS)")
-		cacheDir = fs.String("cachedir", "", "persist completed trials under this directory")
+		storeURL = fs.String("store", "", "blob store for completed trials: mem://, file://dir, or s3://bucket/prefix; empty = no cache")
 		show     = fs.Bool("stats", false, "print engine counters and trial latency quantiles when done")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -105,8 +106,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	var cache runner.Cache
-	if *cacheDir != "" {
-		cache = runner.Tiered(runner.NewMemoryCache(), runner.DiskCache{Dir: *cacheDir})
+	if *storeURL != "" {
+		blob, err := store.Open(*storeURL)
+		if err != nil {
+			return fmt.Errorf("-store: %w", err)
+		}
+		cache = blob
 	}
 	eng := runner.New(runner.Options{Workers: *workers, Cache: cache})
 

@@ -81,6 +81,31 @@ func TestRunCSVFormat(t *testing.T) {
 	}
 }
 
+// A second run against the same -store is answered entirely from the
+// cache and prints the same tables.
+func TestRunStoreRoundTrip(t *testing.T) {
+	args := []string{"-exp", "overhead", "-params", `{"Sizes":[60,80],"Seed":7}`,
+		"-store", "file://" + t.TempDir(), "-stats"}
+	var tables [2]string
+	for i := range tables {
+		var out strings.Builder
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatal(err)
+		}
+		body, stats, ok := strings.Cut(out.String(), "engine: ")
+		if !ok {
+			t.Fatalf("run %d printed no engine line:\n%s", i+1, out.String())
+		}
+		if i == 1 && !strings.Contains(stats, "trials 0 started / 0 done / 2 cached") {
+			t.Errorf("second run was not served from the store: engine: %s", stats)
+		}
+		tables[i] = body
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("cached run differs:\n%s\nvs\n%s", tables[0], tables[1])
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
 	err := run(context.Background(), []string{"-exp", "nope"}, &out)

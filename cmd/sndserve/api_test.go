@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // listPage fetches one GET /v1/jobs page with the given query string.
@@ -182,7 +183,7 @@ func newAuthedServer(t *testing.T) (*Keyring, *httptest.Server, func() string) {
 	keys := NewKeyring()
 	keys.Add("sekrit-alice", "alice", 2) // 2 req/s, burst 2
 	keys.Add("sekrit-open", "open", 0)   // unmetered
-	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	_, mux := NewServer(eng, Config{Keys: keys})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

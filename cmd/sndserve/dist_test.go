@@ -15,6 +15,7 @@ import (
 	"snd/internal/exp"
 	"snd/internal/obs"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // test-dist is a deterministic distributable sweep whose result keeps
@@ -70,7 +71,7 @@ func newCoordinatorServer(t *testing.T, localWorkers int, ttl time.Duration) (*d
 		Registry:     reg,
 	})
 	eng := runner.New(runner.Options{
-		Workers: 2, Cache: runner.NewMemoryCache(), Registry: reg, Backend: coord,
+		Workers: 2, Cache: store.NewMemStore(), Registry: reg, Backend: coord,
 	})
 	_, mux := NewServer(eng, Config{Coordinator: coord})
 	ts := httptest.NewServer(mux)
@@ -82,7 +83,7 @@ func newCoordinatorServer(t *testing.T, localWorkers int, ttl time.Duration) (*d
 // process) to a server over real HTTP.
 func startWorker(t *testing.T, ts *httptest.Server, name string) *dist.Worker {
 	t.Helper()
-	weng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	weng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	w := dist.NewWorker(dist.NewClient(ts.URL, nil), dist.WorkerOptions{
 		Name: name,
 		Poll: 2 * time.Millisecond,

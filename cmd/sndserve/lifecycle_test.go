@@ -15,6 +15,7 @@ import (
 
 	"snd/internal/exp"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // Test-only experiments, registered into the same exp registry the real
@@ -66,7 +67,7 @@ func init() {
 
 func newLifecycleServer(t *testing.T, cfg Config) (*Server, *runner.Engine, *httptest.Server) {
 	t.Helper()
-	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	s, mux := NewServer(eng, cfg)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

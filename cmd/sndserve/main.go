@@ -5,10 +5,9 @@
 // and completed trials are memoized: identical jobs are answered from
 // the job table, and overlapping sweeps share cached trial results.
 //
-//	sndserve -addr :8080 -workers 8 -cachedir /var/cache/snd
+//	sndserve -addr :8080 -workers 8 -store file:///var/cache/snd
 //
-// API (versioned under /v1; the legacy unversioned paths answer
-// 308 Permanent Redirect to their /v1 twin and are deprecated):
+// API (versioned under /v1):
 //
 //	POST   /v1/jobs         {"experiment":"fig3","params":{"Trials":10,"Seed":1},"timeout":"90s"}
 //	GET    /v1/jobs         paginated listing {"jobs":[...],"next_cursor":...};
@@ -36,7 +35,7 @@
 //
 // Durability and tenancy (all opt-in):
 //
-//	-store URL      pluggable trial-result blob store (mem://, file://dir,
+//	-store URL      trial-result blob store (mem:// by default, file://dir,
 //	                s3://bucket/prefix?endpoint=&region=); every process
 //	                sharing the URL shares one content-addressed cache
 //	-jobstore PATH  append-only JSONL job log; on boot, finished jobs are
@@ -77,8 +76,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "trial execution workers (0 = GOMAXPROCS; with -coordinator, negative disables loopback execution so only the worker fleet runs sweeps)")
-		cacheDir    = flag.String("cachedir", "", "persist completed trials under this directory (deprecated; use -store file://dir)")
-		storeURL    = flag.String("store", "", "blob store for completed trials: mem://, file://dir, or s3://bucket/prefix (see README); empty = in-memory only")
+		storeURL    = flag.String("store", "mem://", "blob store for completed trials: mem://, file://dir, or s3://bucket/prefix (see README)")
 		jobStore    = flag.String("jobstore", "", "append-only job log (JSONL WAL); jobs survive restarts and interrupted jobs resume on boot")
 		apiKeys     = flag.String("apikeys", "", "API key file of key:name:rate lines; enables Authorization: Bearer + per-client rate limits on /v1/jobs* writes")
 		maxJobs     = flag.Int("maxjobs", DefaultMaxInFlight, "max queued+running jobs before submissions get 429")
@@ -120,24 +118,16 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	// The trial cache: always a memory tier in front; -store layers a
-	// pluggable blob backend (file://, s3://) behind it so completed trials
-	// dedup across restarts and across every process sharing the store URL.
-	// -cachedir is the legacy spelling of -store file://dir.
-	cache := runner.Cache(runner.NewMemoryCache())
-	storeScheme := "mem"
-	if *storeURL != "" {
-		blob, err := store.Open(*storeURL)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sndserve: -store:", err)
-			os.Exit(2)
-		}
-		storeScheme = store.Scheme(*storeURL)
-		cache = runner.Tiered(cache, store.NewCache(store.Instrument(blob, storeScheme, reg)))
-	} else if *cacheDir != "" {
-		storeScheme = "file"
-		cache = runner.Tiered(cache, runner.DiskCache{Dir: *cacheDir})
+	// The trial cache is the -store blob itself: with file:// or s3://,
+	// completed trials dedup across restarts and across every process
+	// sharing the store URL.
+	blob, err := store.Open(*storeURL)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sndserve: -store:", err)
+		os.Exit(2)
 	}
+	storeScheme := store.Scheme(*storeURL)
+	cache := store.Instrument(blob, storeScheme, reg)
 
 	var jobs store.JobStore
 	if *jobStore != "" {
@@ -211,7 +201,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("sndserve listening",
-			"addr", *addr, "workers", eng.Workers(), "cachedir", *cacheDir,
+			"addr", *addr, "workers", eng.Workers(), "store", storeScheme,
 			"pprof", *pprofOn, "coordinator", *coord)
 		errc <- srv.ListenAndServe()
 	}()

@@ -11,11 +11,12 @@ import (
 
 	"snd/internal/exp"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	eng := runner.New(runner.Options{Workers: 4, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 4, Cache: store.NewMemStore()})
 	s, mux := NewServer(eng, Config{})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -172,58 +173,6 @@ func TestErrorEnvelope(t *testing.T) {
 	if e.Error.Message == "" {
 		t.Fatal("envelope has no message")
 	}
-}
-
-// TestLegacyRedirects pins the deprecation contract: every unversioned
-// path answers 308 Permanent Redirect to its /v1 twin (method and body
-// preserved), and a default client transparently follows it end to end.
-func TestLegacyRedirects(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	for _, tc := range []struct{ method, path, want string }{
-		{http.MethodPost, "/jobs", "/v1/jobs"},
-		{http.MethodGet, "/jobs", "/v1/jobs"},
-		{http.MethodGet, "/jobs/abc123", "/v1/jobs/abc123"},
-		{http.MethodDelete, "/jobs/abc123", "/v1/jobs/abc123"},
-		{http.MethodGet, "/metrics", "/v1/metrics"},
-		{http.MethodGet, "/experiments?x=1", "/v1/experiments?x=1"},
-	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
-		}
-	}
-
-	// A default client replays the POST (with body) across the 308, so
-	// legacy clients keep working unmodified.
-	resp, err := http.Post(ts.URL+"/jobs", "application/json",
-		strings.NewReader(`{"experiment":"overhead","params":{"Sizes":[60],"Seed":9}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || job.ID == "" {
-		t.Fatalf("legacy POST via redirect: status %d, job %+v", resp.StatusCode, job)
-	}
-	waitDone(t, ts, job.ID)
 }
 
 func TestListAndGet(t *testing.T) {

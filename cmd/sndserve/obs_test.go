@@ -9,6 +9,7 @@ import (
 
 	"snd/internal/obs"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 func fetchMetrics(t *testing.T, ts *httptest.Server) string {
@@ -120,7 +121,7 @@ func TestPprofGating(t *testing.T) {
 		t.Errorf("pprof disabled: GET /debug/pprof/ = %d, want 404", code)
 	}
 
-	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	_, mux := NewServer(eng, Config{Pprof: true})
 	on := httptest.NewServer(mux)
 	defer on.Close()

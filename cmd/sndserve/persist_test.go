@@ -18,12 +18,11 @@ import (
 // twice against the same dir is a restart.
 func bootPersistent(t *testing.T, dir string) (*Server, *httptest.Server, *store.WAL) {
 	t.Helper()
-	blob, err := store.Open("file://" + filepath.Join(dir, "blobs"))
+	blob, err := store.NewFileStore(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := runner.Tiered(runner.NewMemoryCache(), store.NewCache(blob))
-	eng := runner.New(runner.Options{Workers: 4, Cache: cache})
+	eng := runner.New(runner.Options{Workers: 4, Cache: blob})
 	wal, err := store.OpenWAL(filepath.Join(dir, "jobs.wal"))
 	if err != nil {
 		t.Fatal(err)

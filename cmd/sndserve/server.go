@@ -239,22 +239,6 @@ func NewServer(eng *runner.Engine, cfg Config) (*Server, *http.ServeMux) {
 	handle("GET /v1/experiments", "/v1/experiments", s.catalog)
 	handle("GET /v1/debug/traces", "/v1/debug/traces", s.debugTraces)
 	s.mountDist(handle)
-	// Legacy unversioned paths answer 308 Permanent Redirect to their /v1
-	// twin — 308 (not 301) so clients replay POST/DELETE with method and
-	// body intact. Deprecated; see DESIGN.md §9.
-	legacy := func(pattern string) {
-		mux.Handle(pattern, s.instrument(pattern, func(w http.ResponseWriter, r *http.Request) {
-			dst := "/v1" + r.URL.Path
-			if r.URL.RawQuery != "" {
-				dst += "?" + r.URL.RawQuery
-			}
-			http.Redirect(w, r, dst, http.StatusPermanentRedirect)
-		}))
-	}
-	legacy("/jobs")
-	legacy("/jobs/{id}")
-	legacy("/metrics")
-	legacy("/experiments")
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

@@ -15,13 +15,14 @@ import (
 	"snd/internal/obs"
 	"snd/internal/obs/trace"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // newTracedServer is newTestServer with the flight recorder on.
 func newTracedServer(t *testing.T, topts trace.Options) (*Server, *trace.Tracer, *httptest.Server) {
 	t.Helper()
 	tr := trace.New(topts)
-	eng := runner.New(runner.Options{Workers: 4, Cache: runner.NewMemoryCache()})
+	eng := runner.New(runner.Options{Workers: 4, Cache: store.NewMemStore()})
 	s, mux := NewServer(eng, Config{Tracer: tr})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -312,7 +313,7 @@ func newTracedCoordinatorServer(t *testing.T, localWorkers int, ttl time.Duratio
 		Registry:     reg,
 	})
 	eng := runner.New(runner.Options{
-		Workers: 2, Cache: runner.NewMemoryCache(), Registry: reg, Backend: coord,
+		Workers: 2, Cache: store.NewMemStore(), Registry: reg, Backend: coord,
 	})
 	tr := trace.New(trace.Options{})
 	_, mux := NewServer(eng, Config{Coordinator: coord, Tracer: tr})
@@ -326,7 +327,7 @@ func newTracedCoordinatorServer(t *testing.T, localWorkers int, ttl time.Duratio
 // with each results post.
 func startTracedWorker(t *testing.T, ts *httptest.Server, name string, sampling int) {
 	t.Helper()
-	weng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	weng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	wtr := trace.New(trace.Options{TrialSampling: sampling})
 	w := dist.NewWorker(dist.NewClient(ts.URL, nil), dist.WorkerOptions{
 		Name: name,
@@ -358,7 +359,10 @@ func TestDistConnectedTraceAcrossFleet(t *testing.T) {
 	startTracedWorker(t, ts, "w1", 1)
 	startTracedWorker(t, ts, "w2", 1)
 
-	job, code := postJob(t, ts, `{"experiment":"test-dist","params":{"Points":3,"Trials":4,"Seed":41}}`)
+	// SleepMs keeps each batch busy long enough that the idle worker's
+	// 2 ms poll takes the next one; without it one worker can drain all
+	// three batches before the other polls.
+	job, code := postJob(t, ts, `{"experiment":"test-dist","params":{"Points":3,"Trials":4,"SleepMs":20,"Seed":41}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}

@@ -4,8 +4,8 @@
 // same experiment registry the server dispatches, and posts per-cell
 // results back. Trials are pure functions of (params, point, trial), so a
 // worker's samples are bit-identical to local execution; its trial cache
-// (-store to share one blob store with the whole fleet, or -cachedir for a
-// private on-disk one) makes re-leased work cheap.
+// (-store, mem:// by default; share a file:// or s3:// URL with the whole
+// fleet) makes re-leased work cheap.
 //
 //	sndworker -coordinator http://coordinator:8080 -name rack1 -workers 4
 //
@@ -38,8 +38,7 @@ func main() {
 		coordURL    = flag.String("coordinator", "http://localhost:8080", "coordinator base URL (a sndserve started with -coordinator)")
 		name        = flag.String("name", hostnameOr("worker"), "worker display name (the coordinator makes it unique)")
 		workers     = flag.Int("workers", 0, "trial execution goroutines per batch (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cachedir", "", "persist completed trials under this directory (deprecated; use -store file://dir)")
-		storeURL    = flag.String("store", "", "blob store for completed trials: mem://, file://dir, or s3://bucket/prefix; point the fleet and the server at the same URL to dedup trials fleet-wide")
+		storeURL    = flag.String("store", "mem://", "blob store for completed trials: mem://, file://dir, or s3://bucket/prefix; point the fleet and the server at the same URL to dedup trials fleet-wide")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "idle back-off between lease attempts")
 		logFormat   = flag.String("logformat", obs.LogText, "log format: text or json")
 		traceBuf    = flag.Int("tracebuf", trace.DefaultCapacity, "local span buffer capacity (0 disables tracing; traced batches ship their spans to the coordinator)")
@@ -54,20 +53,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Same layering as sndserve: memory tier in front, optional pluggable
-	// blob store behind it. A fleet sharing one file:// or s3:// URL with
-	// the server shares one content-addressed trial space — a cell computed
-	// anywhere is a cache hit everywhere.
-	cache := runner.Cache(runner.NewMemoryCache())
-	if *storeURL != "" {
-		blob, err := store.Open(*storeURL)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sndworker: -store:", err)
-			os.Exit(2)
-		}
-		cache = runner.Tiered(cache, store.NewCache(blob))
-	} else if *cacheDir != "" {
-		cache = runner.Tiered(cache, runner.DiskCache{Dir: *cacheDir})
+	// The trial cache is the -store blob. A fleet sharing one file:// or
+	// s3:// URL with the server shares one content-addressed trial space —
+	// a cell computed anywhere is a cache hit everywhere.
+	cache, err := store.Open(*storeURL)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sndworker: -store:", err)
+		os.Exit(2)
 	}
 	eng := runner.New(runner.Options{Workers: *workers, Cache: cache})
 
@@ -116,7 +108,7 @@ func main() {
 	}()
 
 	logger.Info("sndworker starting", "coordinator", *coordURL, "name", *name,
-		"workers", eng.Workers(), "cachedir", *cacheDir)
+		"workers", eng.Workers(), "store", store.Scheme(*storeURL))
 	err = w.Run(ctx)
 	batches, cells := w.Stats()
 	logger.Info("sndworker exiting", "batches", batches, "cells", cells)

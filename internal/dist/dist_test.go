@@ -10,6 +10,7 @@ import (
 
 	"snd/internal/exp"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // The tests register one real experiment into the exp registry: a
@@ -107,7 +108,7 @@ func newRemoteWorker(t *testing.T, c *Coordinator, name string) *remoteWorker {
 	resp := c.Register(RegisterRequest{Name: name})
 	return &remoteWorker{
 		t: t, c: c, id: resp.WorkerID,
-		eng: runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()}),
+		eng: runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()}),
 	}
 }
 

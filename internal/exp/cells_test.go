@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // captureBackend records the sweep it is offered and executes it locally,
@@ -91,7 +92,7 @@ func TestRunCellsRoundTripBitIdentical(t *testing.T) {
 			cells = append(cells, runner.Cell{Point: p, Trial: tr})
 		}
 	}
-	weng := runner.New(runner.Options{Workers: 2, Cache: runner.NewMemoryCache()})
+	weng := runner.New(runner.Options{Workers: 2, Cache: store.NewMemStore()})
 	samples, err := RunCells(context.Background(), weng, desc.Experiment, desc.Params, desc.ID, cells)
 	if err != nil {
 		t.Fatal(err)

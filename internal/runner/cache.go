@@ -1,175 +1,14 @@
 package runner
 
-import (
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-	"time"
-)
+import "context"
 
-// Cache stores encoded trial samples under content-addressed keys. Both
-// methods must be safe for concurrent use, and both are best-effort: a
-// cache may drop entries, and Put failures are invisible to the engine —
-// the sweep simply recomputes next time.
+// Cache stores encoded trial samples under content-addressed keys. It is
+// the Get/Put subset of store.Blob, so every store backend (mem://,
+// file://, s3://) satisfies it as is. Both methods must be safe for
+// concurrent use, and both are best-effort for the engine: any Get error
+// is a miss and Put errors are ignored — the sweep simply recomputes next
+// time.
 type Cache interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, val []byte)
-}
-
-// MemoryCache is an in-process map cache.
-type MemoryCache struct {
-	mu sync.RWMutex
-	m  map[string][]byte
-}
-
-// NewMemoryCache builds an empty memory cache.
-func NewMemoryCache() *MemoryCache {
-	return &MemoryCache{m: make(map[string][]byte)}
-}
-
-// Get returns the stored value for key.
-func (c *MemoryCache) Get(key string) ([]byte, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-// Put stores val under key.
-func (c *MemoryCache) Put(key string, val []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = val
-}
-
-// Len reports the number of cached entries.
-func (c *MemoryCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// DiskCache persists samples under Dir, fanned out by key prefix so one
-// directory never accumulates every entry. Entries survive across
-// processes, which is what makes repeated sndfig/sndserve invocations of
-// the same sweep nearly free.
-type DiskCache struct {
-	Dir string
-}
-
-func (c DiskCache) path(key string) string {
-	if len(key) < 2 {
-		return filepath.Join(c.Dir, key+".json")
-	}
-	return filepath.Join(c.Dir, key[:2], key+".json")
-}
-
-// Get reads the entry for key, if present.
-func (c DiskCache) Get(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Put writes the entry for key atomically (write to a temp file, then
-// rename) so a concurrent reader never observes a torn entry.
-func (c DiskCache) Put(key string, val []byte) {
-	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".put-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(val)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, p); err != nil {
-		os.Remove(name)
-	}
-}
-
-// staleTempAge is how old an orphaned .put-* temp file must be before
-// engine construction deletes it. One hour is far beyond any plausible
-// in-flight Put, so a concurrent writer's live temp file is never touched.
-const staleTempAge = time.Hour
-
-// tempSweeper is implemented by caches that can garbage-collect the
-// on-disk debris of interrupted writes; Engine construction invokes it.
-type tempSweeper interface {
-	SweepStaleTemps(olderThan time.Duration) int
-}
-
-// SweepStaleTemps removes .put-* temp files under Dir older than
-// olderThan and reports how many were deleted. Put creates such a file
-// before renaming it into place, so a process killed in between orphans
-// it; long-lived cache directories would otherwise accumulate them
-// forever. Errors are ignored — sweeping is best-effort, like the cache.
-func (c DiskCache) SweepStaleTemps(olderThan time.Duration) int {
-	cutoff := time.Now().Add(-olderThan)
-	removed := 0
-	_ = filepath.WalkDir(c.Dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".put-") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			return nil
-		}
-		if os.Remove(path) == nil {
-			removed++
-		}
-		return nil
-	})
-	return removed
-}
-
-// tiered layers caches: reads hit the first layer that has the key and
-// backfill the layers in front of it; writes go to every layer.
-type tiered struct {
-	layers []Cache
-}
-
-// Tiered combines caches, fastest first — typically
-// Tiered(NewMemoryCache(), DiskCache{Dir: ...}).
-func Tiered(layers ...Cache) Cache {
-	return &tiered{layers: layers}
-}
-
-func (c *tiered) Get(key string) ([]byte, bool) {
-	for i, l := range c.layers {
-		if v, ok := l.Get(key); ok {
-			for j := 0; j < i; j++ {
-				c.layers[j].Put(key, v)
-			}
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-func (c *tiered) Put(key string, val []byte) {
-	for _, l := range c.layers {
-		l.Put(key, val)
-	}
-}
-
-// SweepStaleTemps delegates to every layer that persists to disk.
-func (c *tiered) SweepStaleTemps(olderThan time.Duration) int {
-	removed := 0
-	for _, l := range c.layers {
-		if s, ok := l.(tempSweeper); ok {
-			removed += s.SweepStaleTemps(olderThan)
-		}
-	}
-	return removed
+	Get(ctx context.Context, key string) ([]byte, error)
+	Put(ctx context.Context, key string, val []byte) error
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"snd/internal/store"
 )
 
 type distSample struct {
@@ -41,7 +43,7 @@ func TestSweepIDMatchesCacheKeyBase(t *testing.T) {
 	if !ok {
 		t.Fatal("SweepID not ok for encodable params")
 	}
-	base := cacheKeyBase(NewMemoryCache(), spec)
+	base := cacheKeyBase(store.NewMemStore(), spec)
 	if got := hex.EncodeToString(base); got != id {
 		t.Fatalf("SweepID %s != cache key base %s", id, got)
 	}
@@ -197,7 +199,7 @@ func TestBackendDeliverPathMatchesLocal(t *testing.T) {
 // Delivered samples must populate the trial cache so a re-run is free.
 func TestBackendDeliverFillsCache(t *testing.T) {
 	spec := distSpec()
-	cache := NewMemoryCache()
+	cache := store.NewMemStore()
 	b := &deliveringBackend{fn: distTrial(42)}
 	eng := New(Options{Workers: 2, Backend: b, Cache: cache})
 	ctx := WithJobExperiment(context.Background(), "dist-exp")

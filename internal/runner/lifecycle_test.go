@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"snd/internal/store"
 )
 
 // Cancelling mid-sweep must return promptly with the samples finished so
@@ -139,56 +141,81 @@ func TestOutcomeDroppedPerPoint(t *testing.T) {
 	}
 }
 
-// SweepStaleTemps removes orphaned .put-* files past the age cutoff and
-// leaves fresh ones (a concurrent Put in flight) alone.
+// writeTemp creates a .put-* file in dir with the given age.
+func writeTemp(t *testing.T, dir, name string, age time.Duration) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mt := time.Now().Add(-age)
+	if err := os.Chtimes(p, mt, mt); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+var (
+	diskSpec = Spec{Experiment: "unit-disk", Params: struct{ Seed int64 }{3}, Points: 2, Trials: 3}
+	diskFn   = func(p, tr int) (float64, error) { return trialValue(3, p, tr), nil }
+)
+
+// A file:// cache directory shared across engine runs: reopening it
+// sweeps stale .put-* crash debris but keeps a fresh temp (another
+// process's Put in flight) and every cached sample.
 func TestDiskCacheSweepStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	sub := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
+	first, err := store.Open("file://" + dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(sub, ".put-stale")
-	fresh := filepath.Join(sub, ".put-fresh")
-	entry := filepath.Join(sub, "abcd.json")
-	for _, p := range []string{stale, fresh, entry} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(stale, old, old); err != nil {
+	if _, err := Map(New(Options{Workers: 2, Cache: first}), diskSpec, diskFn); err != nil {
 		t.Fatal(err)
 	}
+	stale := writeTemp(t, dir, ".put-stale", 2*time.Hour)
+	fresh := writeTemp(t, dir, ".put-fresh", 0)
 
-	c := DiskCache{Dir: dir}
-	if n := c.SweepStaleTemps(time.Hour); n != 1 {
-		t.Errorf("swept %d files, want 1", n)
+	reopened, err := store.Open("file://" + dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived the sweep")
+		t.Error("stale temp file survived reopening the cache")
 	}
-	for _, p := range []string{fresh, entry} {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("%s was removed but should have been kept", filepath.Base(p))
-		}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Error("fresh temp file was removed but should have been kept")
+	}
+	out, err := Map(New(Options{Workers: 2, Cache: reopened}), diskSpec, diskFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cached != 6 {
+		t.Errorf("reopened cache served %d cells, want all 6", out.Cached)
 	}
 }
 
-// Engine construction sweeps the cache directory, including through a
-// tiered cache, so long-lived cachedirs self-clean.
+// An engine over a long-lived file:// cache directory starts on a swept
+// directory, and its own Puts leave no temp files behind.
 func TestNewSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, ".put-orphan")
-	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
+	stale := writeTemp(t, dir, ".put-orphan", 2*time.Hour)
 
-	New(Options{Cache: Tiered(NewMemoryCache(), DiskCache{Dir: dir})})
+	cache, err := store.Open("file://" + dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 2, Cache: cache})
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("engine construction did not sweep the stale temp file")
+		t.Fatal("engine started on an unswept cache directory")
+	}
+	if _, err := Map(e, diskSpec, diskFn); err != nil {
+		t.Fatal(err)
+	}
+	temps, err := filepath.Glob(filepath.Join(dir, ".put-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(temps) != 0 {
+		t.Errorf("Puts left temp files behind: %v", temps)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"snd/internal/obs"
+	"snd/internal/store"
 )
 
 // Stats and the registry exposition must agree: both are views of the same
 // series, so every Stats field must equal the summed registry counters.
 func TestStatsMatchesRegistry(t *testing.T) {
-	e := New(Options{Workers: 4, Cache: NewMemoryCache()})
+	e := New(Options{Workers: 4, Cache: store.NewMemStore()})
 	spec := Spec{Experiment: "statstest", Params: 1, Points: 3, Trials: 4}
 	fn := func(p, tr int) (int, error) { return p * tr, nil }
 	if _, err := Map(e, spec, fn); err != nil {
@@ -85,7 +86,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 // A Progress attached to the context tracks done/total/dropped across
 // every sweep run under it, including cached cells and dropped trials.
 func TestProgressTracking(t *testing.T) {
-	e := New(Options{Workers: 2, Cache: NewMemoryCache(), Retries: -1})
+	e := New(Options{Workers: 2, Cache: store.NewMemStore(), Retries: -1})
 	var pr Progress
 	ctx := WithProgress(context.Background(), &pr)
 

@@ -77,9 +77,8 @@ type Engine struct {
 	backend Backend
 }
 
-// New builds an engine from opts. When the cache (or any of its tiers)
-// persists to disk, construction also sweeps temp files orphaned by a
-// crash mid-Put, so long-lived cache directories don't accumulate garbage.
+// New builds an engine from opts. It does not touch the cache; a
+// persistent backend cleans up its own crash debris when opened.
 func New(opts Options) *Engine {
 	w := opts.Workers
 	if w <= 0 {
@@ -91,9 +90,6 @@ func New(opts Options) *Engine {
 		r = DefaultRetries
 	case r < 0:
 		r = 0
-	}
-	if s, ok := opts.Cache.(tempSweeper); ok {
-		s.SweepStaleTemps(staleTempAge)
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -476,7 +472,7 @@ func (sw *sweep[T]) deliverRemote(c Cell, sample []byte) bool {
 	sw.ok[c.Point][c.Trial] = true
 	sw.m.done.Inc()
 	if sw.keyBase != nil {
-		sw.engine.cache.Put(cellKey(sw.keyBase, c.Point, c.Trial), sample)
+		_ = sw.engine.cache.Put(context.Background(), cellKey(sw.keyBase, c.Point, c.Trial), sample) // best-effort, as in runCell
 	}
 	sw.cellDone()
 	return true
@@ -617,7 +613,10 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 	key := ""
 	if sw.keyBase != nil {
 		key = cellKey(sw.keyBase, p, t)
-		if data, hit := e.cache.Get(key); hit {
+		// Cache ops run under Background: the hot path has no request
+		// context, and an untraced context keeps instrumented backends'
+		// tracing to a nil check.
+		if data, err := e.cache.Get(context.Background(), key); err == nil {
 			var v T
 			if err := json.Unmarshal(data, &v); err == nil {
 				sw.vals[p][t] = v
@@ -671,7 +670,8 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 		sw.cellDone()
 		if key != "" {
 			if data, err := json.Marshal(v); err == nil {
-				e.cache.Put(key, data)
+				// Best-effort: a failed Put only means a recompute later.
+				_ = e.cache.Put(context.Background(), key, data)
 			}
 		}
 	}

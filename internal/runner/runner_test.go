@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"snd/internal/store"
 )
 
 // trialValue is the reference pure trial function: a short deterministic
@@ -46,7 +48,7 @@ func TestMapParallelMatchesSerial(t *testing.T) {
 
 func TestMapCacheHitsSkipExecution(t *testing.T) {
 	t.Parallel()
-	cache := NewMemoryCache()
+	cache := store.NewMemStore()
 	e := New(Options{Workers: 4, Cache: cache})
 	spec := Spec{Experiment: "unit-cache", Params: struct{ Seed int64 }{5}, Points: 3, Trials: 4}
 	var calls atomic.Int64
@@ -182,33 +184,6 @@ func TestTrialSeedDisjointStreams(t *testing.T) {
 	}
 	if TrialSeed(1, 0, 0) == TrialSeed(2, 0, 0) {
 		t.Error("base seed ignored")
-	}
-}
-
-func TestDiskCacheRoundTrip(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	c := Tiered(NewMemoryCache(), DiskCache{Dir: dir})
-	e := New(Options{Workers: 2, Cache: c})
-	spec := Spec{Experiment: "disk", Params: 1, Points: 2, Trials: 3}
-	fn := func(p, tr int) (float64, error) { return trialValue(3, p, tr), nil }
-	first, err := Map(e, spec, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh engine over only the disk layer must be served entirely from
-	// the persisted entries.
-	e2 := New(Options{Workers: 2, Cache: DiskCache{Dir: dir}})
-	second, err := Map(e2, spec, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Cached != 6 {
-		t.Fatalf("disk run cached %d cells, want 6", second.Cached)
-	}
-	if !reflect.DeepEqual(first.Points, second.Points) {
-		t.Fatal("disk-cached samples differ")
 	}
 }
 

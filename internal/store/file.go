@@ -6,24 +6,47 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // FileStore keeps one file per key under a root directory. Keys map to
-// relative paths ("ab/cd" nests), so content-addressed keys with a
-// fan-out prefix spread across subdirectories naturally. Writes are
-// temp-file-plus-rename atomic, the same discipline runner.DiskCache
-// established: a reader never observes a torn value, and a crash mid-Put
-// leaves only a .put-* temp file that the next SweepStaleTemps collects.
+// relative paths ("ab/cd" nests; flat keys such as the runner's 64-hex
+// trial keys all land in the root). Writes are temp-file-plus-rename
+// atomic: a reader never observes a torn value, and a crash mid-Put leaves
+// only a .put-* temp file that the next NewFileStore on the directory
+// removes.
 type FileStore struct {
 	dir string
 }
 
-// NewFileStore roots a store at dir, creating it if needed.
+// staleTempAge is how old an orphaned .put-* temp file must be before
+// NewFileStore deletes it. One hour is far beyond any plausible in-flight
+// Put, so a concurrent writer's live temp file is never touched.
+const staleTempAge = time.Hour
+
+// NewFileStore roots a store at dir, creating it if needed, and removes
+// .put-* temp files older than staleTempAge that crashed Puts left
+// behind, so long-lived store directories do not accumulate them.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	sweepStaleTemps(dir, time.Now().Add(-staleTempAge))
 	return &FileStore{dir: dir}, nil
+}
+
+// sweepStaleTemps removes .put-* files under dir last modified before
+// cutoff. Errors are ignored: cleanup is best-effort.
+func sweepStaleTemps(dir string, cutoff time.Time) {
+	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".put-") {
+			return nil
+		}
+		if info, err := d.Info(); err == nil && info.ModTime().Before(cutoff) {
+			os.Remove(path)
+		}
+		return nil
+	})
 }
 
 // Dir reports the root directory.

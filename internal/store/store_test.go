@@ -6,9 +6,11 @@ import (
 	"errors"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"snd/internal/obs"
 	"snd/internal/runner"
@@ -187,9 +189,8 @@ func TestDifferentialCacheMatrix(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			blob := Instrument(openScheme(t, scheme), scheme, obs.NewRegistry())
-			cache := NewCache(blob)
 
-			out1, stats1 := runSweep(t, cache)
+			out1, stats1 := runSweep(t, blob)
 			if stats1.TrialsCached != 0 {
 				t.Fatalf("first run reported %d cached trials on an empty store", stats1.TrialsCached)
 			}
@@ -200,7 +201,7 @@ func TestDifferentialCacheMatrix(t *testing.T) {
 
 			// A second engine (a different process in production) sharing
 			// the same blob store must hit on every cell.
-			out2, stats2 := runSweep(t, NewCache(blob))
+			out2, stats2 := runSweep(t, blob)
 			if stats2.TrialsCached != cells {
 				t.Fatalf("second run cached %d of %d cells", stats2.TrialsCached, cells)
 			}
@@ -226,6 +227,41 @@ func TestDifferentialCacheMatrix(t *testing.T) {
 		if string(runs[i].encoded) != string(runs[0].encoded) {
 			t.Fatalf("backend %s results diverge from %s:\n%s\nvs\n%s",
 				runs[i].scheme, runs[0].scheme, runs[i].encoded, runs[0].encoded)
+		}
+	}
+}
+
+// Opening a file:// store removes .put-* temp files orphaned by a crash
+// mid-Put once they are past the age cutoff, and leaves fresh ones (a
+// concurrent Put in flight) and real values alone.
+func TestFileStoreSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "ab")
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(sub, ".put-stale")
+	fresh := filepath.Join(sub, ".put-fresh")
+	entry := filepath.Join(sub, "abcd")
+	for _, p := range []string{stale, fresh, entry} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open("file://" + dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("stale temp file survived Open")
+	}
+	for _, p := range []string{fresh, entry} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("%s was removed but should have been kept", filepath.Base(p))
 		}
 	}
 }
