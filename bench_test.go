@@ -51,6 +51,13 @@ func BenchmarkBroadcast(b *testing.B) {
 				}
 			}
 			payload := make([]byte, 32)
+			// Fill every receive queue to its one-frame bound first, so
+			// timed deliveries overflow instead of growing fresh queues.
+			for _, d := range devs {
+				if _, err := medium.Broadcast(d.Handle, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := medium.Broadcast(devs[i%len(devs)].Handle, payload); err != nil {
@@ -339,6 +346,39 @@ func BenchmarkFullDiscoveryRound(b *testing.B) {
 		if acc := s.Accuracy(); acc <= 0 {
 			b.Fatal("no accuracy")
 		}
+		s.Close()
+	}
+}
+
+// BenchmarkProtocolTrial measures one message-level protocol trial — hello,
+// record exchange, validation and commitments over the radio medium, then
+// the accuracy and overhead metrics — at the sparse scale density of one
+// node per 100 m², R = 25, t = 4. Unlike BenchmarkE1Scale it runs the
+// protocol engine itself, so per-device radio and endpoint costs show in
+// B/op and allocs/op.
+func BenchmarkProtocolTrial(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n > 2000 && testing.Short() {
+				b.Skip("skipping n=10000 protocol trial in -short mode")
+			}
+			side := 10 * math.Sqrt(float64(n))
+			for i := 0; i < b.N; i++ {
+				s, err := snd.NewSimulation(snd.SimParams{
+					Field: snd.NewField(side, side), Range: 25, Nodes: n, Threshold: 4, Seed: int64(i),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if acc := s.Accuracy(); acc <= 0 {
+					b.Fatal("no accuracy")
+				}
+				if o := s.Overhead(); o.MessagesPerNode <= 0 {
+					b.Fatal("no messages")
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

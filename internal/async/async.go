@@ -1,6 +1,6 @@
 // Package async runs the neighbor discovery protocol with one goroutine
 // per device — the natural Go concurrency model for sensor-node
-// simulation. Every device's event loop consumes its own radio inbox and
+// simulation. Every device's event loop drains its own radio queue and
 // owns its protocol endpoint exclusively, so no protocol state is ever
 // shared between goroutines; the radio medium is the only synchronized
 // object, exactly as the shared ether is the only shared medium in the
@@ -211,32 +211,28 @@ func (r *runner) run() {
 	defer close(r.done)
 	var timeout <-chan time.Time
 	if r.expected != nil {
+		timer := time.NewTimer(r.network.cfg.DiscoveryTimeout)
+		defer timer.Stop()
+		timeout = timer.C
 		if r.expected.Len() == 0 {
 			// No tentative neighbors: validation is trivially done.
 			r.finishDiscovery()
-		} else {
-			timer := time.NewTimer(r.network.cfg.DiscoveryTimeout)
-			defer timer.Stop()
-			timeout = timer.C
 		}
 	}
 	for {
 		select {
-		case msg, ok := <-r.trx.Inbox():
-			if !ok {
-				return
+		case _, open := <-r.trx.Ready():
+			for msg, ok := r.trx.TryRecv(); ok; msg, ok = r.trx.TryRecv() {
+				r.handle(msg)
 			}
-			r.handle(msg)
-			if r.expected != nil && r.expected.Len() == 0 {
-				r.finishDiscovery()
-				timeout = nil
+			if !open {
+				return
 			}
 		case <-timeout:
 			// Lossy medium: some records never arrived. Validate with
 			// what we have.
 			if r.expected != nil {
 				r.finishDiscovery()
-				timeout = nil
 			}
 		case <-r.stop:
 			return
@@ -272,6 +268,9 @@ func (r *runner) handle(msg radio.Message) {
 		}
 		if err := r.ep.ReceiveBindingRecord(env.Record); err == nil && r.expected != nil {
 			r.expected.Remove(env.Record.Node)
+			if r.expected.Len() == 0 {
+				r.finishDiscovery()
+			}
 		}
 	case core.MsgUpdateRequest:
 		if r.ep.Phase() != core.PhaseDiscovering {
@@ -344,11 +343,7 @@ func DiscoverAll(layout *deploy.Layout, medium *radio.Medium, master *crypto.Mas
 		<-ch
 	}
 	// Allow in-flight commitments to land, then stop the loops.
-	deadline := time.After(cfg.DiscoveryTimeout)
-	if cfg.DiscoveryTimeout == 0 {
-		deadline = time.After(200 * time.Millisecond)
-	}
-	<-deadline
+	time.Sleep(n.cfg.DiscoveryTimeout)
 	n.Stop()
 
 	g := topology.New()

@@ -284,8 +284,11 @@ func Engines(ctx context.Context, p EnginesParams) (*EnginesResult, error) {
 			if err != nil {
 				return enginesSample{}, err
 			}
+			// The medium is lossless, so the discovery window only has to
+			// outlast scheduling delay; 5 s holds under -race on a loaded
+			// 2-core host, where 2 s cut off late binding records.
 			functional, err := async.DiscoverAll(layout, medium, master,
-				async.Config{Threshold: p.Threshold, DiscoveryTimeout: 2 * time.Second},
+				async.Config{Threshold: p.Threshold, DiscoveryTimeout: 5 * time.Second},
 				verify.Oracle{})
 			if err != nil {
 				return enginesSample{}, err

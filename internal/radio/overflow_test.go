@@ -80,7 +80,7 @@ func TestOverflowAccountingConcurrentSenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(trx.Drain()); got != inboxSize {
+	if got := len(drain(trx)); got != inboxSize {
 		t.Errorf("drained %d frames, want %d", got, inboxSize)
 	}
 }

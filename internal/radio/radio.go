@@ -4,10 +4,10 @@
 // paper's communication-overhead results.
 //
 // The medium is safe for concurrent use. Each device attaches a Transceiver
-// whose inbox is a buffered channel, so the simulation can run either
-// synchronously (the engine drains inboxes between protocol steps) or with
-// one goroutine per node consuming its inbox — the concurrency model this
-// reproduction uses for its asynchronous engine.
+// whose inbox is a growable FIFO with its own lock: it costs nothing until
+// frames arrive, and both engines read it with TryRecv — the synchronous
+// engine between protocol steps, the goroutine-per-node engine whenever
+// the transceiver's Ready signal fires.
 package radio
 
 import (
@@ -29,11 +29,10 @@ var (
 	ErrDeviceDead = errors.New("radio: device not alive")
 )
 
-// defaultInboxSize bounds each transceiver's buffered inbox. The buffer is
-// deliberately larger than the guideline one-or-none: it models a radio
-// driver's receive queue, a full queue drops packets (counted in
-// Counters.Overflow) rather than blocking the sender, which is exactly how
-// a real contention-free MAC with finite buffers degrades.
+// defaultInboxSize bounds the frames pending at one transceiver. It models
+// a radio driver's finite receive queue: a delivery to a full queue is
+// dropped (counted in Counters.LostOverflow) rather than blocking the
+// sender, which is how a contention-free MAC with finite buffers degrades.
 const defaultInboxSize = 1024
 
 // Config parameterizes a medium.
@@ -42,7 +41,7 @@ type Config struct {
 	Range float64
 	// LossProb is the probability an individual delivery is lost.
 	LossProb float64
-	// InboxSize overrides the per-transceiver buffer (default 1024).
+	// InboxSize bounds the frames pending per transceiver (default 1024).
 	InboxSize int
 	// Seed drives the loss process for reproducible runs.
 	Seed int64
@@ -162,7 +161,12 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 type Transceiver struct {
 	medium *Medium
 	handle deploy.Handle
-	inbox  chan Message
+	// queue[head:] are the pending frames, guarded by mu: senders take it
+	// under medium.mu, receivers alone, so a pop never waits on other traffic.
+	mu    sync.Mutex
+	queue []Message
+	head  int
+	ready chan struct{} // wake-up token; closed on detach
 }
 
 // Attach creates (or returns the existing) transceiver for device h.
@@ -178,19 +182,19 @@ func (m *Medium) Attach(h deploy.Handle) (*Transceiver, error) {
 	t := &Transceiver{
 		medium: m,
 		handle: h,
-		inbox:  make(chan Message, m.cfg.InboxSize),
+		ready:  make(chan struct{}, 1),
 	}
 	m.growTo(h)
 	m.trx[h-1] = t
 	return t, nil
 }
 
-// Detach removes device h's transceiver and closes its inbox.
+// Detach removes device h's transceiver and closes Ready; queued frames still drain.
 func (m *Medium) Detach(h deploy.Handle) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t := m.trxAt(h); t != nil {
-		close(t.inbox)
+		close(t.ready)
 		m.trx[h-1] = nil
 	}
 }
@@ -276,15 +280,22 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 			m.count.LostRandom++
 			return
 		}
-		select {
-		case t.inbox <- msg:
-			delivered++
-			m.count.Delivered++
-			m.count.BytesDelivered += len(body)
-			m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
-		default:
+		t.mu.Lock()
+		if len(t.queue)-t.head >= m.cfg.InboxSize {
+			t.mu.Unlock()
 			m.count.LostOverflow++
+			return
 		}
+		t.queue = append(t.queue, msg)
+		t.mu.Unlock()
+		select {
+		case t.ready <- struct{}{}:
+		default:
+		}
+		delivered++
+		m.count.Delivered++
+		m.count.BytesDelivered += len(body)
+		m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
 	})
 	return delivered, nil
 }
@@ -339,30 +350,24 @@ func (m *Medium) EnergyUsedBy(h deploy.Handle) float64 {
 // Handle returns the device this transceiver belongs to.
 func (t *Transceiver) Handle() deploy.Handle { return t.handle }
 
-// Inbox exposes the receive channel for goroutine-per-node consumers. The
-// channel is closed when the transceiver is detached.
-func (t *Transceiver) Inbox() <-chan Message { return t.inbox }
+// Ready yields after frames are queued, for goroutine-per-node consumers
+// that then drain them with TryRecv. It is closed on detach.
+func (t *Transceiver) Ready() <-chan struct{} { return t.ready }
 
-// TryRecv performs a non-blocking receive, for the synchronous engine.
+// TryRecv pops the oldest pending frame without blocking.
 func (t *Transceiver) TryRecv() (Message, bool) {
-	select {
-	case msg, ok := <-t.inbox:
-		return msg, ok
-	default:
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.head == len(t.queue) {
 		return Message{}, false
 	}
-}
-
-// Drain receives every currently queued message without blocking.
-func (t *Transceiver) Drain() []Message {
-	var out []Message
-	for {
-		msg, ok := t.TryRecv()
-		if !ok {
-			return out
-		}
-		out = append(out, msg)
+	msg := t.queue[t.head]
+	t.queue[t.head] = Message{} // unpin the payload
+	t.head++
+	if t.head == len(t.queue) { // drained: reuse the backing array
+		t.queue, t.head = t.queue[:0], 0
 	}
+	return msg, true
 }
 
 // Send broadcasts from this transceiver's device.

@@ -241,8 +241,8 @@ func TestAttachIdempotentAndDetach(t *testing.T) {
 		t.Error("attached unknown device")
 	}
 	m.Detach(devs[0].Handle)
-	if _, ok := <-t1.Inbox(); ok {
-		t.Error("inbox not closed on detach")
+	if _, ok := <-t1.Ready(); ok {
+		t.Error("Ready not closed on detach")
 	}
 	m.Detach(devs[0].Handle) // second detach is a no-op
 }
@@ -256,9 +256,9 @@ func TestDrainAndCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	msgs := trx[1].Drain()
+	msgs := drain(trx[1])
 	if len(msgs) != 3 {
-		t.Fatalf("Drain = %d messages", len(msgs))
+		t.Fatalf("drained %d messages", len(msgs))
 	}
 	for i, msg := range msgs {
 		if msg.Payload[0] != byte(i) {

@@ -138,7 +138,8 @@ func New(p Params) (*Simulation, error) {
 		Range:    p.Range,
 		LossProb: p.LossProb,
 		// Dense rounds queue a few hundred frames per device between
-		// pump drains; size the driver queue so none drop spuriously.
+		// pump drains. This only bounds the backlog so none drop
+		// spuriously; queues grow with their traffic, not with the bound.
 		InboxSize: 8192,
 		Seed:      p.Seed + 2,
 	})
