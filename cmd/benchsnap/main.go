@@ -12,7 +12,11 @@
 // the minimum ns/op is the standard low-noise estimator, since slowdowns
 // come from interference but nothing runs faster than the code allows —
 // and the snapshot records how many samples fed the aggregate. Header
-// lines (goos/goarch/cpu) are carried into the snapshot for provenance.
+// lines (goos/goarch/cpu) are carried into the snapshot for provenance,
+// along with the environment needed to compare two runs: the GOMAXPROCS
+// values read from the stripped suffixes (a name without one ran at 1),
+// and the Go version and logical CPU count of the host benchsnap runs on —
+// in CI the same host and toolchain that ran the benchmarks.
 // Exit status is 1 when the input contains no benchmark results.
 //
 // With -compare, benchsnap additionally gates the freshly parsed snapshot
@@ -43,6 +47,8 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,15 +68,21 @@ type Sample struct {
 }
 
 // Snapshot is the BENCH_micro.json document. GitSHA and Time stamp the
-// run's provenance — which commit produced these numbers and when — so a
-// snapshot (or a trajectory line) is meaningful away from its checkout.
+// run's provenance — which commit produced these numbers and when — and
+// the environment fields say what they ran on, so a snapshot (or a
+// trajectory line) is meaningful away from its checkout.
 type Snapshot struct {
-	Schema     string            `json:"schema"`
-	GitSHA     string            `json:"git_sha,omitempty"`
-	Time       string            `json:"time,omitempty"` // RFC3339 UTC
-	Goos       string            `json:"goos,omitempty"`
-	Goarch     string            `json:"goarch,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
+	Schema    string `json:"schema"`
+	GitSHA    string `json:"git_sha,omitempty"`
+	Time      string `json:"time,omitempty"` // RFC3339 UTC
+	Goos      string `json:"goos,omitempty"`
+	Goarch    string `json:"goarch,omitempty"`
+	CPU       string `json:"cpu,omitempty"`
+	GoVersion string `json:"go_version,omitempty"`
+	NumCPU    int    `json:"num_cpu,omitempty"`
+	// GOMAXPROCS lists the distinct values the result names carry,
+	// ascending: one entry unless the run used -cpu with several values.
+	GOMAXPROCS []int             `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]Sample `json:"benchmarks"`
 }
 
@@ -97,12 +109,15 @@ func parse(r io.Reader) (*Snapshot, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		name, sample, err := parseResult(line)
+		name, procs, sample, err := parseResult(line)
 		if err != nil {
 			return nil, err
 		}
 		if name == "" {
 			continue
+		}
+		if i, found := slices.BinarySearch(snap.GOMAXPROCS, procs); !found {
+			snap.GOMAXPROCS = slices.Insert(snap.GOMAXPROCS, i, procs)
 		}
 		if prev, ok := snap.Benchmarks[name]; ok {
 			sample = minSample(prev, sample)
@@ -113,16 +128,17 @@ func parse(r io.Reader) (*Snapshot, error) {
 	return snap, sc.Err()
 }
 
-// parseResult parses one result line. Lines that start with "Benchmark"
-// but are not results (e.g. a bare name printed by -v) return name "".
-func parseResult(line string) (string, Sample, error) {
+// parseResult parses one result line into its key, its GOMAXPROCS and
+// its sample. Lines that start with "Benchmark" but are not results (e.g.
+// a bare name printed by -v) return name "".
+func parseResult(line string) (string, int, Sample, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", Sample{}, nil
+		return "", 0, Sample{}, nil
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return "", Sample{}, nil
+		return "", 0, Sample{}, nil
 	}
 	s := Sample{Iterations: iters}
 	sawNs := false
@@ -130,7 +146,7 @@ func parseResult(line string) (string, Sample, error) {
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", Sample{}, fmt.Errorf("benchsnap: bad value %q in %q", fields[i], line)
+			return "", 0, Sample{}, fmt.Errorf("benchsnap: bad value %q in %q", fields[i], line)
 		}
 		switch fields[i+1] {
 		case "ns/op":
@@ -145,10 +161,11 @@ func parseResult(line string) (string, Sample, error) {
 		}
 	}
 	if !sawNs {
-		return "", Sample{}, nil
+		return "", 0, Sample{}, nil
 	}
 	s.Samples = 1
-	return trimName(fields[0]), s, nil
+	name, procs := trimName(fields[0])
+	return name, procs, s, nil
 }
 
 // minSample keeps the faster of two samples of one benchmark, wholesale:
@@ -270,15 +287,22 @@ func appendTrajectory(path string, snap *Snapshot) error {
 }
 
 // trimName strips the "Benchmark" prefix and the trailing -GOMAXPROCS
-// suffix: "BenchmarkBroadcast/n=200-8" → "Broadcast/n=200".
-func trimName(name string) string {
+// suffix and returns both: "BenchmarkBroadcast/n=200-8" → "Broadcast/n=200",
+// 8. go test leaves the suffix off when GOMAXPROCS is 1.
+func trimName(name string) (string, int) {
 	name = strings.TrimPrefix(name, "Benchmark")
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], procs
 		}
 	}
-	return name
+	return name, 1
+}
+
+// stampEnv records the Go version and logical CPU count of this process.
+func stampEnv(snap *Snapshot) {
+	snap.GoVersion = runtime.Version()
+	snap.NumCPU = runtime.NumCPU()
 }
 
 func main() {
@@ -312,6 +336,7 @@ func main() {
 	}
 	snap.GitSHA = resolveSHA(*sha)
 	snap.Time = time.Now().UTC().Format(time.RFC3339)
+	stampEnv(snap)
 
 	// The trajectory line lands before gating, so a regressing run is
 	// recorded too — the regression is exactly the data point worth keeping.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,15 +85,53 @@ func TestParseEmptyInput(t *testing.T) {
 }
 
 func TestTrimName(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkBroadcast-8":                          "Broadcast",
-		"BenchmarkBroadcast/n=200-16":                   "Broadcast/n=200",
-		"BenchmarkFig3Accuracy":                         "Fig3Accuracy",
-		"BenchmarkRunnerSerialVsParallel/mode=serial-4": "RunnerSerialVsParallel/mode=serial",
+	type named struct {
+		name  string
+		procs int
+	}
+	cases := map[string]named{
+		"BenchmarkBroadcast-8":                          {"Broadcast", 8},
+		"BenchmarkBroadcast/n=200-16":                   {"Broadcast/n=200", 16},
+		"BenchmarkFig3Accuracy":                         {"Fig3Accuracy", 1},
+		"BenchmarkRunnerSerialVsParallel/mode=serial-4": {"RunnerSerialVsParallel/mode=serial", 4},
 	}
 	for in, want := range cases {
-		if got := trimName(in); got != want {
-			t.Errorf("trimName(%q) = %q, want %q", in, got, want)
+		if name, procs := trimName(in); name != want.name || procs != want.procs {
+			t.Errorf("trimName(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
+		}
+	}
+}
+
+// TestSnapshotRecordsEnvironment: the header carries the GOMAXPROCS of
+// the results (1 where go test printed no suffix), the Go version and the
+// CPU count, while the keys stay suffix-free.
+func TestSnapshotRecordsEnvironment(t *testing.T) {
+	out := `BenchmarkRunnerSerialVsParallel/workers=4-2  1  900000000 ns/op
+BenchmarkBroadcast/n=200-8  210843  5630 ns/op
+BenchmarkTruthGraph/n=200  3000  41000 ns/op
+BenchmarkBroadcast/n=1000-8  40000  30000 ns/op
+`
+	snap, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(snap.GOMAXPROCS, []int{1, 2, 8}) {
+		t.Errorf("GOMAXPROCS = %v, want [1 2 8]", snap.GOMAXPROCS)
+	}
+	if _, ok := snap.Benchmarks["RunnerSerialVsParallel/workers=4"]; !ok {
+		t.Errorf("keys changed: %v", snap.Benchmarks)
+	}
+	stampEnv(snap)
+	if snap.GoVersion != runtime.Version() || snap.NumCPU != runtime.NumCPU() {
+		t.Errorf("env stamp = %q/%d, want %q/%d", snap.GoVersion, snap.NumCPU, runtime.Version(), runtime.NumCPU())
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"go_version":`, `"num_cpu":`, `"gomaxprocs":[1,2,8]`} {
+		if !strings.Contains(string(raw), key) {
+			t.Errorf("snapshot JSON lacks %s: %s", key, raw)
 		}
 	}
 }

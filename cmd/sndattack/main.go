@@ -85,7 +85,7 @@ func substitution(w io.Writer, seed int64) error {
 	for _, p := range forged {
 		fmt.Fprintf(w, "  %v\n", p)
 	}
-	adversary.InjectRelations(tent, forged)
+	tent = adversary.InjectRelations(tent, forged)
 	fmt.Fprintf(w, "after attack:  F(target, victim) = %v — d-safety broken at %.0f m\n",
 		rule.Validate(target.Node, victim.Node, tent), victim.Origin.Dist(target.Origin))
 	fmt.Fprintln(w, "\nThe paper's protocol is immune: the forged neighbor list cannot be")

@@ -68,10 +68,11 @@ func ExampleAnalyticalModel() {
 // ExampleCommonNeighborRule shows the topology-only rule that Theorems 1–2
 // prove attackable.
 func ExampleCommonNeighborRule() {
-	g := snd.NewGraph()
+	b := snd.NewGraphBuilder()
 	for _, pair := range [][2]snd.NodeID{{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}} {
-		g.AddMutual(pair[0], pair[1])
+		b.AddMutual(pair[0], pair[1])
 	}
+	g := b.Finalize()
 	rule := snd.CommonNeighborRule{Threshold: 1}
 	fmt.Println("1 validates 2:", rule.Validate(1, 2, g))
 	fmt.Println("minimum deployment:", rule.MinimumDeploymentSize())

@@ -119,23 +119,25 @@ func (a *Attacker) ForgeSubstitution(g *topology.Graph, rule topology.CommonNeig
 		return nil, fmt.Errorf("adversary: substitution needs a compromised node, %v is not", v)
 	}
 	need := rule.Threshold + 1
-	neighbors := g.Out(target)
-	neighbors.Remove(v)
-	if neighbors.Len() < need {
+	have := g.OutLen(target)
+	if g.HasRelation(target, v) {
+		have--
+	}
+	if have < need {
 		return nil, fmt.Errorf("adversary: target %v has %d tentative neighbors, need %d",
-			target, neighbors.Len(), need)
+			target, have, need)
 	}
 	forged := []nodeid.Pair{
 		{From: target, To: v},
 		{From: v, To: target},
 	}
-	picked := 0
-	for _, w := range neighbors.Sorted() {
-		if picked == need {
+	for _, w := range g.OutIDs(target) {
+		if len(forged) == 2+need {
 			break
 		}
-		forged = append(forged, nodeid.Pair{From: v, To: w})
-		picked++
+		if w != v {
+			forged = append(forged, nodeid.Pair{From: v, To: w})
+		}
 	}
 	return forged, nil
 }
@@ -194,20 +196,21 @@ func BuildTwinConstruction(rule topology.CommonNeighborRule, aIDs, bIDs []nodeid
 		return nil, fmt.Errorf("adversary: twin isomorphism: %w", err)
 	}
 
-	g := topology.New()
+	b := topology.NewBuilder()
 	// G_A: clique over A (the rule's minimum deployment contains a
 	// functional relation between every pair, in particular (u, w)).
 	for i, a := range aIDs {
-		for _, b := range aIDs[i+1:] {
-			g.AddMutual(a, b)
+		for _, c := range aIDs[i+1:] {
+			b.AddMutual(a, c)
 		}
 	}
 	// G_B: the relabeled copy of G_A minus w — a clique over B.
 	for i, a := range bIDs {
-		for _, b := range bIDs[i+1:] {
-			g.AddMutual(a, b)
+		for _, c := range bIDs[i+1:] {
+			b.AddMutual(a, c)
 		}
 	}
+	g := b.Finalize()
 	// G(w): the proof's forged relation set.
 	tc := &TwinConstruction{G: g, U: u, FU: f.Apply(u), W: w}
 	for _, x := range domain {
@@ -221,14 +224,21 @@ func BuildTwinConstruction(rule topology.CommonNeighborRule, aIDs, bIDs []nodeid
 	return tc, nil
 }
 
-// InjectRelations applies forged relations to a tentative topology,
-// modeling the attacker's ability to insert them (via replica presence or
-// by defeating direct verification for relations regarding compromised
-// nodes).
-func InjectRelations(g *topology.Graph, forged []nodeid.Pair) {
-	for _, p := range forged {
-		g.AddRelation(p.From, p.To)
+// InjectRelations returns the tentative topology g plus the forged
+// relations, modeling the attacker's ability to insert them (via replica
+// presence or by defeating direct verification for relations regarding
+// compromised nodes). g itself is left as it was.
+func InjectRelations(g *topology.Graph, forged []nodeid.Pair) *topology.Graph {
+	b := topology.NewBuilder()
+	b.Grow(g.NumNodes(), g.NumRelations()+len(forged))
+	for _, u := range g.Nodes() {
+		b.AddNode(u)
+		for _, v := range g.OutIDs(u) {
+			b.AddRelation(u, v)
+		}
 	}
+	b.AddPairs(forged)
+	return b.Finalize()
 }
 
 // FindCoLocatedClique returns up to k node IDs that are pairwise tentative
@@ -253,7 +263,7 @@ func FindCoLocatedClique(g *topology.Graph, k int) []nodeid.ID {
 	var best []nodeid.ID
 	for _, seed := range ordered {
 		clique := []nodeid.ID{seed}
-		for _, cand := range g.Out(seed).Sorted() {
+		for _, cand := range g.OutIDs(seed) {
 			ok := true
 			for _, member := range clique {
 				if !g.HasMutual(cand, member) {

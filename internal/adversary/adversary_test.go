@@ -98,29 +98,33 @@ func TestReplicaStateIndependentCopies(t *testing.T) {
 	}
 }
 
-// ringGraph builds a tentative topology where target (id 1) has the given
-// number of mutual neighbors 2..n+1, all also mutually connected to each
-// other (a local clique).
-func ringGraph(neighbors int) *topology.Graph {
-	g := topology.New()
+// ringBuilder records a tentative topology where target (id 1) has the
+// given number of mutual neighbors 2..n+1, all also mutually connected to
+// each other (a local clique).
+func ringBuilder(neighbors int) *topology.Builder {
+	b := topology.NewBuilder()
 	ids := make([]nodeid.ID, neighbors+1)
 	for i := range ids {
 		ids[i] = nodeid.ID(i + 1)
 	}
 	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			g.AddMutual(a, b)
+		for _, c := range ids[i+1:] {
+			b.AddMutual(a, c)
 		}
 	}
-	return g
+	return b
 }
+
+// ringGraph finalizes ringBuilder's topology.
+func ringGraph(neighbors int) *topology.Graph { return ringBuilder(neighbors).Finalize() }
 
 func TestForgeSubstitutionDefeatsTopologyRule(t *testing.T) {
 	// The attacker compromises node 100 (somewhere far away) and wants the
 	// benign node 1 to validate it under CommonNeighborRule{t=3}.
 	const threshold = 3
-	g := ringGraph(6) // node 1 with 6 tentative neighbors
-	g.AddNode(100)
+	b := ringBuilder(6) // node 1 with 6 tentative neighbors
+	b.AddNode(100)
+	g := b.Finalize()
 
 	a := New(1)
 	a.Capture(operationalNode(t, 100))
@@ -144,9 +148,12 @@ func TestForgeSubstitutionDefeatsTopologyRule(t *testing.T) {
 			t.Errorf("forged relation %v does not involve the compromised node", p)
 		}
 	}
-	InjectRelations(g, forged)
-	if !rule.Validate(1, 100, g) {
+	attacked := InjectRelations(g, forged)
+	if !rule.Validate(1, 100, attacked) {
 		t.Error("substitution attack failed against topology-only rule")
+	}
+	if g.HasRelation(1, 100) || attacked.NumRelations() != g.NumRelations()+len(forged) {
+		t.Error("InjectRelations edited its input or lost relations")
 	}
 }
 
@@ -197,11 +204,11 @@ func TestTwinConstructionProvesTheorem1(t *testing.T) {
 	// After injecting G(w): f(u) validates w too. Both fooled nodes live
 	// in disconnected components that can be placed arbitrarily far apart,
 	// so no d-safety bound can hold for any d.
-	InjectRelations(tc.G, tc.Forged)
-	if !rule.Validate(tc.FU, tc.W, tc.G) {
+	attacked := InjectRelations(tc.G, tc.Forged)
+	if !rule.Validate(tc.FU, tc.W, attacked) {
 		t.Fatal("Theorem 1 construction failed: f(u) rejects w after forgery")
 	}
-	if !rule.Validate(tc.U, tc.W, tc.G) {
+	if !rule.Validate(tc.U, tc.W, attacked) {
 		t.Fatal("u no longer validates w")
 	}
 }
@@ -222,9 +229,10 @@ func TestTwinConstructionValidation(t *testing.T) {
 
 func TestFindCoLocatedClique(t *testing.T) {
 	// Clique {1..5} plus sparse chain 6-7-8.
-	g := ringGraph(4) // 1..5 fully mutual
-	g.AddMutual(6, 7)
-	g.AddMutual(7, 8)
+	b := ringBuilder(4) // 1..5 fully mutual
+	b.AddMutual(6, 7)
+	b.AddMutual(7, 8)
+	g := b.Finalize()
 
 	clique := FindCoLocatedClique(g, 4)
 	if len(clique) != 4 {
@@ -243,7 +251,7 @@ func TestFindCoLocatedClique(t *testing.T) {
 		t.Errorf("largest clique = %d, want 5", len(big))
 	}
 	// Empty graph.
-	if got := FindCoLocatedClique(topology.New(), 3); got != nil {
+	if got := FindCoLocatedClique(topology.NewBuilder().Finalize(), 3); got != nil {
 		t.Errorf("clique in empty graph = %v", got)
 	}
 }

@@ -346,16 +346,16 @@ func DiscoverAll(layout *deploy.Layout, medium *radio.Medium, master *crypto.Mas
 	time.Sleep(n.cfg.DiscoveryTimeout)
 	n.Stop()
 
-	g := topology.New()
+	b := topology.NewBuilder()
 	for _, h := range handles {
 		ep := n.Endpoint(h)
 		if ep == nil {
 			continue
 		}
-		g.AddNode(ep.ID())
+		b.AddNode(ep.ID())
 		for v := range ep.Functional() {
-			g.AddRelation(ep.ID(), v)
+			b.AddRelation(ep.ID(), v)
 		}
 	}
-	return g, nil
+	return b.Finalize(), nil
 }

@@ -38,22 +38,45 @@ import (
 // part of the Section 4.5 comparison.
 //
 // Returned IDs are sorted ascending.
+//
+// N(v)'s weak components come from a union-find over the positions of
+// OutIDs(v): each member's sorted row is merged against the sorted N(v),
+// and every relation found inside N(v) joins its endpoints. Nothing is
+// copied per node; the scratch slices are reused across the sweep.
 func DetectSplitNeighborhoods(g *topology.Graph, minComponent int) []nodeid.ID {
 	if minComponent < 1 {
 		minComponent = 1
 	}
 	var flagged []nodeid.ID
+	var parent, size []int32
 	for _, v := range g.Nodes() {
-		// OutLen prescreens before Out clones the neighbor set: most nodes
-		// fail the size bar, so the copy would be wasted.
-		if g.OutLen(v) < 2*minComponent {
+		nbrs := g.OutIDs(v)
+		if len(nbrs) < 2*minComponent {
 			continue
 		}
-		neighborhood := g.Out(v)
-		induced := g.Subgraph(neighborhood)
+		parent, size = parent[:0], size[:0]
+		for i := range nbrs {
+			parent = append(parent, int32(i))
+			size = append(size, 1)
+		}
+		for i, w := range nbrs {
+			row := g.OutIDs(w)
+			for a, b := 0, 0; a < len(row) && b < len(nbrs); {
+				switch {
+				case row[a] < nbrs[b]:
+					a++
+				case row[a] > nbrs[b]:
+					b++
+				default:
+					union(parent, size, int32(i), int32(b))
+					a++
+					b++
+				}
+			}
+		}
 		big := 0
-		for _, part := range induced.Partitions() {
-			if part.Size() >= minComponent {
+		for i := range parent {
+			if parent[i] == int32(i) && int(size[i]) >= minComponent {
 				big++
 			}
 		}
@@ -62,6 +85,28 @@ func DetectSplitNeighborhoods(g *topology.Graph, minComponent int) []nodeid.ID {
 		}
 	}
 	return flagged
+}
+
+// find returns i's root, halving the path on the way.
+func find(parent []int32, i int32) int32 {
+	for parent[i] != i {
+		parent[i] = parent[parent[i]]
+		i = parent[i]
+	}
+	return i
+}
+
+// union joins the sets of i and j, hanging the smaller under the larger.
+func union(parent, size []int32, i, j int32) {
+	i, j = find(parent, i), find(parent, j)
+	if i == j {
+		return
+	}
+	if size[i] < size[j] {
+		i, j = j, i
+	}
+	parent[j] = i
+	size[i] += size[j]
 }
 
 // Cost summarizes the communication bill of centralized collection.

@@ -1,14 +1,72 @@
 package central
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snd/internal/deploy"
 	"snd/internal/geometry"
 	"snd/internal/nodeid"
+	"snd/internal/topology"
 	"snd/internal/verify"
 )
+
+// detectBySubgraph is the reference detector: induce the subgraph on N(v)
+// and count its weak components with Partitions.
+func detectBySubgraph(g *topology.Graph, minComponent int) []nodeid.ID {
+	minComponent = max(minComponent, 1)
+	var flagged []nodeid.ID
+	for _, v := range g.Nodes() {
+		if g.OutLen(v) < 2*minComponent {
+			continue
+		}
+		big := 0
+		for _, part := range g.Subgraph(g.Out(v)).Partitions() {
+			if part.Size() >= minComponent {
+				big++
+			}
+		}
+		if big >= 2 {
+			flagged = append(flagged, v)
+		}
+	}
+	return flagged
+}
+
+// TestDetectSplitMatchesSubgraphOracle: the union-find detector flags
+// exactly the IDs the Subgraph+Partitions reference flags, on random
+// layouts with replicas planted 1R, 3R and 6R from their originals.
+func TestDetectSplitMatchesSubgraphOracle(t *testing.T) {
+	const r = 25.0
+	flagged := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, k := range []float64{1, 3, 6} {
+			rng := rand.New(rand.NewSource(seed))
+			l := deploy.NewLayout(geometry.NewField(200, 200))
+			l.DeploySampled(deploy.Uniform{}, 220, rng, 0)
+			for _, victim := range l.Devices()[:4] {
+				angle := rng.Float64() * 2 * math.Pi
+				at := victim.Pos.Add(geometry.Point{X: k * r * math.Cos(angle), Y: k * r * math.Sin(angle)})
+				if _, err := l.DeployReplica(victim.Node, at, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g := verify.TentativeGraph(l, verify.Oracle{}, r)
+			for _, mc := range []int{1, 2, 3} {
+				got, want := DetectSplitNeighborhoods(g, mc), detectBySubgraph(g, mc)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d, %gR, minComponent %d: got %v, want %v", seed, k, mc, got, want)
+				}
+				flagged += len(got)
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no identity flagged in any layout; the comparison is vacuous")
+	}
+}
 
 func TestDetectSplitNeighborhoodsBenign(t *testing.T) {
 	// A benign uniform deployment: neighborhoods are single patches, no

@@ -4,12 +4,11 @@
 // the smallest ID in its neighborhood", refs [1], [2]) and Amis et al.'s
 // Max–Min d-cluster formation (INFOCOM 2000, the paper's reference [1]).
 //
-// Both consume a neighbor graph — tentative or functional, mutable or
-// frozen (any topology.View) — which is the
-// attack surface the paper describes: over a replica-polluted topology,
-// "many sensor nodes far from each other may be included in the same
-// cluster", communication inside clusters becomes expensive, and
-// aggregates computed per cluster go wrong.
+// Both consume a neighbor graph (a *topology.Graph), tentative or
+// functional — which is the attack surface the paper describes: over a
+// replica-polluted topology, "many sensor nodes far from each other may be
+// included in the same cluster", communication inside clusters becomes
+// expensive, and aggregates computed per cluster go wrong.
 package cluster
 
 import (
@@ -45,7 +44,7 @@ func (a Assignment) Members(h nodeid.ID) []nodeid.ID {
 // LowestID elects, for every node, the smallest ID in its closed
 // out-neighborhood — the classic 1-hop heuristic of the paper's
 // introduction.
-func LowestID(g topology.View) Assignment {
+func LowestID(g *topology.Graph) Assignment {
 	a := make(Assignment, g.NumNodes())
 	for _, u := range g.Nodes() {
 		head := u
@@ -73,7 +72,7 @@ func LowestID(g topology.View) Assignment {
 // The head a node elects is at most d hops away in a connected component.
 // Messages are exchanged along graph relations (undirected view), exactly
 // as the nodes would flood over their neighbor lists.
-func MaxMinD(g topology.View, d int) (Assignment, error) {
+func MaxMinD(g *topology.Graph, d int) (Assignment, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("cluster: d must be ≥ 1, got %d", d)
 	}
@@ -155,14 +154,12 @@ func elect(u nodeid.ID, maxLog, minLog []nodeid.ID) nodeid.ID {
 	return best
 }
 
-func forEachUndirected(g topology.View, u nodeid.ID, fn func(v nodeid.ID)) {
-	seen := nodeid.NewSet()
-	g.ForEachOut(u, func(v nodeid.ID) {
-		seen.Add(v)
-		fn(v)
-	})
+// forEachUndirected calls fn once for every v related to u in either
+// direction: out-neighbors first, then in-neighbors u does not assert.
+func forEachUndirected(g *topology.Graph, u nodeid.ID, fn func(v nodeid.ID)) {
+	g.ForEachOut(u, fn)
 	g.ForEachIn(u, func(v nodeid.ID) {
-		if !seen.Contains(v) {
+		if !g.HasRelation(u, v) {
 			fn(v)
 		}
 	})
@@ -174,7 +171,7 @@ func forEachUndirected(g topology.View, u nodeid.ID, fn func(v nodeid.ID)) {
 // any member and its head; returns the worst over all clusters.
 // Unreachable heads count as limit — the pathological "same cluster, far
 // apart" case.
-func Diameter2Cost(g topology.View, a Assignment, limit int) int {
+func Diameter2Cost(g *topology.Graph, a Assignment, limit int) int {
 	worst := 0
 	for n, head := range a {
 		d := hopDistance(g, n, head, limit)
@@ -185,7 +182,7 @@ func Diameter2Cost(g topology.View, a Assignment, limit int) int {
 	return worst
 }
 
-func hopDistance(g topology.View, from, to nodeid.ID, limit int) int {
+func hopDistance(g *topology.Graph, from, to nodeid.ID, limit int) int {
 	if from == to {
 		return 0
 	}

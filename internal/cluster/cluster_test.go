@@ -11,23 +11,26 @@ import (
 	"snd/internal/verify"
 )
 
-// pathGraph builds the mutual path 1 - 2 - ... - n.
-func pathGraph(n int) *topology.Graph {
-	g := topology.New()
+// pathBuilder records the mutual path 1 - 2 - ... - n.
+func pathBuilder(n int) *topology.Builder {
+	b := topology.NewBuilder()
 	for i := 1; i < n; i++ {
-		g.AddMutual(nodeid.ID(i), nodeid.ID(i+1))
+		b.AddMutual(nodeid.ID(i), nodeid.ID(i+1))
 	}
-	return g
+	return b
 }
+
+// pathGraph builds the mutual path 1 - 2 - ... - n.
+func pathGraph(n int) *topology.Graph { return pathBuilder(n).Finalize() }
 
 func TestLowestID(t *testing.T) {
 	// Clique {3,5,7}: everyone elects 3. Isolated node 9 elects itself.
-	g := topology.New()
-	g.AddMutual(3, 5)
-	g.AddMutual(3, 7)
-	g.AddMutual(5, 7)
-	g.AddNode(9)
-	a := LowestID(g)
+	b := topology.NewBuilder()
+	b.AddMutual(3, 5)
+	b.AddMutual(3, 7)
+	b.AddMutual(5, 7)
+	b.AddNode(9)
+	a := LowestID(b.Finalize())
 	for _, n := range []nodeid.ID{3, 5, 7} {
 		if a[n] != 3 {
 			t.Errorf("node %v elected %v, want 3", n, a[n])
@@ -52,9 +55,9 @@ func TestMaxMinDValidation(t *testing.T) {
 }
 
 func TestMaxMinDSingleton(t *testing.T) {
-	g := topology.New()
-	g.AddNode(5)
-	a, err := MaxMinD(g, 2)
+	b := topology.NewBuilder()
+	b.AddNode(5)
+	a, err := MaxMinD(b.Finalize(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +69,14 @@ func TestMaxMinDSingleton(t *testing.T) {
 func TestMaxMinDClique(t *testing.T) {
 	// In a clique, floodmax converges to the max ID for everyone and the
 	// max ID sees itself in floodmin: one cluster headed by the max.
-	g := topology.New()
+	b := topology.NewBuilder()
 	ids := []nodeid.ID{2, 4, 6, 8}
 	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			g.AddMutual(a, b)
+		for _, c := range ids[i+1:] {
+			b.AddMutual(a, c)
 		}
 	}
-	a, err := MaxMinD(g, 1)
+	a, err := MaxMinD(b.Finalize(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,9 @@ func TestDiameter2Cost(t *testing.T) {
 		t.Errorf("cost = %d, want 4", got)
 	}
 	// Unreachable head costs the cap.
-	g.AddNode(99)
+	b := pathBuilder(5)
+	b.AddNode(99)
+	g = b.Finalize()
 	a[99] = 1
 	if got := Diameter2Cost(g, a, 10); got != 10 {
 		t.Errorf("unreachable cost = %d, want 10", got)

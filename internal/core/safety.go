@@ -55,20 +55,16 @@ func AuditSafety(l *deploy.Layout, functional *topology.Graph, compromised nodei
 	for _, c := range compromised.Sorted() {
 		// Sorted order matters: EnclosingCircle's result can differ in the
 		// last ulp with input order, and the audit must be reproducible.
+		// ForEachIn visits accepters in ascending ID order.
 		var pts []geometry.Point
-		// In is a snapshot accessor (it clones); that is deliberate here —
-		// the per-compromised-node report order must be the sorted set, and
-		// this audit path is not hot.
-		for _, v := range functional.In(c).Sorted() {
+		functional.ForEachIn(c, func(v nodeid.ID) {
 			if compromised.Contains(v) {
-				continue
+				return
 			}
-			primary := l.Primary(v)
-			if primary == nil {
-				continue
+			if primary := l.Primary(v); primary != nil {
+				pts = append(pts, primary.Origin)
 			}
-			pts = append(pts, primary.Origin)
-		}
+		})
 		r := SafetyReport{
 			Node:            c,
 			BenignAccepters: len(pts),

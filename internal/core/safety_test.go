@@ -17,13 +17,13 @@ func TestAuditSafetyWithinBound(t *testing.T) {
 	c := l.Deploy(geometry.Point{X: 30, Y: 50}, 0)  // compromised
 	d := l.Deploy(geometry.Point{X: 400, Y: 50}, 0) // benign, far away
 
-	functional := topology.New()
-	functional.AddRelation(a.Node, c.Node) // a accepts c
-	functional.AddRelation(b.Node, c.Node) // b accepts c
-	functional.AddRelation(c.Node, a.Node) // c's own claims are ignored
+	fb := topology.NewBuilder()
+	fb.AddRelation(a.Node, c.Node) // a accepts c
+	fb.AddRelation(b.Node, c.Node) // b accepts c
+	fb.AddRelation(c.Node, a.Node) // c's own claims are ignored
 	_ = d
 
-	reports := AuditSafety(l, functional, nodeid.NewSet(c.Node), 100)
+	reports := AuditSafety(l, fb.Finalize(), nodeid.NewSet(c.Node), 100)
 	if len(reports) != 1 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -50,11 +50,11 @@ func TestAuditSafetyDetectsViolation(t *testing.T) {
 	b := l.Deploy(geometry.Point{X: 300, Y: 50}, 0)
 	c := l.Deploy(geometry.Point{X: 150, Y: 50}, 0) // compromised
 
-	functional := topology.New()
-	functional.AddRelation(a.Node, c.Node)
-	functional.AddRelation(b.Node, c.Node)
+	fb := topology.NewBuilder()
+	fb.AddRelation(a.Node, c.Node)
+	fb.AddRelation(b.Node, c.Node)
 
-	reports := AuditSafety(l, functional, nodeid.NewSet(c.Node), 100)
+	reports := AuditSafety(l, fb.Finalize(), nodeid.NewSet(c.Node), 100)
 	// Accepters 300 m apart: no circle of radius 100 covers both.
 	if !reports[0].Violated {
 		t.Error("150 m enclosing radius within 100 m bound not flagged")
@@ -80,12 +80,12 @@ func TestAuditSafetyIgnoresCompromisedAccepters(t *testing.T) {
 	a := l.Deploy(geometry.Point{X: 0, Y: 50}, 0)
 	b := l.Deploy(geometry.Point{X: 490, Y: 50}, 0)
 
-	functional := topology.New()
-	functional.AddRelation(a.Node, b.Node)
-	functional.AddRelation(b.Node, a.Node)
+	fb := topology.NewBuilder()
+	fb.AddRelation(a.Node, b.Node)
+	fb.AddRelation(b.Node, a.Node)
 
 	compromised := nodeid.NewSet(a.Node, b.Node)
-	reports := AuditSafety(l, functional, compromised, 100)
+	reports := AuditSafety(l, fb.Finalize(), compromised, 100)
 	for _, r := range reports {
 		if r.BenignAccepters != 0 || r.Violated {
 			t.Errorf("colluding pair counted: %+v", r)
@@ -103,11 +103,11 @@ func TestAuditSafetyUsesOriginNotCurrentPos(t *testing.T) {
 	c := l.Deploy(geometry.Point{X: 25, Y: 50}, 0)
 	l.Primary(a.Node).Pos = geometry.Point{X: 499, Y: 50} // drifted
 
-	functional := topology.New()
-	functional.AddRelation(a.Node, c.Node)
-	functional.AddRelation(b.Node, c.Node)
+	fb := topology.NewBuilder()
+	fb.AddRelation(a.Node, c.Node)
+	fb.AddRelation(b.Node, c.Node)
 
-	reports := AuditSafety(l, functional, nodeid.NewSet(c.Node), 100)
+	reports := AuditSafety(l, fb.Finalize(), nodeid.NewSet(c.Node), 100)
 	if reports[0].Violated {
 		t.Error("audit used current position instead of origin")
 	}
@@ -116,16 +116,16 @@ func TestAuditSafetyUsesOriginNotCurrentPos(t *testing.T) {
 func TestAuditSafetySmallCases(t *testing.T) {
 	l := deploy.NewLayout(geometry.NewField(100, 100))
 	c := l.Deploy(geometry.Point{X: 50, Y: 50}, 0)
-	functional := topology.New()
+	fb := topology.NewBuilder()
 	// Zero accepters.
-	reports := AuditSafety(l, functional, nodeid.NewSet(c.Node), 10)
+	reports := AuditSafety(l, fb.Finalize(), nodeid.NewSet(c.Node), 10)
 	if reports[0].EnclosingRadius != 0 || reports[0].Violated {
 		t.Errorf("empty accepters report = %+v", reports[0])
 	}
 	// One accepter: enclosing radius zero, reach = distance to origin.
 	a := l.Deploy(geometry.Point{X: 50, Y: 80}, 0)
-	functional.AddRelation(a.Node, c.Node)
-	reports = AuditSafety(l, functional, nodeid.NewSet(c.Node), 10)
+	fb.AddRelation(a.Node, c.Node)
+	reports = AuditSafety(l, fb.Finalize(), nodeid.NewSet(c.Node), 10)
 	if reports[0].EnclosingRadius != 0 || reports[0].Violated {
 		t.Errorf("single accepter report = %+v", reports[0])
 	}

@@ -211,22 +211,22 @@ func TestGridQueryAllocatesNothing(t *testing.T) {
 // index reproduces the exact relation set of a hand-rolled pairwise scan.
 func TestTruthGraphUnchangedByGrid(t *testing.T) {
 	l := randomChurnLayout(5, 150, 25, true)
-	want := topology.New()
+	b := topology.NewBuilder()
 	for _, d := range l.devices {
 		if !d.Alive || d.Replica {
 			continue
 		}
-		want.AddNode(d.Node)
+		b.AddNode(d.Node)
 		for _, e := range l.devices {
 			if e.Handle == d.Handle || !e.Alive || e.Replica {
 				continue
 			}
 			if d.Pos.InRange(e.Pos, 25) {
-				want.AddMutual(d.Node, e.Node)
+				b.AddMutual(d.Node, e.Node)
 			}
 		}
 	}
-	if got := l.TruthGraph(25); !got.Equal(want) {
+	if got := l.TruthGraph(25); !got.Equal(b.Finalize()) {
 		t.Fatal("TruthGraph over the grid differs from the pairwise scan")
 	}
 }

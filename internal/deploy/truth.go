@@ -4,7 +4,7 @@
 // hottest graph-construction path in the repo. Two things keep it fast at
 // n=10⁵–10⁶:
 //
-//  1. The output is a frozen CSR graph (topology.Compact) built through a
+//  1. The output is a CSR topology.Graph built through a
 //     topology.Builder: edges append to a flat pair buffer instead of
 //     map/set insertion, and finalization lays them out as sorted slices.
 //  2. Edge discovery is cell-centric: each grid cell is swept once, pairing
@@ -50,18 +50,18 @@ var pairBufPool = sync.Pool{New: func() any { s := make([]nodeid.Pair, 0, 4096);
 // mechanism over benign hardware, and the denominator of the accuracy
 // metric.
 //
-// The result is the frozen compact form — immutable, safe for concurrent
-// readers, with sorted-slice adjacency. Edge discovery sweeps the spatial
+// The result is immutable, safe for concurrent readers, with sorted-slice
+// adjacency. Edge discovery sweeps the spatial
 // index cell by cell (building the index at cell size r first if the
 // layout has none) and runs the sweeps in parallel across grid-cell
 // stripes for large layouts; the result is identical to the serial build.
-func (l *Layout) TruthGraph(r float64) *topology.Compact {
+func (l *Layout) TruthGraph(r float64) *topology.Graph {
 	return l.truthGraph(r, runtime.GOMAXPROCS(0))
 }
 
 // truthGraph is TruthGraph with an explicit worker count, the seam the
 // parallel-vs-serial differential tests force both paths through.
-func (l *Layout) truthGraph(r float64, workers int) *topology.Compact {
+func (l *Layout) truthGraph(r float64, workers int) *topology.Graph {
 	l.EnsureGrid(r)
 	b := truthBuilderPool.Get().(*topology.Builder)
 	defer func() {

@@ -12,7 +12,7 @@ import (
 // assertBitIdentical fails unless the two compact graphs have identical
 // vertex lists and identical adjacency rows — representation-level
 // equality, stronger than set equality.
-func assertBitIdentical(t *testing.T, want, got *topology.Compact) {
+func assertBitIdentical(t *testing.T, want, got *topology.Graph) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Nodes(), got.Nodes()) {
 		t.Fatalf("vertex lists differ: %d vs %d nodes", want.NumNodes(), got.NumNodes())
@@ -83,26 +83,27 @@ func TestTruthGraphMatchesBruteForce(t *testing.T) {
 	l.KillFraction(0.15, rng)
 
 	const r = 40
-	want := topology.New()
+	b := topology.NewBuilder()
 	devices := l.Devices()
 	for _, d := range devices {
 		if d.Alive && !d.Replica {
-			want.AddNode(d.Node)
+			b.AddNode(d.Node)
 		}
 	}
 	for i, a := range devices {
 		if !a.Alive || a.Replica {
 			continue
 		}
-		for _, b := range devices[i+1:] {
-			if !b.Alive || b.Replica {
+		for _, c := range devices[i+1:] {
+			if !c.Alive || c.Replica {
 				continue
 			}
-			if a.Pos.Dist(b.Pos) <= r {
-				want.AddMutual(a.Node, b.Node)
+			if a.Pos.Dist(c.Pos) <= r {
+				b.AddMutual(a.Node, c.Node)
 			}
 		}
 	}
+	want := b.Finalize()
 	got := l.TruthGraph(r)
 	if !got.Equal(want) {
 		t.Fatalf("truth graph differs from O(n²) definition: %d/%d vs %d/%d",

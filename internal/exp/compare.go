@@ -107,8 +107,7 @@ func Impossibility(ctx context.Context, p ImpossibilityParams) (*ImpossibilityRe
 			att.MarkCompromised(victim.Node)
 			forged, err := att.ForgeSubstitution(tent, rule, target.Node, victim.Node)
 			if err == nil {
-				adversary.InjectRelations(tent, forged)
-				if rule.Validate(target.Node, victim.Node, tent) {
+				if rule.Validate(target.Node, victim.Node, adversary.InjectRelations(tent, forged)) {
 					sample.TopoWin = true
 					sample.Reach = victim.Origin.Dist(target.Origin)
 				}

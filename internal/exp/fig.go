@@ -140,11 +140,9 @@ func Fig3(ctx context.Context, p Fig3Params) (*Fig3Result, error) {
 //
 // The deployment is all-benign (no replicas, no kills) and the oracle
 // verifier accepts exactly the in-range pairs, so the tentative topology
-// equals the ground-truth graph — which the layout builds in frozen CSR
-// form through the pooled cell sweep. Common-neighbor counts over the
-// sorted CSR rows replace the per-pair set intersections the map-backed
-// tentative graph used; the relation set, and therefore every fraction,
-// is identical.
+// equals the ground-truth graph — which the layout builds through the
+// pooled cell sweep. The relation set, and therefore every fraction, is
+// the one TentativeGraph would give.
 func centerValidationProfile(field geometry.Rect, nodes int, r float64, thresholds []int, rng *rand.Rand) []float64 {
 	l := deploy.NewLayout(field)
 	l.DeploySampled(deploy.Uniform{}, nodes, rng, 0)

@@ -80,7 +80,7 @@ type scaleSample struct {
 // Scale runs the headline scale experiment: the Figure 3 methodology —
 // validated fraction of actual neighbors vs threshold t — at a million
 // nodes. The all-benign deployment makes the tentative topology equal the
-// ground-truth graph, which the layout builds in frozen CSR form through
+// ground-truth graph, which the layout builds in CSR form through
 // the pooled parallel cell sweep; the validation profile is then measured
 // over a uniform sample of nodes rather than the single center node, so
 // one trial exercises the dense-state pipeline end to end (deploy →

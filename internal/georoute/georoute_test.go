@@ -11,10 +11,11 @@ import (
 	"snd/internal/verify"
 )
 
-// lineWorld builds positions/links for a chain of n nodes step apart.
-func lineWorld(n int, step, r float64) (map[nodeid.ID]geometry.Point, *topology.Graph) {
+// lineWorld builds positions/links for a chain of n nodes step apart, plus
+// any extra (possibly phantom) relations.
+func lineWorld(n int, step, r float64, extra ...nodeid.Pair) (map[nodeid.ID]geometry.Point, *topology.Graph) {
 	pos := make(map[nodeid.ID]geometry.Point, n)
-	g := topology.New()
+	g := topology.NewBuilder()
 	for i := 1; i <= n; i++ {
 		pos[nodeid.ID(i)] = geometry.Point{X: float64(i-1) * step, Y: 10}
 		g.AddNode(nodeid.ID(i))
@@ -26,7 +27,8 @@ func lineWorld(n int, step, r float64) (map[nodeid.ID]geometry.Point, *topology.
 			}
 		}
 	}
-	return pos, g
+	g.AddPairs(extra)
+	return pos, g.Finalize()
 }
 
 func TestGreedyDeliversOnLine(t *testing.T) {
@@ -83,8 +85,8 @@ func TestPerimeterEscapesVoid(t *testing.T) {
 		7: {X: 80, Y: 100}, // destination (top right)
 		8: {X: 40, Y: -30}, // extra bottom node
 	}
-	g := topology.New()
-	link := func(a, b nodeid.ID) { g.AddMutual(a, b) }
+	b := topology.NewBuilder()
+	link := func(x, y nodeid.ID) { b.AddMutual(x, y) }
 	link(1, 2)
 	link(2, 3)
 	link(3, 4)
@@ -92,7 +94,7 @@ func TestPerimeterEscapesVoid(t *testing.T) {
 	link(5, 6)
 	link(6, 7)
 	link(4, 8)
-	r := New(pos, g, nil)
+	r := New(pos, b.Finalize(), nil)
 	res, err := r.Route(1, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +113,10 @@ func TestStuckWhenDisconnected(t *testing.T) {
 		2: {X: 10, Y: 0},
 		3: {X: 500, Y: 0},
 	}
-	g := topology.New()
-	g.AddMutual(1, 2)
-	g.AddNode(3)
-	r := New(pos, g, nil)
+	b := topology.NewBuilder()
+	b.AddMutual(1, 2)
+	b.AddNode(3)
+	r := New(pos, b.Finalize(), nil)
 	res, err := r.Route(1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +134,8 @@ func TestPhantomNeighborLosesPacket(t *testing.T) {
 	// claims a far-away node is adjacent (a replica made it so), greedy
 	// forwards to it, and the packet is lost because the real node is not
 	// within radio range.
-	pos, g := lineWorld(6, 30, 50)
 	// Poison node 2's table: node 6 (150 m away) appears adjacent.
-	g.AddRelation(2, 6)
+	pos, g := lineWorld(6, 30, 50, nodeid.Pair{From: 2, To: 6})
 	reach := func(a, b nodeid.ID) bool {
 		return pos[a].InRange(pos[b], 50) // physics
 	}

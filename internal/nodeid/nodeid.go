@@ -235,15 +235,22 @@ func EncodeList(s Set) []byte {
 }
 
 // DecodeList parses the canonical encoding produced by EncodeList. It
-// returns false if b is not a multiple of 4 bytes.
+// returns false unless b is a whole number of 4-byte IDs in strictly
+// ascending order: an unsorted or repeated list is not canonical, and
+// accepting one would let a single set arrive as many byte strings.
 func DecodeList(b []byte) (Set, bool) {
 	if len(b)%4 != 0 {
 		return nil, false
 	}
 	s := make(Set, len(b)/4)
+	var prev ID
 	for i := 0; i < len(b); i += 4 {
 		id, _ := FromBytes(b[i : i+4])
+		if i > 0 && id <= prev {
+			return nil, false
+		}
 		s.Add(id)
+		prev = id
 	}
 	return s, true
 }

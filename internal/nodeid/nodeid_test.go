@@ -1,6 +1,7 @@
 package nodeid
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,43 @@ func TestDecodeListRejectsBadLength(t *testing.T) {
 	if _, ok := DecodeList(make([]byte, 5)); ok {
 		t.Error("DecodeList accepted 5 bytes")
 	}
+}
+
+func TestDecodeListRejectsNonCanonical(t *testing.T) {
+	list := func(ids ...ID) []byte {
+		var b []byte
+		for _, id := range ids {
+			b = append(b, id.Bytes()...)
+		}
+		return b
+	}
+	for _, ids := range [][]ID{{2, 1}, {3, 3}, {1, 5, 5, 9}, {1, 9, 4}} {
+		if _, ok := DecodeList(list(ids...)); ok {
+			t.Errorf("DecodeList accepted non-canonical %v", ids)
+		}
+	}
+	if s, ok := DecodeList(list(1, 5, 9)); !ok || !s.Equal(NewSet(1, 5, 9)) {
+		t.Errorf("DecodeList rejected ascending list: %v, %v", s, ok)
+	}
+}
+
+// FuzzDecodeList: arbitrary bytes never panic, and whatever decodes is
+// canonical — it re-encodes to exactly the input bytes.
+func FuzzDecodeList(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeList(NewSet(1, 2, 300)))
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 0, 7, 0, 0, 0, 7})
+	f.Add([]byte{0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ok := DecodeList(data)
+		if !ok {
+			return
+		}
+		if got := EncodeList(s); !bytes.Equal(got, data) {
+			t.Fatalf("decoded %x re-encodes as %x", data, got)
+		}
+	})
 }
 
 func TestNewIsomorphismValidation(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // protocol endpoint: the edge (u, v) means node u uses v as a functional
 // neighbor.
 func (s *Simulation) FunctionalGraph() *topology.Graph {
-	g := topology.New()
+	b := topology.NewBuilder()
 	s.layout.ForEachDevice(func(d *deploy.Device) {
 		if d.Replica || !d.Alive {
 			return
@@ -21,12 +21,12 @@ func (s *Simulation) FunctionalGraph() *topology.Graph {
 		if ep == nil {
 			return
 		}
-		g.AddNode(d.Node)
+		b.AddNode(d.Node)
 		for v := range ep.Functional() {
-			g.AddRelation(d.Node, v)
+			b.AddRelation(d.Node, v)
 		}
 	})
-	return g
+	return b.Finalize()
 }
 
 // Accuracy returns the paper's accuracy metric: the fraction of actual

@@ -1,34 +1,47 @@
+// Package topology implements the paper's formal model of neighbor
+// discovery (Section 3): the tentative network topology as a directed graph
+// of asserted neighbor relations (Definition 2), neighbor validation
+// functions F(u, v, B) (Definition 3), the functional topology they induce
+// (Definition 5), partitions and isolated nodes, and the isomorphic
+// relabeling machinery that powers the Theorem 1/2 attack constructions.
+//
+// Once discovery ends a topology is a fixed relation set, so there is one
+// graph type and it is build-only: a Builder collects vertices and
+// relations, and Finalize lays them out as an immutable Graph in CSR form.
+// Deriving a topology — Subgraph, EgoNetwork, Relabel, or an attacker
+// injecting relations — builds a new Graph the same way.
 package topology
 
 import (
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"snd/internal/nodeid"
 )
 
-// Compact is the frozen, read-only form of a relation graph: vertices as a
-// sorted ID slice and adjacency in CSR layout (one offset per vertex into a
-// single sorted-neighbor array). Compared with the map-backed Graph it has
-// no per-vertex allocations, cache-local neighbor rows, O(log deg)
-// membership, and sorted-merge CommonOut — the representation that lets the
-// truth graph and validation reach n=10⁵–10⁶.
+// Graph is a directed graph over node IDs. An edge (u, v) is a tentative
+// neighbor relation: "u considers v its tentative neighbor" (Definition 1).
+// Vertices are a sorted ID slice and adjacency is in CSR layout (one offset
+// per vertex into a single sorted-neighbor array): no per-vertex
+// allocations, cache-local neighbor rows, O(log deg) membership, and
+// sorted-merge CommonOut — the representation that lets the truth graph and
+// validation reach n=10⁵–10⁶.
 //
-// A Compact is immutable after Finalize/Freeze and safe for concurrent
-// readers. The reverse (in-edge) CSR is materialized lazily on first use,
-// because the dominant consumers (accuracy, validation) never look at
-// in-edges and symmetric graphs would pay double memory for nothing.
-type Compact struct {
+// A Graph comes only from Builder.Finalize, is immutable, and is safe for
+// concurrent readers. The reverse (in-edge) CSR is materialized lazily on
+// first use, because the dominant consumers (accuracy, validation) never
+// look at in-edges and symmetric graphs would pay double memory for
+// nothing.
+type Graph struct {
 	ids   []nodeid.ID // vertices, ascending
 	off   []int       // len(ids)+1 row offsets into adj
 	adj   []nodeid.ID // out-neighbors, each row ascending
 	edges int
 
 	// dense maps id-denseMin -> row+1 (0 = absent) when the ID span is
-	// small enough to afford a direct-lookup table; nil falls back to
-	// binary search over ids.
+	// small next to the input (see denseFactor); nil falls back to binary
+	// search over ids.
 	dense    []int32
 	denseMin nodeid.ID
 
@@ -37,234 +50,226 @@ type Compact struct {
 	inAdj  []nodeid.ID
 }
 
-// maxDenseSpan caps the direct-lookup table. Node IDs are assigned
-// sequentially by deploy, so real graphs always qualify; the cap only
-// guards pathological relabelings into a huge sparse ID space.
-const maxDenseSpan = 1 << 26
+// denseFactor bounds the direct-lookup table by the input: Finalize builds
+// it only when the ID span is at most denseFactor times the number of IDs
+// it collected (explicit vertices plus both endpoints of every relation).
+// Sequentially assigned deployments always qualify; a small Subgraph,
+// EgoNetwork or Relabel of a graph with a wide ID range does not, so it
+// costs O(vertices + relations) rather than O(ID span).
+const denseFactor = 4
 
 // idx returns u's row, or -1 if u is not a vertex.
-func (c *Compact) idx(u nodeid.ID) int {
-	if c.dense != nil {
-		if u < c.denseMin || uint64(u-c.denseMin) >= uint64(len(c.dense)) {
+func (g *Graph) idx(u nodeid.ID) int {
+	if g.dense != nil {
+		if u < g.denseMin || uint64(u-g.denseMin) >= uint64(len(g.dense)) {
 			return -1
 		}
-		return int(c.dense[u-c.denseMin]) - 1
+		return int(g.dense[u-g.denseMin]) - 1
 	}
-	i := sort.Search(len(c.ids), func(i int) bool { return c.ids[i] >= u })
-	if i < len(c.ids) && c.ids[i] == u {
+	if i, ok := slices.BinarySearch(g.ids, u); ok {
 		return i
 	}
 	return -1
 }
 
 // row returns u's out-neighbor row (ascending), shared storage.
-func (c *Compact) row(u nodeid.ID) []nodeid.ID {
-	i := c.idx(u)
+func (g *Graph) row(u nodeid.ID) []nodeid.ID {
+	i := g.idx(u)
 	if i < 0 {
 		return nil
 	}
-	return c.adj[c.off[i]:c.off[i+1]]
+	return g.adj[g.off[i]:g.off[i+1]]
 }
 
 // HasNode reports whether id is a vertex.
-func (c *Compact) HasNode(id nodeid.ID) bool { return c.idx(id) >= 0 }
+func (g *Graph) HasNode(id nodeid.ID) bool { return g.idx(id) >= 0 }
 
 // HasRelation reports whether the relation (from, to) exists.
-func (c *Compact) HasRelation(from, to nodeid.ID) bool {
-	return nodeid.ContainsSorted(c.row(from), to)
+func (g *Graph) HasRelation(from, to nodeid.ID) bool {
+	return nodeid.ContainsSorted(g.row(from), to)
 }
 
 // HasMutual reports whether both (a, b) and (b, a) exist.
-func (c *Compact) HasMutual(a, b nodeid.ID) bool {
-	return c.HasRelation(a, b) && c.HasRelation(b, a)
+func (g *Graph) HasMutual(a, b nodeid.ID) bool {
+	return g.HasRelation(a, b) && g.HasRelation(b, a)
 }
 
 // Out returns a copy of u's tentative neighbor set N(u). Snapshot use
 // only; hot paths iterate with ForEachOut or OutIDs.
-func (c *Compact) Out(u nodeid.ID) nodeid.Set {
-	return nodeid.NewSet(c.row(u)...)
+func (g *Graph) Out(u nodeid.ID) nodeid.Set {
+	return nodeid.NewSet(g.row(u)...)
 }
 
 // OutIDs returns u's out-neighbors in ascending order. The slice is the
 // graph's own storage: callers must not modify it. This is the zero-copy
 // accessor for scale-sensitive sweeps.
-func (c *Compact) OutIDs(u nodeid.ID) []nodeid.ID { return c.row(u) }
+func (g *Graph) OutIDs(u nodeid.ID) []nodeid.ID { return g.row(u) }
 
 // OutLen returns |N(u)| without copying.
-func (c *Compact) OutLen(u nodeid.ID) int { return len(c.row(u)) }
+func (g *Graph) OutLen(u nodeid.ID) int { return len(g.row(u)) }
 
 // ForEachOut calls fn for every v with (u, v) in the graph, in ascending
-// ID order. fn must not mutate the graph.
-func (c *Compact) ForEachOut(u nodeid.ID, fn func(v nodeid.ID)) {
-	for _, v := range c.row(u) {
+// ID order.
+func (g *Graph) ForEachOut(u nodeid.ID, fn func(v nodeid.ID)) {
+	for _, v := range g.row(u) {
 		fn(v)
 	}
 }
 
-// CommonOut returns |N(u) ∩ N(v)| by sorted merge, without allocating.
-func (c *Compact) CommonOut(u, v nodeid.ID) int {
-	return nodeid.IntersectSortedLen(c.row(u), c.row(v))
+// CommonOut returns |N(u) ∩ N(v)| by sorted merge, without allocating —
+// the quantity at the heart of the paper's validation rule.
+func (g *Graph) CommonOut(u, v nodeid.ID) int {
+	return nodeid.IntersectSortedLen(g.row(u), g.row(v))
 }
 
 // Nodes returns the vertex IDs in ascending order (a fresh copy).
-func (c *Compact) Nodes() []nodeid.ID {
-	return append([]nodeid.ID(nil), c.ids...)
+func (g *Graph) Nodes() []nodeid.ID {
+	return append([]nodeid.ID(nil), g.ids...)
 }
 
 // NodeSet returns a copy of the vertex set.
-func (c *Compact) NodeSet() nodeid.Set { return nodeid.NewSet(c.ids...) }
+func (g *Graph) NodeSet() nodeid.Set { return nodeid.NewSet(g.ids...) }
 
 // NumNodes returns the number of vertices.
-func (c *Compact) NumNodes() int { return len(c.ids) }
+func (g *Graph) NumNodes() int { return len(g.ids) }
 
 // NumRelations returns the number of directed relations.
-func (c *Compact) NumRelations() int { return c.edges }
+func (g *Graph) NumRelations() int { return g.edges }
 
 // reverse materializes the in-edge CSR on first use. Scattering rows in
 // ascending source order keeps every in-row sorted with no extra pass.
-func (c *Compact) reverse() {
-	c.inOnce.Do(func() {
-		deg := make([]int, len(c.ids))
-		for _, v := range c.adj {
-			deg[c.idx(v)]++
+func (g *Graph) reverse() {
+	g.inOnce.Do(func() {
+		deg := make([]int, len(g.ids))
+		for _, v := range g.adj {
+			deg[g.idx(v)]++
 		}
-		inOff := make([]int, len(c.ids)+1)
+		inOff := make([]int, len(g.ids)+1)
 		for i, d := range deg {
 			inOff[i+1] = inOff[i] + d
 		}
-		inAdj := make([]nodeid.ID, len(c.adj))
+		inAdj := make([]nodeid.ID, len(g.adj))
 		pos := deg // reuse as write cursors
-		copy(pos, inOff[:len(c.ids)])
-		for i, u := range c.ids {
-			for _, v := range c.adj[c.off[i]:c.off[i+1]] {
-				j := c.idx(v)
+		copy(pos, inOff[:len(g.ids)])
+		for i, u := range g.ids {
+			for _, v := range g.adj[g.off[i]:g.off[i+1]] {
+				j := g.idx(v)
 				inAdj[pos[j]] = u
 				pos[j]++
 			}
 		}
-		c.inOff, c.inAdj = inOff, inAdj
+		g.inOff, g.inAdj = inOff, inAdj
 	})
 }
 
 // inRow returns u's in-neighbor row (ascending), shared storage.
-func (c *Compact) inRow(u nodeid.ID) []nodeid.ID {
-	c.reverse()
-	i := c.idx(u)
+func (g *Graph) inRow(u nodeid.ID) []nodeid.ID {
+	g.reverse()
+	i := g.idx(u)
 	if i < 0 {
 		return nil
 	}
-	return c.inAdj[c.inOff[i]:c.inOff[i+1]]
+	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
 }
 
 // In returns a copy of the set of nodes asserting u as their neighbor.
 // Snapshot use only; hot paths iterate with ForEachIn.
-func (c *Compact) In(u nodeid.ID) nodeid.Set {
-	return nodeid.NewSet(c.inRow(u)...)
+func (g *Graph) In(u nodeid.ID) nodeid.Set {
+	return nodeid.NewSet(g.inRow(u)...)
 }
 
 // InLen returns u's in-degree without copying.
-func (c *Compact) InLen(u nodeid.ID) int { return len(c.inRow(u)) }
+func (g *Graph) InLen(u nodeid.ID) int { return len(g.inRow(u)) }
 
 // ForEachIn calls fn for every v with (v, u) in the graph, in ascending ID
-// order. fn must not mutate the graph.
-func (c *Compact) ForEachIn(u nodeid.ID, fn func(v nodeid.ID)) {
-	for _, v := range c.inRow(u) {
+// order.
+func (g *Graph) ForEachIn(u nodeid.ID, fn func(v nodeid.ID)) {
+	for _, v := range g.inRow(u) {
 		fn(v)
 	}
 }
 
 // Equal reports whether the graphs have identical vertex and relation
-// sets, whatever the other's representation.
-func (c *Compact) Equal(other View) bool { return viewEqual(c, other) }
-
-// Partitions returns the weakly connected components, largest first (ties
-// broken by smallest member ID), matching Graph.Partitions. The traversal
-// runs over dense row indices with a flat visited array, so it stays
-// usable at 10⁶ vertices.
-func (c *Compact) Partitions() []Partition {
-	c.reverse()
-	visited := make([]bool, len(c.ids))
-	var stack []int
-	var parts []Partition
-	for start := range c.ids {
-		if visited[start] {
-			continue
-		}
-		members := nodeid.NewSet()
-		visited[start] = true
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			members.Add(c.ids[i])
-			for _, v := range c.adj[c.off[i]:c.off[i+1]] {
-				if j := c.idx(v); !visited[j] {
-					visited[j] = true
-					stack = append(stack, j)
-				}
-			}
-			for _, v := range c.inAdj[c.inOff[i]:c.inOff[i+1]] {
-				if j := c.idx(v); !visited[j] {
-					visited[j] = true
-					stack = append(stack, j)
-				}
-			}
-		}
-		parts = append(parts, Partition{Members: members})
+// sets. Finalize lays every relation set out canonically, so that is
+// equality of the CSR arrays.
+func (g *Graph) Equal(other *Graph) bool {
+	if g == nil || other == nil {
+		return g == other
 	}
-	sortPartitions(parts)
-	return parts
+	return slices.Equal(g.ids, other.ids) && slices.Equal(g.off, other.off) &&
+		slices.Equal(g.adj, other.adj)
 }
 
-// IsolatedNodes returns the nodes outside every useful partition, in
-// ascending ID order (see Graph.IsolatedNodes).
-func (c *Compact) IsolatedNodes(policy UsefulPolicy) []nodeid.ID {
-	return selectByUsefulness(c.Partitions(), policy, false)
-}
-
-// NonIsolatedNodes returns the complement of IsolatedNodes.
-func (c *Compact) NonIsolatedNodes(policy UsefulPolicy) []nodeid.ID {
-	return selectByUsefulness(c.Partitions(), policy, true)
-}
-
-// Thaw returns an independent mutable copy of the graph, for callers that
-// need to edit a frozen topology (e.g. injecting forged relations).
-func (c *Compact) Thaw() *Graph {
-	g := New()
-	for _, u := range c.ids {
-		g.AddNode(u)
-	}
-	for i, u := range c.ids {
-		for _, v := range c.adj[c.off[i]:c.off[i+1]] {
-			g.AddRelation(u, v)
-		}
-	}
-	return g
-}
-
-// Freeze returns the compact form of the graph. The result is a deep,
-// immutable snapshot: later mutations of g do not affect it.
-func (g *Graph) Freeze() *Compact {
+// Relabel returns a copy of the graph with every ID mapped through the
+// isomorphism (IDs outside the mapping are kept). This is the B^f operation
+// of Definition 3 and the core move of the Theorem 1 twin construction.
+func (g *Graph) Relabel(iso nodeid.Isomorphism) *Graph {
 	b := NewBuilder()
-	b.Grow(g.NumNodes(), g.NumRelations())
-	for id := range g.nodes {
-		b.AddNode(id)
-	}
-	for u, set := range g.out {
-		for v := range set {
-			b.AddRelation(u, v)
+	b.Grow(len(g.ids), len(g.adj))
+	for i, u := range g.ids {
+		fu := iso.Apply(u)
+		b.AddNode(fu)
+		for _, v := range g.adj[g.off[i]:g.off[i+1]] {
+			b.AddRelation(fu, iso.Apply(v))
 		}
 	}
 	return b.Finalize()
 }
 
+// Subgraph returns the subgraph induced on the vertices in keep. It reads
+// only the kept vertices' rows, so its cost follows the result, not g.
+func (g *Graph) Subgraph(keep nodeid.Set) *Graph {
+	b := NewBuilder()
+	for u := range keep {
+		i := g.idx(u)
+		if i < 0 {
+			continue
+		}
+		b.AddNode(u)
+		for _, v := range g.adj[g.off[i]:g.off[i+1]] {
+			if keep.Contains(v) {
+				b.AddRelation(u, v)
+			}
+		}
+	}
+	return b.Finalize()
+}
+
+// EgoNetwork returns the subgraph a node can observe locally: the vertices
+// within the given number of relation hops of u (following relations in
+// either direction) and all relations among them. This models B(u), "the
+// tentative neighbor relations known by u", for a localized validation
+// function.
+func (g *Graph) EgoNetwork(u nodeid.ID, hops int) *Graph {
+	frontier := []nodeid.ID{u}
+	reach := nodeid.NewSet(u)
+	for h := 0; h < hops && len(frontier) > 0; h++ {
+		var next []nodeid.ID
+		for _, v := range frontier {
+			for _, w := range g.row(v) {
+				if !reach.Contains(w) {
+					reach.Add(w)
+					next = append(next, w)
+				}
+			}
+			for _, w := range g.inRow(v) {
+				if !reach.Contains(w) {
+					reach.Add(w)
+					next = append(next, w)
+				}
+			}
+		}
+		frontier = next
+	}
+	return g.Subgraph(reach)
+}
+
 // Builder accumulates vertices and relations and finalizes them into a
-// Compact. It is the two-phase (build → freeze) construction path for hot
-// code: edges append to a flat pair buffer with no per-edge hashing, and
-// Finalize canonicalizes — sorts, dedupes, and lays out CSR rows — so the
-// result is independent of insertion order. That canonicalization is what
-// makes the parallel per-cell truth-graph build bit-identical to the
-// serial one.
+// Graph — the only way to make one. Edges append to a flat pair buffer
+// with no per-edge hashing, and Finalize canonicalizes — sorts, dedupes,
+// and lays out CSR rows — so the result is independent of insertion order.
+// That canonicalization is what makes the parallel per-cell truth-graph
+// build bit-identical to the serial one.
 //
 // A Builder is not safe for concurrent use; parallel producers accumulate
 // into their own pair slices and merge with AddPairs. Reset keeps the
@@ -290,7 +295,8 @@ func (b *Builder) Grow(nodes, relations int) {
 func (b *Builder) AddNode(id nodeid.ID) { b.nodes = append(b.nodes, id) }
 
 // AddRelation records the relation (from, to). Self-relations are ignored
-// and duplicates collapse at Finalize.
+// (they do not even register their endpoint as a vertex) and duplicates
+// collapse at Finalize.
 func (b *Builder) AddRelation(from, to nodeid.ID) {
 	if from == to {
 		return
@@ -298,7 +304,8 @@ func (b *Builder) AddRelation(from, to nodeid.ID) {
 	b.pairs = append(b.pairs, nodeid.Pair{From: from, To: to})
 }
 
-// AddMutual records both (a, b) and (b, a).
+// AddMutual records both (a, b) and (b, a), the common case where a direct
+// verification succeeds in both directions.
 func (b *Builder) AddMutual(a, c nodeid.ID) {
 	b.AddRelation(a, c)
 	b.AddRelation(c, a)
@@ -308,9 +315,7 @@ func (b *Builder) AddMutual(a, c nodeid.ID) {
 // producers. Self-relations are ignored.
 func (b *Builder) AddPairs(pairs []nodeid.Pair) {
 	for _, p := range pairs {
-		if p.From != p.To {
-			b.pairs = append(b.pairs, p)
-		}
+		b.AddRelation(p.From, p.To)
 	}
 }
 
@@ -320,65 +325,55 @@ func (b *Builder) Reset() {
 	b.pairs = b.pairs[:0]
 }
 
-// Finalize freezes the accumulated vertices and relations into a Compact.
+// Finalize lays the accumulated vertices and relations out as a Graph.
 // The builder remains valid (and unchanged) afterwards; the returned graph
 // shares no storage with it.
-func (b *Builder) Finalize() *Compact {
-	c := &Compact{}
-	c.collectVertices(b.nodes, b.pairs)
-	if len(c.ids) == 0 {
-		c.off = make([]int, 1)
-		return c
+func (b *Builder) Finalize() *Graph {
+	g := &Graph{}
+	g.collectVertices(b.nodes, b.pairs)
+	if len(g.ids) == 0 {
+		g.off = make([]int, 1)
+		return g
 	}
 	// Count out-degrees, prefix-sum, scatter: classic counting-sort CSR.
-	deg := make([]int, len(c.ids))
+	deg := make([]int, len(g.ids))
 	for _, p := range b.pairs {
-		deg[c.idx(p.From)]++
+		deg[g.idx(p.From)]++
 	}
-	off := make([]int, len(c.ids)+1)
+	off := make([]int, len(g.ids)+1)
 	for i, d := range deg {
 		off[i+1] = off[i] + d
 	}
-	adj := make([]nodeid.ID, off[len(c.ids)])
+	adj := make([]nodeid.ID, off[len(g.ids)])
 	pos := deg // reuse as write cursors
-	copy(pos, off[:len(c.ids)])
+	copy(pos, off[:len(g.ids)])
 	for _, p := range b.pairs {
-		i := c.idx(p.From)
+		i := g.idx(p.From)
 		adj[pos[i]] = p.To
 		pos[i]++
 	}
-	c.off, c.adj = off, adj
+	g.off, g.adj = off, adj
 	// Sort rows (rows are independent, so this parallelizes without
 	// affecting the result), then dedupe row-by-row in one forward pass.
-	c.sortRows()
-	c.dedupeRows()
-	c.edges = len(c.adj)
-	return c
+	g.sortRows()
+	g.dedupeRows()
+	g.edges = len(g.adj)
+	return g
 }
 
 // collectVertices builds the sorted unique vertex list and the id->row
-// lookup from explicit nodes plus relation endpoints. With a bounded ID
-// span (always, for sequentially assigned node IDs) presence marking in a
-// flat table yields the sorted list and the dense lookup in O(span);
-// otherwise it falls back to sort+compact and binary-search lookups.
-func (c *Compact) collectVertices(nodes []nodeid.ID, pairs []nodeid.Pair) {
-	if len(nodes) == 0 && len(pairs) == 0 {
+// lookup from explicit nodes plus relation endpoints. When the ID span is
+// within denseFactor of the collected count, presence marking in a flat
+// table yields the sorted list and the dense lookup in O(span); otherwise
+// it sorts and compacts, and lookups binary-search the list.
+func (g *Graph) collectVertices(nodes []nodeid.ID, pairs []nodeid.Pair) {
+	collected := len(nodes) + 2*len(pairs)
+	if collected == 0 {
 		return
 	}
-	var minID, maxID nodeid.ID
-	first := true
+	minID, maxID := nodeid.ID(^uint32(0)), nodeid.ID(0)
 	observe := func(id nodeid.ID) {
-		if first {
-			minID, maxID = id, id
-			first = false
-			return
-		}
-		if id < minID {
-			minID = id
-		}
-		if id > maxID {
-			maxID = id
-		}
+		minID, maxID = min(minID, id), max(maxID, id)
 	}
 	for _, id := range nodes {
 		observe(id)
@@ -388,14 +383,14 @@ func (c *Compact) collectVertices(nodes []nodeid.ID, pairs []nodeid.Pair) {
 		observe(p.To)
 	}
 	span := uint64(maxID-minID) + 1
-	if span > maxDenseSpan {
-		all := make([]nodeid.ID, 0, len(nodes)+2*len(pairs))
+	if span > denseFactor*uint64(collected) {
+		all := make([]nodeid.ID, 0, collected)
 		all = append(all, nodes...)
 		for _, p := range pairs {
 			all = append(all, p.From, p.To)
 		}
 		nodeid.SortIDs(all)
-		c.ids = slices.Compact(all)
+		g.ids = slices.Compact(all)
 		return
 	}
 	present := make([]bool, span)
@@ -421,17 +416,17 @@ func (c *Compact) collectVertices(nodes []nodeid.ID, pairs []nodeid.Pair) {
 			ids = append(ids, minID+nodeid.ID(i))
 		}
 	}
-	c.ids, c.dense, c.denseMin = ids, dense, minID
+	g.ids, g.dense, g.denseMin = ids, dense, minID
 }
 
 // sortRows sorts every adjacency row ascending, fanning rows out across
 // GOMAXPROCS goroutines when the graph is large enough to benefit.
-func (c *Compact) sortRows() {
+func (g *Graph) sortRows() {
 	workers := runtime.GOMAXPROCS(0)
-	rows := len(c.ids)
+	rows := len(g.ids)
 	if workers <= 1 || rows < 4096 {
 		for i := 0; i < rows; i++ {
-			slices.Sort(c.adj[c.off[i]:c.off[i+1]])
+			slices.Sort(g.adj[g.off[i]:g.off[i+1]])
 		}
 		return
 	}
@@ -443,7 +438,7 @@ func (c *Compact) sortRows() {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				slices.Sort(c.adj[c.off[i]:c.off[i+1]])
+				slices.Sort(g.adj[g.off[i]:g.off[i+1]])
 			}
 		}(lo, hi)
 	}
@@ -453,19 +448,19 @@ func (c *Compact) sortRows() {
 // dedupeRows removes duplicate entries within each sorted row, compacting
 // adj and off in one forward pass (the write cursor never passes the read
 // cursor).
-func (c *Compact) dedupeRows() {
+func (g *Graph) dedupeRows() {
 	w := 0
-	for i := range c.ids {
-		start, end := c.off[i], c.off[i+1]
-		c.off[i] = w
+	for i := range g.ids {
+		start, end := g.off[i], g.off[i+1]
+		g.off[i] = w
 		for j := start; j < end; j++ {
-			if w > c.off[i] && c.adj[w-1] == c.adj[j] {
+			if w > g.off[i] && g.adj[w-1] == g.adj[j] {
 				continue
 			}
-			c.adj[w] = c.adj[j]
+			g.adj[w] = g.adj[j]
 			w++
 		}
 	}
-	c.off[len(c.ids)] = w
-	c.adj = c.adj[:w]
+	g.off[len(g.ids)] = w
+	g.adj = g.adj[:w]
 }

@@ -3,184 +3,374 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"snd/internal/nodeid"
 )
 
-// mutableFromOps replays a random operation script — including node
-// removals, the op graphFromOps omits — onto a fresh map-backed graph.
-func mutableFromOps(rng *rand.Rand, ops, idRange int) *Graph {
-	g := New()
+// oracle is the test-only reference model of a relation graph: a vertex
+// set plus a relation set, with every query answered by brute force. It
+// shares no code with Graph, so agreement between the two is evidence.
+type oracle struct {
+	nodes nodeid.Set
+	rel   map[nodeid.Pair]bool
+}
+
+func newOracle() *oracle {
+	return &oracle{nodes: nodeid.NewSet(), rel: make(map[nodeid.Pair]bool)}
+}
+
+func (o *oracle) addNode(u nodeid.ID) { o.nodes.Add(u) }
+
+func (o *oracle) addRelation(u, v nodeid.ID) {
+	if u == v {
+		return
+	}
+	o.nodes.Add(u)
+	o.nodes.Add(v)
+	o.rel[nodeid.Pair{From: u, To: v}] = true
+}
+
+func (o *oracle) out(u nodeid.ID) nodeid.Set {
+	s := nodeid.NewSet()
+	for p := range o.rel {
+		if p.From == u {
+			s.Add(p.To)
+		}
+	}
+	return s
+}
+
+func (o *oracle) in(u nodeid.ID) nodeid.Set {
+	s := nodeid.NewSet()
+	for p := range o.rel {
+		if p.To == u {
+			s.Add(p.From)
+		}
+	}
+	return s
+}
+
+func (o *oracle) commonOut(u, v nodeid.ID) int { return o.out(u).IntersectLen(o.out(v)) }
+
+// partitions labels every vertex with the smallest ID it is weakly
+// connected to, relaxing over all relations until nothing changes, then
+// orders the groups largest first, ties by smallest member.
+func (o *oracle) partitions() [][]nodeid.ID {
+	label := make(map[nodeid.ID]nodeid.ID, o.nodes.Len())
+	for u := range o.nodes {
+		label[u] = u
+	}
+	for changed := true; changed; {
+		changed = false
+		for p := range o.rel {
+			lo := min(label[p.From], label[p.To])
+			for _, x := range []nodeid.ID{p.From, p.To} {
+				if label[x] != lo {
+					label[x] = lo
+					changed = true
+				}
+			}
+		}
+	}
+	groups := make(map[nodeid.ID][]nodeid.ID)
+	for _, u := range o.nodes.Sorted() {
+		groups[label[u]] = append(groups[label[u]], u)
+	}
+	var parts [][]nodeid.ID
+	for _, g := range groups {
+		parts = append(parts, g)
+	}
+	sort.Slice(parts, func(i, j int) bool {
+		if len(parts[i]) != len(parts[j]) {
+			return len(parts[i]) > len(parts[j])
+		}
+		return parts[i][0] < parts[j][0]
+	})
+	return parts
+}
+
+// isolated returns the members of the partitions the policy rejects.
+func (o *oracle) isolated(policy UsefulPolicy) []nodeid.ID {
+	var ids []nodeid.ID
+	for rank, members := range o.partitions() {
+		if !policy.Useful(rank, Partition{Members: nodeid.NewSet(members...)}) {
+			ids = append(ids, members...)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func (o *oracle) relabel(iso nodeid.Isomorphism) *oracle {
+	r := newOracle()
+	for u := range o.nodes {
+		r.addNode(iso.Apply(u))
+	}
+	for p := range o.rel {
+		r.addRelation(iso.Apply(p.From), iso.Apply(p.To))
+	}
+	return r
+}
+
+func (o *oracle) subgraph(keep nodeid.Set) *oracle {
+	s := newOracle()
+	for u := range o.nodes {
+		if keep.Contains(u) {
+			s.addNode(u)
+		}
+	}
+	for p := range o.rel {
+		if keep.Contains(p.From) && keep.Contains(p.To) {
+			s.addRelation(p.From, p.To)
+		}
+	}
+	return s
+}
+
+// ego grows the reach set one hop at a time across relations in either
+// direction.
+func (o *oracle) ego(u nodeid.ID, hops int) *oracle {
+	reach := nodeid.NewSet(u)
+	for h := 0; h < hops; h++ {
+		next := reach.Clone()
+		for p := range o.rel {
+			if reach.Contains(p.From) {
+				next.Add(p.To)
+			}
+			if reach.Contains(p.To) {
+				next.Add(p.From)
+			}
+		}
+		reach = next
+	}
+	return o.subgraph(reach)
+}
+
+// build finalizes the oracle's content, fed to the Builder in a shuffled
+// order so the CSR's insertion-order independence is exercised too.
+func (o *oracle) build(rng *rand.Rand) *Graph {
+	b := NewBuilder()
+	var pairs []nodeid.Pair
+	for p := range o.rel {
+		pairs = append(pairs, p)
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	for _, p := range pairs {
+		b.AddRelation(p.From, p.To)
+	}
+	for u := range o.nodes {
+		b.AddNode(u)
+	}
+	return b.Finalize()
+}
+
+// scriptFromOps replays a random add/mutual/node script onto an oracle and
+// a Builder side by side.
+func scriptFromOps(rng *rand.Rand, ops, idRange int) (*oracle, *Graph) {
+	o, b := newOracle(), NewBuilder()
 	for i := 0; i < ops; i++ {
 		u := nodeid.ID(rng.Intn(idRange) + 1)
 		v := nodeid.ID(rng.Intn(idRange) + 1)
-		switch rng.Intn(8) {
+		switch rng.Intn(6) {
 		case 0, 1, 2:
-			g.AddRelation(u, v)
+			o.addRelation(u, v)
+			b.AddRelation(u, v)
 		case 3, 4:
-			g.AddMutual(u, v)
+			o.addRelation(u, v)
+			o.addRelation(v, u)
+			b.AddMutual(u, v)
 		case 5:
-			g.AddNode(u)
-		case 6:
-			g.RemoveRelation(u, v)
-		case 7:
-			g.RemoveNode(u)
+			o.addNode(u)
+			b.AddNode(u)
 		}
 	}
-	return g
+	return o, b.Finalize()
 }
 
-// assertSameView checks every read accessor of the two representations
-// against each other over the probe ID range (which must cover the graph's
-// IDs plus some absent ones).
-func assertSameView(t *testing.T, g *Graph, c *Compact, idRange int) {
+// assertMatchesOracle checks every read accessor of g against the oracle
+// over the probe ID range (which must cover the graph's IDs plus some
+// absent ones).
+func assertMatchesOracle(t *testing.T, o *oracle, g *Graph, idRange int) {
 	t.Helper()
-	if !g.Equal(c) {
-		t.Fatal("Graph.Equal(Compact) = false")
+	if g.NumNodes() != o.nodes.Len() || g.NumRelations() != len(o.rel) {
+		t.Fatalf("counts: graph %d/%d, oracle %d/%d",
+			g.NumNodes(), g.NumRelations(), o.nodes.Len(), len(o.rel))
 	}
-	if !c.Equal(g) {
-		t.Fatal("Compact.Equal(Graph) = false")
+	if want := o.nodes.Sorted(); !slices.Equal(g.Nodes(), want) {
+		t.Fatalf("Nodes: graph %v, oracle %v", g.Nodes(), want)
 	}
-	if g.NumNodes() != c.NumNodes() || g.NumRelations() != c.NumRelations() {
-		t.Fatalf("counts: graph %d/%d, compact %d/%d",
-			g.NumNodes(), g.NumRelations(), c.NumNodes(), c.NumRelations())
-	}
-	if !reflect.DeepEqual(g.Nodes(), c.Nodes()) && !(g.NumNodes() == 0 && c.NumNodes() == 0) {
-		t.Fatalf("Nodes: graph %v, compact %v", g.Nodes(), c.Nodes())
-	}
-	if !g.NodeSet().Equal(c.NodeSet()) {
+	if !g.NodeSet().Equal(o.nodes) {
 		t.Fatal("NodeSet mismatch")
 	}
 	for u := nodeid.ID(0); u <= nodeid.ID(idRange)+1; u++ {
-		if g.HasNode(u) != c.HasNode(u) {
-			t.Fatalf("HasNode(%v): graph %v, compact %v", u, g.HasNode(u), c.HasNode(u))
+		if g.HasNode(u) != o.nodes.Contains(u) {
+			t.Fatalf("HasNode(%v) = %v", u, g.HasNode(u))
 		}
-		if !g.Out(u).Equal(c.Out(u)) {
-			t.Fatalf("Out(%v): graph %v, compact %v", u, g.Out(u).Sorted(), c.Out(u).Sorted())
+		out, in := o.out(u), o.in(u)
+		if !g.Out(u).Equal(out) {
+			t.Fatalf("Out(%v): graph %v, oracle %v", u, g.Out(u).Sorted(), out.Sorted())
 		}
-		if !g.In(u).Equal(c.In(u)) {
-			t.Fatalf("In(%v): graph %v, compact %v", u, g.In(u).Sorted(), c.In(u).Sorted())
+		if !g.In(u).Equal(in) {
+			t.Fatalf("In(%v): graph %v, oracle %v", u, g.In(u).Sorted(), in.Sorted())
 		}
-		if g.OutLen(u) != c.OutLen(u) || g.InLen(u) != c.InLen(u) {
+		if g.OutLen(u) != out.Len() || g.InLen(u) != in.Len() {
 			t.Fatalf("degrees of %v differ", u)
 		}
-		if !slices.IsSorted(c.OutIDs(u)) {
-			t.Fatalf("OutIDs(%v) not sorted: %v", u, c.OutIDs(u))
+		if !slices.Equal(g.OutIDs(u), out.Sorted()) {
+			t.Fatalf("OutIDs(%v) = %v, want %v", u, g.OutIDs(u), out.Sorted())
 		}
-		var fromEach []nodeid.ID
-		c.ForEachOut(u, func(v nodeid.ID) { fromEach = append(fromEach, v) })
-		if !slices.Equal(fromEach, c.OutIDs(u)) {
-			t.Fatalf("ForEachOut(%v) order: %v vs %v", u, fromEach, c.OutIDs(u))
+		var outEach, inEach []nodeid.ID
+		g.ForEachOut(u, func(v nodeid.ID) { outEach = append(outEach, v) })
+		g.ForEachIn(u, func(v nodeid.ID) { inEach = append(inEach, v) })
+		if !slices.Equal(outEach, g.OutIDs(u)) {
+			t.Fatalf("ForEachOut(%v) order: %v vs %v", u, outEach, g.OutIDs(u))
 		}
-		var inEach []nodeid.ID
-		c.ForEachIn(u, func(v nodeid.ID) { inEach = append(inEach, v) })
-		if !slices.IsSorted(inEach) || len(inEach) != c.InLen(u) {
-			t.Fatalf("ForEachIn(%v) = %v", u, inEach)
+		if !slices.Equal(inEach, in.Sorted()) {
+			t.Fatalf("ForEachIn(%v) = %v, want %v", u, inEach, in.Sorted())
 		}
 		for v := nodeid.ID(0); v <= nodeid.ID(idRange)+1; v++ {
-			if g.HasRelation(u, v) != c.HasRelation(u, v) {
-				t.Fatalf("HasRelation(%v,%v) differs", u, v)
+			rel := o.rel[nodeid.Pair{From: u, To: v}]
+			if g.HasRelation(u, v) != rel {
+				t.Fatalf("HasRelation(%v,%v) = %v", u, v, !rel)
 			}
-			if g.HasMutual(u, v) != c.HasMutual(u, v) {
+			if g.HasMutual(u, v) != (rel && o.rel[nodeid.Pair{From: v, To: u}]) {
 				t.Fatalf("HasMutual(%v,%v) differs", u, v)
 			}
-			if g.CommonOut(u, v) != c.CommonOut(u, v) {
-				t.Fatalf("CommonOut(%v,%v): graph %d, compact %d",
-					u, v, g.CommonOut(u, v), c.CommonOut(u, v))
+			if got, want := g.CommonOut(u, v), o.commonOut(u, v); got != want {
+				t.Fatalf("CommonOut(%v,%v): graph %d, oracle %d", u, v, got, want)
 			}
 		}
 	}
-	gp, cp := g.Partitions(), c.Partitions()
-	if len(gp) != len(cp) {
-		t.Fatalf("partition count: graph %d, compact %d", len(gp), len(cp))
+	gp, op := g.Partitions(), o.partitions()
+	if len(gp) != len(op) {
+		t.Fatalf("partition count: graph %d, oracle %d", len(gp), len(op))
 	}
 	for i := range gp {
-		if !gp[i].Members.Equal(cp[i].Members) {
-			t.Fatalf("partition %d: graph %v, compact %v",
-				i, gp[i].Members.Sorted(), cp[i].Members.Sorted())
+		if !slices.Equal(gp[i].Members.Sorted(), op[i]) {
+			t.Fatalf("partition %d: graph %v, oracle %v", i, gp[i].Members.Sorted(), op[i])
 		}
 	}
-	if !slices.Equal(g.IsolatedNodes(LargestOnly{}), c.IsolatedNodes(LargestOnly{})) {
-		t.Fatal("IsolatedNodes(LargestOnly) differ")
+	for _, policy := range []UsefulPolicy{LargestOnly{}, MinSize{N: 2}, MinSize{N: 4}} {
+		if got, want := g.IsolatedNodes(policy), o.isolated(policy); !slices.Equal(got, want) {
+			t.Fatalf("IsolatedNodes(%T): graph %v, oracle %v", policy, got, want)
+		}
 	}
-	if !slices.Equal(g.NonIsolatedNodes(MinSize{N: 2}), c.NonIsolatedNodes(MinSize{N: 2})) {
-		t.Fatal("NonIsolatedNodes(MinSize 2) differ")
+	non := g.NonIsolatedNodes(LargestOnly{})
+	if len(non)+len(g.IsolatedNodes(LargestOnly{})) != g.NumNodes() {
+		t.Fatalf("NonIsolatedNodes %v does not complement IsolatedNodes", non)
 	}
 }
 
 // TestFreezeDifferential is the representation-equivalence property test:
-// for random add/remove/relabel/subgraph scripts, the frozen CSR form
-// agrees with the map-backed graph on every read accessor.
+// for random add/mutual/relabel/subgraph/ego scripts, the CSR graph agrees
+// with the brute-force oracle on every read accessor.
 func TestFreezeDifferential(t *testing.T) {
 	const idRange = 24
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := mutableFromOps(rng, 200, idRange)
-		assertSameView(t, g, g.Freeze(), idRange)
+		o, g := scriptFromOps(rng, 200, idRange)
+		assertMatchesOracle(t, o, g, idRange)
+		if !o.build(rng).Equal(g) {
+			t.Fatal("oracle rebuilt in shuffled order differs from the scripted graph")
+		}
 
 		// Derived graphs keep the property: relabel through a random
 		// permutation shifted by idRange...
 		from := g.Nodes()
 		to := make([]nodeid.ID, len(from))
-		perm := rng.Perm(len(from))
-		for i, p := range perm {
+		for i, p := range rng.Perm(len(from)) {
 			to[i] = from[p] + idRange
 		}
 		iso, err := nodeid.NewIsomorphism(from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := g.Relabel(iso)
-		assertSameView(t, rel, rel.Freeze(), 2*idRange)
+		assertMatchesOracle(t, o.relabel(iso), g.Relabel(iso), 2*idRange)
 
-		// ...and a random induced subgraph.
+		// ...a random induced subgraph...
 		keep := nodeid.NewSet()
 		for _, id := range from {
 			if rng.Intn(2) == 0 {
 				keep.Add(id)
 			}
 		}
-		sub := g.Subgraph(keep)
-		assertSameView(t, sub, sub.Freeze(), idRange)
+		keep.Add(idRange + 5) // absent IDs in keep are ignored
+		assertMatchesOracle(t, o.subgraph(keep), g.Subgraph(keep), idRange+5)
+
+		// ...and ego networks of every radius up to the graph's size.
+		if len(from) > 0 {
+			u := from[rng.Intn(len(from))]
+			for _, hops := range []int{0, 1, 2, idRange} {
+				assertMatchesOracle(t, o.ego(u, hops), g.EgoNetwork(u, hops), idRange)
+			}
+		}
 	}
 }
 
-// TestFreezeSnapshotIndependence: a frozen graph is a deep snapshot —
-// mutating the source afterwards must not leak through.
+// TestFreezeSnapshotIndependence: a finalized graph is a deep snapshot —
+// recording more into the builder afterwards must not leak through.
 func TestFreezeSnapshotIndependence(t *testing.T) {
-	g := New()
-	g.AddMutual(1, 2)
-	c := g.Freeze()
-	g.AddMutual(2, 3)
-	g.RemoveRelation(1, 2)
-	if c.HasNode(3) || !c.HasMutual(1, 2) || c.NumRelations() != 2 {
-		t.Errorf("frozen snapshot tracked later mutations: %v relations", c.NumRelations())
+	b := NewBuilder()
+	b.AddMutual(1, 2)
+	g := b.Finalize()
+	b.AddMutual(2, 3)
+	b.AddNode(4)
+	if g.HasNode(3) || g.HasNode(4) || !g.HasMutual(1, 2) || g.NumRelations() != 2 {
+		t.Errorf("finalized graph tracked later builder input: %v relations", g.NumRelations())
 	}
 }
 
 // TestCompactSparseIDSpan exercises the binary-search fallback: an ID span
-// wider than maxDenseSpan must disable the dense lookup table yet behave
-// identically.
+// far wider than the input must leave out the dense lookup table yet
+// behave identically.
 func TestCompactSparseIDSpan(t *testing.T) {
-	g := New()
-	far := nodeid.ID(1) << 30 // span >> maxDenseSpan
-	g.AddMutual(1, 2)
-	g.AddRelation(2, far)
-	g.AddNode(far + 1)
-	c := g.Freeze()
-	if c.dense != nil {
+	far := nodeid.ID(1) << 30
+	o := newOracle()
+	o.addRelation(1, 2)
+	o.addRelation(2, 1)
+	o.addRelation(2, far)
+	o.addNode(far + 1)
+	g := o.build(rand.New(rand.NewSource(1)))
+	if g.dense != nil {
 		t.Fatal("dense table built for a sparse ID span")
 	}
-	if !c.Equal(g) || !g.Equal(c) {
-		t.Fatal("sparse-span compact differs from source")
+	if g.NumNodes() != 4 || g.NumRelations() != 3 {
+		t.Fatalf("nodes=%d relations=%d", g.NumNodes(), g.NumRelations())
 	}
-	if !c.HasRelation(2, far) || c.HasRelation(far, 2) {
+	if !g.HasRelation(2, far) || g.HasRelation(far, 2) || !g.HasMutual(1, 2) {
 		t.Error("sparse-span relations wrong")
 	}
-	if c.HasNode(3) || !c.HasNode(far+1) {
+	if g.HasNode(3) || !g.HasNode(far+1) || g.InLen(far) != 1 {
 		t.Error("sparse-span membership wrong")
+	}
+}
+
+// TestSubgraphOfWideIDSpanIsSmall: the dense table is sized from the
+// input, so inducing three vertices of a graph whose IDs span 1..10⁶
+// allocates in proportion to the three, not to the span.
+func TestSubgraphOfWideIDSpanIsSmall(t *testing.T) {
+	b := NewBuilder()
+	for id := nodeid.ID(1); id <= 1_000_000; id += 1000 {
+		b.AddMutual(id, id+999)
+	}
+	b.AddMutual(1, 1_000_000)
+	g := b.Finalize()
+	keep := nodeid.NewSet(1, 1000, 1_000_000)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub := g.Subgraph(keep)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("Subgraph of 3 vertices allocated %d B, want < 64 KiB", got)
+	}
+	if sub.NumNodes() != 3 || !sub.HasMutual(1, 1000) || !sub.HasMutual(1, 1_000_000) ||
+		sub.NumRelations() != 4 {
+		t.Errorf("subgraph nodes %v, %d relations", sub.Nodes(), sub.NumRelations())
 	}
 }
 
@@ -199,8 +389,8 @@ func TestBuilderCanonicalizes(t *testing.T) {
 	if c.NumRelations() != 3 {
 		t.Fatalf("relations = %d, want 3", c.NumRelations())
 	}
-	// Self-relations vanish entirely — like Graph.AddRelation, they do not
-	// even register their endpoint as a vertex.
+	// Self-relations vanish entirely: they do not even register their
+	// endpoint as a vertex.
 	if !slices.Equal(c.Nodes(), []nodeid.ID{1, 2, 3, 9}) {
 		t.Fatalf("nodes = %v", c.Nodes())
 	}
@@ -246,32 +436,215 @@ func TestBuilderReuseAfterReset(t *testing.T) {
 	}
 }
 
-// TestThawRoundTrip: Thaw produces an equal mutable graph that is
-// independent of the frozen source.
-func TestThawRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := mutableFromOps(rng, 150, 16)
-	c := g.Freeze()
-	thawed := c.Thaw()
-	if !thawed.Equal(c) || !thawed.Equal(g) {
-		t.Fatal("thawed graph differs")
-	}
-	thawed.AddMutual(200, 201)
-	if c.HasNode(200) {
-		t.Fatal("mutating thawed graph affected frozen source")
-	}
-}
-
 // TestCompactEmpty: zero-value-ish cases stay well-defined.
 func TestCompactEmpty(t *testing.T) {
-	c := New().Freeze()
+	c := NewBuilder().Finalize()
 	if c.NumNodes() != 0 || c.NumRelations() != 0 || c.HasNode(1) {
-		t.Error("empty freeze not empty")
+		t.Error("empty graph not empty")
 	}
 	if got := c.Partitions(); len(got) != 0 {
 		t.Errorf("empty partitions = %v", got)
 	}
 	if c.OutLen(5) != 0 || c.InLen(5) != 0 || c.CommonOut(1, 2) != 0 {
 		t.Error("absent-node accessors nonzero")
+	}
+}
+
+func TestAddRelationBasics(t *testing.T) {
+	g := build(func(b *Builder) { b.AddRelation(1, 2) })
+	if !g.HasRelation(1, 2) {
+		t.Error("relation missing")
+	}
+	if g.HasRelation(2, 1) {
+		t.Error("reverse relation should not exist")
+	}
+	if g.NumNodes() != 2 || g.NumRelations() != 1 {
+		t.Errorf("nodes=%d relations=%d", g.NumNodes(), g.NumRelations())
+	}
+}
+
+func TestAddRelationIgnoresSelfAndDuplicates(t *testing.T) {
+	if g := build(func(b *Builder) { b.AddRelation(1, 1) }); g.NumRelations() != 0 {
+		t.Error("self relation added")
+	}
+	g := build(func(b *Builder) {
+		b.AddRelation(1, 2)
+		b.AddRelation(1, 2)
+	})
+	if g.NumRelations() != 1 {
+		t.Errorf("duplicate counted: %d", g.NumRelations())
+	}
+}
+
+func TestAddMutual(t *testing.T) {
+	g := build(func(b *Builder) { b.AddMutual(1, 2) })
+	if !g.HasMutual(1, 2) || !g.HasMutual(2, 1) {
+		t.Error("mutual relation missing")
+	}
+	if g.NumRelations() != 2 {
+		t.Errorf("relations = %d", g.NumRelations())
+	}
+}
+
+func TestOutInCopies(t *testing.T) {
+	g := build(func(b *Builder) { b.AddRelation(1, 2) })
+	out := g.Out(1)
+	out.Add(99)
+	if g.HasRelation(1, 99) {
+		t.Error("mutating Out copy changed graph")
+	}
+	in := g.In(2)
+	in.Add(98)
+	if g.In(2).Contains(98) {
+		t.Error("mutating In copy changed graph")
+	}
+	// Unknown node yields empty set, not nil panic.
+	if g.Out(42).Len() != 0 {
+		t.Error("Out of unknown node non-empty")
+	}
+}
+
+func TestCommonOut(t *testing.T) {
+	// u and v share neighbors 10, 11; u also has 12, v also has 13.
+	g := build(func(b *Builder) {
+		for _, n := range []nodeid.ID{10, 11, 12} {
+			b.AddRelation(1, n)
+		}
+		for _, n := range []nodeid.ID{10, 11, 13} {
+			b.AddRelation(2, n)
+		}
+	})
+	if got := g.CommonOut(1, 2); got != 2 {
+		t.Errorf("CommonOut = %d, want 2", got)
+	}
+	if got := g.CommonOut(1, 99); got != 0 {
+		t.Errorf("CommonOut with unknown = %d", got)
+	}
+}
+
+func TestRelabel(t *testing.T) {
+	g := build(func(b *Builder) {
+		b.AddRelation(1, 2)
+		b.AddRelation(2, 3)
+	})
+	iso, err := nodeid.NewIsomorphism([]nodeid.ID{1, 2, 3}, []nodeid.ID{10, 20, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := g.Relabel(iso)
+	if !r.HasRelation(10, 20) || !r.HasRelation(20, 30) {
+		t.Error("relabeled relations missing")
+	}
+	if r.HasRelation(1, 2) {
+		t.Error("old relations remain")
+	}
+	if r.NumNodes() != 3 || r.NumRelations() != 2 {
+		t.Errorf("nodes=%d relations=%d", r.NumNodes(), r.NumRelations())
+	}
+	// Relabel keeps unmapped IDs.
+	partial, _ := nodeid.NewIsomorphism([]nodeid.ID{1}, []nodeid.ID{9})
+	p := g.Relabel(partial)
+	if !p.HasRelation(9, 2) || !p.HasRelation(2, 3) {
+		t.Error("partial relabel wrong")
+	}
+}
+
+// pathGraph builds the mutual path 1 - 2 - ... - n.
+func pathGraph(n int) *Graph {
+	return build(func(b *Builder) {
+		for i := 1; i < n; i++ {
+			b.AddMutual(nodeid.ID(i), nodeid.ID(i+1))
+		}
+	})
+}
+
+func TestSubgraph(t *testing.T) {
+	g := pathGraph(4)
+	s := g.Subgraph(nodeid.NewSet(1, 2, 3))
+	if s.NumNodes() != 3 {
+		t.Errorf("nodes = %d", s.NumNodes())
+	}
+	if !s.HasMutual(1, 2) || !s.HasMutual(2, 3) {
+		t.Error("induced relations missing")
+	}
+	if s.HasNode(4) || s.HasRelation(3, 4) {
+		t.Error("excluded node leaked")
+	}
+}
+
+func TestEgoNetwork(t *testing.T) {
+	g := pathGraph(4)
+	e1 := g.EgoNetwork(2, 1)
+	if !e1.HasNode(1) || !e1.HasNode(3) || e1.HasNode(4) {
+		t.Errorf("1-hop ego of 2 has nodes %v", e1.Nodes())
+	}
+	e2 := g.EgoNetwork(1, 2)
+	if !e2.HasNode(3) || e2.HasNode(4) {
+		t.Errorf("2-hop ego of 1 has nodes %v", e2.Nodes())
+	}
+	// Ego follows in-edges too.
+	d := build(func(b *Builder) { b.AddRelation(5, 6) }) // only 5 -> 6
+	if ego := d.EgoNetwork(6, 1); !ego.HasNode(5) {
+		t.Error("ego ignored incoming relation")
+	}
+}
+
+func TestEqual(t *testing.T) {
+	a := build(func(b *Builder) { b.AddMutual(1, 2) })
+	if !a.Equal(build(func(b *Builder) { b.AddMutual(1, 2) })) {
+		t.Error("equal graphs reported unequal")
+	}
+	if a.Equal(build(func(b *Builder) { b.AddMutual(1, 2); b.AddNode(3) })) {
+		t.Error("different vertex sets reported equal")
+	}
+	if a.Equal(build(func(b *Builder) { b.AddMutual(1, 3); b.AddNode(2) })) {
+		t.Error("different relation sets reported equal")
+	}
+	churn := build(func(b *Builder) {
+		b.AddRelation(2, 1)
+		b.AddNode(2)
+		b.AddRelation(1, 2)
+		b.AddRelation(2, 1)
+	})
+	if !a.Equal(churn) {
+		t.Error("same content in another order reported unequal")
+	}
+	var none *Graph
+	if a.Equal(none) || !none.Equal(nil) {
+		t.Error("nil graphs compare wrong")
+	}
+}
+
+func TestRandomGraphInvariants(t *testing.T) {
+	// Property: the relation count matches the Out sets, and In is always
+	// the transpose of Out.
+	rng := rand.New(rand.NewSource(9))
+	_, g := scriptFromOps(rng, 2000, 30)
+	count := 0
+	for _, u := range g.Nodes() {
+		out := g.Out(u)
+		count += out.Len()
+		for v := range out {
+			if !g.In(v).Contains(u) {
+				t.Fatalf("in/out inconsistent for (%v,%v)", u, v)
+			}
+		}
+	}
+	if count != g.NumRelations() {
+		t.Fatalf("edge count %d != sum of out degrees %d", g.NumRelations(), count)
+	}
+}
+
+func BenchmarkCommonOut(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	g := build(func(bl *Builder) {
+		for i := 0; i < 150; i++ {
+			bl.AddRelation(1, nodeid.ID(rng.Intn(400)+10))
+			bl.AddRelation(2, nodeid.ID(rng.Intn(400)+10))
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.CommonOut(1, 2)
 	}
 }

@@ -16,31 +16,34 @@ func (p Partition) Size() int { return p.Members.Len() }
 
 // Partitions returns the weakly connected components of the graph, largest
 // first (ties broken by smallest member ID for determinism). Isolated
-// vertices form singleton partitions.
+// vertices form singleton partitions. The traversal runs over dense row
+// indices with a flat visited array, so it stays usable at 10⁶ vertices.
 func (g *Graph) Partitions() []Partition {
-	visited := nodeid.NewSet()
+	g.reverse()
+	visited := make([]bool, len(g.ids))
+	var stack []int
 	var parts []Partition
-	for _, start := range g.Nodes() {
-		if visited.Contains(start) {
+	for start := range g.ids {
+		if visited[start] {
 			continue
 		}
 		members := nodeid.NewSet()
-		stack := []nodeid.ID{start}
-		visited.Add(start)
+		visited[start] = true
+		stack = append(stack[:0], start)
 		for len(stack) > 0 {
-			u := stack[len(stack)-1]
+			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			members.Add(u)
-			for v := range g.out[u] {
-				if !visited.Contains(v) {
-					visited.Add(v)
-					stack = append(stack, v)
+			members.Add(g.ids[i])
+			for _, v := range g.adj[g.off[i]:g.off[i+1]] {
+				if j := g.idx(v); !visited[j] {
+					visited[j] = true
+					stack = append(stack, j)
 				}
 			}
-			for v := range g.in[u] {
-				if !visited.Contains(v) {
-					visited.Add(v)
-					stack = append(stack, v)
+			for _, v := range g.inAdj[g.inOff[i]:g.inOff[i+1]] {
+				if j := g.idx(v); !visited[j] {
+					visited[j] = true
+					stack = append(stack, j)
 				}
 			}
 		}
@@ -51,7 +54,7 @@ func (g *Graph) Partitions() []Partition {
 }
 
 // sortPartitions orders components largest first, ties broken by smallest
-// member ID — the canonical order both graph representations report.
+// member ID.
 func sortPartitions(parts []Partition) {
 	sort.Slice(parts, func(i, j int) bool {
 		if parts[i].Size() != parts[j].Size() {

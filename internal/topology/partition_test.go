@@ -9,13 +9,13 @@ import (
 // threeComponentGraph builds: {1,2,3,4} connected, {5,6} connected, {7}
 // isolated.
 func threeComponentGraph() *Graph {
-	g := New()
-	g.AddMutual(1, 2)
-	g.AddMutual(2, 3)
-	g.AddMutual(3, 4)
-	g.AddMutual(5, 6)
-	g.AddNode(7)
-	return g
+	return build(func(b *Builder) {
+		b.AddMutual(1, 2)
+		b.AddMutual(2, 3)
+		b.AddMutual(3, 4)
+		b.AddMutual(5, 6)
+		b.AddNode(7)
+	})
 }
 
 func TestPartitionsSizesAndOrder(t *testing.T) {
@@ -36,8 +36,7 @@ func TestPartitionsSizesAndOrder(t *testing.T) {
 
 func TestPartitionsFollowDirectedEdgesBothWays(t *testing.T) {
 	// Weak connectivity: 1 -> 2 with no reverse edge still groups them.
-	g := New()
-	g.AddRelation(1, 2)
+	g := build(func(b *Builder) { b.AddRelation(1, 2) })
 	parts := g.Partitions()
 	if len(parts) != 1 || parts[0].Size() != 2 {
 		t.Errorf("partitions = %+v", parts)
@@ -45,7 +44,7 @@ func TestPartitionsFollowDirectedEdgesBothWays(t *testing.T) {
 }
 
 func TestPartitionsEmptyGraph(t *testing.T) {
-	if parts := New().Partitions(); len(parts) != 0 {
+	if parts := NewBuilder().Finalize().Partitions(); len(parts) != 0 {
 		t.Errorf("empty graph partitions = %d", len(parts))
 	}
 }
@@ -81,9 +80,10 @@ func TestIsolatedNodesMinSize(t *testing.T) {
 }
 
 func TestPartitionsDeterministicTieBreak(t *testing.T) {
-	g := New()
-	g.AddMutual(10, 11)
-	g.AddMutual(2, 3)
+	g := build(func(b *Builder) {
+		b.AddMutual(10, 11)
+		b.AddMutual(2, 3)
+	})
 	for trial := 0; trial < 10; trial++ {
 		parts := g.Partitions()
 		if len(parts) != 2 {

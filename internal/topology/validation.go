@@ -10,15 +10,14 @@ import (
 // be invariant under ID isomorphism — a property tests enforce with
 // CheckIsomorphismInvariance.
 //
-// B is a View: validation runs unchanged over a mutable *Graph (the
-// localized ego networks of FunctionalTopology) or a frozen *Compact (the
-// full-topology sweeps at n=10⁵–10⁶, where CommonOut is a sorted merge
-// over CSR rows).
+// B is a *Graph: the localized ego networks of FunctionalTopology and the
+// full-topology sweeps at n=10⁵–10⁶ alike, where CommonOut is a sorted
+// merge over CSR rows.
 type ValidationFunc interface {
 	// Name identifies the function in experiment output.
 	Name() string
 	// Validate returns F(u, v, b).
-	Validate(u, v nodeid.ID, b View) bool
+	Validate(u, v nodeid.ID, b *Graph) bool
 	// MinimumDeploymentSize returns |G_min(F)| (Definition 7): the fewest
 	// nodes in a graph containing at least one functional relation.
 	MinimumDeploymentSize() int
@@ -35,7 +34,7 @@ var _ ValidationFunc = AcceptAll{}
 func (AcceptAll) Name() string { return "accept-all" }
 
 // Validate implements ValidationFunc.
-func (AcceptAll) Validate(u, v nodeid.ID, b View) bool { return b.HasRelation(u, v) }
+func (AcceptAll) Validate(u, v nodeid.ID, b *Graph) bool { return b.HasRelation(u, v) }
 
 // MinimumDeploymentSize implements ValidationFunc: two related nodes.
 func (AcceptAll) MinimumDeploymentSize() int { return 2 }
@@ -58,7 +57,7 @@ var _ ValidationFunc = CommonNeighborRule{}
 func (r CommonNeighborRule) Name() string { return "common-neighbor(topology-only)" }
 
 // Validate implements ValidationFunc.
-func (r CommonNeighborRule) Validate(u, v nodeid.ID, b View) bool {
+func (r CommonNeighborRule) Validate(u, v nodeid.ID, b *Graph) bool {
 	if !b.HasMutual(u, v) {
 		return false
 	}
@@ -74,19 +73,17 @@ func (r CommonNeighborRule) MinimumDeploymentSize() int { return r.Threshold + 3
 // functional network topology Ḡ (Definition 5): the edge (u, v) exists iff
 // F(u, v, B(u)) = 1.
 func FunctionalTopology(g *Graph, f ValidationFunc, hops int) *Graph {
-	out := New()
-	for _, u := range g.Nodes() {
+	out := NewBuilder()
+	for _, u := range g.ids {
 		out.AddNode(u)
-	}
-	for _, u := range g.Nodes() {
 		b := g.EgoNetwork(u, hops)
-		g.ForEachOut(u, func(v nodeid.ID) {
+		for _, v := range g.row(u) {
 			if f.Validate(u, v, b) {
 				out.AddRelation(u, v)
 			}
-		})
+		}
 	}
-	return out
+	return out.Finalize()
 }
 
 // CheckIsomorphismInvariance verifies Definition 3's requirement on a
@@ -94,20 +91,11 @@ func FunctionalTopology(g *Graph, f ValidationFunc, hops int) *Graph {
 // isomorphism. It returns false on the first violated pair.
 func CheckIsomorphismInvariance(f ValidationFunc, b *Graph, iso nodeid.Isomorphism) bool {
 	relabeled := b.Relabel(iso)
-	ok := true
-	for _, u := range b.Nodes() {
-		b.ForEachOut(u, func(v nodeid.ID) {
-			if !ok {
-				return
+	for _, u := range b.ids {
+		for _, v := range b.row(u) {
+			if f.Validate(u, v, b) != f.Validate(iso.Apply(u), iso.Apply(v), relabeled) {
+				return false
 			}
-			before := f.Validate(u, v, b)
-			after := f.Validate(iso.Apply(u), iso.Apply(v), relabeled)
-			if before != after {
-				ok = false
-			}
-		})
-		if !ok {
-			return false
 		}
 	}
 	return true
@@ -116,21 +104,19 @@ func CheckIsomorphismInvariance(f ValidationFunc, b *Graph, iso nodeid.Isomorphi
 // Accuracy returns the fraction of ground-truth relations present in the
 // functional topology: |Ē ∩ E*| / |E*| where E* is the actual (ground
 // truth) relation set. This is the paper's accuracy metric (Section 3.2).
-// It returns 1 for an empty ground truth. Both arguments are Views, so a
-// frozen truth graph compares against a mutable functional topology (or
-// any other mix of representations).
-func Accuracy(functional, truth View) float64 {
+// It returns 1 for an empty ground truth.
+func Accuracy(functional, truth *Graph) float64 {
 	total := truth.NumRelations()
 	if total == 0 {
 		return 1
 	}
 	kept := 0
-	for _, u := range truth.Nodes() {
-		truth.ForEachOut(u, func(v nodeid.ID) {
+	for _, u := range truth.ids {
+		for _, v := range truth.row(u) {
 			if functional.HasRelation(u, v) {
 				kept++
 			}
-		})
+		}
 	}
 	return float64(kept) / float64(total)
 }

@@ -7,20 +7,29 @@ import (
 	"snd/internal/nodeid"
 )
 
-// cliqueWith builds a mutual clique over ids.
-func cliqueWith(ids ...nodeid.ID) *Graph {
-	g := New()
+// build finalizes the graph that fill records into a fresh Builder.
+func build(fill func(b *Builder)) *Graph {
+	b := NewBuilder()
+	fill(b)
+	return b.Finalize()
+}
+
+// addClique records a mutual clique over ids.
+func addClique(b *Builder, ids ...nodeid.ID) {
 	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			g.AddMutual(a, b)
+		for _, c := range ids[i+1:] {
+			b.AddMutual(a, c)
 		}
 	}
-	return g
+}
+
+// cliqueWith builds a mutual clique over ids.
+func cliqueWith(ids ...nodeid.ID) *Graph {
+	return build(func(b *Builder) { addClique(b, ids...) })
 }
 
 func TestAcceptAll(t *testing.T) {
-	g := New()
-	g.AddRelation(1, 2)
+	g := build(func(b *Builder) { b.AddRelation(1, 2) })
 	f := AcceptAll{}
 	if !f.Validate(1, 2, g) {
 		t.Error("asserted relation rejected")
@@ -53,8 +62,13 @@ func TestCommonNeighborRule(t *testing.T) {
 }
 
 func TestCommonNeighborRuleRequiresMutual(t *testing.T) {
-	g := cliqueWith(1, 2, 3, 4)
-	g.RemoveRelation(2, 1)
+	// A clique over {1..4} missing only the relation (2, 1).
+	g := build(func(b *Builder) {
+		addClique(b, 1, 3, 4)
+		b.AddRelation(1, 2)
+		b.AddMutual(2, 3)
+		b.AddMutual(2, 4)
+	})
 	f := CommonNeighborRule{Threshold: 0}
 	if f.Validate(1, 2, g) {
 		t.Error("validated without mutual assertion")
@@ -84,10 +98,11 @@ func TestCommonNeighborRuleMinimumDeployment(t *testing.T) {
 func TestIsomorphismInvariance(t *testing.T) {
 	// Definition 3's invariance, on a random graph and random relabeling.
 	rng := rand.New(rand.NewSource(21))
-	g := New()
-	for i := 0; i < 200; i++ {
-		g.AddMutual(nodeid.ID(rng.Intn(25)+1), nodeid.ID(rng.Intn(25)+1))
-	}
+	g := build(func(b *Builder) {
+		for i := 0; i < 200; i++ {
+			b.AddMutual(nodeid.ID(rng.Intn(25)+1), nodeid.ID(rng.Intn(25)+1))
+		}
+	})
 	from := make([]nodeid.ID, 25)
 	to := make([]nodeid.ID, 25)
 	for i := range from {
@@ -108,8 +123,10 @@ func TestIsomorphismInvariance(t *testing.T) {
 
 func TestFunctionalTopology(t *testing.T) {
 	// Clique {1..5} plus a pendant 6-7 pair with no common neighbors.
-	g := cliqueWith(1, 2, 3, 4, 5)
-	g.AddMutual(6, 7)
+	g := build(func(b *Builder) {
+		addClique(b, 1, 2, 3, 4, 5)
+		b.AddMutual(6, 7)
+	})
 	f := CommonNeighborRule{Threshold: 1}
 	ft := FunctionalTopology(g, f, 1)
 	if !ft.HasMutual(1, 2) {
@@ -136,21 +153,26 @@ func TestFunctionalTopologyLocalView(t *testing.T) {
 
 func TestAccuracy(t *testing.T) {
 	truth := cliqueWith(1, 2, 3)
-	functional := truth.Clone()
-	if got := Accuracy(functional, truth); got != 1 {
+	if got := Accuracy(cliqueWith(1, 2, 3), truth); got != 1 {
 		t.Errorf("full accuracy = %v", got)
 	}
-	functional.RemoveRelation(1, 2)
-	functional.RemoveRelation(2, 1)
-	// 4 of 6 directed relations remain.
+	// Drop (1, 2) and (2, 1): 4 of 6 directed relations remain.
+	functional := build(func(b *Builder) {
+		b.AddMutual(1, 3)
+		b.AddMutual(2, 3)
+	})
 	if got := Accuracy(functional, truth); got != 4.0/6.0 {
 		t.Errorf("accuracy = %v, want %v", got, 4.0/6.0)
 	}
-	if got := Accuracy(functional, New()); got != 1 {
+	if got := Accuracy(functional, NewBuilder().Finalize()); got != 1 {
 		t.Errorf("empty truth accuracy = %v, want 1", got)
 	}
 	// Extra (false) relations do not inflate accuracy.
-	functional.AddMutual(8, 9)
+	functional = build(func(b *Builder) {
+		b.AddMutual(1, 3)
+		b.AddMutual(2, 3)
+		b.AddMutual(8, 9)
+	})
 	if got := Accuracy(functional, truth); got != 4.0/6.0 {
 		t.Errorf("accuracy with extras = %v", got)
 	}
@@ -158,10 +180,11 @@ func TestAccuracy(t *testing.T) {
 
 func BenchmarkFunctionalTopology(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	g := New()
-	for i := 0; i < 1500; i++ {
-		g.AddMutual(nodeid.ID(rng.Intn(100)+1), nodeid.ID(rng.Intn(100)+1))
-	}
+	g := build(func(b *Builder) {
+		for i := 0; i < 1500; i++ {
+			b.AddMutual(nodeid.ID(rng.Intn(100)+1), nodeid.ID(rng.Intn(100)+1))
+		}
+	})
 	f := CommonNeighborRule{Threshold: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -159,7 +159,7 @@ func (LocationClaim) ExactRange() bool { return true }
 // ID into the topology wherever they are planted, exactly the capability
 // the paper's protocol must contain.
 func TentativeGraph(l *deploy.Layout, v Verifier, r float64) *topology.Graph {
-	g := topology.New()
+	b := topology.NewBuilder()
 	if e, ok := v.(ExactRange); ok && e.ExactRange() {
 		// The accept set is exactly the range disk, so the spatial index
 		// reports precisely the devices every verifier accepts — O(n + k)
@@ -169,34 +169,32 @@ func TentativeGraph(l *deploy.Layout, v Verifier, r float64) *topology.Graph {
 			if !a.Alive {
 				return
 			}
-			g.AddNode(a.Node)
-			l.ForEachInRange(a.Handle, r, func(b *deploy.Device) {
-				if b.Node != a.Node {
-					g.AddRelation(a.Node, b.Node)
-				}
+			b.AddNode(a.Node)
+			l.ForEachInRange(a.Handle, r, func(d *deploy.Device) {
+				b.AddRelation(a.Node, d.Node)
 			})
 		})
-		return g
+		return b.Finalize()
 	}
 	var alive []*deploy.Device
 	l.ForEachDevice(func(d *deploy.Device) {
 		if d.Alive {
 			alive = append(alive, d)
-			g.AddNode(d.Node)
+			b.AddNode(d.Node)
 		}
 	})
 	for _, a := range alive {
-		for _, b := range alive {
-			if a.Handle == b.Handle || a.Node == b.Node {
+		for _, c := range alive {
+			if a.Handle == c.Handle || a.Node == c.Node {
 				continue
 			}
-			// a verifies b: relation (a.Node -> b.Node).
-			if v.Verify(b, a, r) {
-				g.AddRelation(a.Node, b.Node)
+			// a verifies c: relation (a.Node -> c.Node).
+			if v.Verify(c, a, r) {
+				b.AddRelation(a.Node, c.Node)
 			}
 		}
 	}
-	return g
+	return b.Finalize()
 }
 
 // ErrorRates measures a mechanism's benign-pair false reject and false

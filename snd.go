@@ -162,14 +162,12 @@ func ForEachAliveIn(l *Layout, c Circle, fn func(*Device)) {
 
 // Topology model (Section 3).
 type (
-	// Graph is a directed graph of neighbor relations.
+	// Graph is an immutable directed graph of neighbor relations in CSR
+	// form, safe for concurrent readers.
 	Graph = topology.Graph
-	// GraphView is the read-only interface both graph representations
-	// satisfy: the mutable Graph and the frozen CompactGraph.
-	GraphView = topology.View
-	// CompactGraph is the frozen CSR form returned by Layout.TruthGraph —
-	// immutable, safe for concurrent readers.
-	CompactGraph = topology.Compact
+	// GraphBuilder collects vertices and relations; Finalize turns them
+	// into a Graph.
+	GraphBuilder = topology.Builder
 	// ValidationFunc models Definition 3's F(u, v, B).
 	ValidationFunc = topology.ValidationFunc
 	// CommonNeighborRule is the topology-only threshold rule that
@@ -177,8 +175,8 @@ type (
 	CommonNeighborRule = topology.CommonNeighborRule
 )
 
-// NewGraph returns an empty relation graph.
-func NewGraph() *Graph { return topology.New() }
+// NewGraphBuilder returns an empty graph builder.
+func NewGraphBuilder() *GraphBuilder { return topology.NewBuilder() }
 
 // TopologyAccuracy returns the fraction of ground-truth relations present
 // in a functional topology.
