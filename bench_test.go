@@ -114,7 +114,7 @@ func BenchmarkTruthGraphMillion(b *testing.B) {
 			g := layout.TruthGraph(r)
 			common := 0
 			for _, u := range g.Nodes()[:100_000] {
-				for _, v := range g.OutIDs(u) {
+				for _, v := range g.Out(u) {
 					common += g.CommonOut(u, v)
 				}
 			}
@@ -352,20 +352,33 @@ func BenchmarkFullDiscoveryRound(b *testing.B) {
 
 // BenchmarkProtocolTrial measures one message-level protocol trial — hello,
 // record exchange, validation and commitments over the radio medium, then
-// the accuracy and overhead metrics — at the sparse scale density of one
-// node per 100 m², R = 25, t = 4. Unlike BenchmarkE1Scale it runs the
-// protocol engine itself, so per-device radio and endpoint costs show in
-// B/op and allocs/op.
+// the accuracy and overhead metrics. The n= cases run the sparse scale
+// density of one node per 100 m², R = 25, t = 4, where per-device radio and
+// endpoint costs dominate. The dense case is the paper's Figure 3 field
+// (200 nodes on 100×100 m, R = 50, t = 30, ~150 neighbors each), where
+// record encoding, hashing and the |N(u) ∩ N(v)| merges dominate. Unlike
+// BenchmarkE1Scale it runs the protocol engine itself, so those costs
+// show in B/op and allocs/op.
 func BenchmarkProtocolTrial(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			if n > 2000 && testing.Short() {
+	cases := []struct {
+		name      string
+		nodes     int
+		side, r   float64
+		threshold int
+	}{
+		{"n=2000", 2000, 10 * math.Sqrt(2000), 25, 4},
+		{"n=10000", 10000, 10 * math.Sqrt(10000), 25, 4},
+		{"dense", 200, 100, 50, 30},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			if c.nodes > 2000 && testing.Short() {
 				b.Skip("skipping n=10000 protocol trial in -short mode")
 			}
-			side := 10 * math.Sqrt(float64(n))
 			for i := 0; i < b.N; i++ {
 				s, err := snd.NewSimulation(snd.SimParams{
-					Field: snd.NewField(side, side), Range: 25, Nodes: n, Threshold: 4, Seed: int64(i),
+					Field: snd.NewField(c.side, c.side), Range: c.r, Nodes: c.nodes,
+					Threshold: c.threshold, Seed: int64(i),
 				})
 				if err != nil {
 					b.Fatal(err)

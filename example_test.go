@@ -44,7 +44,7 @@ func ExampleNewNode() {
 	}
 	res, _ := u.FinishDiscovery()
 
-	fmt.Println("functional neighbors:", u.Functional().Sorted())
+	fmt.Println("functional neighbors:", u.Functional())
 	fmt.Println("commitments issued:", len(res.Commitments))
 	fmt.Println("master key erased:", !u.HoldsMasterKey())
 	// Output:

@@ -55,15 +55,15 @@ func run() error {
 		}
 	}
 	u := nodes[10]
-	fmt.Printf("node %v binds itself to N(u) = %v\n", u.ID(), u.Record().Neighbors.Sorted())
+	fmt.Printf("node %v binds itself to N(u) = %v\n", u.ID(), u.Record().Neighbors)
 	fmt.Printf("binding commitment C(u) = %v\n", u.Record().Commitment)
 
 	// u collects and authenticates every tentative neighbor's record.
-	for _, v := range tentative[10].Sorted() {
+	for _, v := range tentative[10] {
 		if err := u.ReceiveBindingRecord(nodes[v].Record()); err != nil {
 			return fmt.Errorf("record from %v: %w", v, err)
 		}
-		fmt.Printf("authenticated R(%v) with K: N(%v) = %v\n", v, v, nodes[v].Record().Neighbors.Sorted())
+		fmt.Printf("authenticated R(%v) with K: N(%v) = %v\n", v, v, nodes[v].Record().Neighbors)
 	}
 
 	// Validation: |N(u) ∩ N(v)| ≥ t+1, then K is erased.
@@ -72,7 +72,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nfunctional neighbors of %v (≥ %d common): %v\n",
-		u.ID(), threshold+1, u.Functional().Sorted())
+		u.ID(), threshold+1, u.Functional())
 	fmt.Printf("master key erased: %v\n", !u.HoldsMasterKey())
 
 	// The relation commitments C(u,v) update the accepted neighbors.
@@ -88,7 +88,7 @@ func run() error {
 	// A forged record is useless: without K the commitment cannot be made.
 	fmt.Println("\n== What an attacker without K can do: nothing ==")
 	forged := nodes[4].Record()
-	forged.Neighbors.Add(99) // claim a neighbor it never had
+	forged.Neighbors = forged.Neighbors.Union(snd.NewNodeSet(99)) // claim a neighbor it never had
 	probe, err := snd.NewNode(11, master, cfg)
 	if err != nil {
 		return err

@@ -67,11 +67,11 @@ func (a *Attacker) MarkCompromised(id nodeid.ID) {
 
 // Compromised returns the set of captured node IDs.
 func (a *Attacker) Compromised() nodeid.Set {
-	s := nodeid.NewSet()
+	ids := make([]nodeid.ID, 0, len(a.captured))
 	for id := range a.captured {
-		s.Add(id)
+		ids = append(ids, id)
 	}
-	return s
+	return nodeid.NewSet(ids...)
 }
 
 // Has reports whether node id has been compromised.
@@ -131,7 +131,7 @@ func (a *Attacker) ForgeSubstitution(g *topology.Graph, rule topology.CommonNeig
 		{From: target, To: v},
 		{From: v, To: target},
 	}
-	for _, w := range g.OutIDs(target) {
+	for _, w := range g.Out(target) {
 		if len(forged) == 2+need {
 			break
 		}
@@ -233,7 +233,7 @@ func InjectRelations(g *topology.Graph, forged []nodeid.Pair) *topology.Graph {
 	b.Grow(g.NumNodes(), g.NumRelations()+len(forged))
 	for _, u := range g.Nodes() {
 		b.AddNode(u)
-		for _, v := range g.OutIDs(u) {
+		for _, v := range g.Out(u) {
 			b.AddRelation(u, v)
 		}
 	}
@@ -263,7 +263,7 @@ func FindCoLocatedClique(g *topology.Graph, k int) []nodeid.ID {
 	var best []nodeid.ID
 	for _, seed := range ordered {
 		clique := []nodeid.ID{seed}
-		for _, cand := range g.OutIDs(seed) {
+		for _, cand := range g.Out(seed) {
 			ok := true
 			for _, member := range clique {
 				if !g.HasMutual(cand, member) {

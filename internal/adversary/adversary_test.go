@@ -48,7 +48,7 @@ func TestCaptureAfterErasureYieldsNoKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rec.Neighbors.Equal(nodeid.NewSet(2, 3)) {
-		t.Errorf("captured record neighbors = %v", rec.Neighbors.Sorted())
+		t.Errorf("captured record neighbors = %v", rec.Neighbors)
 	}
 }
 

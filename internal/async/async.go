@@ -96,8 +96,8 @@ type runner struct {
 	network *Network
 
 	// expected is the set of tentative neighbors whose records the fresh
-	// node is still waiting for (fresh nodes only).
-	expected nodeid.Set
+	// node is still waiting for (fresh nodes only; nil on responders).
+	expected map[nodeid.ID]bool
 	finished chan struct{} // closed when discovery completes
 	stop     chan struct{}
 	done     chan struct{}
@@ -126,7 +126,11 @@ func (n *Network) StartDiscovery(h deploy.Handle, tentative nodeid.Set) (<-chan 
 	if err := ep.BeginDiscovery(tentative); err != nil {
 		return nil, fmt.Errorf("async: begin discovery: %w", err)
 	}
-	r, err := n.start(h, ep, tentative.Clone())
+	expected := make(map[nodeid.ID]bool, tentative.Len())
+	for _, v := range tentative {
+		expected[v] = true
+	}
+	r, err := n.start(h, ep, expected)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +145,7 @@ func (n *Network) StartDiscovery(h deploy.Handle, tentative nodeid.Set) (<-chan 
 	return r.finished, nil
 }
 
-func (n *Network) start(h deploy.Handle, ep *core.Node, expected nodeid.Set) (*runner, error) {
+func (n *Network) start(h deploy.Handle, ep *core.Node, expected map[nodeid.ID]bool) (*runner, error) {
 	dev := n.layout.Device(h)
 	if dev == nil {
 		return nil, fmt.Errorf("async: unknown device %d", h)
@@ -214,7 +218,7 @@ func (r *runner) run() {
 		timer := time.NewTimer(r.network.cfg.DiscoveryTimeout)
 		defer timer.Stop()
 		timeout = timer.C
-		if r.expected.Len() == 0 {
+		if len(r.expected) == 0 {
 			// No tentative neighbors: validation is trivially done.
 			r.finishDiscovery()
 		}
@@ -267,8 +271,8 @@ func (r *runner) handle(msg radio.Message) {
 			return
 		}
 		if err := r.ep.ReceiveBindingRecord(env.Record); err == nil && r.expected != nil {
-			r.expected.Remove(env.Record.Node)
-			if r.expected.Len() == 0 {
+			delete(r.expected, env.Record.Node)
+			if len(r.expected) == 0 {
 				r.finishDiscovery()
 			}
 		}
@@ -353,7 +357,7 @@ func DiscoverAll(layout *deploy.Layout, medium *radio.Medium, master *crypto.Mas
 			continue
 		}
 		b.AddNode(ep.ID())
-		for v := range ep.Functional() {
+		for _, v := range ep.Functional() {
 			b.AddRelation(ep.ID(), v)
 		}
 	}

@@ -40,7 +40,7 @@ import (
 // Returned IDs are sorted ascending.
 //
 // N(v)'s weak components come from a union-find over the positions of
-// OutIDs(v): each member's sorted row is merged against the sorted N(v),
+// Out(v): each member's sorted row is merged against the sorted N(v),
 // and every relation found inside N(v) joins its endpoints. Nothing is
 // copied per node; the scratch slices are reused across the sweep.
 func DetectSplitNeighborhoods(g *topology.Graph, minComponent int) []nodeid.ID {
@@ -50,7 +50,7 @@ func DetectSplitNeighborhoods(g *topology.Graph, minComponent int) []nodeid.ID {
 	var flagged []nodeid.ID
 	var parent, size []int32
 	for _, v := range g.Nodes() {
-		nbrs := g.OutIDs(v)
+		nbrs := g.Out(v)
 		if len(nbrs) < 2*minComponent {
 			continue
 		}
@@ -60,7 +60,7 @@ func DetectSplitNeighborhoods(g *topology.Graph, minComponent int) []nodeid.ID {
 			size = append(size, 1)
 		}
 		for i, w := range nbrs {
-			row := g.OutIDs(w)
+			row := g.Out(w)
 			for a, b := 0, 0; a < len(row) && b < len(nbrs); {
 				switch {
 				case row[a] < nbrs[b]:

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"snd/internal/nodeid"
 	"snd/internal/topology"
@@ -23,22 +24,24 @@ type Assignment map[nodeid.ID]nodeid.ID
 
 // Heads returns the distinct cluster heads, ascending.
 func (a Assignment) Heads() []nodeid.ID {
-	set := nodeid.NewSet()
+	heads := make([]nodeid.ID, 0, len(a))
 	for _, h := range a {
-		set.Add(h)
+		heads = append(heads, h)
 	}
-	return set.Sorted()
+	slices.Sort(heads)
+	return slices.Compact(heads)
 }
 
 // Members returns the nodes assigned to head h, ascending.
 func (a Assignment) Members(h nodeid.ID) []nodeid.ID {
-	set := nodeid.NewSet()
+	var members []nodeid.ID
 	for n, head := range a {
 		if head == h {
-			set.Add(n)
+			members = append(members, n)
 		}
 	}
-	return set.Sorted()
+	slices.Sort(members)
+	return members
 }
 
 // LowestID elects, for every node, the smallest ID in its closed
@@ -186,26 +189,26 @@ func hopDistance(g *topology.Graph, from, to nodeid.ID, limit int) int {
 	if from == to {
 		return 0
 	}
-	frontier := nodeid.NewSet(from)
-	visited := nodeid.NewSet(from)
+	frontier := []nodeid.ID{from}
+	visited := map[nodeid.ID]bool{from: true}
 	for depth := 1; depth <= limit; depth++ {
-		next := nodeid.NewSet()
-		for u := range frontier {
+		var next []nodeid.ID
+		for _, u := range frontier {
 			found := false
 			forEachUndirected(g, u, func(v nodeid.ID) {
 				if v == to {
 					found = true
 				}
-				if !visited.Contains(v) {
-					visited.Add(v)
-					next.Add(v)
+				if !visited[v] {
+					visited[v] = true
+					next = append(next, v)
 				}
 			})
 			if found {
 				return depth
 			}
 		}
-		if next.Len() == 0 {
+		if len(next) == 0 {
 			break
 		}
 		frontier = next

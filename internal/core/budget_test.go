@@ -1,0 +1,93 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"snd/internal/nodeid"
+)
+
+// TestAllocationBudgets pins the per-frame allocation cost of the record
+// path: handing out a record shares it, encoding writes one buffer, and
+// decoding allocates only the neighbor list.
+func TestAllocationBudgets(t *testing.T) {
+	_, nodes := network(t, 1, testCfg)
+	n := nodes[1]
+	if err := n.BeginDiscovery(idRange(2, 151)); err != nil {
+		t.Fatal(err)
+	}
+	env := Envelope{Type: MsgHello, Record: n.Record()}
+	frame := n.Record().Encode()
+	budgets := []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Node.Record", 0, func() { _ = n.Record() }},
+		{"Envelope.Encode of a 150-ID record", 1, func() { _, _ = env.Encode() }},
+		{"DecodeBindingRecord", 1, func() { _, _ = DecodeBindingRecord(frame) }},
+	}
+	for _, b := range budgets {
+		if got := testing.AllocsPerRun(100, b.fn); got > b.max {
+			t.Errorf("%s: %v allocs, budget %v", b.name, got, b.max)
+		}
+	}
+}
+
+// TestBeginDiscoveryCopiesTentative: the record owns its neighbor list, so
+// a caller reusing the slice it built the tentative set from changes
+// neither the record nor whether peers authenticate it.
+func TestBeginDiscoveryCopiesTentative(t *testing.T) {
+	_, nodes := network(t, 5, testCfg)
+	built := []nodeid.ID{4, 3, 2}
+	viaNewSet := nodeid.NewSet(built...)
+	direct := nodeid.Set{1, 3, 4}
+	if err := nodes[1].BeginDiscovery(viaNewSet); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[2].BeginDiscovery(direct); err != nil {
+		t.Fatal(err)
+	}
+	built[0], viaNewSet[0], direct[0] = 9, 9, 9
+
+	if got := nodes[1].Record().Neighbors; !got.Equal(nodeid.Set{2, 3, 4}) {
+		t.Errorf("node 1 record follows its input: %v", got)
+	}
+	if got := nodes[2].Record().Neighbors; !got.Equal(nodeid.Set{1, 3, 4}) {
+		t.Errorf("node 2 record follows its input: %v", got)
+	}
+	if err := nodes[3].BeginDiscovery(nodeid.Set{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []nodeid.ID{1, 2} {
+		if err := nodes[3].ReceiveBindingRecord(nodes[id].Record()); err != nil {
+			t.Errorf("record of %v no longer authenticates: %v", id, err)
+		}
+	}
+}
+
+// TestServeUpdateLeavesRequestUntouched: the updated list is a fresh merge.
+// The request's neighbor array — including spare capacity an in-place
+// append would write into — is byte-for-byte what it was.
+func TestServeUpdateLeavesRequestUntouched(t *testing.T) {
+	f := newUpdateFixture(t)
+	req, err := f.old.BuildUpdateRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := make(nodeid.Set, len(req.Record.Neighbors), len(req.Record.Neighbors)+8)
+	copy(roomy, req.Record.Neighbors)
+	req.Record.Neighbors = roomy
+	before := nodeid.EncodeList(roomy[:cap(roomy)])
+
+	updated, err := f.fresh.ServeUpdateRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := nodeid.EncodeList(roomy[:cap(roomy)]); !bytes.Equal(after, before) {
+		t.Errorf("request array changed:\n%x\n%x", before, after)
+	}
+	if len(updated.Neighbors) <= len(roomy) || &updated.Neighbors[0] == &roomy[0] {
+		t.Errorf("updated list %v shares or fails to extend the request's %v", updated.Neighbors, roomy)
+	}
+}

@@ -42,27 +42,31 @@ type Envelope struct {
 	Update     UpdateRequest      // MsgUpdateRequest
 }
 
-// Encode serializes the envelope for transmission.
+// Encode serializes the envelope for transmission into one buffer sized
+// up front.
 func (e Envelope) Encode() ([]byte, error) {
-	out := []byte{byte(e.Type)}
 	switch e.Type {
 	case MsgHello, MsgRecord, MsgUpdateReply:
-		return append(out, e.Record.Encode()...), nil
+		out := make([]byte, 0, 1+e.Record.wireLen())
+		return e.Record.appendTo(append(out, byte(e.Type))), nil
 	case MsgCommitment:
-		out = append(out, e.Commitment.From.Bytes()...)
-		out = append(out, e.Commitment.To.Bytes()...)
-		out = append(out, e.Commitment.Digest[:]...)
-		return out, nil
+		out := make([]byte, 0, 1+8+crypto.DigestSize)
+		out = append(out, byte(e.Type))
+		out = binary.BigEndian.AppendUint32(out, uint32(e.Commitment.From))
+		out = binary.BigEndian.AppendUint32(out, uint32(e.Commitment.To))
+		return append(out, e.Commitment.Digest[:]...), nil
 	case MsgEvidence:
-		out = append(out, encodeEvidence(e.Evidence)...)
-		return out, nil
+		out := make([]byte, 0, 1+evidenceWireLen)
+		return appendEvidence(append(out, byte(e.Type)), e.Evidence), nil
 	case MsgUpdateRequest:
-		rec := e.Update.Record.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(rec)))
-		out = append(out, rec...)
+		recLen := e.Update.Record.wireLen()
+		out := make([]byte, 0, 1+4+recLen+4+len(e.Update.Evidences)*evidenceWireLen)
+		out = append(out, byte(e.Type))
+		out = binary.BigEndian.AppendUint32(out, uint32(recLen))
+		out = e.Update.Record.appendTo(out)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Update.Evidences)))
 		for _, ev := range e.Update.Evidences {
-			out = append(out, encodeEvidence(ev)...)
+			out = appendEvidence(out, ev)
 		}
 		return out, nil
 	default:
@@ -72,13 +76,11 @@ func (e Envelope) Encode() ([]byte, error) {
 
 const evidenceWireLen = 4 + 4 + 4 + crypto.DigestSize
 
-func encodeEvidence(ev RelationEvidence) []byte {
-	out := make([]byte, 0, evidenceWireLen)
-	out = append(out, ev.From.Bytes()...)
-	out = append(out, ev.To.Bytes()...)
-	out = binary.BigEndian.AppendUint32(out, ev.Version)
-	out = append(out, ev.Digest[:]...)
-	return out
+func appendEvidence(b []byte, ev RelationEvidence) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(ev.From))
+	b = binary.BigEndian.AppendUint32(b, uint32(ev.To))
+	b = binary.BigEndian.AppendUint32(b, ev.Version)
+	return append(b, ev.Digest[:]...)
 }
 
 func decodeEvidence(b []byte) (RelationEvidence, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"snd/internal/crypto"
 	"snd/internal/nodeid"
@@ -76,8 +77,11 @@ type Node struct {
 	master *crypto.MasterKey
 	vkey   crypto.VerificationKey
 
-	record     BindingRecord
-	functional nodeid.Set
+	record BindingRecord
+	// functional is N̄(u), kept ascending. It is this node's private
+	// scratch list — it grows as commitments arrive — so Functional hands
+	// out a copy rather than sharing it.
+	functional []nodeid.ID
 	// pending holds the authenticated binding records collected during
 	// discovery, keyed by sender.
 	pending map[nodeid.ID]BindingRecord
@@ -101,13 +105,12 @@ func NewNode(id nodeid.ID, master *crypto.MasterKey, cfg Config) (*Node, error) 
 		return nil, fmt.Errorf("core: negative config %+v", cfg)
 	}
 	n := &Node{
-		id:         id,
-		cfg:        cfg,
-		phase:      PhaseInitialized,
-		master:     master.Clone(),
-		functional: nodeid.NewSet(),
-		pending:    make(map[nodeid.ID]BindingRecord),
-		evidence:   make(map[nodeid.ID]RelationEvidence),
+		id:       id,
+		cfg:      cfg,
+		phase:    PhaseInitialized,
+		master:   master.Clone(),
+		pending:  make(map[nodeid.ID]BindingRecord),
+		evidence: make(map[nodeid.ID]RelationEvidence),
 	}
 	vk, err := n.master.VerificationKey(id)
 	if err != nil {
@@ -127,11 +130,19 @@ func (n *Node) Config() Config { return n.cfg }
 // Phase returns the node's current protocol phase.
 func (n *Node) Phase() Phase { return n.phase }
 
-// Record returns a copy of the node's current binding record R(u).
-func (n *Node) Record() BindingRecord { return n.record.Clone() }
+// Record returns the node's current binding record R(u). Its neighbor
+// list is shared, immutable storage.
+func (n *Node) Record() BindingRecord { return n.record }
 
 // Functional returns a copy of the functional neighbor list N̄(u).
-func (n *Node) Functional() nodeid.Set { return n.functional.Clone() }
+func (n *Node) Functional() nodeid.Set { return slices.Clone(n.functional) }
+
+// addFunctional inserts v into the ascending functional list.
+func (n *Node) addFunctional(v nodeid.ID) {
+	if i, found := slices.BinarySearch(n.functional, v); !found {
+		n.functional = slices.Insert(n.functional, i, v)
+	}
+}
 
 // HashOps returns the number of hash computations performed, the paper's
 // computation-overhead metric.
@@ -143,13 +154,12 @@ func (n *Node) HoldsMasterKey() bool { return n.master != nil && !n.master.Erase
 
 // BeginDiscovery starts the discovery phase with the tentative neighbor
 // list produced by direct verification, creating the version-0 binding
-// record.
+// record. The record keeps its own copy of the list.
 func (n *Node) BeginDiscovery(tentative nodeid.Set) error {
 	if n.phase != PhaseInitialized {
 		return fmt.Errorf("%w: BeginDiscovery in phase %d", ErrPhase, n.phase)
 	}
-	neighbors := tentative.Clone()
-	neighbors.Remove(n.id)
+	neighbors := tentative.Diff(nodeid.Set{n.id})
 	c, err := n.master.BindingCommitment(n.id, 0, neighbors)
 	if err != nil {
 		return fmt.Errorf("core: commit binding record: %w", err)
@@ -184,7 +194,7 @@ func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
 	if !want.Equal(r.Commitment) {
 		return fmt.Errorf("%w: from %v", ErrBadRecord, r.Node)
 	}
-	n.pending[r.Node] = r.Clone()
+	n.pending[r.Node] = r
 	return nil
 }
 
@@ -221,7 +231,7 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 		if n.record.Neighbors.IntersectLen(r.Neighbors) < n.cfg.Threshold+1 {
 			continue
 		}
-		n.functional.Add(v)
+		n.addFunctional(v)
 		kv, err := n.master.VerificationKey(v)
 		if err != nil {
 			return nil, fmt.Errorf("core: K_v for %v: %w", v, err)
@@ -252,7 +262,7 @@ func (n *Node) ReceiveRelationCommitment(c RelationCommitment) error {
 	if !n.vkey.VerifyRelationCommitment(c.From, c.Digest) {
 		return fmt.Errorf("%w: from %v", ErrBadCommitment, c.From)
 	}
-	n.functional.Add(c.From)
+	n.addFunctional(c.From)
 	return nil
 }
 
@@ -288,7 +298,7 @@ func (n *Node) BuildUpdateRequest() (UpdateRequest, error) {
 	if len(n.evidence) == 0 {
 		return UpdateRequest{}, errors.New("core: no relation evidence to justify an update")
 	}
-	req := UpdateRequest{Record: n.record.Clone()}
+	req := UpdateRequest{Record: n.record}
 	for _, from := range sortedKeys(n.evidence) {
 		req.Evidences = append(req.Evidences, n.evidence[from])
 	}
@@ -298,7 +308,8 @@ func (n *Node) BuildUpdateRequest() (UpdateRequest, error) {
 // ServeUpdateRequest runs on a newly deployed node (still holding K): it
 // authenticates the requester's record and every evidence, then issues the
 // updated record with the evidenced neighbors added and the version
-// incremented. The serving node enforces the update limit.
+// incremented. The serving node enforces the update limit. The updated
+// list is a fresh merge; the request's list is left untouched.
 func (n *Node) ServeUpdateRequest(req UpdateRequest) (BindingRecord, error) {
 	if n.phase != PhaseDiscovering {
 		return BindingRecord{}, fmt.Errorf("%w: serving update in phase %d", ErrPhase, n.phase)
@@ -315,7 +326,7 @@ func (n *Node) ServeUpdateRequest(req UpdateRequest) (BindingRecord, error) {
 	if !want.Equal(r.Commitment) {
 		return BindingRecord{}, fmt.Errorf("%w: update request from %v", ErrBadRecord, r.Node)
 	}
-	updated := r.Neighbors.Clone()
+	added := make([]nodeid.ID, 0, len(req.Evidences))
 	for _, ev := range req.Evidences {
 		if ev.To != r.Node || ev.Version != r.Version {
 			return BindingRecord{}, fmt.Errorf("%w: evidence %v->%v v%d inconsistent with record v%d",
@@ -329,8 +340,9 @@ func (n *Node) ServeUpdateRequest(req UpdateRequest) (BindingRecord, error) {
 		if !wantEv.Equal(ev.Digest) {
 			return BindingRecord{}, fmt.Errorf("%w: from %v", ErrBadEvidence, ev.From)
 		}
-		updated.Add(ev.From)
+		added = append(added, ev.From)
 	}
+	updated := r.Neighbors.Union(nodeid.NewSet(added...))
 	c, err := n.master.BindingCommitment(r.Node, r.Version+1, updated)
 	if err != nil {
 		return BindingRecord{}, fmt.Errorf("core: commit updated record: %w", err)
@@ -353,12 +365,12 @@ func (n *Node) ApplyUpdate(updated BindingRecord) error {
 	if updated.Version != n.record.Version+1 {
 		return fmt.Errorf("core: update version %d, want %d", updated.Version, n.record.Version+1)
 	}
-	for v := range n.record.Neighbors {
+	for _, v := range n.record.Neighbors {
 		if !updated.Neighbors.Contains(v) {
 			return fmt.Errorf("core: update dropped neighbor %v", v)
 		}
 	}
-	n.record = updated.Clone()
+	n.record = updated
 	// Evidence bound to the old version is now consumed.
 	n.evidence = make(map[nodeid.ID]RelationEvidence)
 	return nil
@@ -373,7 +385,7 @@ func (n *Node) EvidenceCount() int { return len(n.evidence) }
 // discovery the (transient) master key and pending records are also
 // counted, matching the paper's two-phase storage analysis.
 func (n *Node) StorageBytes() int {
-	s := n.record.StorageBytes() + crypto.DigestSize + 4*n.functional.Len()
+	s := n.record.StorageBytes() + crypto.DigestSize + 4*len(n.functional)
 	s += len(n.evidence) * (4 + 4 + 4 + crypto.DigestSize)
 	if n.phase == PhaseDiscovering {
 		s += crypto.DigestSize // the master key K
@@ -395,14 +407,14 @@ func (n *Node) Clone() *Node {
 		phase:      n.phase,
 		master:     n.master.Clone(),
 		vkey:       n.vkey,
-		record:     n.record.Clone(),
-		functional: n.functional.Clone(),
+		record:     n.record,
+		functional: slices.Clone(n.functional),
 		pending:    make(map[nodeid.ID]BindingRecord, len(n.pending)),
 		evidence:   make(map[nodeid.ID]RelationEvidence, len(n.evidence)),
 		hashOps:    n.hashOps,
 	}
 	for k, v := range n.pending {
-		c.pending[k] = v.Clone()
+		c.pending[k] = v
 	}
 	for k, v := range n.evidence {
 		c.evidence[k] = v
@@ -422,6 +434,6 @@ func sortedKeys[V any](m map[nodeid.ID]V) []nodeid.ID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	nodeid.SortIDs(ids)
+	slices.Sort(ids)
 	return ids
 }

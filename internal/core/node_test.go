@@ -35,8 +35,7 @@ func runClique(t *testing.T, nodes map[nodeid.ID]*Node, ids []nodeid.ID) map[nod
 	t.Helper()
 	all := nodeid.NewSet(ids...)
 	for _, id := range ids {
-		tentative := all.Clone()
-		tentative.Remove(id)
+		tentative := all.Diff(nodeid.Set{id})
 		if err := nodes[id].BeginDiscovery(tentative); err != nil {
 			t.Fatalf("BeginDiscovery(%v): %v", id, err)
 		}
@@ -97,10 +96,9 @@ func TestCliqueDiscoveryValidatesEveryone(t *testing.T) {
 	ids := []nodeid.ID{1, 2, 3, 4, 5}
 	runClique(t, nodes, ids)
 	for _, id := range ids {
-		want := nodeid.NewSet(ids...)
-		want.Remove(id)
+		want := nodeid.NewSet(ids...).Diff(nodeid.Set{id})
 		if got := nodes[id].Functional(); !got.Equal(want) {
-			t.Errorf("node %v functional = %v, want %v", id, got.Sorted(), want.Sorted())
+			t.Errorf("node %v functional = %v, want %v", id, got, want)
 		}
 		if nodes[id].HoldsMasterKey() {
 			t.Errorf("node %v still holds K after discovery", id)
@@ -118,7 +116,7 @@ func TestThresholdBlocksSparsePairs(t *testing.T) {
 	runClique(t, nodes, []nodeid.ID{1, 2, 3, 4})
 	for id, n := range nodes {
 		if got := n.Functional(); got.Len() != 0 {
-			t.Errorf("node %v functional = %v, want empty", id, got.Sorted())
+			t.Errorf("node %v functional = %v, want empty", id, got)
 		}
 	}
 }
@@ -206,7 +204,7 @@ func TestReceiveBindingRecordRejections(t *testing.T) {
 	}
 	// Forged commitment.
 	forged := b.Record()
-	forged.Neighbors.Add(42) // tamper with the list, keep old commitment
+	forged.Neighbors = forged.Neighbors.Union(nodeid.Set{42}) // tamper with the list, keep old commitment
 	if err := a.ReceiveBindingRecord(forged); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("forged record err = %v", err)
 	}
@@ -400,11 +398,28 @@ func TestStorageBytesPhases(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	_, nodes := network(t, 5, Config{Threshold: 0, MaxUpdates: 2})
+	_, nodes := network(t, 6, Config{Threshold: 0, MaxUpdates: 2})
 	runClique(t, nodes, []nodeid.ID{1, 2, 3, 4, 5})
 	orig := nodes[1]
 	clone := orig.Clone()
-	clone.Functional().Add(99) // Functional returns a copy; mutate state another way
+	// A fresh node 6 validates node 1; its commitment reaches the clone only.
+	fresh := nodes[6]
+	if err := fresh.BeginDiscovery(nodeid.Set{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.ReceiveBindingRecord(orig.Record()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fresh.FinishDiscovery()
+	if err != nil || len(res.Commitments) != 1 {
+		t.Fatalf("fresh node commitments = %v, %v", res, err)
+	}
+	if err := clone.ReceiveRelationCommitment(res.Commitments[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !clone.Functional().Contains(6) || orig.Functional().Contains(6) {
+		t.Errorf("functional lists: clone %v, original %v", clone.Functional(), orig.Functional())
+	}
 	if clone.ID() != orig.ID() || clone.Phase() != orig.Phase() {
 		t.Error("clone header mismatch")
 	}
@@ -428,18 +443,16 @@ func BenchmarkFullDiscoveryClique20(b *testing.B) {
 	cfg := Config{Threshold: 5}
 	for i := 0; i < b.N; i++ {
 		nodes := make(map[nodeid.ID]*Node, 20)
-		all := nodeid.NewSet()
-		for id := nodeid.ID(1); id <= 20; id++ {
+		all := idRange(1, 20)
+		for _, id := range all {
 			n, err := NewNode(id, master, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			nodes[id] = n
-			all.Add(id)
 		}
 		for id, n := range nodes {
-			tent := all.Clone()
-			tent.Remove(id)
+			tent := all.Diff(nodeid.Set{id})
 			if err := n.BeginDiscovery(tent); err != nil {
 				b.Fatal(err)
 			}

@@ -32,25 +32,21 @@ func TestPropertyValidationRule(t *testing.T) {
 			return false
 		}
 		peerCount := 1 + rng.Intn(12)
-		tentative := nodeid.NewSet()
-		for i := 0; i < peerCount; i++ {
-			tentative.Add(nodeid.ID(i + 1))
-		}
+		tentative := idRange(1, nodeid.ID(peerCount))
 		if err := u.BeginDiscovery(tentative); err != nil {
 			return false
 		}
-		wantFunctional := nodeid.NewSet()
-		for v := range tentative {
+		var wantFunctional nodeid.Set
+		for _, v := range tentative {
 			peer, err := NewNode(v, master, cfg)
 			if err != nil {
 				return false
 			}
-			peerNeighbors := nodeid.NewSet(100)
+			peerNeighbors := []nodeid.ID{100}
 			for i := 0; i < rng.Intn(14); i++ {
-				peerNeighbors.Add(nodeid.ID(rng.Intn(20) + 1))
+				peerNeighbors = append(peerNeighbors, nodeid.ID(rng.Intn(20)+1))
 			}
-			peerNeighbors.Remove(v)
-			if err := peer.BeginDiscovery(peerNeighbors); err != nil {
+			if err := peer.BeginDiscovery(nodeid.NewSet(peerNeighbors...)); err != nil {
 				return false
 			}
 			rec := peer.Record()
@@ -58,7 +54,7 @@ func TestPropertyValidationRule(t *testing.T) {
 				return false
 			}
 			if u.Record().Neighbors.IntersectLen(rec.Neighbors) >= threshold+1 {
-				wantFunctional.Add(v)
+				wantFunctional = append(wantFunctional, v)
 			}
 		}
 		res, err := u.FinishDiscovery()
@@ -92,23 +88,23 @@ func TestPropertyTamperedRecordsNeverVerify(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		neighbors := nodeid.NewSet(1)
+		neighbors := []nodeid.ID{1}
 		for i := 0; i < rng.Intn(10); i++ {
-			neighbors.Add(nodeid.ID(rng.Intn(30) + 3))
+			neighbors = append(neighbors, nodeid.ID(rng.Intn(30)+3))
 		}
-		if err := peer.BeginDiscovery(neighbors); err != nil {
+		if err := peer.BeginDiscovery(nodeid.NewSet(neighbors...)); err != nil {
 			return false
 		}
 		rec := peer.Record()
 		// Mutate one field.
 		switch mutation % 4 {
 		case 0:
-			rec.Neighbors.Add(nodeid.ID(rng.Intn(100) + 200))
+			rec.Neighbors = rec.Neighbors.Union(nodeid.Set{nodeid.ID(rng.Intn(100) + 200)})
 		case 1:
 			if rec.Neighbors.Len() == 0 {
 				return true
 			}
-			rec.Neighbors.Remove(rec.Neighbors.Sorted()[0])
+			rec.Neighbors = rec.Neighbors[1:]
 		case 2:
 			rec.Version++
 		case 3:
@@ -167,11 +163,11 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	f := func(seed int64, kind uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		randSet := func() nodeid.Set {
-			s := nodeid.NewSet()
+			var ids []nodeid.ID
 			for i := 0; i < rng.Intn(20); i++ {
-				s.Add(nodeid.ID(rng.Intn(1000) + 1))
+				ids = append(ids, nodeid.ID(rng.Intn(1000)+1))
 			}
-			return s
+			return nodeid.NewSet(ids...)
 		}
 		randDigest := func() crypto.Digest {
 			var d crypto.Digest
@@ -260,11 +256,11 @@ func TestPropertyUpdateMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		neighbors := nodeid.NewSet()
+		var neighbors []nodeid.ID
 		for i := 0; i < 1+rng.Intn(8); i++ {
-			neighbors.Add(nodeid.ID(rng.Intn(20) + 2))
+			neighbors = append(neighbors, nodeid.ID(rng.Intn(20)+2))
 		}
-		if err := old.BeginDiscovery(neighbors); err != nil {
+		if err := old.BeginDiscovery(nodeid.NewSet(neighbors...)); err != nil {
 			return false
 		}
 		if _, err := old.FinishDiscovery(); err != nil {
@@ -305,7 +301,7 @@ func TestPropertyUpdateMonotonicity(t *testing.T) {
 		if updated.Version != req.Record.Version+1 {
 			return false
 		}
-		for v := range req.Record.Neighbors {
+		for _, v := range req.Record.Neighbors {
 			if !updated.Neighbors.Contains(v) {
 				return false
 			}

@@ -27,18 +27,15 @@ import (
 // BindingRecord is R(u) = {i, N(u), C(u)}: a node's versioned, committed
 // tentative neighbor list. The record "binds node u to the place defined by
 // the set of nodes in N(u)".
+//
+// A record is a value over an immutable Set, so copies share the neighbor
+// list: a node's own record, the copies it hands out, and the records it
+// keeps from its neighbors are never cloned.
 type BindingRecord struct {
 	Node       nodeid.ID
 	Version    uint32
 	Neighbors  nodeid.Set
 	Commitment crypto.Digest
-}
-
-// Clone returns an independent copy of the record.
-func (r BindingRecord) Clone() BindingRecord {
-	c := r
-	c.Neighbors = r.Neighbors.Clone()
-	return c
 }
 
 // StorageBytes estimates the record's in-flash footprint: 4 (id) +
@@ -50,14 +47,19 @@ func (r BindingRecord) StorageBytes() int {
 // Encode serializes the record: id(4) ‖ version(4) ‖ count(4) ‖ ids ‖
 // commitment(32).
 func (r BindingRecord) Encode() []byte {
-	ids := nodeid.EncodeList(r.Neighbors)
-	out := make([]byte, 0, 12+len(ids)+crypto.DigestSize)
-	out = append(out, r.Node.Bytes()...)
-	out = binary.BigEndian.AppendUint32(out, r.Version)
-	out = binary.BigEndian.AppendUint32(out, uint32(r.Neighbors.Len()))
-	out = append(out, ids...)
-	out = append(out, r.Commitment[:]...)
-	return out
+	return r.appendTo(make([]byte, 0, r.wireLen()))
+}
+
+// wireLen is the length of the record's encoding.
+func (r BindingRecord) wireLen() int { return 12 + 4*r.Neighbors.Len() + crypto.DigestSize }
+
+// appendTo appends the record's encoding to b.
+func (r BindingRecord) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(r.Node))
+	b = binary.BigEndian.AppendUint32(b, r.Version)
+	b = binary.BigEndian.AppendUint32(b, uint32(r.Neighbors.Len()))
+	b = nodeid.AppendList(b, r.Neighbors)
+	return append(b, r.Commitment[:]...)
 }
 
 // DecodeBindingRecord parses the encoding produced by Encode.

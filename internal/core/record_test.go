@@ -23,7 +23,7 @@ func TestBindingRecordEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("header mismatch: %+v", got)
 	}
 	if !got.Neighbors.Equal(r.Neighbors) {
-		t.Errorf("neighbors = %v", got.Neighbors.Sorted())
+		t.Errorf("neighbors = %v", got.Neighbors)
 	}
 	if !got.Commitment.Equal(r.Commitment) {
 		t.Error("commitment mismatch")
@@ -35,16 +35,16 @@ func TestBindingRecordRoundTripProperty(t *testing.T) {
 		if node == 0 {
 			node = 1
 		}
-		set := nodeid.NewSet()
+		var ids []nodeid.ID
 		for _, v := range raw {
 			if v != 0 {
-				set.Add(nodeid.ID(v))
+				ids = append(ids, nodeid.ID(v))
 			}
 		}
 		r := BindingRecord{
 			Node:       nodeid.ID(node),
 			Version:    version,
-			Neighbors:  set,
+			Neighbors:  nodeid.NewSet(ids...),
 			Commitment: crypto.Hash([]byte{byte(node)}),
 		}
 		got, err := DecodeBindingRecord(r.Encode())
@@ -84,13 +84,29 @@ func TestDecodeBindingRecordRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBindingRecordCloneIndependent(t *testing.T) {
-	r := BindingRecord{Node: 1, Neighbors: nodeid.NewSet(2)}
-	c := r.Clone()
-	c.Neighbors.Add(3)
-	if r.Neighbors.Contains(3) {
-		t.Error("clone shares neighbor set")
+// TestDecodedRecordIndependentOfFrame: a decoded record owns its neighbor
+// list, so a receiver may reuse or overwrite the frame afterwards.
+func TestDecodedRecordIndependentOfFrame(t *testing.T) {
+	frame := BindingRecord{Node: 1, Neighbors: nodeid.NewSet(2, 3)}.Encode()
+	r, err := DecodeBindingRecord(frame)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	if !r.Neighbors.Equal(nodeid.Set{2, 3}) {
+		t.Errorf("neighbors follow the frame: %v", r.Neighbors)
+	}
+}
+
+// idRange returns the IDs lo..hi as a Set.
+func idRange(lo, hi nodeid.ID) nodeid.Set {
+	var s nodeid.Set
+	for id := lo; id <= hi; id++ {
+		s = append(s, id)
+	}
+	return s
 }
 
 func TestBindingRecordStorageBytes(t *testing.T) {

@@ -52,8 +52,8 @@ func (r SafetyReport) String() string {
 // a circle of the given radius can cover them all.
 func AuditSafety(l *deploy.Layout, functional *topology.Graph, compromised nodeid.Set, bound float64) []SafetyReport {
 	reports := make([]SafetyReport, 0, compromised.Len())
-	for _, c := range compromised.Sorted() {
-		// Sorted order matters: EnclosingCircle's result can differ in the
+	for _, c := range compromised {
+		// Ascending order matters: EnclosingCircle's result can differ in the
 		// last ulp with input order, and the audit must be reproducible.
 		// ForEachIn visits accepters in ascending ID order.
 		var pts []geometry.Point

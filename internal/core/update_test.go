@@ -79,7 +79,7 @@ func TestUpdateHappyPath(t *testing.T) {
 	if !updated.Neighbors.Contains(5) {
 		t.Error("evidenced neighbor 5 missing from updated record")
 	}
-	for v := range req.Record.Neighbors {
+	for _, v := range req.Record.Neighbors {
 		if !updated.Neighbors.Contains(v) {
 			t.Errorf("old neighbor %v dropped", v)
 		}
@@ -151,7 +151,7 @@ func TestServeUpdateRejectsForgedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Record.Neighbors.Add(99) // tamper
+	req.Record.Neighbors = req.Record.Neighbors.Union(nodeid.Set{99}) // tamper
 	if _, err := f.fresh.ServeUpdateRequest(req); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("err = %v, want ErrBadRecord", err)
 	}
@@ -210,13 +210,13 @@ func TestApplyUpdateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong node.
-	bad := updated.Clone()
+	bad := updated
 	bad.Node = 9
 	if err := f.old.ApplyUpdate(bad); err == nil {
 		t.Error("update for another node applied")
 	}
 	// Wrong version.
-	bad2 := updated.Clone()
+	bad2 := updated
 	bad2.Version = 5
 	if err := f.old.ApplyUpdate(bad2); err == nil {
 		t.Error("version-skipping update applied")
@@ -224,11 +224,8 @@ func TestApplyUpdateValidation(t *testing.T) {
 	// Dropping a neighbor that was in the old record must be rejected
 	// (dropping only the newly evidenced node would pass the superset
 	// check, so pick one from the pre-update record).
-	bad3 := updated.Clone()
-	for v := range f.old.Record().Neighbors {
-		bad3.Neighbors.Remove(v)
-		break
-	}
+	bad3 := updated
+	bad3.Neighbors = updated.Neighbors.Diff(f.old.Record().Neighbors[:1])
 	if err := f.old.ApplyUpdate(bad3); err == nil {
 		t.Error("neighbor-dropping update applied")
 	}

@@ -42,10 +42,10 @@ func (d Digest) Equal(e Digest) bool {
 // for a different split of the same bytes.
 func Hash(parts ...[]byte) Digest {
 	h := sha256.New()
-	var lenBuf [4]byte
+	var n [4]byte
 	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		h.Write(lenBuf[:])
+		binary.BigEndian.PutUint32(n[:], uint32(len(p)))
+		h.Write(n[:])
 		h.Write(p)
 	}
 	var d Digest
@@ -56,11 +56,30 @@ func Hash(parts ...[]byte) Digest {
 // hashTagged is Hash with a leading domain-separation tag, so digests from
 // different protocol roles (verification key, binding commitment, ...) live
 // in disjoint codomains.
+//
+// Like every hash in this package it writes its framing straight into one
+// sha256 state declared in the same function, and nothing else touches
+// that state: the compiler then keeps it and every framed part on the
+// stack, so a digest costs no allocation.
 func hashTagged(tag string, parts ...[]byte) Digest {
-	all := make([][]byte, 0, len(parts)+1)
-	all = append(all, []byte(tag))
-	all = append(all, parts...)
-	return Hash(all...)
+	h := sha256.New()
+	var buf [64]byte
+	h.Write(appendFramed(buf[:0], tag))
+	for _, p := range parts {
+		binary.BigEndian.PutUint32(buf[:4], uint32(len(p)))
+		h.Write(buf[:4])
+		h.Write(p)
+	}
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
+
+// appendFramed appends one framed part to b: its 4-byte big-endian
+// length, then its bytes.
+func appendFramed[P string | []byte](b []byte, p P) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
+	return append(b, p...)
 }
 
 func uint32Bytes(v uint32) []byte {

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -102,7 +104,26 @@ func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nod
 	if k.erased {
 		return Digest{}, ErrErased
 	}
-	return hashTagged(tagBindingCommitment, k.key, uint32Bytes(version), nodeid.EncodeList(neighbors), u.Bytes()), nil
+	// The framed list part is exactly EncodeList(neighbors), streamed
+	// through buf a chunk at a time instead of materialized.
+	h := sha256.New()
+	var buf [256]byte
+	b := appendFramed(buf[:0], tagBindingCommitment)
+	b = appendFramed(b, k.key)
+	b = appendFramed(b, uint32Bytes(version))
+	b = binary.BigEndian.AppendUint32(b, uint32(4*len(neighbors)))
+	for _, id := range neighbors {
+		if len(b)+4 > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.BigEndian.AppendUint32(b, uint32(id))
+	}
+	h.Write(b)
+	h.Write(appendFramed(buf[:0], u.Bytes()))
+	var d Digest
+	h.Sum(d[:0])
+	return d, nil
 }
 
 // RelationEvidence computes E(u,v) = H(K‖u‖v‖i): node u's proof, issued

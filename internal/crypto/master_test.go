@@ -159,10 +159,11 @@ func BenchmarkBindingCommitment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	neighbors := nodeid.NewSet()
-	for i := nodeid.ID(1); i <= 150; i++ {
-		neighbors.Add(i)
+	ids := make([]nodeid.ID, 150)
+	for i := range ids {
+		ids[i] = nodeid.ID(i + 1)
 	}
+	neighbors := nodeid.NewSet(ids...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.BindingCommitment(200, 0, neighbors); err != nil {
@@ -180,5 +181,13 @@ func BenchmarkRelationCommitment(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = kv.RelationCommitment(1)
+	}
+}
+
+func TestBindingCommitmentAllocations(t *testing.T) {
+	k := pinnedKey()
+	ns := pinnedList(150)
+	if got := testing.AllocsPerRun(100, func() { _, _ = k.BindingCommitment(42, 1, ns) }); got > 1 {
+		t.Errorf("BindingCommitment: %v allocs, budget 1", got)
 	}
 }

@@ -21,8 +21,8 @@ func assertBitIdentical(t *testing.T, want, got *topology.Graph) {
 		t.Fatalf("relation counts differ: %d vs %d", want.NumRelations(), got.NumRelations())
 	}
 	for _, u := range want.Nodes() {
-		if !reflect.DeepEqual(want.OutIDs(u), got.OutIDs(u)) {
-			t.Fatalf("row of %v differs: %v vs %v", u, want.OutIDs(u), got.OutIDs(u))
+		if !reflect.DeepEqual(want.Out(u), got.Out(u)) {
+			t.Fatalf("row of %v differs: %v vs %v", u, want.Out(u), got.Out(u))
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestTruthGraphMillionSmoke(t *testing.T) {
 	}
 	// The truth graph is symmetric by construction; spot-check a sample.
 	for _, u := range g.Nodes()[:1000] {
-		for _, v := range g.OutIDs(u) {
+		for _, v := range g.Out(u) {
 			if !g.HasRelation(v, u) {
 				t.Fatalf("asymmetric relation %v->%v", u, v)
 			}
@@ -167,7 +167,7 @@ func TestTruthGraphMillionSmoke(t *testing.T) {
 	// Run the validation sweep the accuracy metric performs, at full scale.
 	sampled := 0
 	for _, u := range g.Nodes()[:10000] {
-		for _, v := range g.OutIDs(u) {
+		for _, v := range g.Out(u) {
 			sampled += g.CommonOut(u, v)
 		}
 	}

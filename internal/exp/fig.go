@@ -148,7 +148,7 @@ func centerValidationProfile(field geometry.Rect, nodes int, r float64, threshol
 	l.DeploySampled(deploy.Uniform{}, nodes, rng, 0)
 	tent := l.TruthGraph(r)
 	center := l.ClosestToCenter()
-	neighbors := tent.OutIDs(center.Node)
+	neighbors := tent.Out(center.Node)
 
 	out := make([]float64, len(thresholds))
 	if len(neighbors) == 0 {

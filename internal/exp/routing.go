@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"snd/internal/deploy"
@@ -218,7 +219,7 @@ func benignPairs(pos map[nodeid.ID]geometry.Point, compromised nodeid.Set, n int
 			ids = append(ids, id)
 		}
 	}
-	nodeid.SortIDs(ids)
+	slices.Sort(ids)
 	pairs := make([]nodeid.Pair, 0, n)
 	for len(pairs) < n && len(ids) > 1 {
 		a := ids[rng.Intn(len(ids))]

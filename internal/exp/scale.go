@@ -121,7 +121,7 @@ func Scale(ctx context.Context, p ScaleParams) (*ScaleResult, error) {
 			pairs := 0
 			for _, i := range idx[:k] {
 				u := nodes[i]
-				neighbors := tent.OutIDs(u)
+				neighbors := tent.Out(u)
 				sample.MeanDegree += float64(len(neighbors))
 				for _, v := range neighbors {
 					c := tent.CommonOut(u, v)

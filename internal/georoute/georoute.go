@@ -19,6 +19,7 @@ package georoute
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"snd/internal/geometry"
 	"snd/internal/nodeid"
@@ -86,7 +87,7 @@ func (r *Router) gabrielGraph() map[nodeid.ID][]nodeid.ID {
 		})
 	}
 	for _, adj := range planar {
-		nodeid.SortIDs(adj)
+		slices.Sort(adj)
 	}
 	return planar
 }
@@ -122,7 +123,7 @@ func (r *Router) Route(src, dst nodeid.ID) (Result, error) {
 	}
 	res := Result{Path: []nodeid.ID{src}}
 	cur := src
-	visited := nodeid.NewSet(src)
+	visited := map[nodeid.ID]bool{src: true}
 	maxHops := 4 * (r.links.NumNodes() + 1)
 	recovering := false
 	entryDist2 := math.Inf(1)
@@ -152,7 +153,7 @@ func (r *Router) Route(src, dst nodeid.ID) (Result, error) {
 			return res, nil
 		}
 		cur = next
-		visited.Add(cur)
+		visited[cur] = true
 		res.Path = append(res.Path, cur)
 		res.Hops++
 		if recovering {
@@ -184,7 +185,7 @@ func (r *Router) greedyNext(cur nodeid.ID, dstPos geometry.Point) nodeid.ID {
 // recoveryNext picks the unvisited planar neighbor whose bearing deviates
 // least from the destination bearing (compass routing over the Gabriel
 // subgraph). The visited set keeps recovery loop-free on simple faces.
-func (r *Router) recoveryNext(cur nodeid.ID, dstPos geometry.Point, visited nodeid.Set) nodeid.ID {
+func (r *Router) recoveryNext(cur nodeid.ID, dstPos geometry.Point, visited map[nodeid.ID]bool) nodeid.ID {
 	curPos := r.pos[cur]
 	bearing := math.Atan2(dstPos.Y-curPos.Y, dstPos.X-curPos.X)
 	var (
@@ -192,7 +193,7 @@ func (r *Router) recoveryNext(cur nodeid.ID, dstPos geometry.Point, visited node
 		bestAngle = math.Inf(1)
 	)
 	for _, v := range r.planar[cur] {
-		if visited.Contains(v) {
+		if visited[v] {
 			continue
 		}
 		pv, ok := r.pos[v]

@@ -1,17 +1,23 @@
-// Package nodeid defines sensor node identifiers and ID-set utilities shared
-// by every layer of the simulator and the protocol implementation.
+// Package nodeid defines sensor node identifiers and the ID set shared by
+// every layer of the simulator and the protocol implementation.
 //
 // Node IDs are opaque 32-bit integers. The paper's neighbor validation model
 // requires decisions to be invariant under ID isomorphism (Definition 3), so
 // nothing in this package or its consumers may attach meaning to the numeric
 // value of an ID beyond equality and a stable ordering used for canonical
 // encodings.
+//
+// A Set is that canonical order made concrete: an immutable, strictly
+// ascending ID slice. Membership is a binary search, the set algebra is a
+// sorted merge, and a list's wire encoding is its IDs appended in place.
+// Code that grows a set privately (a BFS frontier, a partition under
+// assembly) keeps its own scratch slice or map and builds a Set at the end.
 package nodeid
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies a sensor node. The zero value None is reserved and never
@@ -64,154 +70,85 @@ func (p Pair) Canonical() Pair {
 	return p
 }
 
-// Set is a set of node IDs. The zero value is an empty, usable set for
-// reads; use NewSet or Add for writes.
-type Set map[ID]struct{}
+// Set is an immutable set of node IDs, stored as a strictly ascending
+// slice. Ascending is the canonical order the binding commitment hashes
+// N(u) in, so a Set encodes by appending and validates by merging: no map,
+// no sort and no copy per use.
+//
+// Ownership: constructors (NewSet, DecodeList, the set algebra) return
+// fresh storage, and nobody writes into a Set afterwards. That lets graph
+// rows, binding records and their copies share one backing array. A Set
+// built any other way (a literal or a conversion) must already be strictly
+// ascending. The zero value is the empty set.
+type Set []ID
 
-// NewSet builds a set from the given IDs.
+// NewSet builds a set from the given IDs, in any order and with repeats.
+// It copies its input, so the caller may reuse the slice afterwards.
 func NewSet(ids ...ID) Set {
-	s := make(Set, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
-// Add inserts id into the set.
-func (s Set) Add(id ID) { s[id] = struct{}{} }
-
-// Remove deletes id from the set.
-func (s Set) Remove(id ID) { delete(s, id) }
-
-// Contains reports whether id is in the set.
+// Contains reports whether id is in the set, by binary search.
 func (s Set) Contains(id ID) bool {
-	_, ok := s[id]
+	_, ok := slices.BinarySearch(s, id)
 	return ok
 }
 
 // Len returns the number of IDs in the set.
 func (s Set) Len() int { return len(s) }
 
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for id := range s {
-		c[id] = struct{}{}
-	}
-	return c
-}
-
 // Union returns a new set containing every ID in s or t.
 func (s Set) Union(t Set) Set {
-	u := make(Set, len(s)+len(t))
-	for id := range s {
-		u[id] = struct{}{}
+	u := make(Set, 0, len(s)+len(t))
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			u = append(u, s[i])
+			i++
+		case s[i] > t[j]:
+			u = append(u, t[j])
+			j++
+		default:
+			u = append(u, s[i])
+			i++
+			j++
+		}
 	}
-	for id := range t {
-		u[id] = struct{}{}
-	}
-	return u
+	u = append(u, s[i:]...)
+	return append(u, t[j:]...)
 }
 
 // Intersect returns a new set containing the IDs present in both s and t.
 func (s Set) Intersect(t Set) Set {
-	small, large := s, t
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	u := make(Set, len(small))
-	for id := range small {
-		if large.Contains(id) {
-			u[id] = struct{}{}
-		}
-	}
-	return u
-}
-
-// IntersectLen returns |s ∩ t| without allocating the intersection. This is
-// the hot operation of the paper's validation rule |N(u) ∩ N(v)| ≥ t+1.
-func (s Set) IntersectLen(t Set) int {
-	small, large := s, t
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	n := 0
-	for id := range small {
-		if large.Contains(id) {
-			n++
-		}
-	}
-	return n
-}
-
-// Diff returns a new set containing the IDs in s that are not in t.
-func (s Set) Diff(t Set) Set {
-	u := make(Set)
-	for id := range s {
-		if !t.Contains(id) {
-			u[id] = struct{}{}
-		}
-	}
-	return u
-}
-
-// Equal reports whether s and t contain exactly the same IDs.
-func (s Set) Equal(t Set) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for id := range s {
-		if !t.Contains(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// Sorted returns the set's IDs in ascending order. This is the canonical
-// ordering used when hashing neighbor lists into binding commitments.
-func (s Set) Sorted() []ID {
-	ids := make([]ID, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
-	}
-	SortIDs(ids)
-	return ids
-}
-
-// SortIDs sorts a slice of IDs in ascending order, in place.
-func SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-// ContainsSorted reports whether the ascending slice ids contains id, by
-// binary search. It is the membership primitive of the compact (CSR)
-// adjacency representation, where a neighbor row is a sorted slice rather
-// than a Set.
-func ContainsSorted(ids []ID, id ID) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
-}
-
-// IntersectSortedLen returns the size of the intersection of two ascending
-// ID slices via a linear sorted merge — the allocation-free form of
-// Set.IntersectLen for CSR rows, and the hot operation of the validation
-// rule |N(u) ∩ N(v)| ≥ t+1 at scale.
-func IntersectSortedLen(a, b []ID) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
+	u := make(Set, 0, min(len(s), len(t)))
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
 		switch {
-		case a[i] < b[j]:
+		case s[i] < t[j]:
 			i++
-		case a[i] > b[j]:
+		case s[i] > t[j]:
+			j++
+		default:
+			u = append(u, s[i])
+			i++
+			j++
+		}
+	}
+	return u
+}
+
+// IntersectLen returns |s ∩ t| by sorted merge, without allocating. This
+// is the hot operation of the paper's validation rule |N(u) ∩ N(v)| ≥ t+1.
+func (s Set) IntersectLen(t Set) int {
+	n, i, j := 0, 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			i++
+		case s[i] > t[j]:
 			j++
 		default:
 			n++
@@ -222,35 +159,53 @@ func IntersectSortedLen(a, b []ID) int {
 	return n
 }
 
+// Diff returns a new set containing the IDs in s that are not in t.
+func (s Set) Diff(t Set) Set {
+	u := make(Set, 0, len(s))
+	j := 0
+	for _, id := range s {
+		for j < len(t) && t[j] < id {
+			j++
+		}
+		if j == len(t) || t[j] != id {
+			u = append(u, id)
+		}
+	}
+	return u
+}
+
+// Equal reports whether s and t contain exactly the same IDs.
+func (s Set) Equal(t Set) bool { return slices.Equal(s, t) }
+
 // EncodeList returns the canonical byte encoding of a neighbor list: the
 // 4-byte encodings of the IDs in ascending order. Two equal sets always
 // encode identically, which makes the binding commitment well defined.
-func EncodeList(s Set) []byte {
-	ids := s.Sorted()
-	out := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		out = append(out, id.Bytes()...)
+func EncodeList(s Set) []byte { return AppendList(make([]byte, 0, 4*len(s)), s) }
+
+// AppendList appends the canonical encoding of s to b, the form record
+// encoders use to write a list straight into their frame.
+func AppendList(b []byte, s Set) []byte {
+	for _, id := range s {
+		b = binary.BigEndian.AppendUint32(b, uint32(id))
 	}
-	return out
+	return b
 }
 
-// DecodeList parses the canonical encoding produced by EncodeList. It
-// returns false unless b is a whole number of 4-byte IDs in strictly
-// ascending order: an unsorted or repeated list is not canonical, and
-// accepting one would let a single set arrive as many byte strings.
+// DecodeList parses the canonical encoding produced by EncodeList into a
+// Set of its own. It returns false unless b is a whole number of 4-byte IDs
+// in strictly ascending order: an unsorted or repeated list is not
+// canonical, and accepting one would let a single set arrive as many byte
+// strings.
 func DecodeList(b []byte) (Set, bool) {
 	if len(b)%4 != 0 {
 		return nil, false
 	}
 	s := make(Set, len(b)/4)
-	var prev ID
-	for i := 0; i < len(b); i += 4 {
-		id, _ := FromBytes(b[i : i+4])
-		if i > 0 && id <= prev {
+	for i := range s {
+		s[i] = ID(binary.BigEndian.Uint32(b[4*i:]))
+		if i > 0 && s[i] <= s[i-1] {
 			return nil, false
 		}
-		s.Add(id)
-		prev = id
 	}
 	return s, true
 }
@@ -267,16 +222,16 @@ func NewIsomorphism(from, to []ID) (Isomorphism, error) {
 		return nil, fmt.Errorf("nodeid: isomorphism domain %d != codomain %d", len(from), len(to))
 	}
 	m := make(Isomorphism, len(from))
-	seen := make(Set, len(to))
+	seen := make(map[ID]bool, len(to))
 	for i := range from {
 		if _, dup := m[from[i]]; dup {
 			return nil, fmt.Errorf("nodeid: duplicate domain id %v", from[i])
 		}
-		if seen.Contains(to[i]) {
+		if seen[to[i]] {
 			return nil, fmt.Errorf("nodeid: duplicate codomain id %v", to[i])
 		}
 		m[from[i]] = to[i]
-		seen.Add(to[i])
+		seen[to[i]] = true
 	}
 	return m, nil
 }
@@ -293,11 +248,12 @@ func (m Isomorphism) Apply(id ID) ID {
 
 // ApplySet maps every ID in s through the isomorphism.
 func (m Isomorphism) ApplySet(s Set) Set {
-	out := make(Set, len(s))
-	for id := range s {
-		out.Add(m.Apply(id))
+	out := make([]ID, len(s))
+	for i, id := range s {
+		out[i] = m.Apply(id)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Inverse returns the inverse mapping. Isomorphisms built with

@@ -59,29 +59,32 @@ func TestPairCanonical(t *testing.T) {
 }
 
 func TestSetBasicOps(t *testing.T) {
-	s := NewSet(1, 2, 3)
+	s := NewSet(3, 1, 2, 3)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	if !s.Contains(2) {
-		t.Error("Contains(2) = false")
+	for _, id := range []ID{1, 2, 3} {
+		if !s.Contains(id) {
+			t.Errorf("Contains(%v) = false", id)
+		}
 	}
-	s.Remove(2)
-	if s.Contains(2) {
-		t.Error("Contains(2) after Remove = true")
+	for _, id := range []ID{None, 4, 99} {
+		if s.Contains(id) {
+			t.Errorf("Contains(%v) = true", id)
+		}
 	}
-	s.Add(9)
-	if !s.Contains(9) {
-		t.Error("Contains(9) after Add = false")
+	var empty Set
+	if empty.Len() != 0 || empty.Contains(1) {
+		t.Error("zero Set is not empty")
 	}
 }
 
-func TestSetCloneIndependence(t *testing.T) {
-	s := NewSet(1, 2)
-	c := s.Clone()
-	c.Add(3)
-	if s.Contains(3) {
-		t.Error("mutating clone changed original")
+func TestNewSetCopiesInput(t *testing.T) {
+	ids := []ID{2, 1}
+	s := NewSet(ids...)
+	ids[0], ids[1] = 7, 8
+	if !s.Equal(Set{1, 2}) {
+		t.Errorf("set changed with its input slice: %v", s)
 	}
 }
 
@@ -90,16 +93,27 @@ func TestSetAlgebra(t *testing.T) {
 	b := NewSet(3, 4, 5)
 
 	if got := a.Intersect(b); !got.Equal(NewSet(3, 4)) {
-		t.Errorf("Intersect = %v", got.Sorted())
+		t.Errorf("Intersect = %v", got)
 	}
 	if got := a.Union(b); !got.Equal(NewSet(1, 2, 3, 4, 5)) {
-		t.Errorf("Union = %v", got.Sorted())
+		t.Errorf("Union = %v", got)
 	}
 	if got := a.Diff(b); !got.Equal(NewSet(1, 2)) {
-		t.Errorf("Diff = %v", got.Sorted())
+		t.Errorf("Diff = %v", got)
 	}
 	if got := a.IntersectLen(b); got != 2 {
 		t.Errorf("IntersectLen = %d, want 2", got)
+	}
+	if !a.Equal(NewSet(1, 2, 3, 4)) || !b.Equal(NewSet(3, 4, 5)) {
+		t.Errorf("operands changed: %v, %v", a, b)
+	}
+}
+
+func TestIntersectLenAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randomDense(rng, 150), randomDense(rng, 150)
+	if n := testing.AllocsPerRun(100, func() { _ = a.IntersectLen(b) }); n != 0 {
+		t.Errorf("IntersectLen allocates %v times, want 0", n)
 	}
 }
 
@@ -134,8 +148,7 @@ func TestSetEqual(t *testing.T) {
 }
 
 func TestSortedIsAscending(t *testing.T) {
-	s := NewSet(9, 1, 5, 3)
-	got := s.Sorted()
+	got := NewSet(9, 1, 5, 3, 9)
 	want := []ID{1, 3, 5, 9}
 	if len(got) != len(want) {
 		t.Fatalf("Sorted len = %d", len(got))
@@ -159,10 +172,11 @@ func TestEncodeListCanonical(t *testing.T) {
 
 func TestEncodeDecodeListRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
-		s := make(Set, len(raw))
-		for _, v := range raw {
-			s.Add(ID(v))
+		ids := make([]ID, len(raw))
+		for i, v := range raw {
+			ids[i] = ID(v)
 		}
+		s := NewSet(ids...)
 		dec, ok := DecodeList(EncodeList(s))
 		return ok && dec.Equal(s)
 	}
@@ -196,7 +210,8 @@ func TestDecodeListRejectsNonCanonical(t *testing.T) {
 }
 
 // FuzzDecodeList: arbitrary bytes never panic, and whatever decodes is
-// canonical — it re-encodes to exactly the input bytes.
+// canonical — a strictly ascending Set that re-encodes to exactly the input
+// bytes.
 func FuzzDecodeList(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeList(NewSet(1, 2, 300)))
@@ -208,6 +223,7 @@ func FuzzDecodeList(f *testing.F) {
 		if !ok {
 			return
 		}
+		assertAscending(t, "DecodeList", s)
 		if got := EncodeList(s); !bytes.Equal(got, data) {
 			t.Fatalf("decoded %x re-encodes as %x", data, got)
 		}
@@ -247,7 +263,11 @@ func TestIsomorphismApply(t *testing.T) {
 		t.Errorf("Apply(99) = %v, want identity on unmapped IDs", got)
 	}
 	if got := m.ApplySet(NewSet(1, 2, 3)); !got.Equal(NewSet(10, 20, 3)) {
-		t.Errorf("ApplySet = %v", got.Sorted())
+		t.Errorf("ApplySet = %v", got)
+	}
+	// A renaming onto an ID the set already holds collapses the two.
+	if got := m.ApplySet(NewSet(1, 10)); !got.Equal(NewSet(10)) {
+		t.Errorf("ApplySet onto a held ID = %v", got)
 	}
 }
 
@@ -269,12 +289,11 @@ func TestIsomorphismInverseRoundTrip(t *testing.T) {
 }
 
 func randomSet(rng *rand.Rand, maxLen int) Set {
-	s := NewSet()
-	n := rng.Intn(maxLen)
-	for i := 0; i < n; i++ {
-		s.Add(ID(rng.Intn(40) + 1))
+	ids := make([]ID, rng.Intn(maxLen))
+	for i := range ids {
+		ids[i] = ID(rng.Intn(40) + 1)
 	}
-	return s
+	return NewSet(ids...)
 }
 
 func BenchmarkIntersectLen(b *testing.B) {
@@ -288,9 +307,9 @@ func BenchmarkIntersectLen(b *testing.B) {
 }
 
 func randomDense(rng *rand.Rand, n int) Set {
-	s := make(Set, n)
-	for i := 0; i < n; i++ {
-		s.Add(ID(rng.Intn(400) + 1))
+	ids := make([]ID, n)
+	for i := range ids {
+		ids[i] = ID(rng.Intn(400) + 1)
 	}
-	return s
+	return NewSet(ids...)
 }

@@ -3,6 +3,14 @@
 // attacker jamming regions, and the message/byte accounting behind the
 // paper's communication-overhead results.
 //
+// Receivers are resolved per frame. A broadcast sweeps the layout's spatial
+// index for the alive devices in range of the sender. A unicast to node v
+// walks only the devices claiming v — its primary and any replicas — and
+// keeps those the sweep would have found: not the sender, alive and in
+// range. Both visit receivers in ascending handle order, so a unicast
+// applies its jam checks and loss draws exactly as a filtered broadcast
+// would, at O(1 + replicas) cost.
+//
 // The medium is safe for concurrent use. Each device attaches a Transceiver
 // whose inbox is a growable FIFO with its own lock: it costs nothing until
 // frames arrive, and both engines read it with TryRecv — the synchronous
@@ -258,46 +266,65 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 		return 0, nil
 	}
 
-	// Receivers come from the layout's spatial index: the alive devices in
-	// range of the sender, in deployment order — the same set the old scan
-	// over every attached transceiver produced, but in O(k) and with a
-	// deterministic order, so the loss process below is reproducible per
-	// seed instead of following map iteration order.
 	delivered := 0
-	m.layout.ForEachInRange(h, m.cfg.Range, func(rcv *deploy.Device) {
-		t := m.trxAt(rcv.Handle)
-		if t == nil {
-			return
+	if to == nodeid.None {
+		// A broadcast reaches every alive device in range of the sender,
+		// from the layout's spatial index in deployment order, so the loss
+		// process below is reproducible per seed.
+		m.layout.ForEachInRange(h, m.cfg.Range, func(rcv *deploy.Device) {
+			if m.deliver(rcv, msg) {
+				delivered++
+			}
+		})
+		return delivered, nil
+	}
+	// A unicast can only reach devices claiming `to`, so it walks those —
+	// the primary and any replicas, in ascending handle order — and keeps
+	// the ones the range sweep would have reported: not the sender, alive,
+	// and in range. Same receivers, same order, same loss draws, in O(1 +
+	// replicas) instead of a neighborhood sweep and sort.
+	r := m.cfg.Range
+	m.layout.ForEachDeviceOf(to, func(rcv *deploy.Device) {
+		if rcv.Handle != h && rcv.Alive && r >= 0 && sender.Pos.InRange(rcv.Pos, r) && m.deliver(rcv, msg) {
+			delivered++
 		}
-		if to != nodeid.None && rcv.Node != to {
-			return
-		}
-		if m.inJam(rcv.Pos) {
-			m.count.LostJammed++
-			return
-		}
-		if m.cfg.LossProb > 0 && m.rng.Float64() < m.cfg.LossProb {
-			m.count.LostRandom++
-			return
-		}
-		t.mu.Lock()
-		if len(t.queue)-t.head >= m.cfg.InboxSize {
-			t.mu.Unlock()
-			m.count.LostOverflow++
-			return
-		}
-		t.queue = append(t.queue, msg)
-		t.mu.Unlock()
-		select {
-		case t.ready <- struct{}{}:
-		default:
-		}
-		delivered++
-		m.count.Delivered++
-		m.count.BytesDelivered += len(body)
-		m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
 	})
 	return delivered, nil
+}
+
+// deliver queues msg at receiver rcv unless rcv is detached, jammed, loses
+// the loss draw or has a full inbox, and does the accounting. It reports
+// whether the frame was queued. Callers hold m.mu.
+func (m *Medium) deliver(rcv *deploy.Device, msg Message) bool {
+	t := m.trxAt(rcv.Handle)
+	if t == nil {
+		return false
+	}
+	if m.inJam(rcv.Pos) {
+		m.count.LostJammed++
+		return false
+	}
+	if m.cfg.LossProb > 0 && m.rng.Float64() < m.cfg.LossProb {
+		m.count.LostRandom++
+		return false
+	}
+	t.mu.Lock()
+	if len(t.queue)-t.head >= m.cfg.InboxSize {
+		t.mu.Unlock()
+		m.count.LostOverflow++
+		return false
+	}
+	t.queue = append(t.queue, msg)
+	t.mu.Unlock()
+	select {
+	case t.ready <- struct{}{}:
+	default:
+	}
+	n := len(msg.Payload)
+	m.count.Delivered++
+	m.count.BytesDelivered += n
+	m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(n)
+	return true
 }
 
 func (m *Medium) inJam(p geometry.Point) bool {

@@ -22,7 +22,7 @@ func (s *Simulation) FunctionalGraph() *topology.Graph {
 			return
 		}
 		b.AddNode(d.Node)
-		for v := range ep.Functional() {
+		for _, v := range ep.Functional() {
 			b.AddRelation(d.Node, v)
 		}
 	})

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"snd/internal/adversary"
 	"snd/internal/core"
@@ -225,7 +226,7 @@ func (s *Simulation) KillFraction(frac float64) []nodeid.ID {
 	for _, d := range killed {
 		ids = append(ids, d.Node)
 	}
-	nodeid.SortIDs(ids)
+	slices.Sort(ids)
 	return ids
 }
 

@@ -123,7 +123,7 @@ func TestIncrementalDeployment(t *testing.T) {
 			continue
 		}
 		ep := s.Endpoint(d.Handle)
-		for v := range ep.Functional() {
+		for _, v := range ep.Functional() {
 			if vd := s.Layout().Primary(v); vd != nil && vd.Round == 1 {
 				crossEdges++
 			}

@@ -34,7 +34,7 @@ import (
 // look at in-edges and symmetric graphs would pay double memory for
 // nothing.
 type Graph struct {
-	ids   []nodeid.ID // vertices, ascending
+	ids   nodeid.Set  // vertices, ascending
 	off   []int       // len(ids)+1 row offsets into adj
 	adj   []nodeid.ID // out-neighbors, each row ascending
 	edges int
@@ -73,7 +73,7 @@ func (g *Graph) idx(u nodeid.ID) int {
 }
 
 // row returns u's out-neighbor row (ascending), shared storage.
-func (g *Graph) row(u nodeid.ID) []nodeid.ID {
+func (g *Graph) row(u nodeid.ID) nodeid.Set {
 	i := g.idx(u)
 	if i < 0 {
 		return nil
@@ -86,7 +86,7 @@ func (g *Graph) HasNode(id nodeid.ID) bool { return g.idx(id) >= 0 }
 
 // HasRelation reports whether the relation (from, to) exists.
 func (g *Graph) HasRelation(from, to nodeid.ID) bool {
-	return nodeid.ContainsSorted(g.row(from), to)
+	return g.row(from).Contains(to)
 }
 
 // HasMutual reports whether both (a, b) and (b, a) exist.
@@ -94,16 +94,9 @@ func (g *Graph) HasMutual(a, b nodeid.ID) bool {
 	return g.HasRelation(a, b) && g.HasRelation(b, a)
 }
 
-// Out returns a copy of u's tentative neighbor set N(u). Snapshot use
-// only; hot paths iterate with ForEachOut or OutIDs.
-func (g *Graph) Out(u nodeid.ID) nodeid.Set {
-	return nodeid.NewSet(g.row(u)...)
-}
-
-// OutIDs returns u's out-neighbors in ascending order. The slice is the
-// graph's own storage: callers must not modify it. This is the zero-copy
-// accessor for scale-sensitive sweeps.
-func (g *Graph) OutIDs(u nodeid.ID) []nodeid.ID { return g.row(u) }
+// Out returns u's tentative neighbor set N(u): its CSR row, shared with
+// the graph and never copied. Like every Set it is read-only.
+func (g *Graph) Out(u nodeid.ID) nodeid.Set { return g.row(u) }
 
 // OutLen returns |N(u)| without copying.
 func (g *Graph) OutLen(u nodeid.ID) int { return len(g.row(u)) }
@@ -119,7 +112,7 @@ func (g *Graph) ForEachOut(u nodeid.ID, fn func(v nodeid.ID)) {
 // CommonOut returns |N(u) ∩ N(v)| by sorted merge, without allocating —
 // the quantity at the heart of the paper's validation rule.
 func (g *Graph) CommonOut(u, v nodeid.ID) int {
-	return nodeid.IntersectSortedLen(g.row(u), g.row(v))
+	return g.row(u).IntersectLen(g.row(v))
 }
 
 // Nodes returns the vertex IDs in ascending order (a fresh copy).
@@ -127,8 +120,8 @@ func (g *Graph) Nodes() []nodeid.ID {
 	return append([]nodeid.ID(nil), g.ids...)
 }
 
-// NodeSet returns a copy of the vertex set.
-func (g *Graph) NodeSet() nodeid.Set { return nodeid.NewSet(g.ids...) }
+// NodeSet returns the vertex set, shared with the graph.
+func (g *Graph) NodeSet() nodeid.Set { return g.ids }
 
 // NumNodes returns the number of vertices.
 func (g *Graph) NumNodes() int { return len(g.ids) }
@@ -163,7 +156,7 @@ func (g *Graph) reverse() {
 }
 
 // inRow returns u's in-neighbor row (ascending), shared storage.
-func (g *Graph) inRow(u nodeid.ID) []nodeid.ID {
+func (g *Graph) inRow(u nodeid.ID) nodeid.Set {
 	g.reverse()
 	i := g.idx(u)
 	if i < 0 {
@@ -172,11 +165,9 @@ func (g *Graph) inRow(u nodeid.ID) []nodeid.ID {
 	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
 }
 
-// In returns a copy of the set of nodes asserting u as their neighbor.
-// Snapshot use only; hot paths iterate with ForEachIn.
-func (g *Graph) In(u nodeid.ID) nodeid.Set {
-	return nodeid.NewSet(g.inRow(u)...)
-}
+// In returns the set of nodes asserting u as their neighbor: its in-edge
+// CSR row, shared with the graph.
+func (g *Graph) In(u nodeid.ID) nodeid.Set { return g.inRow(u) }
 
 // InLen returns u's in-degree without copying.
 func (g *Graph) InLen(u nodeid.ID) int { return len(g.inRow(u)) }
@@ -220,7 +211,7 @@ func (g *Graph) Relabel(iso nodeid.Isomorphism) *Graph {
 // only the kept vertices' rows, so its cost follows the result, not g.
 func (g *Graph) Subgraph(keep nodeid.Set) *Graph {
 	b := NewBuilder()
-	for u := range keep {
+	for _, u := range keep {
 		i := g.idx(u)
 		if i < 0 {
 			continue
@@ -241,27 +232,23 @@ func (g *Graph) Subgraph(keep nodeid.Set) *Graph {
 // tentative neighbor relations known by u", for a localized validation
 // function.
 func (g *Graph) EgoNetwork(u nodeid.ID, hops int) *Graph {
-	frontier := []nodeid.ID{u}
-	reach := nodeid.NewSet(u)
-	for h := 0; h < hops && len(frontier) > 0; h++ {
-		var next []nodeid.ID
+	reached := []nodeid.ID{u}
+	seen := map[nodeid.ID]bool{u: true}
+	for h, frontier := 0, reached; h < hops && len(frontier) > 0; h++ {
+		start := len(reached)
 		for _, v := range frontier {
-			for _, w := range g.row(v) {
-				if !reach.Contains(w) {
-					reach.Add(w)
-					next = append(next, w)
-				}
-			}
-			for _, w := range g.inRow(v) {
-				if !reach.Contains(w) {
-					reach.Add(w)
-					next = append(next, w)
+			for _, row := range [2]nodeid.Set{g.row(v), g.inRow(v)} {
+				for _, w := range row {
+					if !seen[w] {
+						seen[w] = true
+						reached = append(reached, w)
+					}
 				}
 			}
 		}
-		frontier = next
+		frontier = reached[start:]
 	}
-	return g.Subgraph(reach)
+	return g.Subgraph(nodeid.NewSet(reached...))
 }
 
 // Builder accumulates vertices and relations and finalizes them into a
@@ -389,7 +376,7 @@ func (g *Graph) collectVertices(nodes []nodeid.ID, pairs []nodeid.Pair) {
 		for _, p := range pairs {
 			all = append(all, p.From, p.To)
 		}
-		nodeid.SortIDs(all)
+		slices.Sort(all)
 		g.ids = slices.Compact(all)
 		return
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,55 +13,74 @@ import (
 )
 
 // oracle is the test-only reference model of a relation graph: a vertex
-// set plus a relation set, with every query answered by brute force. It
-// shares no code with Graph, so agreement between the two is evidence.
+// set plus a relation set, with every query answered by brute force over
+// maps. It shares no code with Graph, so agreement between the two is
+// evidence.
 type oracle struct {
-	nodes nodeid.Set
+	nodes map[nodeid.ID]bool
 	rel   map[nodeid.Pair]bool
 }
 
 func newOracle() *oracle {
-	return &oracle{nodes: nodeid.NewSet(), rel: make(map[nodeid.Pair]bool)}
+	return &oracle{nodes: make(map[nodeid.ID]bool), rel: make(map[nodeid.Pair]bool)}
 }
 
-func (o *oracle) addNode(u nodeid.ID) { o.nodes.Add(u) }
+func (o *oracle) addNode(u nodeid.ID) { o.nodes[u] = true }
 
 func (o *oracle) addRelation(u, v nodeid.ID) {
 	if u == v {
 		return
 	}
-	o.nodes.Add(u)
-	o.nodes.Add(v)
+	o.nodes[u] = true
+	o.nodes[v] = true
 	o.rel[nodeid.Pair{From: u, To: v}] = true
 }
 
+// sortedIDs lists a membership map's IDs ascending, as a Set.
+func sortedIDs(m map[nodeid.ID]bool) nodeid.Set {
+	ids := make([]nodeid.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 func (o *oracle) out(u nodeid.ID) nodeid.Set {
-	s := nodeid.NewSet()
+	s := make(map[nodeid.ID]bool)
 	for p := range o.rel {
 		if p.From == u {
-			s.Add(p.To)
+			s[p.To] = true
 		}
 	}
-	return s
+	return sortedIDs(s)
 }
 
 func (o *oracle) in(u nodeid.ID) nodeid.Set {
-	s := nodeid.NewSet()
+	s := make(map[nodeid.ID]bool)
 	for p := range o.rel {
 		if p.To == u {
-			s.Add(p.From)
+			s[p.From] = true
 		}
 	}
-	return s
+	return sortedIDs(s)
 }
 
-func (o *oracle) commonOut(u, v nodeid.ID) int { return o.out(u).IntersectLen(o.out(v)) }
+func (o *oracle) commonOut(u, v nodeid.ID) int {
+	n := 0
+	for p := range o.rel {
+		if p.From == u && o.rel[nodeid.Pair{From: v, To: p.To}] {
+			n++
+		}
+	}
+	return n
+}
 
 // partitions labels every vertex with the smallest ID it is weakly
 // connected to, relaxing over all relations until nothing changes, then
 // orders the groups largest first, ties by smallest member.
 func (o *oracle) partitions() [][]nodeid.ID {
-	label := make(map[nodeid.ID]nodeid.ID, o.nodes.Len())
+	label := make(map[nodeid.ID]nodeid.ID, len(o.nodes))
 	for u := range o.nodes {
 		label[u] = u
 	}
@@ -77,7 +97,7 @@ func (o *oracle) partitions() [][]nodeid.ID {
 		}
 	}
 	groups := make(map[nodeid.ID][]nodeid.ID)
-	for _, u := range o.nodes.Sorted() {
+	for _, u := range sortedIDs(o.nodes) {
 		groups[label[u]] = append(groups[label[u]], u)
 	}
 	var parts [][]nodeid.ID
@@ -116,15 +136,15 @@ func (o *oracle) relabel(iso nodeid.Isomorphism) *oracle {
 	return r
 }
 
-func (o *oracle) subgraph(keep nodeid.Set) *oracle {
+func (o *oracle) subgraph(keep map[nodeid.ID]bool) *oracle {
 	s := newOracle()
 	for u := range o.nodes {
-		if keep.Contains(u) {
+		if keep[u] {
 			s.addNode(u)
 		}
 	}
 	for p := range o.rel {
-		if keep.Contains(p.From) && keep.Contains(p.To) {
+		if keep[p.From] && keep[p.To] {
 			s.addRelation(p.From, p.To)
 		}
 	}
@@ -134,15 +154,15 @@ func (o *oracle) subgraph(keep nodeid.Set) *oracle {
 // ego grows the reach set one hop at a time across relations in either
 // direction.
 func (o *oracle) ego(u nodeid.ID, hops int) *oracle {
-	reach := nodeid.NewSet(u)
+	reach := map[nodeid.ID]bool{u: true}
 	for h := 0; h < hops; h++ {
-		next := reach.Clone()
+		next := maps.Clone(reach)
 		for p := range o.rel {
-			if reach.Contains(p.From) {
-				next.Add(p.To)
+			if reach[p.From] {
+				next[p.To] = true
 			}
-			if reach.Contains(p.To) {
-				next.Add(p.From)
+			if reach[p.To] {
+				next[p.From] = true
 			}
 		}
 		reach = next
@@ -196,41 +216,39 @@ func scriptFromOps(rng *rand.Rand, ops, idRange int) (*oracle, *Graph) {
 // absent ones).
 func assertMatchesOracle(t *testing.T, o *oracle, g *Graph, idRange int) {
 	t.Helper()
-	if g.NumNodes() != o.nodes.Len() || g.NumRelations() != len(o.rel) {
+	if g.NumNodes() != len(o.nodes) || g.NumRelations() != len(o.rel) {
 		t.Fatalf("counts: graph %d/%d, oracle %d/%d",
-			g.NumNodes(), g.NumRelations(), o.nodes.Len(), len(o.rel))
+			g.NumNodes(), g.NumRelations(), len(o.nodes), len(o.rel))
 	}
-	if want := o.nodes.Sorted(); !slices.Equal(g.Nodes(), want) {
+	want := sortedIDs(o.nodes)
+	if !slices.Equal(g.Nodes(), want) {
 		t.Fatalf("Nodes: graph %v, oracle %v", g.Nodes(), want)
 	}
-	if !g.NodeSet().Equal(o.nodes) {
+	if !g.NodeSet().Equal(want) {
 		t.Fatal("NodeSet mismatch")
 	}
 	for u := nodeid.ID(0); u <= nodeid.ID(idRange)+1; u++ {
-		if g.HasNode(u) != o.nodes.Contains(u) {
+		if g.HasNode(u) != o.nodes[u] {
 			t.Fatalf("HasNode(%v) = %v", u, g.HasNode(u))
 		}
 		out, in := o.out(u), o.in(u)
 		if !g.Out(u).Equal(out) {
-			t.Fatalf("Out(%v): graph %v, oracle %v", u, g.Out(u).Sorted(), out.Sorted())
+			t.Fatalf("Out(%v): graph %v, oracle %v", u, g.Out(u), out)
 		}
 		if !g.In(u).Equal(in) {
-			t.Fatalf("In(%v): graph %v, oracle %v", u, g.In(u).Sorted(), in.Sorted())
+			t.Fatalf("In(%v): graph %v, oracle %v", u, g.In(u), in)
 		}
 		if g.OutLen(u) != out.Len() || g.InLen(u) != in.Len() {
 			t.Fatalf("degrees of %v differ", u)
 		}
-		if !slices.Equal(g.OutIDs(u), out.Sorted()) {
-			t.Fatalf("OutIDs(%v) = %v, want %v", u, g.OutIDs(u), out.Sorted())
-		}
 		var outEach, inEach []nodeid.ID
 		g.ForEachOut(u, func(v nodeid.ID) { outEach = append(outEach, v) })
 		g.ForEachIn(u, func(v nodeid.ID) { inEach = append(inEach, v) })
-		if !slices.Equal(outEach, g.OutIDs(u)) {
-			t.Fatalf("ForEachOut(%v) order: %v vs %v", u, outEach, g.OutIDs(u))
+		if !slices.Equal(outEach, g.Out(u)) {
+			t.Fatalf("ForEachOut(%v) order: %v vs %v", u, outEach, g.Out(u))
 		}
-		if !slices.Equal(inEach, in.Sorted()) {
-			t.Fatalf("ForEachIn(%v) = %v, want %v", u, inEach, in.Sorted())
+		if !slices.Equal(inEach, in) {
+			t.Fatalf("ForEachIn(%v) = %v, want %v", u, inEach, in)
 		}
 		for v := nodeid.ID(0); v <= nodeid.ID(idRange)+1; v++ {
 			rel := o.rel[nodeid.Pair{From: u, To: v}]
@@ -250,8 +268,8 @@ func assertMatchesOracle(t *testing.T, o *oracle, g *Graph, idRange int) {
 		t.Fatalf("partition count: graph %d, oracle %d", len(gp), len(op))
 	}
 	for i := range gp {
-		if !slices.Equal(gp[i].Members.Sorted(), op[i]) {
-			t.Fatalf("partition %d: graph %v, oracle %v", i, gp[i].Members.Sorted(), op[i])
+		if !slices.Equal(gp[i].Members, op[i]) {
+			t.Fatalf("partition %d: graph %v, oracle %v", i, gp[i].Members, op[i])
 		}
 	}
 	for _, policy := range []UsefulPolicy{LargestOnly{}, MinSize{N: 2}, MinSize{N: 4}} {
@@ -292,14 +310,13 @@ func TestFreezeDifferential(t *testing.T) {
 		assertMatchesOracle(t, o.relabel(iso), g.Relabel(iso), 2*idRange)
 
 		// ...a random induced subgraph...
-		keep := nodeid.NewSet()
+		keep := map[nodeid.ID]bool{idRange + 5: true} // absent IDs in keep are ignored
 		for _, id := range from {
 			if rng.Intn(2) == 0 {
-				keep.Add(id)
+				keep[id] = true
 			}
 		}
-		keep.Add(idRange + 5) // absent IDs in keep are ignored
-		assertMatchesOracle(t, o.subgraph(keep), g.Subgraph(keep), idRange+5)
+		assertMatchesOracle(t, o.subgraph(keep), g.Subgraph(sortedIDs(keep)), idRange+5)
 
 		// ...and ego networks of every radius up to the graph's size.
 		if len(from) > 0 {
@@ -394,8 +411,8 @@ func TestBuilderCanonicalizes(t *testing.T) {
 	if !slices.Equal(c.Nodes(), []nodeid.ID{1, 2, 3, 9}) {
 		t.Fatalf("nodes = %v", c.Nodes())
 	}
-	if !slices.Equal(c.OutIDs(1), []nodeid.ID{2, 3}) || !slices.Equal(c.OutIDs(3), []nodeid.ID{1}) {
-		t.Fatalf("rows: 1->%v 3->%v", c.OutIDs(1), c.OutIDs(3))
+	if !slices.Equal(c.Out(1), []nodeid.ID{2, 3}) || !slices.Equal(c.Out(3), []nodeid.ID{1}) {
+		t.Fatalf("rows: 1->%v 3->%v", c.Out(1), c.Out(3))
 	}
 
 	// Same content in reversed insertion order finalizes to the same CSR.
@@ -486,17 +503,22 @@ func TestAddMutual(t *testing.T) {
 	}
 }
 
-func TestOutInCopies(t *testing.T) {
-	g := build(func(b *Builder) { b.AddRelation(1, 2) })
-	out := g.Out(1)
-	out.Add(99)
-	if g.HasRelation(1, 99) {
-		t.Error("mutating Out copy changed graph")
+// TestOutInShareRows: Out and In hand out the CSR rows themselves, with
+// no copy per call.
+func TestOutInShareRows(t *testing.T) {
+	g := build(func(b *Builder) {
+		b.AddRelation(1, 3)
+		b.AddRelation(1, 2)
+		b.AddRelation(4, 2)
+	})
+	if !g.Out(1).Equal(nodeid.Set{2, 3}) || !g.In(2).Equal(nodeid.Set{1, 4}) {
+		t.Fatalf("Out(1) = %v, In(2) = %v", g.Out(1), g.In(2))
 	}
-	in := g.In(2)
-	in.Add(98)
-	if g.In(2).Contains(98) {
-		t.Error("mutating In copy changed graph")
+	if &g.Out(1)[0] != &g.Out(1)[0] {
+		t.Error("Out copies its row")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = g.Out(1) }); n != 0 {
+		t.Errorf("Out allocates %v times, want 0", n)
 	}
 	// Unknown node yields empty set, not nil panic.
 	if g.Out(42).Len() != 0 {
@@ -624,7 +646,7 @@ func TestRandomGraphInvariants(t *testing.T) {
 	for _, u := range g.Nodes() {
 		out := g.Out(u)
 		count += out.Len()
-		for v := range out {
+		for _, v := range out {
 			if !g.In(v).Contains(u) {
 				t.Fatalf("in/out inconsistent for (%v,%v)", u, v)
 			}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"sort"
 
 	"snd/internal/nodeid"
@@ -27,13 +28,13 @@ func (g *Graph) Partitions() []Partition {
 		if visited[start] {
 			continue
 		}
-		members := nodeid.NewSet()
+		var members []nodeid.ID
 		visited[start] = true
 		stack = append(stack[:0], start)
 		for len(stack) > 0 {
 			i := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			members.Add(g.ids[i])
+			members = append(members, g.ids[i])
 			for _, v := range g.adj[g.off[i]:g.off[i+1]] {
 				if j := g.idx(v); !visited[j] {
 					visited[j] = true
@@ -47,6 +48,7 @@ func (g *Graph) Partitions() []Partition {
 				}
 			}
 		}
+		slices.Sort(members)
 		parts = append(parts, Partition{Members: members})
 	}
 	sortPartitions(parts)
@@ -60,20 +62,8 @@ func sortPartitions(parts []Partition) {
 		if parts[i].Size() != parts[j].Size() {
 			return parts[i].Size() > parts[j].Size()
 		}
-		return minID(parts[i].Members) < minID(parts[j].Members)
+		return parts[i].Members[0] < parts[j].Members[0]
 	})
-}
-
-func minID(s nodeid.Set) nodeid.ID {
-	var min nodeid.ID
-	first := true
-	for id := range s {
-		if first || id < min {
-			min = id
-			first = false
-		}
-	}
-	return min
 }
 
 // UsefulPolicy decides which partitions an application considers usable
@@ -112,14 +102,12 @@ func (g *Graph) NonIsolatedNodes(policy UsefulPolicy) []nodeid.ID {
 // selectByUsefulness gathers the members of the partitions whose
 // usefulness under the policy matches wantUseful, ascending.
 func selectByUsefulness(parts []Partition, policy UsefulPolicy, wantUseful bool) []nodeid.ID {
-	picked := nodeid.NewSet()
+	var picked []nodeid.ID
 	for rank, p := range parts {
-		if policy.Useful(rank, p) != wantUseful {
-			continue
-		}
-		for id := range p.Members {
-			picked.Add(id)
+		if policy.Useful(rank, p) == wantUseful {
+			picked = append(picked, p.Members...)
 		}
 	}
-	return picked.Sorted()
+	slices.Sort(picked)
+	return picked
 }

@@ -46,18 +46,18 @@ func TestQuickRelabelPreservesStructure(t *testing.T) {
 func TestQuickPartitionsCoverExactly(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graphFromOps(seed, 120)
-		seen := nodeid.NewSet()
+		seen := make(map[nodeid.ID]bool)
 		total := 0
 		for _, p := range g.Partitions() {
 			total += p.Size()
-			for id := range p.Members {
-				if seen.Contains(id) {
+			for _, id := range p.Members {
+				if seen[id] {
 					return false // overlap
 				}
-				seen.Add(id)
+				seen[id] = true
 			}
 		}
-		return total == g.NumNodes() && seen.Len() == g.NumNodes()
+		return total == g.NumNodes() && len(seen) == g.NumNodes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -72,10 +72,10 @@ func TestQuickSubgraphIdempotent(t *testing.T) {
 		if !g.Subgraph(g.NodeSet()).Equal(g) {
 			return false
 		}
-		keep := nodeid.NewSet()
+		var keep nodeid.Set
 		for i := 0; i < 20; i++ {
 			if keepMask&(1<<i) != 0 {
-				keep.Add(nodeid.ID(i + 1))
+				keep = append(keep, nodeid.ID(i+1))
 			}
 		}
 		once := g.Subgraph(keep)

@@ -55,7 +55,9 @@ import (
 type (
 	// NodeID identifies a logical sensor node.
 	NodeID = nodeid.ID
-	// NodeSet is a set of node IDs.
+	// NodeSet is an immutable set of node IDs: a strictly ascending slice,
+	// shared rather than copied. Build one with NewNodeSet; derive new
+	// ones with Union, Intersect and Diff.
 	NodeSet = nodeid.Set
 	// Point is a position in the deployment plane (meters).
 	Point = geometry.Point
@@ -65,7 +67,7 @@ type (
 	Circle = geometry.Circle
 )
 
-// NewNodeSet builds a set from the given IDs.
+// NewNodeSet builds a set from the given IDs, in any order; it copies them.
 func NewNodeSet(ids ...NodeID) NodeSet { return nodeid.NewSet(ids...) }
 
 // NewField returns the rectangle [0,w] × [0,h].
