@@ -42,10 +42,10 @@ func (d Digest) Equal(e Digest) bool {
 // for a different split of the same bytes.
 func Hash(parts ...[]byte) Digest {
 	h := sha256.New()
-	var n [4]byte
+	var lenBuf [4]byte
 	for _, p := range parts {
-		binary.BigEndian.PutUint32(n[:], uint32(len(p)))
-		h.Write(n[:])
+		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
+		h.Write(lenBuf[:])
 		h.Write(p)
 	}
 	var d Digest
@@ -57,10 +57,9 @@ func Hash(parts ...[]byte) Digest {
 // different protocol roles (verification key, binding commitment, ...) live
 // in disjoint codomains.
 //
-// Like every hash in this package it writes its framing straight into one
-// sha256 state declared in the same function, and nothing else touches
-// that state: the compiler then keeps it and every framed part on the
-// stack, so a digest costs no allocation.
+// The framing goes straight into a sha256 state that never leaves this
+// function, so the compiler keeps the state and the framed parts on the
+// stack and a digest allocates nothing.
 func hashTagged(tag string, parts ...[]byte) Digest {
 	h := sha256.New()
 	var buf [64]byte

@@ -232,23 +232,29 @@ func (g *Graph) Subgraph(keep nodeid.Set) *Graph {
 // tentative neighbor relations known by u", for a localized validation
 // function.
 func (g *Graph) EgoNetwork(u nodeid.ID, hops int) *Graph {
-	reached := []nodeid.ID{u}
+	frontier := []nodeid.ID{u}
+	reach := []nodeid.ID{u}
 	seen := map[nodeid.ID]bool{u: true}
-	for h, frontier := 0, reached; h < hops && len(frontier) > 0; h++ {
-		start := len(reached)
+	for h := 0; h < hops && len(frontier) > 0; h++ {
+		var next []nodeid.ID
 		for _, v := range frontier {
-			for _, row := range [2]nodeid.Set{g.row(v), g.inRow(v)} {
-				for _, w := range row {
-					if !seen[w] {
-						seen[w] = true
-						reached = append(reached, w)
-					}
+			for _, w := range g.row(v) {
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
+				}
+			}
+			for _, w := range g.inRow(v) {
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
 				}
 			}
 		}
-		frontier = reached[start:]
+		reach = append(reach, next...)
+		frontier = next
 	}
-	return g.Subgraph(nodeid.NewSet(reached...))
+	return g.Subgraph(nodeid.NewSet(reach...))
 }
 
 // Builder accumulates vertices and relations and finalizes them into a
