@@ -119,7 +119,7 @@ func (a *Attacker) ForgeSubstitution(g *topology.Graph, rule topology.CommonNeig
 		return nil, fmt.Errorf("adversary: substitution needs a compromised node, %v is not", v)
 	}
 	need := rule.Threshold + 1
-	have := g.OutLen(target)
+	have := len(g.Out(target))
 	if g.HasRelation(target, v) {
 		have--
 	}
@@ -256,7 +256,7 @@ func FindCoLocatedClique(g *topology.Graph, k int) []nodeid.ID {
 	ordered := make([]nodeid.ID, len(nodes))
 	copy(ordered, nodes)
 	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && g.OutLen(ordered[j]) > g.OutLen(ordered[j-1]); j-- {
+		for j := i; j > 0 && len(g.Out(ordered[j])) > len(g.Out(ordered[j-1])); j-- {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}

@@ -245,27 +245,17 @@ func (r *runner) run() {
 }
 
 func (r *runner) handle(msg radio.Message) {
+	if len(msg.Payload) > 0 && core.MsgType(msg.Payload[0]) == core.MsgHello {
+		if from, err := core.HelloSender(msg.Payload); err == nil {
+			r.handleHello(from)
+		}
+		return
+	}
 	env, err := core.DecodeEnvelope(msg.Payload)
 	if err != nil {
 		return
 	}
 	switch env.Type {
-	case core.MsgHello:
-		if env.Record.Node == r.dev.Node {
-			return
-		}
-		// Operational nodes holding fresh evidence seize the arrival of a
-		// new node to have their binding record re-issued.
-		if r.ep.Phase() == core.PhaseOperational && r.ep.EvidenceCount() > 0 {
-			if req, err := r.ep.BuildUpdateRequest(); err == nil {
-				r.send(env.Record.Node, core.Envelope{Type: core.MsgUpdateRequest, Update: req})
-			}
-		}
-		rec := r.ep.Record()
-		if rec.Node == nodeid.None {
-			return
-		}
-		r.send(env.Record.Node, core.Envelope{Type: core.MsgRecord, Record: rec})
 	case core.MsgRecord:
 		if r.ep.Phase() != core.PhaseDiscovering {
 			return
@@ -295,6 +285,25 @@ func (r *runner) handle(msg radio.Message) {
 			_ = r.ep.ReceiveRelationEvidence(env.Evidence)
 		}
 	}
+}
+
+// handleHello answers a fresh node's hello with this node's record.
+// Operational nodes holding fresh evidence also seize the arrival of a new
+// node to have their binding record re-issued.
+func (r *runner) handleHello(from nodeid.ID) {
+	if from == r.dev.Node {
+		return
+	}
+	if r.ep.Phase() == core.PhaseOperational && r.ep.EvidenceCount() > 0 {
+		if req, err := r.ep.BuildUpdateRequest(); err == nil {
+			r.send(from, core.Envelope{Type: core.MsgUpdateRequest, Update: req})
+		}
+	}
+	rec := r.ep.Record()
+	if rec.Node == nodeid.None {
+		return
+	}
+	r.send(from, core.Envelope{Type: core.MsgRecord, Record: rec})
 }
 
 func (r *runner) finishDiscovery() {

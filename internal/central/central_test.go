@@ -19,7 +19,7 @@ func detectBySubgraph(g *topology.Graph, minComponent int) []nodeid.ID {
 	minComponent = max(minComponent, 1)
 	var flagged []nodeid.ID
 	for _, v := range g.Nodes() {
-		if g.OutLen(v) < 2*minComponent {
+		if len(g.Out(v)) < 2*minComponent {
 			continue
 		}
 		big := 0

@@ -51,11 +51,11 @@ func LowestID(g *topology.Graph) Assignment {
 	a := make(Assignment, g.NumNodes())
 	for _, u := range g.Nodes() {
 		head := u
-		g.ForEachOut(u, func(v nodeid.ID) {
+		for _, v := range g.Out(u) {
 			if v < head {
 				head = v
 			}
-		})
+		}
 		a[u] = head
 	}
 	return a
@@ -160,12 +160,14 @@ func elect(u nodeid.ID, maxLog, minLog []nodeid.ID) nodeid.ID {
 // forEachUndirected calls fn once for every v related to u in either
 // direction: out-neighbors first, then in-neighbors u does not assert.
 func forEachUndirected(g *topology.Graph, u nodeid.ID, fn func(v nodeid.ID)) {
-	g.ForEachOut(u, fn)
-	g.ForEachIn(u, func(v nodeid.ID) {
+	for _, v := range g.Out(u) {
+		fn(v)
+	}
+	for _, v := range g.In(u) {
 		if !g.HasRelation(u, v) {
 			fn(v)
 		}
-	})
+	}
 }
 
 // Diameter2Cost estimates the intra-cluster communication badness the

@@ -8,8 +8,9 @@ import (
 )
 
 // TestAllocationBudgets pins the per-frame allocation cost of the record
-// path: handing out a record shares it, encoding writes one buffer, and
-// decoding allocates only the neighbor list.
+// path: handing out a record shares it, encoding writes one buffer (none
+// when the caller's has room), decoding allocates only the neighbor list,
+// and validating a hello allocates nothing.
 func TestAllocationBudgets(t *testing.T) {
 	_, nodes := network(t, 1, testCfg)
 	n := nodes[1]
@@ -18,6 +19,11 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 	env := Envelope{Type: MsgHello, Record: n.Record()}
 	frame := n.Record().Encode()
+	hello, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := make([]byte, 0, env.WireLen())
 	budgets := []struct {
 		name string
 		max  float64
@@ -26,11 +32,64 @@ func TestAllocationBudgets(t *testing.T) {
 		{"Node.Record", 0, func() { _ = n.Record() }},
 		{"Envelope.Encode of a 150-ID record", 1, func() { _, _ = env.Encode() }},
 		{"DecodeBindingRecord", 1, func() { _, _ = DecodeBindingRecord(frame) }},
+		{"HelloSender", 0, func() { _, _ = HelloSender(hello) }},
+		{"Envelope.AppendTo into a buffer with room", 0, func() { _, _ = env.AppendTo(room[:0]) }},
 	}
 	for _, b := range budgets {
 		if got := testing.AllocsPerRun(100, b.fn); got > b.max {
 			t.Errorf("%s: %v allocs, budget %v", b.name, got, b.max)
 		}
+	}
+}
+
+// finishDiscoveryBudget is what FinishDiscovery allocates whatever the
+// number of pending records: the result, its two presized slices, the
+// functional list sized once, and the bitmap of N(u).
+const finishDiscoveryBudget = 5
+
+// TestFinishDiscoveryAllocationsFlat: validation allocates per call, not
+// per record — 15 and 150 pending records cost the same count.
+func TestFinishDiscoveryAllocationsFlat(t *testing.T) {
+	const peers = 150
+	master, nodes := network(t, peers+1, testCfg)
+	for id, n := range nodes {
+		if err := n.BeginDiscovery(idRange(1, peers+1).Diff(nodeid.Set{id})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(pending int) float64 {
+		const runs = 20
+		n, err := NewNode(1, master, testCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.BeginDiscovery(idRange(2, nodeid.ID(pending+1))); err != nil {
+			t.Fatal(err)
+		}
+		for id := nodeid.ID(2); id <= nodeid.ID(pending+1); id++ {
+			if err := n.ReceiveBindingRecord(nodes[id].Record()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clones := make([]*Node, runs+1)
+		for i := range clones {
+			clones[i] = n.Clone()
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			res, err := clones[next].FinishDiscovery()
+			if err != nil || len(res.Commitments) != pending || len(res.Evidences) != pending {
+				t.Fatalf("FinishDiscovery with %d records: %v", pending, err)
+			}
+			next++
+		})
+	}
+	few, many := allocs(15), allocs(150)
+	if few != many {
+		t.Errorf("FinishDiscovery: %v allocs at 15 records, %v at 150; want the same", few, many)
+	}
+	if many > finishDiscoveryBudget && !raceEnabled {
+		t.Errorf("FinishDiscovery: %v allocs, budget %d", many, finishDiscoveryBudget)
 	}
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"snd/internal/crypto"
+	"snd/internal/nodeid"
 )
 
 // Native fuzz targets for the wire decoders: arbitrary bytes must never
@@ -69,6 +71,48 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if _, err := DecodeEnvelope(b); err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v", err)
+		}
+	})
+}
+
+// helloFrame frames a hello from id by hand, so seeds can carry lists
+// that Encode would never produce.
+func helloFrame(id nodeid.ID, count uint32, ids ...uint32) []byte {
+	b := []byte{byte(MsgHello)}
+	b = binary.BigEndian.AppendUint32(b, uint32(id))
+	b = binary.BigEndian.AppendUint32(b, 0)
+	b = binary.BigEndian.AppendUint32(b, count)
+	for _, v := range ids {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return append(b, make([]byte, crypto.DigestSize)...)
+}
+
+// FuzzHelloSender: the in-place hello check accepts exactly the frames
+// DecodeEnvelope decodes as a MsgHello, and names the same sender.
+func FuzzHelloSender(f *testing.F) {
+	valid := helloFrame(7, 3, 1, 2, 9)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])                          // truncated
+	f.Add(helloFrame(7, 4, 1, 2, 9))                     // count/length mismatch
+	f.Add(helloFrame(7, 3, 9, 2, 1))                     // descending
+	f.Add(helloFrame(7, 3, 1, 2, 2))                     // duplicate
+	f.Add(append([]byte{byte(MsgRecord)}, valid[1:]...)) // not a hello
+	f.Fuzz(func(t *testing.T, data []byte) {
+		from, err := HelloSender(data)
+		env, decErr := DecodeEnvelope(data)
+		isHello := decErr == nil && env.Type == MsgHello
+		if (err == nil) != isHello {
+			t.Fatalf("HelloSender err %v, DecodeEnvelope type %v err %v", err, env.Type, decErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("error %v does not wrap ErrMalformed", err)
+			}
+			return
+		}
+		if from != env.Record.Node {
+			t.Fatalf("HelloSender = %v, DecodeEnvelope sender %v", from, env.Record.Node)
 		}
 	})
 }

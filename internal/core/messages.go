@@ -45,34 +45,56 @@ type Envelope struct {
 // Encode serializes the envelope for transmission into one buffer sized
 // up front.
 func (e Envelope) Encode() ([]byte, error) {
+	return e.AppendTo(make([]byte, 0, e.WireLen()))
+}
+
+// WireLen is the length of the envelope's encoding, or 0 for an unknown
+// type: the room AppendTo needs to allocate nothing.
+func (e Envelope) WireLen() int {
 	switch e.Type {
 	case MsgHello, MsgRecord, MsgUpdateReply:
-		out := make([]byte, 0, 1+e.Record.wireLen())
-		return e.Record.appendTo(append(out, byte(e.Type))), nil
+		return 1 + e.Record.wireLen()
 	case MsgCommitment:
-		out := make([]byte, 0, 1+8+crypto.DigestSize)
-		out = append(out, byte(e.Type))
-		out = binary.BigEndian.AppendUint32(out, uint32(e.Commitment.From))
-		out = binary.BigEndian.AppendUint32(out, uint32(e.Commitment.To))
-		return append(out, e.Commitment.Digest[:]...), nil
+		return 1 + commitmentWireLen
 	case MsgEvidence:
-		out := make([]byte, 0, 1+evidenceWireLen)
-		return appendEvidence(append(out, byte(e.Type)), e.Evidence), nil
+		return 1 + evidenceWireLen
 	case MsgUpdateRequest:
-		recLen := e.Update.Record.wireLen()
-		out := make([]byte, 0, 1+4+recLen+4+len(e.Update.Evidences)*evidenceWireLen)
-		out = append(out, byte(e.Type))
-		out = binary.BigEndian.AppendUint32(out, uint32(recLen))
-		out = e.Update.Record.appendTo(out)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Update.Evidences)))
+		return 1 + 4 + e.Update.Record.wireLen() + 4 + len(e.Update.Evidences)*evidenceWireLen
+	default:
+		return 0
+	}
+}
+
+// AppendTo appends the envelope's encoding to b. It is the one encoder:
+// Encode calls it on a buffer sized up front, and a sender framing many
+// messages appends them all into one buffer of its own. It allocates
+// nothing when b has room, and returns nil for an unknown type.
+func (e Envelope) AppendTo(b []byte) ([]byte, error) {
+	switch e.Type {
+	case MsgHello, MsgRecord, MsgUpdateReply:
+		return e.Record.appendTo(append(b, byte(e.Type))), nil
+	case MsgCommitment:
+		b = append(b, byte(e.Type))
+		b = binary.BigEndian.AppendUint32(b, uint32(e.Commitment.From))
+		b = binary.BigEndian.AppendUint32(b, uint32(e.Commitment.To))
+		return append(b, e.Commitment.Digest[:]...), nil
+	case MsgEvidence:
+		return appendEvidence(append(b, byte(e.Type)), e.Evidence), nil
+	case MsgUpdateRequest:
+		b = append(b, byte(e.Type))
+		b = binary.BigEndian.AppendUint32(b, uint32(e.Update.Record.wireLen()))
+		b = e.Update.Record.appendTo(b)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(e.Update.Evidences)))
 		for _, ev := range e.Update.Evidences {
-			out = appendEvidence(out, ev)
+			b = appendEvidence(b, ev)
 		}
-		return out, nil
+		return b, nil
 	default:
 		return nil, fmt.Errorf("core: encode unknown message type %d", e.Type)
 	}
 }
+
+const commitmentWireLen = 4 + 4 + crypto.DigestSize
 
 const evidenceWireLen = 4 + 4 + 4 + crypto.DigestSize
 
@@ -95,6 +117,28 @@ func decodeEvidence(b []byte) (RelationEvidence, error) {
 	return ev, nil
 }
 
+// HelloSender validates a MsgHello frame in place and returns its sender.
+// It applies exactly the checks DecodeEnvelope applies to a hello — the
+// frame type, the record's length against its neighbor count, and a
+// canonical neighbor list — but decodes nothing and allocates nothing on
+// success: a hello's receivers answer with their own record, so the sender
+// is all they read. Its errors wrap ErrMalformed.
+func HelloSender(frame []byte) (nodeid.ID, error) {
+	if len(frame) < 1 || MsgType(frame[0]) != MsgHello {
+		return nodeid.None, fmt.Errorf("%w: not a hello", ErrMalformed)
+	}
+	body := frame[1:]
+	count, err := recordListLen(body)
+	if err != nil {
+		return nodeid.None, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	if !nodeid.ValidList(body[12 : 12+4*count]) {
+		return nodeid.None, fmt.Errorf("%w: %v", ErrMalformed, errRecordList)
+	}
+	id, _ := nodeid.FromBytes(body[0:4])
+	return id, nil
+}
+
 // DecodeEnvelope parses a received protocol message.
 func DecodeEnvelope(b []byte) (Envelope, error) {
 	var e Envelope
@@ -112,7 +156,7 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		e.Record = rec
 		return e, nil
 	case MsgCommitment:
-		if len(body) != 8+crypto.DigestSize {
+		if len(body) != commitmentWireLen {
 			return e, fmt.Errorf("%w: commitment length %d", ErrMalformed, len(body))
 		}
 		e.Commitment.From, _ = nodeid.FromBytes(body[0:4])

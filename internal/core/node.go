@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"snd/internal/crypto"
@@ -83,10 +84,13 @@ type Node struct {
 	// out a copy rather than sharing it.
 	functional []nodeid.ID
 	// pending holds the authenticated binding records collected during
-	// discovery, keyed by sender.
-	pending map[nodeid.ID]BindingRecord
+	// discovery, one slot per tentative neighbor: pending[i] is the record
+	// of record.Neighbors[i], and a zero Node marks a slot still empty. It
+	// is sized once by BeginDiscovery and dropped by FinishDiscovery.
+	pending []BindingRecord
 	// evidence buffers authenticated relation evidences received since the
-	// last binding-record update, keyed by issuer.
+	// last binding-record update, keyed by issuer. It is allocated on the
+	// first insert, with room for every tentative neighbor.
 	evidence map[nodeid.ID]RelationEvidence
 
 	hashOps int
@@ -105,12 +109,10 @@ func NewNode(id nodeid.ID, master *crypto.MasterKey, cfg Config) (*Node, error) 
 		return nil, fmt.Errorf("core: negative config %+v", cfg)
 	}
 	n := &Node{
-		id:       id,
-		cfg:      cfg,
-		phase:    PhaseInitialized,
-		master:   master.Clone(),
-		pending:  make(map[nodeid.ID]BindingRecord),
-		evidence: make(map[nodeid.ID]RelationEvidence),
+		id:     id,
+		cfg:    cfg,
+		phase:  PhaseInitialized,
+		master: master.Clone(),
 	}
 	vk, err := n.master.VerificationKey(id)
 	if err != nil {
@@ -166,6 +168,7 @@ func (n *Node) BeginDiscovery(tentative nodeid.Set) error {
 	}
 	n.hashOps++
 	n.record = BindingRecord{Node: n.id, Version: 0, Neighbors: neighbors, Commitment: c}
+	n.pending = make([]BindingRecord, len(neighbors))
 	n.phase = PhaseDiscovering
 	return nil
 }
@@ -180,7 +183,8 @@ func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
 	if n.phase != PhaseDiscovering {
 		return fmt.Errorf("%w: ReceiveBindingRecord in phase %d", ErrPhase, n.phase)
 	}
-	if !n.record.Neighbors.Contains(r.Node) {
+	slot, ok := slices.BinarySearch(n.record.Neighbors, r.Node)
+	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotTentative, r.Node)
 	}
 	if int(r.Version) > n.cfg.MaxUpdates {
@@ -194,7 +198,7 @@ func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
 	if !want.Equal(r.Commitment) {
 		return fmt.Errorf("%w: from %v", ErrBadRecord, r.Node)
 	}
-	n.pending[r.Node] = r
+	n.pending[slot] = r
 	return nil
 }
 
@@ -214,9 +218,19 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 	if n.phase != PhaseDiscovering {
 		return nil, fmt.Errorf("%w: FinishDiscovery in phase %d", ErrPhase, n.phase)
 	}
-	res := &DiscoveryResult{}
-	for _, v := range sortedKeys(n.pending) {
-		r := n.pending[v]
+	// Everything is sized once, for a record from every tentative neighbor.
+	res := &DiscoveryResult{
+		Commitments: make([]RelationCommitment, 0, len(n.pending)),
+		Evidences:   make([]RelationEvidence, 0, len(n.pending)),
+	}
+	n.functional = slices.Grow(n.functional, len(n.pending))
+	own := nodeid.NewCounter(n.record.Neighbors)
+	// Slots follow N(u), so records are validated in ascending sender order.
+	for _, r := range n.pending {
+		v := r.Node
+		if v == nodeid.None {
+			continue
+		}
 		// Evidence E(u,v) goes to every authenticated tentative neighbor,
 		// bound to the version of the record it presented.
 		ev, err := n.master.RelationEvidence(n.id, v, r.Version)
@@ -228,7 +242,7 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 			From: n.id, To: v, Version: r.Version, Digest: ev,
 		})
 		// Validation rule: |N(u) ∩ N(v)| ≥ t+1.
-		if n.record.Neighbors.IntersectLen(r.Neighbors) < n.cfg.Threshold+1 {
+		if own.IntersectLen(r.Neighbors) < n.cfg.Threshold+1 {
 			continue
 		}
 		n.addFunctional(v)
@@ -242,7 +256,7 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 		})
 	}
 	n.master.Erase()
-	n.pending = make(map[nodeid.ID]BindingRecord)
+	n.pending = nil
 	n.phase = PhaseOperational
 	return res, nil
 }
@@ -279,6 +293,9 @@ func (n *Node) ReceiveRelationEvidence(ev RelationEvidence) error {
 	}
 	if ev.Version != n.record.Version {
 		return fmt.Errorf("%w: evidence version %d, record version %d", ErrBadEvidence, ev.Version, n.record.Version)
+	}
+	if n.evidence == nil {
+		n.evidence = make(map[nodeid.ID]RelationEvidence, len(n.record.Neighbors))
 	}
 	n.evidence[ev.From] = ev
 	return nil
@@ -372,7 +389,7 @@ func (n *Node) ApplyUpdate(updated BindingRecord) error {
 	}
 	n.record = updated
 	// Evidence bound to the old version is now consumed.
-	n.evidence = make(map[nodeid.ID]RelationEvidence)
+	clear(n.evidence)
 	return nil
 }
 
@@ -390,7 +407,9 @@ func (n *Node) StorageBytes() int {
 	if n.phase == PhaseDiscovering {
 		s += crypto.DigestSize // the master key K
 		for _, r := range n.pending {
-			s += r.StorageBytes()
+			if r.Node != nodeid.None {
+				s += r.StorageBytes()
+			}
 		}
 	}
 	return s
@@ -409,15 +428,9 @@ func (n *Node) Clone() *Node {
 		vkey:       n.vkey,
 		record:     n.record,
 		functional: slices.Clone(n.functional),
-		pending:    make(map[nodeid.ID]BindingRecord, len(n.pending)),
-		evidence:   make(map[nodeid.ID]RelationEvidence, len(n.evidence)),
+		pending:    slices.Clone(n.pending),
+		evidence:   maps.Clone(n.evidence),
 		hashOps:    n.hashOps,
-	}
-	for k, v := range n.pending {
-		c.pending[k] = v
-	}
-	for k, v := range n.evidence {
-		c.evidence[k] = v
 	}
 	return c
 }

@@ -8,6 +8,15 @@
 // commitments C(u,v) = H(K_v‖u) and evidences E(u,v) = H(K‖u‖v‖i), and then
 // irreversibly erases K.
 //
+// The wire forms live here too (Envelope, AppendTo, DecodeEnvelope). One
+// encoder appends every message type, so a sender can frame many messages
+// into one buffer of its own. Receivers decode and authenticate every
+// record they keep, but a hello's receivers need only its sender:
+// HelloSender applies DecodeEnvelope's hello checks in place and decodes
+// nothing. Validation counts |N(u) ∩ N(v)| against one nodeid.Counter of
+// N(u) per FinishDiscovery, and a node's per-discovery state (the pending
+// records, one slot per tentative neighbor, and the result) is sized once.
+//
 // With at most t compromised nodes the protocol guarantees the 2R-safety
 // property (Theorem 3); with the binding-record update extension and at
 // most m updates per record it guarantees (m+1)R-safety (Theorem 4). The
@@ -62,24 +71,35 @@ func (r BindingRecord) appendTo(b []byte) []byte {
 	return append(b, r.Commitment[:]...)
 }
 
+var errRecordList = errors.New("core: binding record neighbor list malformed")
+
+// recordListLen checks an encoded record's length against the neighbor
+// count in its header and returns that count. It is the one length rule of
+// DecodeBindingRecord and HelloSender.
+func recordListLen(b []byte) (int, error) {
+	if len(b) < 12+crypto.DigestSize {
+		return 0, errors.New("core: binding record truncated")
+	}
+	count := int(binary.BigEndian.Uint32(b[8:12]))
+	if want := 12 + 4*count + crypto.DigestSize; len(b) != want {
+		return 0, fmt.Errorf("core: binding record length %d, want %d for %d neighbors", len(b), want, count)
+	}
+	return count, nil
+}
+
 // DecodeBindingRecord parses the encoding produced by Encode.
 func DecodeBindingRecord(b []byte) (BindingRecord, error) {
 	var r BindingRecord
-	if len(b) < 12+crypto.DigestSize {
-		return r, errors.New("core: binding record truncated")
-	}
-	id, _ := nodeid.FromBytes(b[0:4])
-	r.Node = id
-	r.Version = binary.BigEndian.Uint32(b[4:8])
-	count := int(binary.BigEndian.Uint32(b[8:12]))
-	want := 12 + 4*count + crypto.DigestSize
-	if len(b) != want {
-		return r, fmt.Errorf("core: binding record length %d, want %d for %d neighbors", len(b), want, count)
+	count, err := recordListLen(b)
+	if err != nil {
+		return r, err
 	}
 	set, ok := nodeid.DecodeList(b[12 : 12+4*count])
 	if !ok {
-		return r, errors.New("core: binding record neighbor list malformed")
+		return r, errRecordList
 	}
+	r.Node, _ = nodeid.FromBytes(b[0:4])
+	r.Version = binary.BigEndian.Uint32(b[4:8])
 	r.Neighbors = set
 	copy(r.Commitment[:], b[12+4*count:])
 	return r, nil

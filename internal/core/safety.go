@@ -55,16 +55,16 @@ func AuditSafety(l *deploy.Layout, functional *topology.Graph, compromised nodei
 	for _, c := range compromised {
 		// Ascending order matters: EnclosingCircle's result can differ in the
 		// last ulp with input order, and the audit must be reproducible.
-		// ForEachIn visits accepters in ascending ID order.
+		// In lists accepters in ascending ID order.
 		var pts []geometry.Point
-		functional.ForEachIn(c, func(v nodeid.ID) {
+		for _, v := range functional.In(c) {
 			if compromised.Contains(v) {
-				return
+				continue
 			}
 			if primary := l.Primary(v); primary != nil {
 				pts = append(pts, primary.Origin)
 			}
-		})
+		}
 		r := SafetyReport{
 			Node:            c,
 			BenignAccepters: len(pts),

@@ -297,7 +297,7 @@ func Compare(ctx context.Context, p CompareParams) (*CompareResult, error) {
 				}
 			}
 			cost := central.CollectionCost(l, p.Range, geometry.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2},
-				func(id nodeid.ID) int { return 8 + 4*tent.OutLen(id) })
+				func(id nodeid.ID) int { return 8 + 4*len(tent.Out(id)) })
 			sample.CentMsgs = float64(cost.Messages) / float64(net.Size())
 			sample.CentBytes = float64(cost.Bytes) / float64(net.Size())
 

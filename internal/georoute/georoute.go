@@ -65,26 +65,26 @@ func (r *Router) gabrielGraph() map[nodeid.ID][]nodeid.ID {
 		if !ok {
 			continue
 		}
-		r.links.ForEachOut(u, func(v nodeid.ID) {
+		for _, v := range r.links.Out(u) {
 			pv, ok := r.pos[v]
 			if !ok {
-				return
+				continue
 			}
 			mid := geometry.Point{X: (pu.X + pv.X) / 2, Y: (pu.Y + pv.Y) / 2}
 			radius2 := pu.Dist2(pv) / 4
 			keep := true
-			r.links.ForEachOut(u, func(w nodeid.ID) {
+			for _, w := range r.links.Out(u) {
 				if w == v {
-					return
+					continue
 				}
 				if pw, ok := r.pos[w]; ok && mid.Dist2(pw) < radius2-1e-9 {
 					keep = false
 				}
-			})
+			}
 			if keep {
 				planar[u] = append(planar[u], v)
 			}
-		})
+		}
 	}
 	for _, adj := range planar {
 		slices.Sort(adj)
@@ -170,15 +170,15 @@ func (r *Router) greedyNext(cur nodeid.ID, dstPos geometry.Point) nodeid.ID {
 	curPos := r.pos[cur]
 	best := nodeid.None
 	bestD := curPos.Dist2(dstPos)
-	r.links.ForEachOut(cur, func(v nodeid.ID) {
+	for _, v := range r.links.Out(cur) {
 		pv, ok := r.pos[v]
 		if !ok {
-			return
+			continue
 		}
 		if d := pv.Dist2(dstPos); d < bestD {
 			best, bestD = v, d
 		}
-	})
+	}
 	return best
 }
 

@@ -191,23 +191,93 @@ func AppendList(b []byte, s Set) []byte {
 	return b
 }
 
+// ValidList reports whether b is a canonical list encoding: a whole number
+// of 4-byte IDs in strictly ascending order. It is the acceptance test of
+// DecodeList, for readers that only need to know a list is well formed.
+func ValidList(b []byte) bool { return len(b)%4 == 0 && scanList(b, nil) }
+
 // DecodeList parses the canonical encoding produced by EncodeList into a
-// Set of its own. It returns false unless b is a whole number of 4-byte IDs
-// in strictly ascending order: an unsorted or repeated list is not
-// canonical, and accepting one would let a single set arrive as many byte
-// strings.
+// Set of its own. It returns false unless ValidList(b): an unsorted or
+// repeated list is not canonical, and accepting one would let a single set
+// arrive as many byte strings.
 func DecodeList(b []byte) (Set, bool) {
 	if len(b)%4 != 0 {
 		return nil, false
 	}
 	s := make(Set, len(b)/4)
-	for i := range s {
-		s[i] = ID(binary.BigEndian.Uint32(b[4*i:]))
-		if i > 0 && s[i] <= s[i-1] {
-			return nil, false
-		}
+	if !scanList(b, s) {
+		return nil, false
 	}
 	return s, true
+}
+
+// scanList checks that the IDs of b, a whole number of 4-byte IDs, are
+// strictly ascending, and copies them into dst unless dst is nil: the one
+// pass behind both ValidList and DecodeList.
+func scanList(b []byte, dst Set) bool {
+	var prev ID
+	for i := range len(b) / 4 {
+		id := ID(binary.BigEndian.Uint32(b[4*i:]))
+		if i > 0 && id <= prev {
+			return false
+		}
+		if dst != nil {
+			dst[i] = id
+		}
+		prev = id
+	}
+	return true
+}
+
+// Counter answers |s ∩ t| for one fixed s against many t, the shape of the
+// validation rule: one node's list counted against each neighbor's.
+//
+// When s is dense over its ID span [s[0], s[len(s)-1]] — the span needs no
+// more 64-bit words than s has IDs — the counter keeps a bitmap of s and a
+// count is one bit test per ID of t; IDs outside the span count 0. The
+// bitmap then costs at most 8 bytes per ID of s. A sparser s keeps no
+// bitmap, and a count is IntersectLen's merge.
+type Counter struct {
+	set  Set
+	lo   ID
+	bits []uint64 // bit d is set iff lo+d ∈ set; nil when the span is too wide
+}
+
+// NewCounter builds the counter for s. It allocates only the bitmap, and
+// only when the span rule picks one.
+func NewCounter(s Set) Counter {
+	c := Counter{set: s}
+	if len(s) == 0 {
+		return c
+	}
+	lo, hi := s[0], s[len(s)-1]
+	words := uint64(hi-lo)/64 + 1
+	if words > uint64(len(s)) {
+		return c
+	}
+	c.lo = lo
+	c.bits = make([]uint64, words)
+	for _, id := range s {
+		d := id - lo
+		c.bits[d/64] |= 1 << (d % 64)
+	}
+	return c
+}
+
+// IntersectLen returns |s ∩ t| for the counter's s, without allocating.
+func (c Counter) IntersectLen(t Set) int {
+	if c.bits == nil {
+		return c.set.IntersectLen(t)
+	}
+	n := 0
+	span := uint64(len(c.bits)) * 64
+	for _, id := range t {
+		// An ID below lo wraps to a huge offset and fails the span test.
+		if d := uint64(id) - uint64(c.lo); d < span {
+			n += int(c.bits[d/64] >> (d % 64) & 1)
+		}
+	}
+	return n
 }
 
 // Isomorphism is a bijective renaming of node IDs, as used by Definition 3

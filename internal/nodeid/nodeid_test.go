@@ -209,9 +209,9 @@ func TestDecodeListRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// FuzzDecodeList: arbitrary bytes never panic, and whatever decodes is
-// canonical — a strictly ascending Set that re-encodes to exactly the input
-// bytes.
+// FuzzDecodeList: arbitrary bytes never panic, ValidList accepts exactly
+// what DecodeList decodes, and whatever decodes is canonical — a strictly
+// ascending Set that re-encodes to exactly the input bytes.
 func FuzzDecodeList(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeList(NewSet(1, 2, 300)))
@@ -220,6 +220,9 @@ func FuzzDecodeList(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, ok := DecodeList(data)
+		if ValidList(data) != ok {
+			t.Fatalf("ValidList(%x) = %v, DecodeList ok = %v", data, !ok, ok)
+		}
 		if !ok {
 			return
 		}

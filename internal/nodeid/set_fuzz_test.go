@@ -92,6 +92,9 @@ func FuzzSetOps(f *testing.F) {
 		if got := sa.IntersectLen(sb); got != len(and) {
 			t.Fatalf("IntersectLen = %d, oracle %d", got, len(and))
 		}
+		if got := NewCounter(sa).IntersectLen(sb); got != len(and) {
+			t.Fatalf("Counter(%v).IntersectLen(%v) = %d, oracle %d", sa, sb, got, len(and))
+		}
 		assertMembers(t, "Intersect", sa.Intersect(sb), and)
 		assertMembers(t, "Union", sa.Union(sb), or)
 		assertMembers(t, "Diff", sa.Diff(sb), diff)
@@ -112,4 +115,72 @@ func FuzzSetOps(f *testing.F) {
 			t.Fatalf("operands changed: %v, %v; were %v, %v", sa, sb, saIn, sbIn)
 		}
 	})
+}
+
+// TestCounterMatchesMerge checks the bitmap count against IntersectLen's
+// merge on lists at both sides of the span rule, empty and one-ID lists,
+// probes outside the span (below it, inside its last word and beyond) and
+// IDs near 2³²−1, and checks which side of the rule each list takes by
+// what NewCounter allocates: one bitmap, or nothing at all.
+func TestCounterMatchesMerge(t *testing.T) {
+	const top = ^ID(0)
+	lists := []struct {
+		name   string
+		s      Set
+		bitmap bool
+	}{
+		{"empty", nil, false},
+		{"one ID", Set{7}, true},
+		{"one ID at the top", Set{top}, true},
+		{"one ID at zero", Set{0}, true},
+		{"span of exactly len words", Set{100, 164}, true},
+		{"span one word too wide", Set{100, 228}, false},
+		{"three IDs over two words", Set{5, 68, 131}, true},
+		{"dense run", NewSet(idsFrom(1, 200)...), true},
+		{"dense near the top", Set{top - 64, top - 1, top}, true},
+		{"span of exactly len words at the top", Set{top - 64, top}, true},
+		{"wide: zero to the top", Set{0, top}, false},
+		{"wide: sequential IDs spread out", Set{3, 400, 901, 1500, 1999}, false},
+	}
+	for _, l := range lists {
+		probes := []ID{0, 1, 63, 64, 65, top - 64, top - 63, top - 1, top}
+		if len(l.s) > 0 {
+			lo, hi := l.s[0], l.s[len(l.s)-1]
+			for _, d := range []ID{1, 2, 63, 64, 65, 128} {
+				probes = append(probes, lo-d, hi+d)
+			}
+			for _, id := range l.s {
+				probes = append(probes, id-1, id, id+1)
+			}
+		}
+		all := NewSet(probes...)
+		every2 := make(Set, 0, len(all))
+		for i := 0; i < len(all); i += 2 {
+			every2 = append(every2, all[i])
+		}
+		c := NewCounter(l.s)
+		for _, probe := range []Set{nil, all, every2, l.s, NewSet(l.s...)} {
+			if got, want := c.IntersectLen(probe), l.s.IntersectLen(probe); got != want {
+				t.Errorf("%s: Counter(%v).IntersectLen(%v) = %d, merge %d", l.name, l.s, probe, got, want)
+			}
+		}
+		want := 0.0
+		if l.bitmap {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(20, func() { _ = NewCounter(l.s) }); got != want {
+			t.Errorf("%s: NewCounter(%v) made %v allocations, want %v", l.name, l.s, got, want)
+		}
+		if got := testing.AllocsPerRun(20, func() { _ = c.IntersectLen(all) }); got != 0 {
+			t.Errorf("%s: IntersectLen allocates %v", l.name, got)
+		}
+	}
+}
+
+func idsFrom(lo, n ID) []ID {
+	ids := make([]ID, n)
+	for i := range ids {
+		ids[i] = lo + ID(i)
+	}
+	return ids
 }

@@ -11,6 +11,13 @@
 // applies its jam checks and loss draws exactly as a filtered broadcast
 // would, at O(1 + replicas) cost.
 //
+// Frames travel by reference. A transmission keeps the caller's payload
+// slice as is: every receiver of it, and of every other transmission of the
+// same slice, reads the same bytes, so a frame costs one buffer however
+// many receivers hear it and however often it is sent. In exchange the
+// caller hands the slice over with the call and must not write to it
+// afterwards; receivers treat it as read-only.
+//
 // The medium is safe for concurrent use. Each device attaches a Transceiver
 // whose inbox is a growable FIFO with its own lock: it costs nothing until
 // frames arrive, and both engines read it with TryRecv — the synchronous
@@ -87,9 +94,9 @@ type Message struct {
 	FromNode nodeid.ID
 	// To is the destination logical ID, or nodeid.None for broadcast.
 	To nodeid.ID
-	// Payload is the frame body. Receivers must treat it as read-only: all
-	// recipients of one transmission share the same backing array, exactly
-	// as they share the same radio waveform.
+	// Payload is the frame body. Receivers must treat it as read-only: it
+	// is the sender's slice itself, shared by every recipient of every
+	// transmission of that frame, exactly as they share one waveform.
 	Payload []byte
 }
 
@@ -223,7 +230,8 @@ func (m *Medium) ClearJamming() {
 }
 
 // Broadcast transmits payload from device h to every alive attached device
-// in range, returning the number of deliveries.
+// in range, returning the number of deliveries. The medium keeps payload
+// itself, not a copy: the caller must not write to it afterwards.
 func (m *Medium) Broadcast(h deploy.Handle, payload []byte) (int, error) {
 	return m.transmit(h, nodeid.None, payload)
 }
@@ -231,7 +239,9 @@ func (m *Medium) Broadcast(h deploy.Handle, payload []byte) (int, error) {
 // Unicast transmits payload from device h addressed to logical node `to`.
 // Every alive attached in-range device claiming that ID receives it — in
 // particular, replicas of a node receive unicasts meant for it, which is
-// what makes replication attacks work at this layer.
+// what makes replication attacks work at this layer. As with Broadcast, the
+// receivers share payload itself and the caller must not write to it
+// afterwards.
 func (m *Medium) Unicast(h deploy.Handle, to nodeid.ID, payload []byte) (int, error) {
 	return m.transmit(h, to, payload)
 }
@@ -251,15 +261,13 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 		return 0, fmt.Errorf("radio: send from %d: %w", h, ErrDeviceDead)
 	}
 
-	body := make([]byte, len(payload))
-	copy(body, payload)
-	msg := Message{From: h, FromNode: sender.Node, To: to, Payload: body}
+	msg := Message{From: h, FromNode: sender.Node, To: to, Payload: payload}
 
 	m.count.Sent++
-	m.count.BytesSent += len(body)
+	m.count.BytesSent += len(payload)
 	m.perSend[h-1]++
-	m.perByte[h-1] += len(body)
-	m.energy[h-1] += m.cfg.Energy.TxBase + m.cfg.Energy.TxPerByte*float64(len(body))
+	m.perByte[h-1] += len(payload)
+	m.energy[h-1] += m.cfg.Energy.TxBase + m.cfg.Energy.TxPerByte*float64(len(payload))
 
 	if m.inJam(sender.Pos) {
 		m.count.LostJammed++
@@ -397,12 +405,14 @@ func (t *Transceiver) TryRecv() (Message, bool) {
 	return msg, true
 }
 
-// Send broadcasts from this transceiver's device.
+// Send broadcasts from this transceiver's device. The medium keeps
+// payload; the caller must not write to it afterwards.
 func (t *Transceiver) Send(payload []byte) (int, error) {
 	return t.medium.Broadcast(t.handle, payload)
 }
 
 // SendTo unicasts from this transceiver's device to the logical node id.
+// The medium keeps payload; the caller must not write to it afterwards.
 func (t *Transceiver) SendTo(to nodeid.ID, payload []byte) (int, error) {
 	return t.medium.Unicast(t.handle, to, payload)
 }

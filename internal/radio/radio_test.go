@@ -211,18 +211,58 @@ func TestInboxOverflow(t *testing.T) {
 	}
 }
 
-func TestPayloadCopiedFromSender(t *testing.T) {
+// TestFramesSharedByReference pins the medium's ownership contract: a
+// transmission keeps the caller's slice, so every receiver of a broadcast,
+// and every receiver of repeated unicasts of one frame, reads the sender's
+// own backing array, and sending into queues with room allocates nothing.
+func TestFramesSharedByReference(t *testing.T) {
 	l, devs := lineLayout(t)
 	m := NewMedium(l, Config{Range: 50})
 	trx := attachAll(t, m, devs)
-	buf := []byte("original")
-	if _, err := m.Broadcast(devs[0].Handle, buf); err != nil {
-		t.Fatal(err)
+	frame := []byte("one frame")
+	shares := func(what string, tr *Transceiver) {
+		t.Helper()
+		msg, ok := tr.TryRecv()
+		if !ok {
+			t.Fatalf("%s: nothing received", what)
+		}
+		if len(msg.Payload) != len(frame) || &msg.Payload[0] != &frame[0] {
+			t.Errorf("%s: payload %q does not share the sender's array", what, msg.Payload)
+		}
 	}
-	buf[0] = 'X' // sender reuses its buffer
-	msg, _ := trx[1].TryRecv()
-	if string(msg.Payload) != "original" {
-		t.Errorf("payload aliased sender buffer: %q", msg.Payload)
+
+	if n, err := m.Broadcast(devs[1].Handle, frame); err != nil || n != 2 {
+		t.Fatalf("broadcast: %d deliveries, %v", n, err)
+	}
+	shares("broadcast to device 0", trx[0])
+	shares("broadcast to device 2", trx[2])
+
+	for _, i := range []int{0, 2} {
+		if n, err := m.Unicast(devs[1].Handle, devs[i].Node, frame); err != nil || n != 1 {
+			t.Fatalf("unicast to device %d: %d deliveries, %v", i, n, err)
+		}
+	}
+	shares("unicast to device 0", trx[0])
+	shares("unicast to device 2", trx[2])
+
+	sends := []struct {
+		name string
+		fn   func()
+	}{
+		{"Unicast", func() {
+			_, _ = m.Unicast(devs[1].Handle, devs[2].Node, frame)
+			_, _ = trx[2].TryRecv()
+		}},
+		{"Broadcast", func() {
+			_, _ = m.Broadcast(devs[1].Handle, frame)
+			_, _ = trx[0].TryRecv()
+			_, _ = trx[2].TryRecv()
+		}},
+	}
+	for _, s := range sends {
+		if got := testing.AllocsPerRun(100, s.fn); got != 0 {
+			t.Errorf("%s into queues with room: %v allocs, want 0", s.name, got)
+		}
 	}
 }
 

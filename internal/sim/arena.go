@@ -39,6 +39,8 @@ type arena struct {
 	// links lazily holds each device's secure-channel endpoints by peer
 	// node; rows stay nil until the first sealed unicast.
 	links []map[nodeid.ID]*crypto.Link
+	// frames caches each device's encoded MsgRecord frame; see recordFrame.
+	frames []recordFrame
 
 	// Per-discovery-round scratch, reset by resetRound:
 	// helloHeard lists the fresh node IDs each device heard hellos from
@@ -60,6 +62,7 @@ func (a *arena) release() {
 	clear(a.endpoints)
 	clear(a.trx)
 	clear(a.links)
+	clear(a.frames)
 	for i := range a.helloHeard {
 		a.helloHeard[i] = a.helloHeard[i][:0]
 	}
@@ -67,6 +70,7 @@ func (a *arena) release() {
 	a.endpoints = a.endpoints[:0]
 	a.trx = a.trx[:0]
 	a.links = a.links[:0]
+	a.frames = a.frames[:0]
 	arenaPool.Put(a)
 }
 
@@ -117,6 +121,35 @@ func (a *arena) putLink(h deploy.Handle, peer nodeid.ID, l *crypto.Link) {
 		a.links[h-1] = make(map[nodeid.ID]*crypto.Link)
 	}
 	a.links[h-1][peer] = l
+}
+
+// recordFrame is one device's encoded MsgRecord frame, keyed by the record
+// it encodes. A record only changes by being reissued — BeginDiscovery
+// creates version 0, ApplyUpdate installs version i+1 with a fresh
+// commitment — so a key mismatch is the whole invalidation rule.
+type recordFrame struct {
+	node       nodeid.ID
+	version    uint32
+	commitment crypto.Digest
+	frame      []byte
+}
+
+// recordFrame returns the MsgRecord frame of device h's current record,
+// encoding it only when the record differs from the cached one. The medium
+// shares frames with their receivers and nobody writes into a sent frame,
+// so every reply a device sends for one record is the same bytes.
+func (a *arena) recordFrame(h deploy.Handle, rec core.BindingRecord) ([]byte, error) {
+	a.frames = grown(a.frames, h)
+	f := &a.frames[h-1]
+	if f.frame != nil && f.node == rec.Node && f.version == rec.Version && f.commitment == rec.Commitment {
+		return f.frame, nil
+	}
+	frame, err := core.Envelope{Type: core.MsgRecord, Record: rec}.Encode()
+	if err != nil {
+		return nil, err
+	}
+	*f = recordFrame{node: rec.Node, version: rec.Version, commitment: rec.Commitment, frame: frame}
+	return frame, nil
 }
 
 // resetRound clears the per-round scratch for a layout of n devices,

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"snd/internal/core"
+	"snd/internal/deploy"
 	"snd/internal/geometry"
 	"snd/internal/nodeid"
 )
@@ -50,10 +53,7 @@ func fingerprintSim(s *Simulation) string {
 	nodes := g.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for _, u := range nodes {
-		var out []nodeid.ID
-		g.ForEachOut(u, func(v nodeid.ID) { out = append(out, v) })
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		fmt.Fprintf(&b, "%d:%v\n", u, out)
+		fmt.Fprintf(&b, "%d:%v\n", u, []nodeid.ID(g.Out(u)))
 	}
 	fmt.Fprintf(&b, "accuracy=%.15f\n", s.Accuracy())
 	fmt.Fprintf(&b, "overhead=%+v\n", s.Overhead())
@@ -108,5 +108,53 @@ func TestArenaRecycledMatchesFresh(t *testing.T) {
 	}
 	if again := arenaTrial(t, 77); again != fresh {
 		t.Errorf("recycled arena diverged from fresh run\nfresh:\n%s\nrecycled:\n%s", fresh, again)
+	}
+}
+
+// TestCachedRecordFramesNeverStale runs rounds in which records are
+// reissued by updates (MaxUpdates: 2), devices die, and a replica runs the
+// captured state, and checks after each round that every cached record
+// frame is exactly the encoding of its device's current record.
+func TestCachedRecordFramesNeverStale(t *testing.T) {
+	s, err := New(Params{Seed: 91, Threshold: 3, Nodes: 120, MaxUpdates: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	victim := s.Layout().ClosestToCenter().Node
+	if err := s.Compromise(victim); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.PlantReplica(victim, geometry.Point{X: 20, Y: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedAt := map[uint32]int{}
+	replicaCached := false
+	for round := 1; round <= 4; round++ {
+		s.KillFraction(0.05)
+		if err := s.DeployRound(25); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range s.a.frames {
+			if f.frame == nil {
+				continue
+			}
+			h := deploy.Handle(i + 1)
+			rec := s.a.endpoint(h).Record()
+			want, err := core.Envelope{Type: core.MsgRecord, Record: rec}.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(f.frame, want) {
+				t.Fatalf("round %d: device %d caches a frame of %v v%d, record is v%d",
+					round, h, f.node, f.version, rec.Version)
+			}
+			cachedAt[rec.Version]++
+			replicaCached = replicaCached || h == rep.Handle
+		}
+	}
+	if cachedAt[1] == 0 || cachedAt[2] == 0 || !replicaCached {
+		t.Errorf("scenario too tame: cached frames by version %v, replica cached %v", cachedAt, replicaCached)
 	}
 }

@@ -105,21 +105,41 @@ func (s *Simulation) runDiscovery(newDevs []*deploy.Device) error {
 		if err != nil {
 			return fmt.Errorf("sim: finish discovery %v: %w", d.Node, err)
 		}
-		for _, c := range res.Commitments {
-			s.trace(trace.KindValidated, d.Node, c.To)
-			env := core.Envelope{Type: core.MsgCommitment, Commitment: c}
-			if err := s.unicast(d.Handle, c.To, env); err != nil {
-				return err
-			}
-		}
-		for _, ev := range res.Evidences {
-			env := core.Envelope{Type: core.MsgEvidence, Evidence: ev}
-			if err := s.unicast(d.Handle, ev.To, env); err != nil {
-				return err
-			}
+		if err := s.sendResult(d, res); err != nil {
+			return err
 		}
 	}
 	return s.pump()
+}
+
+// sendResult unicasts a fresh node's commitments and evidences. All of
+// them are encoded into one buffer sized up front, and each frame is a
+// capacity-clipped window of it, so the medium's receivers can share the
+// frames and none can append into its neighbor.
+func (s *Simulation) sendResult(d *deploy.Device, res *core.DiscoveryResult) error {
+	commitLen := core.Envelope{Type: core.MsgCommitment}.WireLen()
+	evidenceLen := core.Envelope{Type: core.MsgEvidence}.WireLen()
+	buf := make([]byte, 0, len(res.Commitments)*commitLen+len(res.Evidences)*evidenceLen)
+	send := func(to nodeid.ID, env core.Envelope) error {
+		start := len(buf)
+		var err error
+		if buf, err = env.AppendTo(buf); err != nil {
+			return fmt.Errorf("sim: encode unicast: %w", err)
+		}
+		return s.send(d.Handle, to, buf[start:len(buf):len(buf)])
+	}
+	for _, c := range res.Commitments {
+		s.trace(trace.KindValidated, d.Node, c.To)
+		if err := send(c.To, core.Envelope{Type: core.MsgCommitment, Commitment: c}); err != nil {
+			return err
+		}
+	}
+	for _, ev := range res.Evidences {
+		if err := send(ev.To, core.Envelope{Type: core.MsgEvidence, Evidence: ev}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pump drains and handles inbound messages across all devices until the
@@ -167,6 +187,16 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		s.channelFailures++
 		return nil
 	}
+	if len(payload) > 0 && core.MsgType(payload[0]) == core.MsgHello {
+		// Hellos are validated in place: the reply needs only the sender.
+		from, err := core.HelloSender(payload)
+		if err != nil {
+			s.protocolErrors++
+			s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+			return nil
+		}
+		return s.handleHello(d, ep, from)
+	}
 	env, err := core.DecodeEnvelope(payload)
 	if err != nil {
 		s.protocolErrors++
@@ -174,8 +204,6 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		return nil
 	}
 	switch env.Type {
-	case core.MsgHello:
-		return s.handleHello(d, ep, env)
 	case core.MsgRecord:
 		if ep.Phase() == core.PhaseDiscovering {
 			if err := ep.ReceiveBindingRecord(env.Record); err != nil {
@@ -205,8 +233,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		// The refreshed record becomes visible to the fresh nodes heard
 		// this round.
 		for _, target := range s.a.helloHeardAt(d.Handle) {
-			env := core.Envelope{Type: core.MsgRecord, Record: ep.Record()}
-			if err := s.unicast(d.Handle, target, env); err != nil {
+			if err := s.sendRecord(d.Handle, ep, target); err != nil {
 				return err
 			}
 		}
@@ -234,8 +261,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 // handleHello makes device d answer a fresh node's hello: it returns its
 // own binding record and, when eligible, asks the fresh node for a
 // binding-record update.
-func (s *Simulation) handleHello(d *deploy.Device, ep *core.Node, env core.Envelope) error {
-	from := env.Record.Node
+func (s *Simulation) handleHello(d *deploy.Device, ep *core.Node, from nodeid.ID) error {
 	if from == d.Node {
 		return nil // a replica ignores its original (and vice versa)
 	}
@@ -253,11 +279,20 @@ func (s *Simulation) handleHello(d *deploy.Device, ep *core.Node, env core.Envel
 			}
 		}
 	}
-	rec := ep.Record()
-	if rec.Node == nodeid.None {
+	if ep.Record().Node == nodeid.None {
 		return nil // endpoint has no record yet
 	}
-	return s.unicast(d.Handle, from, core.Envelope{Type: core.MsgRecord, Record: rec})
+	return s.sendRecord(d.Handle, ep, from)
+}
+
+// sendRecord unicasts device h's current binding record to node to, as
+// the cached frame of that record.
+func (s *Simulation) sendRecord(h deploy.Handle, ep *core.Node, to nodeid.ID) error {
+	frame, err := s.a.recordFrame(h, ep.Record())
+	if err != nil {
+		return fmt.Errorf("sim: encode unicast: %w", err)
+	}
+	return s.send(h, to, frame)
 }
 
 // broadcast encodes and broadcasts a protocol message.
@@ -272,13 +307,18 @@ func (s *Simulation) broadcast(from deploy.Handle, env core.Envelope) error {
 	return nil
 }
 
-// unicast encodes, optionally seals, and unicasts a protocol message to a
-// logical node.
+// unicast encodes and sends a protocol message to a logical node.
 func (s *Simulation) unicast(from deploy.Handle, to nodeid.ID, env core.Envelope) error {
 	payload, err := env.Encode()
 	if err != nil {
 		return fmt.Errorf("sim: encode unicast: %w", err)
 	}
+	return s.send(from, to, payload)
+}
+
+// send optionally seals an encoded frame and unicasts it to a logical
+// node. The medium keeps the frame, so callers never write to it again.
+func (s *Simulation) send(from deploy.Handle, to nodeid.ID, payload []byte) error {
 	if s.params.SecureChannels {
 		sealed, ok := s.sealPayload(from, to, payload)
 		if !ok {

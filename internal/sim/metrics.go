@@ -3,7 +3,6 @@ package sim
 import (
 	"snd/internal/core"
 	"snd/internal/deploy"
-	"snd/internal/nodeid"
 	"snd/internal/topology"
 )
 
@@ -42,12 +41,12 @@ func (s *Simulation) Accuracy() float64 {
 		if compromised.Contains(u) {
 			continue
 		}
-		truth.ForEachOut(u, func(v nodeid.ID) {
+		for _, v := range truth.Out(u) {
 			total++
 			if functional.HasRelation(u, v) {
 				kept++
 			}
-		})
+		}
 	}
 	if total == 0 {
 		return 1
@@ -69,18 +68,18 @@ func (s *Simulation) CenterAccuracy() float64 {
 		return 1
 	}
 	truth := s.layout.TruthGraph(s.params.Range)
-	deg := truth.OutLen(d.Node)
-	if deg == 0 {
+	truthOut := truth.Out(d.Node)
+	if len(truthOut) == 0 {
 		return 1
 	}
 	functional := ep.Functional()
 	kept := 0
-	truth.ForEachOut(d.Node, func(v nodeid.ID) {
+	for _, v := range truthOut {
 		if functional.Contains(v) {
 			kept++
 		}
-	})
-	return float64(kept) / float64(deg)
+	}
+	return float64(kept) / float64(len(truthOut))
 }
 
 // AuditSafety evaluates the d-safety property for every compromised node

@@ -98,17 +98,6 @@ func (g *Graph) HasMutual(a, b nodeid.ID) bool {
 // the graph and never copied. Like every Set it is read-only.
 func (g *Graph) Out(u nodeid.ID) nodeid.Set { return g.row(u) }
 
-// OutLen returns |N(u)| without copying.
-func (g *Graph) OutLen(u nodeid.ID) int { return len(g.row(u)) }
-
-// ForEachOut calls fn for every v with (u, v) in the graph, in ascending
-// ID order.
-func (g *Graph) ForEachOut(u nodeid.ID, fn func(v nodeid.ID)) {
-	for _, v := range g.row(u) {
-		fn(v)
-	}
-}
-
 // CommonOut returns |N(u) ∩ N(v)| by sorted merge, without allocating —
 // the quantity at the heart of the paper's validation rule.
 func (g *Graph) CommonOut(u, v nodeid.ID) int {
@@ -168,17 +157,6 @@ func (g *Graph) inRow(u nodeid.ID) nodeid.Set {
 // In returns the set of nodes asserting u as their neighbor: its in-edge
 // CSR row, shared with the graph.
 func (g *Graph) In(u nodeid.ID) nodeid.Set { return g.inRow(u) }
-
-// InLen returns u's in-degree without copying.
-func (g *Graph) InLen(u nodeid.ID) int { return len(g.inRow(u)) }
-
-// ForEachIn calls fn for every v with (v, u) in the graph, in ascending ID
-// order.
-func (g *Graph) ForEachIn(u nodeid.ID, fn func(v nodeid.ID)) {
-	for _, v := range g.inRow(u) {
-		fn(v)
-	}
-}
 
 // Equal reports whether the graphs have identical vertex and relation
 // sets. Finalize lays every relation set out canonically, so that is

@@ -171,7 +171,7 @@ func TestTentativeGraphSkipsDead(t *testing.T) {
 	if g.HasNode(b.Node) {
 		t.Error("dead device in tentative graph")
 	}
-	if g.OutLen(a.Node) != 0 {
+	if len(g.Out(a.Node)) != 0 {
 		t.Error("relations to dead device")
 	}
 }
