@@ -407,8 +407,7 @@ func BenchmarkConcurrentBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := snd.DiscoverAll(layout, medium, master,
-			snd.AsyncConfig{Threshold: 5, DiscoveryTimeout: 100 * time.Millisecond},
-			snd.OracleVerifier{}); err != nil {
+			snd.AsyncConfig{Threshold: 5}, snd.OracleVerifier{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -217,7 +217,9 @@ func compare(cur, base *Snapshot, gate *regexp.Regexp, tolerance float64) (regs 
 		// Allocation regressions gate only when both runs report the
 		// metric: a baseline recorded without -benchmem cannot be
 		// compared, and a current run without it must not silently pass.
-		if b.AllocsPerOp != nil && *b.AllocsPerOp > 0 {
+		// A 0-alloc baseline admits no tolerance: any allocation fails
+		// it, with an infinite ratio.
+		if b.AllocsPerOp != nil {
 			if c.AllocsPerOp == nil {
 				notes = append(notes, fmt.Sprintf("%s: baseline has allocs/op but this run does not (-benchmem missing?)", name))
 			} else if ca, ba := float64(*c.AllocsPerOp), float64(*b.AllocsPerOp); ca > ba*(1+tolerance) {

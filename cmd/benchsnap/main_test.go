@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -252,6 +253,31 @@ func TestCompareGatesAllocs(t *testing.T) {
 	}
 	if len(notes) != 1 || !strings.Contains(notes[0], "-benchmem") {
 		t.Errorf("notes = %v, want a -benchmem warning", notes)
+	}
+}
+
+// TestCompareGatesZeroAllocBaseline checks that a benchmark whose
+// baseline allocates nothing fails the gate as soon as it allocates, and
+// still passes while it stays at zero.
+func TestCompareGatesZeroAllocBaseline(t *testing.T) {
+	allocs := func(n int64) *int64 { return &n }
+	base := &Snapshot{Benchmarks: map[string]Sample{
+		"Broadcast/n=200":  {NsPerOp: 100, AllocsPerOp: allocs(0)},
+		"Broadcast/n=2000": {NsPerOp: 100, AllocsPerOp: allocs(0)},
+	}}
+	cur := &Snapshot{Benchmarks: map[string]Sample{
+		"Broadcast/n=200":  {NsPerOp: 100, AllocsPerOp: allocs(1)},
+		"Broadcast/n=2000": {NsPerOp: 100, AllocsPerOp: allocs(0)},
+	}}
+	regs, notes := compare(cur, base, regexp.MustCompile(`Broadcast`), 0.30)
+	if len(regs) != 1 || regs[0].Name != "Broadcast/n=200" || regs[0].Metric != "allocs/op" {
+		t.Fatalf("regressions = %+v, want exactly Broadcast/n=200 allocs/op", regs)
+	}
+	if !math.IsInf(regs[0].Ratio, 1) {
+		t.Errorf("ratio = %v, want +Inf", regs[0].Ratio)
+	}
+	if len(notes) != 0 {
+		t.Errorf("notes = %v, want none", notes)
 	}
 }
 

@@ -231,6 +231,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	if rec != nil {
 		fmt.Fprintf(w, "\nprotocol trace (%d events total; last %d shown):\n", rec.Total(), len(rec.Events()))
+		fmt.Fprint(w, rec.Dump())
+		fmt.Fprintln(w, "events by kind:")
 		for _, kind := range trace.Kinds() {
 			if n := rec.Count(kind); n > 0 {
 				fmt.Fprintf(w, "  %-18s %d\n", kind, n)

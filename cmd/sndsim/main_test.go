@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -80,6 +81,11 @@ func TestRunWithTrace(t *testing.T) {
 	}
 	if !strings.Contains(s, "record-accepted") {
 		t.Errorf("trace counts missing:\n%s", s)
+	}
+	// The retained events themselves are printed, one "#seq rround kind
+	// node[<-peer]" line each.
+	if !regexp.MustCompile(`(?m)^#\d+ r\d+ [a-z-]+ `).MatchString(s) {
+		t.Errorf("trace events missing:\n%s", s)
 	}
 }
 

@@ -39,8 +39,7 @@ func run() error {
 		}
 		start := time.Now()
 		functional, err := snd.DiscoverAll(layout, medium, master,
-			snd.AsyncConfig{Threshold: threshold, DiscoveryTimeout: 500 * time.Millisecond},
-			snd.OracleVerifier{})
+			snd.AsyncConfig{Threshold: threshold}, snd.OracleVerifier{})
 		if err != nil {
 			return err
 		}

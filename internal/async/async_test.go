@@ -3,8 +3,8 @@ package async
 import (
 	"math/rand"
 	"testing"
-	"time"
 
+	"snd/internal/core"
 	"snd/internal/crypto"
 	"snd/internal/deploy"
 	"snd/internal/geometry"
@@ -28,7 +28,7 @@ func newWorld(t *testing.T, nodes int, seed int64, lossProb float64) (*deploy.La
 
 func TestDiscoverAllConcurrent(t *testing.T) {
 	l, m, master := newWorld(t, 120, 1, 0)
-	cfg := Config{Threshold: 3, DiscoveryTimeout: 2 * time.Second}
+	cfg := Config{Threshold: 3}
 	functional, err := DiscoverAll(l, m, master, cfg, verify.Oracle{})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestAsyncMatchesThresholdSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := DiscoverAll(l, m, master, Config{Threshold: threshold, DiscoveryTimeout: time.Second}, verify.Oracle{})
+		g, err := DiscoverAll(l, m, master, Config{Threshold: threshold}, verify.Oracle{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,45 +71,85 @@ func TestAsyncMatchesThresholdSemantics(t *testing.T) {
 }
 
 func TestDiscoveryTimeoutUnderLoss(t *testing.T) {
-	// 30% packet loss: some records never arrive, the timeout fires, and
-	// every node still terminates and validates with what it heard.
+	// 30% packet loss: some records never arrive, so some nodes cannot
+	// finish on their own. The discovery window closes when the network
+	// settles: every node then validates with what it heard and ends up
+	// operational, and Stop returns.
 	l, m, master := newWorld(t, 60, 2, 0.3)
-	cfg := Config{Threshold: 0, DiscoveryTimeout: 300 * time.Millisecond}
-	start := time.Now()
-	functional, err := DiscoverAll(l, m, master, cfg, verify.Oracle{})
-	if err != nil {
-		t.Fatal(err)
+	n := NewNetwork(l, m, master, Config{Threshold: 0})
+	tent := verify.TentativeGraph(l, verify.Oracle{}, 50)
+	for _, d := range l.Devices() {
+		if _, err := n.StartDiscovery(d.Handle, tent.Out(d.Node)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("discovery under loss took %v; nodes hung", elapsed)
+	n.Settle()
+	n.Stop()
+	if m.Counters().LostRandom == 0 {
+		t.Fatal("no frame was lost; the test exercises nothing")
+	}
+	b := topology.NewBuilder()
+	for _, d := range l.Devices() {
+		ep := n.Endpoint(d.Handle)
+		if ep == nil {
+			t.Fatalf("no endpoint for %v", d.Handle)
+		}
+		if ep.Phase() != core.PhaseOperational {
+			t.Errorf("node %v still in phase %v after Settle", ep.ID(), ep.Phase())
+		}
+		b.AddNode(ep.ID())
+		for _, v := range ep.Functional() {
+			b.AddRelation(ep.ID(), v)
+		}
 	}
 	// Despite loss, a meaningful part of the topology survives.
-	truth := l.TruthGraph(50)
-	if acc := topology.Accuracy(functional, truth); acc < 0.2 {
+	if acc := topology.Accuracy(b.Finalize(), l.TruthGraph(50)); acc < 0.2 {
 		t.Errorf("accuracy under 30%% loss = %v, implausibly low", acc)
+	}
+}
+
+// TestLosslessRunsRepeat checks that on a lossless medium the result does
+// not depend on scheduling: two boots of the same layout build the same
+// functional topology from the same number of frames.
+func TestLosslessRunsRepeat(t *testing.T) {
+	boot := func() (*topology.Graph, radio.Counters) {
+		l, m, master := newWorld(t, 80, 6, 0)
+		g, err := DiscoverAll(l, m, master, Config{Threshold: 2}, verify.Oracle{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, m.Counters()
+	}
+	g1, c1 := boot()
+	g2, c2 := boot()
+	if !g1.Equal(g2) {
+		t.Error("two lossless boots built different functional topologies")
+	}
+	if c1 != c2 {
+		t.Errorf("radio counters differ: %+v vs %+v", c1, c2)
 	}
 }
 
 func TestLonelyNodeFinishesImmediately(t *testing.T) {
 	l := deploy.NewLayout(geometry.NewField(100, 100))
-	l.Deploy(geometry.Point{X: 50, Y: 50}, 0)
+	d := l.Deploy(geometry.Point{X: 50, Y: 50}, 0)
 	m := radio.NewMedium(l, radio.Config{Range: 50, InboxSize: 8})
 	master, err := crypto.NewMasterKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	g, err := DiscoverAll(l, m, master, Config{Threshold: 0, DiscoveryTimeout: 5 * time.Second}, verify.Oracle{})
+	// With no tentative neighbor there is nothing to wait for: the node
+	// finishes without anyone settling the network.
+	n := NewNetwork(l, m, master, Config{Threshold: 0})
+	ch, err := n.StartDiscovery(d.Handle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The post-discovery settle wait is one timeout; the lonely node must
-	// not additionally burn its own full discovery timeout.
-	if elapsed := time.Since(start); elapsed > 7*time.Second {
-		t.Errorf("lonely node took %v", elapsed)
-	}
-	if g.NumRelations() != 0 {
-		t.Errorf("lonely node has relations: %d", g.NumRelations())
+	<-ch
+	n.Settle()
+	n.Stop()
+	if ep := n.Endpoint(d.Handle); ep.Phase() != core.PhaseOperational || len(ep.Functional()) != 0 {
+		t.Errorf("lonely node: phase %v, functional %v", ep.Phase(), ep.Functional())
 	}
 }
 
@@ -125,23 +165,23 @@ func TestStartDiscoveryErrors(t *testing.T) {
 	if _, err := n.StartDiscovery(dev.Handle, nil); err == nil {
 		t.Error("double start accepted")
 	}
-	<-time.After(50 * time.Millisecond)
+	// The peer was never started, so its record never comes; settling
+	// finishes the node anyway.
+	n.Settle()
+	<-ch
 	n.Stop()
-	select {
-	case <-ch:
-	default:
-		// Discovery may legitimately be unfinished if the peer never
-		// responded (it was never started) — the timeout path covers it.
-	}
 	// Unknown device.
 	if err := n.StartResponder(deploy.Handle(99), nil); err == nil {
 		t.Error("responder for unknown device accepted")
+	}
+	if _, err := n.StartDiscovery(deploy.Handle(99), nil); err == nil {
+		t.Error("discovery on unknown device accepted")
 	}
 }
 
 func TestStopIsIdempotentAndClean(t *testing.T) {
 	l, m, master := newWorld(t, 20, 4, 0)
-	cfg := Config{Threshold: 0, DiscoveryTimeout: time.Second}
+	cfg := Config{Threshold: 0}
 	if _, err := DiscoverAll(l, m, master, cfg, verify.Oracle{}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,27 +208,17 @@ func TestAsyncUpdateExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNetwork(l, m, master, Config{
-		Threshold:        1,
-		MaxUpdates:       2,
-		DiscoveryTimeout: 2 * time.Second,
-	})
+	n := NewNetwork(l, m, master, Config{Threshold: 1, MaxUpdates: 2})
 	runWave := func(handles []deploy.Handle) {
 		t.Helper()
 		tent := verify.TentativeGraph(l, verify.Oracle{}, 50)
-		var waits []<-chan struct{}
 		for _, h := range handles {
-			ch, err := n.StartDiscovery(h, tent.Out(l.Device(h).Node))
-			if err != nil {
+			if _, err := n.StartDiscovery(h, tent.Out(l.Device(h).Node)); err != nil {
 				t.Fatal(err)
 			}
-			waits = append(waits, ch)
 		}
-		for _, ch := range waits {
-			<-ch
-		}
-		// Let evidence/commitments/update traffic settle.
-		time.Sleep(300 * time.Millisecond)
+		// Let evidence/commitments/update traffic land.
+		n.Settle()
 	}
 	runWave(wave1)
 	wave2 := []deploy.Handle{l.Deploy(geometry.Point{X: 45, Y: 54}, 1).Handle}

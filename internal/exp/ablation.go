@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"snd/internal/async"
 	"snd/internal/crypto"
@@ -284,12 +283,10 @@ func Engines(ctx context.Context, p EnginesParams) (*EnginesResult, error) {
 			if err != nil {
 				return enginesSample{}, err
 			}
-			// The medium is lossless, so the discovery window only has to
-			// outlast scheduling delay; 5 s holds under -race on a loaded
-			// 2-core host, where 2 s cut off late binding records.
+			// The medium is lossless, so every node finishes on its own
+			// records and DiscoverAll returns once the network is quiet.
 			functional, err := async.DiscoverAll(layout, medium, master,
-				async.Config{Threshold: p.Threshold, DiscoveryTimeout: 5 * time.Second},
-				verify.Oracle{})
+				async.Config{Threshold: p.Threshold}, verify.Oracle{})
 			if err != nil {
 				return enginesSample{}, err
 			}

@@ -118,35 +118,53 @@ func TestOverflowCountsPendingFrames(t *testing.T) {
 	}
 }
 
-// TestDetachDrainsThenCloses checks frames queued before Detach can still
-// be received, after which Ready reports closed — the semantics a closed
-// buffered channel had.
-func TestDetachDrainsThenCloses(t *testing.T) {
+// TestReadyOnDemand checks the wake-up channel exists only once asked
+// for: deliveries before that signal nothing, a first Ready call over
+// pending frames yields a token at once, and later deliveries raise at
+// most one token however many frames they queue.
+func TestReadyOnDemand(t *testing.T) {
 	l, devs := lineLayout(t)
 	m := NewMedium(l, Config{Range: 50})
-	trx := attachAll(t, m, devs)
-	for i := byte(0); i < 2; i++ {
-		if _, err := trx[0].Send([]byte{i}); err != nil {
+	trx := attachAll(t, m, devs) // only devs[1] hears devs[0]
+	if trx[1].ready != nil {
+		t.Fatal("Attach made a Ready channel")
+	}
+	send := func(b byte) {
+		t.Helper()
+		if _, err := trx[0].Send([]byte{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m.Detach(devs[1].Handle)
-	msgs := drain(trx[1])
-	if len(msgs) != 2 || msgs[0].Payload[0] != 0 || msgs[1].Payload[0] != 1 {
-		t.Fatalf("drained after detach = %v, want frames 0 and 1", msgs)
-	}
-	if _, ok := <-trx[1].Ready(); !ok {
-		t.Error("wake-up token lost on detach")
-	}
-	select {
-	case _, ok := <-trx[1].Ready():
-		if ok {
-			t.Error("Ready yielded a second token")
+	token := func() bool {
+		select {
+		case <-trx[1].Ready():
+			return true
+		default:
+			return false
 		}
-	default:
-		t.Error("Ready not closed after detach")
 	}
-	if n, _ := trx[0].Send([]byte{2}); n != 0 {
-		t.Errorf("delivered %d frames to a detached device", n)
+	send(0)
+	if trx[1].ready != nil {
+		t.Fatal("a delivery made a Ready channel")
+	}
+	if !token() {
+		t.Error("first Ready over a pending frame yielded no token")
+	}
+	if token() {
+		t.Error("Ready yielded a second token for one frame")
+	}
+	send(1)
+	send(2)
+	if !token() || token() {
+		t.Error("two deliveries should raise exactly one token")
+	}
+	if msgs := drain(trx[1]); len(msgs) != 3 || msgs[0].Payload[0] != 0 || msgs[2].Payload[0] != 2 {
+		t.Errorf("drained %v, want frames 0, 1, 2", msgs)
+	}
+	if token() {
+		t.Error("token without a delivery")
+	}
+	if trx[2].ready != nil {
+		t.Error("a transceiver that never asked has a Ready channel")
 	}
 }

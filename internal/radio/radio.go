@@ -18,18 +18,21 @@
 // caller hands the slice over with the call and must not write to it
 // afterwards; receivers treat it as read-only.
 //
-// The medium is safe for concurrent use. Each device attaches a Transceiver
-// whose inbox is a growable FIFO with its own lock: it costs nothing until
-// frames arrive, and both engines read it with TryRecv — the synchronous
-// engine between protocol steps, the goroutine-per-node engine whenever
-// the transceiver's Ready signal fires.
+// A medium has a single owner. It takes no locks: every call on a Medium
+// and its Transceivers — Attach, sends, TryRecv, the counters and the first
+// Ready — must come from one goroutine at a time, with a happens-before
+// edge between successive callers. The deterministic engine owns its medium
+// outright from one goroutine; the goroutine-per-node engine makes every
+// call under its network's one lock. Each device attaches a Transceiver
+// whose inbox is a growable FIFO: it costs nothing until frames arrive,
+// and the owner drains it with TryRecv. Only the Ready channel, created on
+// first request, is meant to be waited on from another goroutine.
 package radio
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"snd/internal/deploy"
 	"snd/internal/geometry"
@@ -119,7 +122,6 @@ type Counters struct {
 // slices (index = Handle-1) grown on attach — a per-delivery counter
 // bump is an array write, not a map insertion.
 type Medium struct {
-	mu      sync.Mutex
 	layout  *deploy.Layout
 	cfg     Config
 	rng     *rand.Rand
@@ -150,7 +152,7 @@ func NewMedium(layout *deploy.Layout, cfg Config) *Medium {
 	}
 }
 
-// trxAt returns the transceiver of device h, or nil. Callers hold m.mu.
+// trxAt returns the transceiver of device h, or nil.
 func (m *Medium) trxAt(h deploy.Handle) *Transceiver {
 	if h < 1 || int(h) > len(m.trx) {
 		return nil
@@ -159,7 +161,6 @@ func (m *Medium) trxAt(h deploy.Handle) *Transceiver {
 }
 
 // growTo extends the handle-indexed tables so device h is indexable.
-// Callers hold m.mu.
 func (m *Medium) growTo(h deploy.Handle) {
 	for len(m.trx) < int(h) {
 		m.trx = append(m.trx, nil)
@@ -176,56 +177,34 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 type Transceiver struct {
 	medium *Medium
 	handle deploy.Handle
-	// queue[head:] are the pending frames, guarded by mu: senders take it
-	// under medium.mu, receivers alone, so a pop never waits on other traffic.
-	mu    sync.Mutex
+	// queue[head:] are the pending frames.
 	queue []Message
 	head  int
-	ready chan struct{} // wake-up token; closed on detach
+	ready chan struct{} // wake-up token; nil until the first Ready call
 }
 
 // Attach creates (or returns the existing) transceiver for device h.
 func (m *Medium) Attach(h deploy.Handle) (*Transceiver, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if t := m.trxAt(h); t != nil {
 		return t, nil
 	}
 	if m.layout.Device(h) == nil {
 		return nil, fmt.Errorf("radio: attach %d: unknown device", h)
 	}
-	t := &Transceiver{
-		medium: m,
-		handle: h,
-		ready:  make(chan struct{}, 1),
-	}
+	t := &Transceiver{medium: m, handle: h}
 	m.growTo(h)
 	m.trx[h-1] = t
 	return t, nil
 }
 
-// Detach removes device h's transceiver and closes Ready; queued frames still drain.
-func (m *Medium) Detach(h deploy.Handle) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.trxAt(h); t != nil {
-		close(t.ready)
-		m.trx[h-1] = nil
-	}
-}
-
 // Jam adds a jamming region: no frame whose sender or receiver sits inside
 // the circle gets through.
 func (m *Medium) Jam(c geometry.Circle) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.jams = append(m.jams, c)
 }
 
 // ClearJamming removes all jamming regions.
 func (m *Medium) ClearJamming() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.jams = nil
 }
 
@@ -247,9 +226,6 @@ func (m *Medium) Unicast(h deploy.Handle, to nodeid.ID, payload []byte) (int, er
 }
 
 func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	sender := m.layout.Device(h)
 	if sender == nil {
 		return 0, fmt.Errorf("radio: send from %d: unknown device", h)
@@ -300,9 +276,10 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 	return delivered, nil
 }
 
-// deliver queues msg at receiver rcv unless rcv is detached, jammed, loses
-// the loss draw or has a full inbox, and does the accounting. It reports
-// whether the frame was queued. Callers hold m.mu.
+// deliver queues msg at receiver rcv unless rcv is unattached, jammed,
+// loses the loss draw or has a full inbox, and does the accounting. It
+// reports whether the frame was queued, and wakes a waiting consumer if
+// the transceiver has handed out a Ready channel.
 func (m *Medium) deliver(rcv *deploy.Device, msg Message) bool {
 	t := m.trxAt(rcv.Handle)
 	if t == nil {
@@ -316,17 +293,16 @@ func (m *Medium) deliver(rcv *deploy.Device, msg Message) bool {
 		m.count.LostRandom++
 		return false
 	}
-	t.mu.Lock()
 	if len(t.queue)-t.head >= m.cfg.InboxSize {
-		t.mu.Unlock()
 		m.count.LostOverflow++
 		return false
 	}
 	t.queue = append(t.queue, msg)
-	t.mu.Unlock()
-	select {
-	case t.ready <- struct{}{}:
-	default:
+	if t.ready != nil {
+		select {
+		case t.ready <- struct{}{}:
+		default:
+		}
 	}
 	n := len(msg.Payload)
 	m.count.Delivered++
@@ -346,15 +322,11 @@ func (m *Medium) inJam(p geometry.Point) bool {
 
 // Counters returns a snapshot of the medium statistics.
 func (m *Medium) Counters() Counters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.count
 }
 
 // SentBy returns how many frames device h has transmitted.
 func (m *Medium) SentBy(h deploy.Handle) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if h < 1 || int(h) > len(m.perSend) {
 		return 0
 	}
@@ -363,8 +335,6 @@ func (m *Medium) SentBy(h deploy.Handle) int {
 
 // BytesSentBy returns how many payload bytes device h has transmitted.
 func (m *Medium) BytesSentBy(h deploy.Handle) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if h < 1 || int(h) > len(m.perByte) {
 		return 0
 	}
@@ -374,8 +344,6 @@ func (m *Medium) BytesSentBy(h deploy.Handle) int {
 // EnergyUsedBy returns the energy device h has spent on radio activity,
 // in the configured model's units.
 func (m *Medium) EnergyUsedBy(h deploy.Handle) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if h < 1 || int(h) > len(m.energy) {
 		return 0
 	}
@@ -385,14 +353,24 @@ func (m *Medium) EnergyUsedBy(h deploy.Handle) float64 {
 // Handle returns the device this transceiver belongs to.
 func (t *Transceiver) Handle() deploy.Handle { return t.handle }
 
-// Ready yields after frames are queued, for goroutine-per-node consumers
-// that then drain them with TryRecv. It is closed on detach.
-func (t *Transceiver) Ready() <-chan struct{} { return t.ready }
+// Ready returns a channel that yields a token after frames are queued,
+// for a consumer goroutine that waits for traffic and then, as the
+// medium's owner, drains it with TryRecv. A token may outlive the frames
+// that raised it, so a wake can find the queue empty. The channel is made
+// on the first call, which is an owner's call like any other; a medium
+// whose transceivers never ask allocates and signals none.
+func (t *Transceiver) Ready() <-chan struct{} {
+	if t.ready == nil {
+		t.ready = make(chan struct{}, 1)
+		if t.head < len(t.queue) {
+			t.ready <- struct{}{}
+		}
+	}
+	return t.ready
+}
 
 // TryRecv pops the oldest pending frame without blocking.
 func (t *Transceiver) TryRecv() (Message, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.head == len(t.queue) {
 		return Message{}, false
 	}

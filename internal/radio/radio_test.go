@@ -2,7 +2,6 @@ package radio
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"snd/internal/deploy"
@@ -266,7 +265,7 @@ func TestFramesSharedByReference(t *testing.T) {
 	}
 }
 
-func TestAttachIdempotentAndDetach(t *testing.T) {
+func TestAttachIdempotent(t *testing.T) {
 	l, devs := lineLayout(t)
 	m := NewMedium(l, Config{Range: 50})
 	t1, err := m.Attach(devs[0].Handle)
@@ -280,11 +279,6 @@ func TestAttachIdempotentAndDetach(t *testing.T) {
 	if _, err := m.Attach(deploy.Handle(999)); err == nil {
 		t.Error("attached unknown device")
 	}
-	m.Detach(devs[0].Handle)
-	if _, ok := <-t1.Ready(); ok {
-		t.Error("Ready not closed on detach")
-	}
-	m.Detach(devs[0].Handle) // second detach is a no-op
 }
 
 func TestDrainAndCounters(t *testing.T) {
@@ -325,39 +319,6 @@ func TestSendToViaTransceiver(t *testing.T) {
 	}
 	if trx[0].Handle() != devs[0].Handle {
 		t.Errorf("Handle = %v", trx[0].Handle())
-	}
-}
-
-func TestConcurrentSendsRace(t *testing.T) {
-	// Exercised under -race in CI: many goroutines share the medium.
-	l := deploy.NewLayout(geometry.NewField(100, 100))
-	var devs []*deploy.Device
-	for i := 0; i < 10; i++ {
-		devs = append(devs, l.Deploy(geometry.Point{X: float64(i * 5), Y: 50}, 0))
-	}
-	m := NewMedium(l, Config{Range: 100})
-	for _, d := range devs {
-		if _, err := m.Attach(d.Handle); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, d := range devs {
-		d := d
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := m.Broadcast(d.Handle, []byte("c")); err != nil {
-					t.Errorf("broadcast: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.Counters().Sent; got != 500 {
-		t.Errorf("Sent = %d, want 500", got)
 	}
 }
 

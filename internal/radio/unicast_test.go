@@ -16,8 +16,6 @@ import (
 // handle order, keep those claiming `to`, then apply the attach, jam, loss
 // and inbox checks. It returns the receivers in delivery order.
 func sweepUnicast(m *Medium, h deploy.Handle, to nodeid.ID, payload []byte) ([]deploy.Handle, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	sender := m.layout.Device(h)
 	if sender == nil {
 		return nil, fmt.Errorf("radio: send from %d: unknown device", h)
@@ -53,14 +51,11 @@ func sweepUnicast(m *Medium, h deploy.Handle, to nodeid.ID, payload []byte) ([]d
 			m.count.LostRandom++
 			return
 		}
-		t.mu.Lock()
 		if len(t.queue)-t.head >= m.cfg.InboxSize {
-			t.mu.Unlock()
 			m.count.LostOverflow++
 			return
 		}
 		t.queue = append(t.queue, msg)
-		t.mu.Unlock()
 		got = append(got, rcv.Handle)
 		m.count.Delivered++
 		m.count.BytesDelivered += len(body)
@@ -180,9 +175,7 @@ func TestUnicastMatchesRangeSweep(t *testing.T) {
 }
 
 func drainIfAttached(m *Medium, h deploy.Handle) []Message {
-	m.mu.Lock()
 	t := m.trxAt(h)
-	m.mu.Unlock()
 	if t == nil {
 		return nil
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"snd/internal/nodeid"
 )
@@ -98,19 +97,22 @@ func (e Event) String() string {
 	return fmt.Sprintf("#%d r%d %s %v<-%v", e.Seq, e.Round, e.Kind, e.Node, e.Peer)
 }
 
-// Recorder receives protocol events. Implementations must be safe for
-// concurrent use; the async engine may emit from many goroutines.
+// Recorder receives protocol events. The simulation engine calls Record
+// from the one goroutine that runs the simulation, so an implementation
+// needs no synchronization of its own unless it is shared between
+// simulations running in parallel.
 type Recorder interface {
 	Record(e Event)
 }
 
-// Counts is a lock-free Recorder that keeps only per-kind event tallies —
-// the metrics bridge for attacked-run statistics. Unlike Ring it retains
-// no events, so it can stay on for every simulation at negligible cost:
-// Record is one atomic add. The zero value is ready to use.
+// Counts is a Recorder that keeps only per-kind event tallies — the
+// metrics bridge for attacked-run statistics. Unlike Ring it retains no
+// events, so it can stay on for every simulation at negligible cost:
+// Record is one array increment. It is not safe for concurrent use; each
+// simulation owns its own. The zero value is ready to use.
 type Counts struct {
-	n     [maxKind + 1]atomic.Int64
-	other atomic.Int64 // events with an out-of-range kind
+	n     [maxKind + 1]int64
+	other int64 // events with an out-of-range kind
 }
 
 var _ Recorder = (*Counts)(nil)
@@ -118,10 +120,10 @@ var _ Recorder = (*Counts)(nil)
 // Record implements Recorder.
 func (c *Counts) Record(e Event) {
 	if e.Kind >= 1 && e.Kind <= maxKind {
-		c.n[e.Kind].Add(1)
+		c.n[e.Kind]++
 		return
 	}
-	c.other.Add(1)
+	c.other++
 }
 
 // Count returns the tally for one kind.
@@ -129,14 +131,14 @@ func (c *Counts) Count(k Kind) int64 {
 	if k < 1 || k > maxKind {
 		return 0
 	}
-	return c.n[k].Load()
+	return c.n[k]
 }
 
 // Total returns the lifetime event count across all kinds.
 func (c *Counts) Total() int64 {
-	total := c.other.Load()
+	total := c.other
 	for k := KindHello; k <= maxKind; k++ {
-		total += c.n[k].Load()
+		total += c.n[k]
 	}
 	return total
 }
@@ -145,45 +147,21 @@ func (c *Counts) Total() int64 {
 func (c *Counts) Snapshot() map[Kind]int64 {
 	out := make(map[Kind]int64)
 	for k := KindHello; k <= maxKind; k++ {
-		if n := c.n[k].Load(); n > 0 {
+		if n := c.n[k]; n > 0 {
 			out[k] = n
 		}
 	}
 	return out
 }
 
-// Tee fans every event out to each non-nil recorder. It returns nil when
-// no recorder remains, so callers can keep their "is tracing on" nil
-// checks.
-func Tee(recorders ...Recorder) Recorder {
-	kept := make([]Recorder, 0, len(recorders))
-	for _, r := range recorders {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return tee(kept)
-}
-
-type tee []Recorder
-
-func (t tee) Record(e Event) {
-	for _, r := range t {
-		r.Record(e)
-	}
-}
-
-// Ring is a bounded in-memory recorder keeping the most recent events.
-// The zero value is unusable; call NewRing.
+// Ring is a bounded in-memory recorder keeping the most recent events in
+// a circular buffer. It is safe for concurrent use, so one ring can
+// collect the events of several simulations. The zero value is unusable;
+// call NewRing.
 type Ring struct {
 	mu     sync.Mutex
-	buf    []Event
+	buf    []Event // retained events; once full, buf[start] is the oldest
+	start  int
 	next   uint64
 	counts map[Kind]int
 }
@@ -201,17 +179,17 @@ func NewRing(capacity int) *Ring {
 	}
 }
 
-// Record implements Recorder.
+// Record implements Recorder. A full ring overwrites its oldest event.
 func (r *Ring) Record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
 	e.Seq = r.next
-	if len(r.buf) == cap(r.buf) {
-		copy(r.buf, r.buf[1:])
-		r.buf[len(r.buf)-1] = e
-	} else {
+	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.start] = e
+		r.start = (r.start + 1) % len(r.buf)
 	}
 	r.counts[e.Kind]++
 }
@@ -220,9 +198,9 @@ func (r *Ring) Record(e Event) {
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.buf))
-	copy(out, r.buf)
-	return out
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.start:]...)
+	return append(out, r.buf[:r.start]...)
 }
 
 // Count returns how many events of the given kind were recorded over the

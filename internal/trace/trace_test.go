@@ -43,6 +43,22 @@ func TestRingEviction(t *testing.T) {
 	if r.Count(KindHello) != 5 {
 		t.Errorf("lifetime count = %d", r.Count(KindHello))
 	}
+	// Wrapping more than once keeps the newest three, oldest first.
+	for i := 6; i <= 8; i++ {
+		r.Record(Event{Kind: KindHello, Node: 1})
+	}
+	events = r.Events()
+	if len(events) != 3 {
+		t.Fatalf("retained after wrap = %d, want 3", len(events))
+	}
+	for i, e := range events {
+		if want := uint64(6 + i); e.Seq != want {
+			t.Errorf("event %d: seq %d, want %d (retained %v)", i, e.Seq, want, events)
+		}
+	}
+	if r.Total() != 8 || r.Count(KindHello) != 8 {
+		t.Errorf("total = %d, hello = %d, want 8", r.Total(), r.Count(KindHello))
+	}
 }
 
 func TestRingFilterAndDump(t *testing.T) {
@@ -116,39 +132,6 @@ func TestCountsRecorder(t *testing.T) {
 	}
 	if c.Count(Kind(99)) != 0 {
 		t.Error("out-of-range kind should count as 0")
-	}
-}
-
-func TestCountsConcurrent(t *testing.T) {
-	var c Counts
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Record(Event{Kind: KindValidated})
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Count(KindValidated) != 8000 {
-		t.Errorf("concurrent count = %d, want 8000", c.Count(KindValidated))
-	}
-}
-
-func TestTee(t *testing.T) {
-	if Tee(nil, nil) != nil {
-		t.Error("Tee of nils should be nil")
-	}
-	var a, b Counts
-	if Tee(&a) != Recorder(&a) {
-		t.Error("single-recorder Tee should return it unchanged")
-	}
-	r := Tee(&a, nil, &b)
-	r.Record(Event{Kind: KindHello})
-	if a.Count(KindHello) != 1 || b.Count(KindHello) != 1 {
-		t.Error("tee did not fan out to both recorders")
 	}
 }
 
