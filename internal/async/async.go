@@ -320,27 +320,29 @@ func (r *runner) run() {
 }
 
 func (r *runner) handle(msg radio.Message) {
-	if len(msg.Payload) > 0 && core.MsgType(msg.Payload[0]) == core.MsgHello {
-		if from, err := core.HelloSender(msg.Payload); err == nil {
-			r.handleHello(from)
+	if len(msg.Payload) > 0 {
+		// Hellos and records are validated in place, without decoding.
+		switch core.MsgType(msg.Payload[0]) {
+		case core.MsgHello:
+			if from, err := core.HelloSender(msg.Payload); err == nil {
+				r.handleHello(from)
+			}
+			return
+		case core.MsgRecord:
+			if from, err := r.ep.ReceiveRecordFrame(msg.Payload); err == nil && r.expected != nil {
+				delete(r.expected, from)
+				if len(r.expected) == 0 {
+					r.finishDiscovery()
+				}
+			}
+			return
 		}
-		return
 	}
 	env, err := core.DecodeEnvelope(msg.Payload)
 	if err != nil {
 		return
 	}
 	switch env.Type {
-	case core.MsgRecord:
-		if r.ep.Phase() != core.PhaseDiscovering {
-			return
-		}
-		if err := r.ep.ReceiveBindingRecord(env.Record); err == nil && r.expected != nil {
-			delete(r.expected, env.Record.Node)
-			if len(r.expected) == 0 {
-				r.finishDiscovery()
-			}
-		}
 	case core.MsgUpdateRequest:
 		if r.ep.Phase() != core.PhaseDiscovering {
 			return

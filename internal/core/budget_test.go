@@ -42,10 +42,50 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 }
 
+// TestReceiveRecordFrameAllocatesNothing: validating a record frame in
+// place allocates nothing, whether it accepts the record or rejects it in
+// any of its error classes, at a node with a bitmap counter and with a
+// merging one.
+func TestReceiveRecordFrameAllocatesNothing(t *testing.T) {
+	fx := newRecordFixture(t)
+	valid := fx.frame(t, 3, 0, idRange(1, 150)...)
+	forged := bytes.Clone(valid)
+	forged[len(forged)-1] ^= 1
+	descending := bytes.Clone(valid)
+	descending[16] = 0xff
+	cases := []struct {
+		name  string
+		node  *Node
+		frame []byte
+		class error
+	}{
+		{"accept, bitmap", fx.dense, valid, nil},
+		{"accept, merge", fx.sparse, valid, nil},
+		{"truncated", fx.dense, valid[:len(valid)-1], ErrMalformed},
+		{"descending", fx.dense, descending, ErrMalformed},
+		{"hello", fx.dense, append([]byte{byte(MsgHello)}, valid[1:]...), ErrMalformed},
+		{"before discovery", fx.initialized, valid, ErrPhase},
+		{"after discovery", fx.operational, valid, ErrPhase},
+		{"not tentative", fx.dense, fx.frame(t, 42, 0, 1, 2), ErrNotTentative},
+		{"over the version limit", fx.dense, fx.frame(t, 3, 3, 1, 2), ErrBadRecord},
+		{"forged", fx.dense, forged, ErrBadRecord},
+	}
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { _, err = c.node.ReceiveRecordFrame(c.frame) })
+		if recordErrClass(err) != c.class {
+			t.Errorf("%s: err %v, want class %v", c.name, err, c.class)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, allocs)
+		}
+	}
+}
+
 // finishDiscoveryBudget is what FinishDiscovery allocates whatever the
-// number of pending records: the result, its two presized slices, the
-// functional list sized once, and the bitmap of N(u).
-const finishDiscoveryBudget = 5
+// number of pending records: the result, its two presized slices and the
+// functional list sized once.
+const finishDiscoveryBudget = 4
 
 // TestFinishDiscoveryAllocationsFlat: validation allocates per call, not
 // per record — 15 and 150 pending records cost the same count.

@@ -117,6 +117,14 @@ func decodeEvidence(b []byte) (RelationEvidence, error) {
 	return ev, nil
 }
 
+// Rejections shared by the readers that validate a frame in place
+// (HelloSender and Node.ReceiveRecordFrame), built once so that a
+// rejection allocates nothing.
+var (
+	errFrameLength = fmt.Errorf("%w: %w", ErrMalformed, errRecordLength)
+	errFrameList   = fmt.Errorf("%w: %w", ErrMalformed, errRecordList)
+)
+
 // HelloSender validates a MsgHello frame in place and returns its sender.
 // It applies exactly the checks DecodeEnvelope applies to a hello — the
 // frame type, the record's length against its neighbor count, and a
@@ -128,12 +136,12 @@ func HelloSender(frame []byte) (nodeid.ID, error) {
 		return nodeid.None, fmt.Errorf("%w: not a hello", ErrMalformed)
 	}
 	body := frame[1:]
-	count, err := recordListLen(body)
-	if err != nil {
-		return nodeid.None, fmt.Errorf("%w: %v", ErrMalformed, err)
+	count, ok := recordListLen(body)
+	if !ok {
+		return nodeid.None, errFrameLength
 	}
 	if !nodeid.ValidList(body[12 : 12+4*count]) {
-		return nodeid.None, fmt.Errorf("%w: %v", ErrMalformed, errRecordList)
+		return nodeid.None, errFrameList
 	}
 	id, _ := nodeid.FromBytes(body[0:4])
 	return id, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -83,17 +84,30 @@ type Node struct {
 	// scratch list — it grows as commitments arrive — so Functional hands
 	// out a copy rather than sharing it.
 	functional []nodeid.ID
-	// pending holds the authenticated binding records collected during
-	// discovery, one slot per tentative neighbor: pending[i] is the record
-	// of record.Neighbors[i], and a zero Node marks a slot still empty. It
-	// is sized once by BeginDiscovery and dropped by FinishDiscovery.
-	pending []BindingRecord
+	// pending holds what validation needs of each authenticated binding
+	// record collected during discovery, one slot per tentative neighbor:
+	// pending[i] is from record.Neighbors[i]. It is sized once by
+	// BeginDiscovery and dropped by FinishDiscovery.
+	pending []pendingRecord
+	// own counts common neighbors against N(u) while records arrive. It is
+	// built by BeginDiscovery and dropped by FinishDiscovery.
+	own nodeid.Counter
 	// evidence buffers authenticated relation evidences received since the
 	// last binding-record update, keyed by issuer. It is allocated on the
 	// first insert, with room for every tentative neighbor.
 	evidence map[nodeid.ID]RelationEvidence
 
 	hashOps int
+}
+
+// pendingRecord is all a node keeps of an accepted R(v) until
+// FinishDiscovery: the version i, the size of R(v) — which the two-phase
+// storage metric still charges — and the common count |N(u) ∩ N(v)|. A zero
+// size marks a slot still empty, since every record has a nonzero size.
+type pendingRecord struct {
+	version uint32
+	size    uint32 // R(v).StorageBytes()
+	common  uint32
 }
 
 // NewNode initializes a node before deployment: it is loaded with its own
@@ -168,38 +182,91 @@ func (n *Node) BeginDiscovery(tentative nodeid.Set) error {
 	}
 	n.hashOps++
 	n.record = BindingRecord{Node: n.id, Version: 0, Neighbors: neighbors, Commitment: c}
-	n.pending = make([]BindingRecord, len(neighbors))
+	n.pending = make([]pendingRecord, len(neighbors))
+	n.own = nodeid.NewCounter(neighbors)
 	n.phase = PhaseDiscovering
 	return nil
 }
 
-// ReceiveBindingRecord authenticates a tentative neighbor's binding record
-// with K and stores it for validation. Records from nodes outside N(u) are
-// rejected with ErrNotTentative; forged records with ErrBadRecord. Records
-// whose version exceeds the update limit are treated as forged — the
-// version number "can also be used to indicate how much we can trust the
-// binding record".
-func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
-	if n.phase != PhaseDiscovering {
-		return fmt.Errorf("%w: ReceiveBindingRecord in phase %d", ErrPhase, n.phase)
+// Rejections of ReceiveRecordFrame, built once so that validating a frame
+// allocates nothing whatever the verdict. The frame's sender comes back
+// beside the error.
+var (
+	errRecordFrameType    = fmt.Errorf("%w: not a binding record", ErrMalformed)
+	errRecordPhase        = fmt.Errorf("%w: binding record outside discovery", ErrPhase)
+	errRecordNotTentative = fmt.Errorf("%w: binding record sender", ErrNotTentative)
+	errRecordVersion      = fmt.Errorf("%w: version exceeds the update limit", ErrBadRecord)
+	errRecordForged       = fmt.Errorf("%w: commitment does not verify", ErrBadRecord)
+)
+
+// ReceiveRecordFrame authenticates a tentative neighbor's MsgRecord frame
+// with K and keeps what validation needs of it, returning the sender. It
+// works on the frame in place: one pass over the wire list checks that it
+// is canonical and counts the neighbors it shares with N(u), the commitment
+// is recomputed over the list bytes as received, and nothing is decoded or
+// allocated.
+//
+// It accepts exactly the frames that DecodeEnvelope decodes as a MsgRecord
+// and whose record ReceiveBindingRecord accepts, and rejects the rest with
+// the same error classes in the same order: ErrMalformed for a frame that
+// does not decode (in any phase), ErrPhase outside discovery,
+// ErrNotTentative for a sender outside N(u), and ErrBadRecord for a record
+// that fails authentication. A record whose version exceeds the update
+// limit is treated as forged — the version number "can also be used to
+// indicate how much we can trust the binding record". The sender is
+// returned with every error but ErrMalformed.
+func (n *Node) ReceiveRecordFrame(frame []byte) (nodeid.ID, error) {
+	if len(frame) < 1 || MsgType(frame[0]) != MsgRecord {
+		return nodeid.None, errRecordFrameType
 	}
-	slot, ok := slices.BinarySearch(n.record.Neighbors, r.Node)
+	body := frame[1:]
+	count, ok := recordListLen(body)
 	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotTentative, r.Node)
+		return nodeid.None, errFrameLength
 	}
-	if int(r.Version) > n.cfg.MaxUpdates {
-		return fmt.Errorf("%w: version %d exceeds limit %d", ErrBadRecord, r.Version, n.cfg.MaxUpdates)
+	list := body[12 : 12+4*count]
+	// Outside discovery own is the zero Counter, so this only checks list.
+	common, ok := n.own.CountList(list)
+	if !ok {
+		return nodeid.None, errFrameList
 	}
-	want, err := n.master.BindingCommitment(r.Node, r.Version, r.Neighbors)
+	from, _ := nodeid.FromBytes(body[0:4])
+	if n.phase != PhaseDiscovering {
+		return from, errRecordPhase
+	}
+	slot, ok := slices.BinarySearch(n.record.Neighbors, from)
+	if !ok {
+		return from, errRecordNotTentative
+	}
+	version := binary.BigEndian.Uint32(body[4:8])
+	if int(version) > n.cfg.MaxUpdates {
+		return from, errRecordVersion
+	}
+	want, err := n.master.BindingCommitmentEncoded(from, version, list)
 	if err != nil {
-		return fmt.Errorf("core: recompute commitment: %w", err)
+		return from, fmt.Errorf("core: recompute commitment: %w", err)
 	}
 	n.hashOps++
-	if !want.Equal(r.Commitment) {
-		return fmt.Errorf("%w: from %v", ErrBadRecord, r.Node)
+	if !want.Equal(crypto.Digest(body[12+4*count:])) {
+		return from, errRecordForged
 	}
-	n.pending[slot] = r
-	return nil
+	n.pending[slot] = pendingRecord{
+		version: version,
+		size:    uint32(recordStorageBytes(count)),
+		common:  uint32(common),
+	}
+	return from, nil
+}
+
+// ReceiveBindingRecord is ReceiveRecordFrame for a record in hand: it frames
+// r as a MsgRecord and validates the frame, so there is one validation
+// rule. A record whose neighbor list is not a canonical Set is rejected
+// with ErrMalformed.
+func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
+	var buf [512]byte // room for a record of up to 116 neighbors
+	frame, _ := Envelope{Type: MsgRecord, Record: r}.AppendTo(buf[:0])
+	_, err := n.ReceiveRecordFrame(frame)
+	return err
 }
 
 // DiscoveryResult carries everything a freshly deployed node must transmit
@@ -224,25 +291,24 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 		Evidences:   make([]RelationEvidence, 0, len(n.pending)),
 	}
 	n.functional = slices.Grow(n.functional, len(n.pending))
-	own := nodeid.NewCounter(n.record.Neighbors)
 	// Slots follow N(u), so records are validated in ascending sender order.
-	for _, r := range n.pending {
-		v := r.Node
-		if v == nodeid.None {
+	for i, r := range n.pending {
+		if r.size == 0 {
 			continue
 		}
+		v := n.record.Neighbors[i]
 		// Evidence E(u,v) goes to every authenticated tentative neighbor,
 		// bound to the version of the record it presented.
-		ev, err := n.master.RelationEvidence(n.id, v, r.Version)
+		ev, err := n.master.RelationEvidence(n.id, v, r.version)
 		if err != nil {
 			return nil, fmt.Errorf("core: evidence for %v: %w", v, err)
 		}
 		n.hashOps++
 		res.Evidences = append(res.Evidences, RelationEvidence{
-			From: n.id, To: v, Version: r.Version, Digest: ev,
+			From: n.id, To: v, Version: r.version, Digest: ev,
 		})
 		// Validation rule: |N(u) ∩ N(v)| ≥ t+1.
-		if own.IntersectLen(r.Neighbors) < n.cfg.Threshold+1 {
+		if int(r.common) < n.cfg.Threshold+1 {
 			continue
 		}
 		n.addFunctional(v)
@@ -257,6 +323,7 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 	}
 	n.master.Erase()
 	n.pending = nil
+	n.own = nodeid.Counter{}
 	n.phase = PhaseOperational
 	return res, nil
 }
@@ -407,9 +474,7 @@ func (n *Node) StorageBytes() int {
 	if n.phase == PhaseDiscovering {
 		s += crypto.DigestSize // the master key K
 		for _, r := range n.pending {
-			if r.Node != nodeid.None {
-				s += r.StorageBytes()
-			}
+			s += int(r.size)
 		}
 	}
 	return s
@@ -429,6 +494,7 @@ func (n *Node) Clone() *Node {
 		record:     n.record,
 		functional: slices.Clone(n.functional),
 		pending:    slices.Clone(n.pending),
+		own:        n.own,
 		evidence:   maps.Clone(n.evidence),
 		hashOps:    n.hashOps,
 	}

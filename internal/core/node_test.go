@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"snd/internal/crypto"
@@ -394,6 +395,73 @@ func TestStorageBytesPhases(t *testing.T) {
 	after := n.StorageBytes()
 	if after >= during {
 		t.Errorf("storage after discovery (%d) not below during (%d): K and pending records should be gone", after, during)
+	}
+}
+
+// TestRecordFrameStorageParity drives one node through ReceiveRecordFrame
+// and a reference node through ReceiveBindingRecord with the same records —
+// genuine ones with small and large overlaps, one over the version limit
+// and one forged. During discovery both must report the storage the
+// two-phase metric charges, every accepted record in full, and
+// FinishDiscovery must return the same result on both.
+func TestRecordFrameStorageParity(t *testing.T) {
+	fx := newRecordFixture(t)
+	master := fx.master
+	u, ref := fx.dense.Clone(), fx.dense.Clone()
+	records := []BindingRecord{}
+	add := func(from nodeid.ID, version uint32, ids ...nodeid.ID) {
+		set := nodeid.NewSet(ids...)
+		c, err := master.BindingCommitment(from, version, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, BindingRecord{Node: from, Version: version, Neighbors: set, Commitment: c})
+	}
+	add(2, 0, 1, 3, 4, 5, 100)                                // 3 common: valid
+	add(3, 1, 1, 2)                                           // 1 common: authenticated, not valid
+	add(4, 0, idRange(1, 40)...)                              // every other tentative neighbor
+	add(5, uint32(recordFixtureCfg.MaxUpdates+1), 1, 2, 3, 4) // over the limit
+	add(6, 0, 1, 2, 3, 4)
+	records[len(records)-1].Commitment[0] ^= 1 // forged
+	add(7, 2, 2, 8, 9)                         // the last version allowed
+
+	want := u.StorageBytes()
+	for _, r := range records {
+		frame, err := Envelope{Type: MsgRecord, Record: r}.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, frameErr := u.ReceiveRecordFrame(frame)
+		refErr := ref.ReceiveBindingRecord(r)
+		if recordErrClass(frameErr) != recordErrClass(refErr) {
+			t.Fatalf("record of %v: frame path err %v, record path err %v", r.Node, frameErr, refErr)
+		}
+		if frameErr == nil {
+			want += r.StorageBytes()
+		}
+		if got, gotRef := u.StorageBytes(), ref.StorageBytes(); got != want || gotRef != want {
+			t.Fatalf("after record of %v: StorageBytes frame path %d, record path %d, want %d", r.Node, got, gotRef, want)
+		}
+	}
+	res, err := u.FinishDiscovery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resRef, err := ref.FinishDiscovery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, resRef) {
+		t.Errorf("FinishDiscovery: frame path %+v, record path %+v", res, resRef)
+	}
+	if got := u.Functional(); !got.Equal(nodeid.Set{2, 4, 7}) || !got.Equal(ref.Functional()) {
+		t.Errorf("functional: frame path %v, record path %v, want [2 4 7]", got, ref.Functional())
+	}
+	if len(res.Evidences) != 4 {
+		t.Errorf("%d evidences, want one per authenticated record (4)", len(res.Evidences))
+	}
+	if u.StorageBytes() != ref.StorageBytes() || u.HashOps() != ref.HashOps() {
+		t.Errorf("after discovery: storage %d vs %d, hashes %d vs %d", u.StorageBytes(), ref.StorageBytes(), u.HashOps(), ref.HashOps())
 	}
 }
 

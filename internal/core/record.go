@@ -10,12 +10,16 @@
 //
 // The wire forms live here too (Envelope, AppendTo, DecodeEnvelope). One
 // encoder appends every message type, so a sender can frame many messages
-// into one buffer of its own. Receivers decode and authenticate every
-// record they keep, but a hello's receivers need only its sender:
-// HelloSender applies DecodeEnvelope's hello checks in place and decodes
-// nothing. Validation counts |N(u) ∩ N(v)| against one nodeid.Counter of
-// N(u) per FinishDiscovery, and a node's per-discovery state (the pending
-// records, one slot per tentative neighbor, and the result) is sized once.
+// into one buffer of its own. Receivers read the two discovery frames in
+// place and decode neither. A hello's receivers need only its sender:
+// HelloSender applies DecodeEnvelope's hello checks to the frame. A
+// record's receiver needs three facts from R(v) — that C(v) verifies, the
+// version i, and |N(u) ∩ N(v)| — and ReceiveRecordFrame takes them from
+// the frame: it checks and counts the wire list in one pass against a
+// nodeid.Counter of N(u) built at BeginDiscovery, hashes the wire list
+// bytes to verify C(v), and keeps those three numbers in the record's
+// pending slot, one per tentative neighbor. A node's per-discovery state
+// is sized once.
 //
 // With at most t compromised nodes the protocol guarantees the 2R-safety
 // property (Theorem 3); with the binding-record update extension and at
@@ -27,7 +31,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"snd/internal/crypto"
 	"snd/internal/nodeid"
@@ -49,9 +52,11 @@ type BindingRecord struct {
 
 // StorageBytes estimates the record's in-flash footprint: 4 (id) +
 // 4 (version) + 4·|N(u)| + 32 (commitment).
-func (r BindingRecord) StorageBytes() int {
-	return 4 + 4 + 4*r.Neighbors.Len() + crypto.DigestSize
-}
+func (r BindingRecord) StorageBytes() int { return recordStorageBytes(r.Neighbors.Len()) }
+
+// recordStorageBytes is the footprint of a record with the given number of
+// neighbors.
+func recordStorageBytes(neighbors int) int { return 4 + 4 + 4*neighbors + crypto.DigestSize }
 
 // Encode serializes the record: id(4) ‖ version(4) ‖ count(4) ‖ ids ‖
 // commitment(32).
@@ -71,28 +76,28 @@ func (r BindingRecord) appendTo(b []byte) []byte {
 	return append(b, r.Commitment[:]...)
 }
 
-var errRecordList = errors.New("core: binding record neighbor list malformed")
+var (
+	errRecordLength = errors.New("core: binding record length does not match its neighbor count")
+	errRecordList   = errors.New("core: binding record neighbor list malformed")
+)
 
 // recordListLen checks an encoded record's length against the neighbor
 // count in its header and returns that count. It is the one length rule of
-// DecodeBindingRecord and HelloSender.
-func recordListLen(b []byte) (int, error) {
+// DecodeBindingRecord, HelloSender and ReceiveRecordFrame.
+func recordListLen(b []byte) (int, bool) {
 	if len(b) < 12+crypto.DigestSize {
-		return 0, errors.New("core: binding record truncated")
+		return 0, false
 	}
 	count := int(binary.BigEndian.Uint32(b[8:12]))
-	if want := 12 + 4*count + crypto.DigestSize; len(b) != want {
-		return 0, fmt.Errorf("core: binding record length %d, want %d for %d neighbors", len(b), want, count)
-	}
-	return count, nil
+	return count, len(b) == 12+4*count+crypto.DigestSize
 }
 
 // DecodeBindingRecord parses the encoding produced by Encode.
 func DecodeBindingRecord(b []byte) (BindingRecord, error) {
 	var r BindingRecord
-	count, err := recordListLen(b)
-	if err != nil {
-		return r, err
+	count, ok := recordListLen(b)
+	if !ok {
+		return r, errRecordLength
 	}
 	set, ok := nodeid.DecodeList(b[12 : 12+4*count])
 	if !ok {

@@ -104,14 +104,11 @@ func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nod
 	if k.erased {
 		return Digest{}, ErrErased
 	}
-	// The framed list part is exactly EncodeList(neighbors), streamed
-	// through buf a chunk at a time instead of materialized.
+	// The list part is exactly EncodeList(neighbors), streamed through buf
+	// a chunk at a time instead of materialized.
 	h := sha256.New()
 	var buf [256]byte
-	b := appendFramed(buf[:0], tagBindingCommitment)
-	b = appendFramed(b, k.key)
-	b = appendFramed(b, uint32Bytes(version))
-	b = binary.BigEndian.AppendUint32(b, uint32(4*len(neighbors)))
+	b := k.appendBindingHead(buf[:0], version, 4*len(neighbors))
 	for _, id := range neighbors {
 		if len(b)+4 > len(buf) {
 			h.Write(b)
@@ -124,6 +121,37 @@ func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nod
 	var d Digest
 	h.Sum(d[:0])
 	return d, nil
+}
+
+// BindingCommitmentEncoded is BindingCommitment over a list already in its
+// canonical encoding, EncodeList(N(u)) — the form a record carries on the
+// wire — so a receiver hashes the received bytes in one Write. It does not
+// check that list is canonical; a list that is not hashes to a digest no
+// Set commits to.
+func (k *MasterKey) BindingCommitmentEncoded(u nodeid.ID, version uint32, list []byte) (Digest, error) {
+	if k.erased {
+		return Digest{}, ErrErased
+	}
+	h := sha256.New()
+	var buf [128]byte
+	h.Write(k.appendBindingHead(buf[:0], version, len(list)))
+	h.Write(list)
+	h.Write(appendFramed(buf[:0], u.Bytes()))
+	var d Digest
+	h.Sum(d[:0])
+	return d, nil
+}
+
+// appendBindingHead appends to b the framing of C(u) that precedes the list
+// bytes: the tag, K, the version i, and the list part's length prefix. Both
+// commitment forms hash this head, then the listLen bytes of
+// EncodeList(N(u)), then u framed, so the digest is Hash(tag, K, i,
+// EncodeList(N(u)), u) in one place.
+func (k *MasterKey) appendBindingHead(b []byte, version uint32, listLen int) []byte {
+	b = appendFramed(b, tagBindingCommitment)
+	b = appendFramed(b, k.key)
+	b = appendFramed(b, uint32Bytes(version))
+	return binary.BigEndian.AppendUint32(b, uint32(listLen))
 }
 
 // RelationEvidence computes E(u,v) = H(K‖u‖v‖i): node u's proof, issued

@@ -88,6 +88,9 @@ func TestEraseBlocksEverything(t *testing.T) {
 	if _, err := k.BindingCommitment(1, 0, nodeid.NewSet(2)); !errors.Is(err, ErrErased) {
 		t.Errorf("BindingCommitment err = %v, want ErrErased", err)
 	}
+	if _, err := k.BindingCommitmentEncoded(1, 0, nodeid.EncodeList(nodeid.NewSet(2))); !errors.Is(err, ErrErased) {
+		t.Errorf("BindingCommitmentEncoded err = %v, want ErrErased", err)
+	}
 	if _, err := k.RelationEvidence(1, 2, 0); !errors.Is(err, ErrErased) {
 		t.Errorf("RelationEvidence err = %v, want ErrErased", err)
 	}
@@ -189,5 +192,9 @@ func TestBindingCommitmentAllocations(t *testing.T) {
 	ns := pinnedList(150)
 	if got := testing.AllocsPerRun(100, func() { _, _ = k.BindingCommitment(42, 1, ns) }); got > 1 {
 		t.Errorf("BindingCommitment: %v allocs, budget 1", got)
+	}
+	list := nodeid.EncodeList(ns)
+	if got := testing.AllocsPerRun(100, func() { _, _ = k.BindingCommitmentEncoded(42, 1, list) }); got != 0 {
+		t.Errorf("BindingCommitmentEncoded: %v allocs, want 0", got)
 	}
 }

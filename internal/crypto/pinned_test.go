@@ -74,11 +74,19 @@ func TestCommitmentDigestsPinned(t *testing.T) {
 		if got := hexOf(c); got != b.want {
 			t.Errorf("BindingCommitment(42, v%d, %d IDs) = %s, want %s", b.version, b.n, got, b.want)
 		}
+		// The wire-list form hashes the same framing to the same pin.
+		c, err = k.BindingCommitmentEncoded(42, b.version, nodeid.EncodeList(pinnedList(b.n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hexOf(c); got != b.want {
+			t.Errorf("BindingCommitmentEncoded(42, v%d, %d IDs) = %s, want %s", b.version, b.n, got, b.want)
+		}
 	}
 }
 
-// TestBindingCommitmentMatchesFraming checks, on random lists, that
-// BindingCommitment is exactly Hash(tag, K, i, EncodeList(N(u)), u).
+// TestBindingCommitmentMatchesFraming checks, on random lists, that both
+// forms of BindingCommitment are exactly Hash(tag, K, i, EncodeList(N(u)), u).
 func TestBindingCommitmentMatchesFraming(t *testing.T) {
 	k := pinnedKey()
 	rng := rand.New(rand.NewSource(11))
@@ -97,6 +105,13 @@ func TestBindingCommitmentMatchesFraming(t *testing.T) {
 		want := Hash([]byte(tagBindingCommitment), k.key, uint32Bytes(version), nodeid.EncodeList(ns), u.Bytes())
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: BindingCommitment = %x, framed hash = %x", trial, got, want)
+		}
+		enc, err := k.BindingCommitmentEncoded(u, version, nodeid.EncodeList(ns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !enc.Equal(want) {
+			t.Fatalf("trial %d: BindingCommitmentEncoded = %x, framed hash = %x", trial, enc, want)
 		}
 	}
 }

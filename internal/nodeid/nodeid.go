@@ -193,8 +193,12 @@ func AppendList(b []byte, s Set) []byte {
 
 // ValidList reports whether b is a canonical list encoding: a whole number
 // of 4-byte IDs in strictly ascending order. It is the acceptance test of
-// DecodeList, for readers that only need to know a list is well formed.
-func ValidList(b []byte) bool { return len(b)%4 == 0 && scanList(b, nil) }
+// DecodeList and CountList, for readers that only need to know a list is
+// well formed.
+func ValidList(b []byte) bool {
+	_, ok := Counter{}.CountList(b)
+	return ok
+}
 
 // DecodeList parses the canonical encoding produced by EncodeList into a
 // Set of its own. It returns false unless ValidList(b): an unsorted or
@@ -205,38 +209,25 @@ func DecodeList(b []byte) (Set, bool) {
 		return nil, false
 	}
 	s := make(Set, len(b)/4)
-	if !scanList(b, s) {
-		return nil, false
+	for i := range s {
+		s[i] = ID(binary.BigEndian.Uint32(b[4*i:]))
+		if i > 0 && s[i] <= s[i-1] {
+			return nil, false
+		}
 	}
 	return s, true
 }
 
-// scanList checks that the IDs of b, a whole number of 4-byte IDs, are
-// strictly ascending, and copies them into dst unless dst is nil: the one
-// pass behind both ValidList and DecodeList.
-func scanList(b []byte, dst Set) bool {
-	var prev ID
-	for i := range len(b) / 4 {
-		id := ID(binary.BigEndian.Uint32(b[4*i:]))
-		if i > 0 && id <= prev {
-			return false
-		}
-		if dst != nil {
-			dst[i] = id
-		}
-		prev = id
-	}
-	return true
-}
-
-// Counter answers |s ∩ t| for one fixed s against many t, the shape of the
-// validation rule: one node's list counted against each neighbor's.
+// Counter answers |s ∩ t| for one fixed s against many received lists t,
+// the shape of the validation rule: one node's list counted against each
+// neighbor's, straight from the wire.
 //
 // When s is dense over its ID span [s[0], s[len(s)-1]] — the span needs no
 // more 64-bit words than s has IDs — the counter keeps a bitmap of s and a
 // count is one bit test per ID of t; IDs outside the span count 0. The
 // bitmap then costs at most 8 bytes per ID of s. A sparser s keeps no
-// bitmap, and a count is IntersectLen's merge.
+// bitmap, and a count is a sorted merge. The zero Counter counts against
+// the empty set.
 type Counter struct {
 	set  Set
 	lo   ID
@@ -264,20 +255,39 @@ func NewCounter(s Set) Counter {
 	return c
 }
 
-// IntersectLen returns |s ∩ t| for the counter's s, without allocating.
-func (c Counter) IntersectLen(t Set) int {
-	if c.bits == nil {
-		return c.set.IntersectLen(t)
+// CountList reads b as a canonical list encoding and returns |s ∩ t| for
+// the counter's s and the set t that b encodes, in one pass and without
+// decoding or allocating. ok is ValidList(b): a list that is not canonical
+// counts nothing, so a receiver checks and counts a list it never keeps.
+func (c Counter) CountList(b []byte) (n int, ok bool) {
+	if len(b)%4 != 0 {
+		return 0, false
 	}
-	n := 0
 	span := uint64(len(c.bits)) * 64
-	for _, id := range t {
-		// An ID below lo wraps to a huge offset and fails the span test.
-		if d := uint64(id) - uint64(c.lo); d < span {
-			n += int(c.bits[d/64] >> (d % 64) & 1)
+	j := 0 // the merge's position in c.set
+	var prev ID
+	for i := 0; i < len(b); i += 4 {
+		id := ID(binary.BigEndian.Uint32(b[i:]))
+		if i > 0 && id <= prev {
+			return 0, false
+		}
+		prev = id
+		if c.bits != nil {
+			// An ID below lo wraps to a huge offset and fails the span test.
+			if d := uint64(id) - uint64(c.lo); d < span {
+				n += int(c.bits[d/64] >> (d % 64) & 1)
+			}
+			continue
+		}
+		for j < len(c.set) && c.set[j] < id {
+			j++
+		}
+		if j < len(c.set) && c.set[j] == id {
+			n++
+			j++
 		}
 	}
-	return n
+	return n, true
 }
 
 // Isomorphism is a bijective renaming of node IDs, as used by Definition 3

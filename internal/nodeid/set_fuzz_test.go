@@ -92,8 +92,8 @@ func FuzzSetOps(f *testing.F) {
 		if got := sa.IntersectLen(sb); got != len(and) {
 			t.Fatalf("IntersectLen = %d, oracle %d", got, len(and))
 		}
-		if got := NewCounter(sa).IntersectLen(sb); got != len(and) {
-			t.Fatalf("Counter(%v).IntersectLen(%v) = %d, oracle %d", sa, sb, got, len(and))
+		if got, ok := NewCounter(sa).CountList(EncodeList(sb)); !ok || got != len(and) {
+			t.Fatalf("Counter(%v).CountList(%v) = %d, %v; oracle %d", sa, sb, got, ok, len(and))
 		}
 		assertMembers(t, "Intersect", sa.Intersect(sb), and)
 		assertMembers(t, "Union", sa.Union(sb), or)
@@ -113,6 +113,38 @@ func FuzzSetOps(f *testing.F) {
 		assertMembers(t, "DecodeList", dec, inA)
 		if !slices.Equal(sa, saIn) || !slices.Equal(sb, sbIn) {
 			t.Fatalf("operands changed: %v, %v; were %v, %v", sa, sb, saIn, sbIn)
+		}
+	})
+}
+
+// FuzzCountList checks Counter.CountList on arbitrary wire bytes against
+// DecodeList + IntersectLen, through both of its branches: NewCounter's
+// (a bitmap when the span rule picks one) and a counter forced to merge.
+// It accepts exactly what DecodeList decodes. The first argument's bytes
+// are the counter's IDs, one per byte as in FuzzSetOps.
+func FuzzCountList(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 2, 3, 9}, EncodeList(Set{2, 3, 4}))
+	f.Add([]byte{1, 2, 3, 9}, EncodeList(Set{4, 3, 2}))               // descending
+	f.Add([]byte{1, 2, 3, 9}, EncodeList(Set{2, 2}))                  // repeated
+	f.Add([]byte{5, 0x85}, EncodeList(Set{0, 5, ^ID(5), ^ID(0)}))     // merge branch
+	f.Add([]byte{1, 2, 3, 9}, append(EncodeList(Set{1, 2}), 0xff))    // ragged length
+	f.Add([]byte{0x7f, 0x7e, 0x01}, EncodeList(Set{1, 64, 126, 127})) // bitmap across words
+	f.Fuzz(func(t *testing.T, ids, wire []byte) {
+		s := NewSet(fuzzIDs(ids)...)
+		dec, decOK := DecodeList(wire)
+		if ValidList(wire) != decOK {
+			t.Fatalf("ValidList(%x) = %v, DecodeList ok = %v", wire, !decOK, decOK)
+		}
+		want := s.IntersectLen(dec)
+		for _, c := range []Counter{NewCounter(s), {set: s}} {
+			got, ok := c.CountList(wire)
+			if ok != decOK {
+				t.Fatalf("Counter(%v, bitmap %v).CountList(%x) ok = %v, DecodeList ok = %v", s, c.bits != nil, wire, ok, decOK)
+			}
+			if ok && got != want {
+				t.Fatalf("Counter(%v, bitmap %v).CountList(%v) = %d, IntersectLen %d", s, c.bits != nil, dec, got, want)
+			}
 		}
 	})
 }
@@ -160,8 +192,8 @@ func TestCounterMatchesMerge(t *testing.T) {
 		}
 		c := NewCounter(l.s)
 		for _, probe := range []Set{nil, all, every2, l.s, NewSet(l.s...)} {
-			if got, want := c.IntersectLen(probe), l.s.IntersectLen(probe); got != want {
-				t.Errorf("%s: Counter(%v).IntersectLen(%v) = %d, merge %d", l.name, l.s, probe, got, want)
+			if got, ok := c.CountList(EncodeList(probe)); !ok || got != l.s.IntersectLen(probe) {
+				t.Errorf("%s: Counter(%v).CountList(%v) = %d, %v; merge %d", l.name, l.s, probe, got, ok, l.s.IntersectLen(probe))
 			}
 		}
 		want := 0.0
@@ -171,8 +203,9 @@ func TestCounterMatchesMerge(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { _ = NewCounter(l.s) }); got != want {
 			t.Errorf("%s: NewCounter(%v) made %v allocations, want %v", l.name, l.s, got, want)
 		}
-		if got := testing.AllocsPerRun(20, func() { _ = c.IntersectLen(all) }); got != 0 {
-			t.Errorf("%s: IntersectLen allocates %v", l.name, got)
+		wire := EncodeList(all)
+		if got := testing.AllocsPerRun(20, func() { _, _ = c.CountList(wire) }); got != 0 {
+			t.Errorf("%s: CountList allocates %v", l.name, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"snd/internal/core"
@@ -187,15 +188,21 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		s.channelFailures++
 		return nil
 	}
-	if len(payload) > 0 && core.MsgType(payload[0]) == core.MsgHello {
-		// Hellos are validated in place: the reply needs only the sender.
-		from, err := core.HelloSender(payload)
-		if err != nil {
-			s.protocolErrors++
-			s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+	if len(payload) > 0 {
+		switch core.MsgType(payload[0]) {
+		case core.MsgHello:
+			// Hellos are validated in place: the reply needs only the sender.
+			from, err := core.HelloSender(payload)
+			if err != nil {
+				s.protocolErrors++
+				s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+				return nil
+			}
+			return s.handleHello(d, ep, from)
+		case core.MsgRecord:
+			s.handleRecord(d, ep, msg, payload)
 			return nil
 		}
-		return s.handleHello(d, ep, from)
 	}
 	env, err := core.DecodeEnvelope(payload)
 	if err != nil {
@@ -204,15 +211,6 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		return nil
 	}
 	switch env.Type {
-	case core.MsgRecord:
-		if ep.Phase() == core.PhaseDiscovering {
-			if err := ep.ReceiveBindingRecord(env.Record); err != nil {
-				s.protocolErrors++
-				s.trace(trace.KindRecordRejected, d.Node, env.Record.Node)
-			} else {
-				s.trace(trace.KindRecordAccepted, d.Node, env.Record.Node)
-			}
-		}
 	case core.MsgUpdateRequest:
 		if ep.Phase() == core.PhaseDiscovering {
 			updated, err := ep.ServeUpdateRequest(env.Update)
@@ -256,6 +254,25 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 		s.protocolErrors++
 	}
 	return nil
+}
+
+// handleRecord validates a binding-record frame at device d in place. A
+// frame that does not decode is an error in any phase; a well-formed one
+// reaching a node outside discovery is ignored.
+func (s *Simulation) handleRecord(d *deploy.Device, ep *core.Node, msg radio.Message, frame []byte) {
+	from, err := ep.ReceiveRecordFrame(frame)
+	switch {
+	case err == nil:
+		s.trace(trace.KindRecordAccepted, d.Node, from)
+	case errors.Is(err, core.ErrMalformed):
+		s.protocolErrors++
+		s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+	case errors.Is(err, core.ErrPhase):
+		// Too late (or early) to matter: not an error.
+	default:
+		s.protocolErrors++
+		s.trace(trace.KindRecordRejected, d.Node, from)
+	}
 }
 
 // handleHello makes device d answer a fresh node's hello: it returns its
