@@ -30,30 +30,30 @@ func (r *testDistResult) Render() string { return fmt.Sprintf("test-dist: %d poi
 
 func init() {
 	exp.Register("test-dist", "test-only: deterministic distributable sweep",
-		func(ctx context.Context, eng *runner.Engine, p struct {
+		func(p struct {
 			Points  int
 			Trials  int
 			Seed    int64
 			SleepMs int
-		}) (*testDistResult, error) {
+		}) exp.Sweep[float64, *testDistResult] {
 			if p.Points == 0 {
 				p.Points = 2
 			}
 			if p.Trials == 0 {
 				p.Trials = 2
 			}
-			out, err := runner.MapCtx(ctx, eng, runner.Spec{
-				Experiment: "test-dist", Params: p, Points: p.Points, Trials: p.Trials,
-			}, func(point, trial int) (float64, error) {
-				if p.SleepMs > 0 {
-					time.Sleep(time.Duration(p.SleepMs) * time.Millisecond)
-				}
-				return float64(runner.TrialSeed(p.Seed, point, trial)%100000) / 7.0, nil
-			})
-			if err != nil {
-				return nil, err
+			return exp.Sweep[float64, *testDistResult]{
+				Name: "test-dist", Params: p, Points: p.Points, Trials: p.Trials,
+				Trial: func(point, trial int) (float64, error) {
+					if p.SleepMs > 0 {
+						time.Sleep(time.Duration(p.SleepMs) * time.Millisecond)
+					}
+					return float64(runner.TrialSeed(p.Seed, point, trial)%100000) / 7.0, nil
+				},
+				Reduce: func(out *runner.Outcome[float64]) (*testDistResult, error) {
+					return &testDistResult{All: out.Points}, nil
+				},
 			}
-			return &testDistResult{All: out.Points}, nil
 		})
 }
 

@@ -35,33 +35,51 @@ func (r *testResult) Render() string { return fmt.Sprintf("test: %d", r.N) }
 
 func init() {
 	exp.Register("test-sleep", "test-only: sleeps Millis per trial",
-		func(ctx context.Context, eng *runner.Engine, p struct {
+		func(p struct {
 			Trials int
 			Millis int
 			Seed   int64
-		}) (*testResult, error) {
-			out, err := runner.MapCtx(ctx, eng, runner.Spec{
-				Experiment: "test-sleep", Params: p, Points: 1, Trials: p.Trials,
-			}, func(_, trial int) (int, error) {
-				time.Sleep(time.Duration(p.Millis) * time.Millisecond)
-				return trial, nil
-			})
-			if err != nil {
-				return nil, err
+		}) exp.Sweep[int, *testResult] {
+			return exp.Sweep[int, *testResult]{
+				Name: "test-sleep", Params: p, Points: 1, Trials: p.Trials,
+				Trial: func(_, trial int) (int, error) {
+					time.Sleep(time.Duration(p.Millis) * time.Millisecond)
+					return trial, nil
+				},
+				Reduce: func(out *runner.Outcome[int]) (*testResult, error) {
+					return &testResult{N: len(out.Points[0])}, nil
+				},
 			}
-			return &testResult{N: len(out.Points[0])}, nil
 		})
+	// A sweep stops handing out cells once cancelled, so a long grid of
+	// short sleeps blocks until its context ends.
 	exp.Register("test-block", "test-only: blocks until cancelled",
-		func(ctx context.Context, eng *runner.Engine, p struct{ Seed int64 }) (*testResult, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
+		func(p struct{ Seed int64 }) exp.Sweep[int, *testResult] {
+			return exp.Sweep[int, *testResult]{
+				Name: "test-block", Params: p, Points: 1, Trials: 1 << 16,
+				Trial: func(_, trial int) (int, error) {
+					time.Sleep(5 * time.Millisecond)
+					return trial, nil
+				},
+				Reduce: func(out *runner.Outcome[int]) (*testResult, error) {
+					return &testResult{N: len(out.Points[0])}, nil
+				},
+			}
 		})
 	exp.Register("test-flaky", "test-only: fails while flakyFail is set",
-		func(ctx context.Context, eng *runner.Engine, p struct{ Seed int64 }) (*testResult, error) {
-			if flakyFail.Load() {
-				return nil, errors.New("transient failure")
+		func(p struct{ Seed int64 }) exp.Sweep[int, *testResult] {
+			return exp.Sweep[int, *testResult]{
+				Name: "test-flaky", Params: p, Points: 1, Trials: 1,
+				Trial: func(_, trial int) (int, error) {
+					if flakyFail.Load() {
+						return 0, errors.New("transient failure")
+					}
+					return trial, nil
+				},
+				Reduce: func(out *runner.Outcome[int]) (*testResult, error) {
+					return &testResult{N: 1}, nil
+				},
 			}
-			return &testResult{N: 1}, nil
 		})
 }
 

@@ -352,7 +352,7 @@ func startTracedWorker(t *testing.T, ts *httptest.Server, name string, sampling 
 // TestDistConnectedTraceAcrossFleet is the tentpole acceptance check: a
 // sweep through the coordinator and two HTTP workers yields ONE connected
 // trace — HTTP root → job.run → runner.sweep → worker.batch →
-// runner.harvest → trial spans — retrievable from /v1/debug/traces by job
+// runner.cells → trial spans — retrievable from /v1/debug/traces by job
 // ID, with per-worker attribution in /v1/dist/status.
 func TestDistConnectedTraceAcrossFleet(t *testing.T) {
 	_, _, ts := newTracedCoordinatorServer(t, -1, 0)
@@ -398,7 +398,7 @@ func TestDistConnectedTraceAcrossFleet(t *testing.T) {
 	// 3 points × 4 trials at batch size 4 = 3 batches, all remote.
 	for span, want := range map[string]int{
 		"http /v1/jobs": 1, "job.run": 1, "runner.sweep": 1,
-		"worker.batch": 3, "runner.harvest": 3,
+		"worker.batch": 3, "runner.cells": 3,
 	} {
 		if names[span] != want {
 			t.Errorf("%s spans = %d, want %d (have %v)", span, names[span], want, names)

@@ -64,7 +64,7 @@ func main() {
 	eng := runner.New(runner.Options{Workers: *workers, Cache: cache})
 
 	// The worker's tracer is a staging buffer: spans recorded while a traced
-	// batch executes (worker.batch, runner.harvest, sampled trials) ship to
+	// batch executes (worker.batch, runner.cells, sampled trials) ship to
 	// the coordinator with the results post, joining the sweep's trace there.
 	var tracer *trace.Tracer
 	if *traceBuf > 0 {

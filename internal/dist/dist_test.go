@@ -35,33 +35,33 @@ func (r *dtResult) Render() string { return fmt.Sprintf("dist-test: %v", r.Sums)
 
 func init() {
 	exp.Register("dist-test", "test-only: deterministic distributable sweep",
-		func(ctx context.Context, eng *runner.Engine, p dtParams) (*dtResult, error) {
+		func(p dtParams) exp.Sweep[float64, *dtResult] {
 			if p.Points == 0 {
 				p.Points = 2
 			}
 			if p.Trials == 0 {
 				p.Trials = 2
 			}
-			out, err := runner.MapCtx(ctx, eng, runner.Spec{
-				Experiment: "dist-test", Params: p, Points: p.Points, Trials: p.Trials,
-			}, func(point, trial int) (float64, error) {
-				if p.SleepMs > 0 {
-					time.Sleep(time.Duration(p.SleepMs) * time.Millisecond)
-				}
-				return float64(runner.TrialSeed(p.Seed, point, trial)%100000) / 3.0, nil
-			})
-			if err != nil {
-				return nil, err
+			return exp.Sweep[float64, *dtResult]{
+				Name: "dist-test", Params: p, Points: p.Points, Trials: p.Trials,
+				Trial: func(point, trial int) (float64, error) {
+					if p.SleepMs > 0 {
+						time.Sleep(time.Duration(p.SleepMs) * time.Millisecond)
+					}
+					return float64(runner.TrialSeed(p.Seed, point, trial)%100000) / 3.0, nil
+				},
+				Reduce: func(out *runner.Outcome[float64]) (*dtResult, error) {
+					res := &dtResult{All: out.Points}
+					for _, samples := range out.Points {
+						sum := 0.0
+						for _, v := range samples {
+							sum += v
+						}
+						res.Sums = append(res.Sums, sum)
+					}
+					return res, nil
+				},
 			}
-			res := &dtResult{All: out.Points}
-			for _, samples := range out.Points {
-				sum := 0.0
-				for _, v := range samples {
-					sum += v
-				}
-				res.Sums = append(res.Sums, sum)
-			}
-			return res, nil
 		})
 }
 

@@ -140,7 +140,7 @@ type ResultsRequest struct {
 	Results  []runner.CellSample `json:"results,omitempty"`
 	Failed   string              `json:"failed,omitempty"`
 	// Spans ships the worker-side span subtree of this batch (batch span,
-	// harvest span, sampled trial spans) back to the coordinator's flight
+	// runner.cells span, sampled trial spans) back to the coordinator's flight
 	// recorder, which ingests them idempotently — a duplicate post after a
 	// lost response does not duplicate spans.
 	Spans []trace.SpanData `json:"spans,omitempty"`

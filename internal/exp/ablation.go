@@ -66,8 +66,12 @@ func (r *NoiseResult) Render() string { return r.Table().Render() }
 // relations asymmetric, which the protocol surfaces as rejected records
 // (ErrNotTentative) and slightly reduced accuracy.
 func VerifierNoise(ctx context.Context, p NoiseParams) (*NoiseResult, error) {
+	return planVerifierNoise(p).run(ctx, p.Engine)
+}
+
+func planVerifierNoise(p NoiseParams) Sweep[noiseSample, *NoiseResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[noiseSample]{
+	return Sweep[noiseSample, *NoiseResult]{
 		Name: "ablation-noise", Params: p, Points: len(p.Sigmas), Trials: p.Trials,
 		Trial: func(point, trial int) (noiseSample, error) {
 			sigma := p.Sigmas[point]
@@ -83,24 +87,25 @@ func VerifierNoise(ctx context.Context, p NoiseParams) (*NoiseResult, error) {
 			defer s.Close()
 			return noiseSample{Accuracy: s.Accuracy(), Rejected: s.ProtocolErrors()}, nil
 		},
-	}, func(out *runner.Outcome[noiseSample]) (*NoiseResult, error) {
-		res := &NoiseResult{
-			Accuracy: stats.Series{Name: "accuracy"},
-			Rejected: stats.Series{Name: "rejected records"},
-		}
-		for i, sigma := range p.Sigmas {
-			var accs []float64
-			rejected := 0
-			for _, sample := range out.Points[i] {
-				accs = append(accs, sample.Accuracy)
-				rejected += sample.Rejected
+		Reduce: func(out *runner.Outcome[noiseSample]) (*NoiseResult, error) {
+			res := &NoiseResult{
+				Accuracy: stats.Series{Name: "accuracy"},
+				Rejected: stats.Series{Name: "rejected records"},
 			}
-			sum := stats.Summarize(accs)
-			res.Accuracy.Append(sigma, sum.Mean, sum.CI95())
-			res.Rejected.Append(sigma, float64(rejected)/float64(len(out.Points[i])), 0)
-		}
-		return res, nil
-	})
+			for i, sigma := range p.Sigmas {
+				var accs []float64
+				rejected := 0
+				for _, sample := range out.Points[i] {
+					accs = append(accs, sample.Accuracy)
+					rejected += sample.Rejected
+				}
+				sum := stats.Summarize(accs)
+				res.Accuracy.Append(sigma, sum.Mean, sum.CI95())
+				res.Rejected.Append(sigma, float64(rejected)/float64(len(out.Points[i])), 0)
+			}
+			return res, nil
+		},
+	}
 }
 
 // noiseSample is one noisy-verifier deployment.
@@ -155,8 +160,12 @@ func (r *SchemeResult) Render() string { return r.Table().Render() }
 
 // SchemeAblation sweeps the EG ring size with secure channels enabled.
 func SchemeAblation(ctx context.Context, p SchemeParams) (*SchemeResult, error) {
+	return planSchemeAblation(p).run(ctx, p.Engine)
+}
+
+func planSchemeAblation(p SchemeParams) Sweep[schemeSample, *SchemeResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[schemeSample]{
+	return Sweep[schemeSample, *SchemeResult]{
 		Name: "ablation-scheme", Params: p, Points: len(p.RingSizes), Trials: 1,
 		Trial: func(point, _ int) (schemeSample, error) {
 			ring := p.RingSizes[point]
@@ -183,21 +192,22 @@ func SchemeAblation(ctx context.Context, p SchemeParams) (*SchemeResult, error) 
 				Failures: float64(s.ChannelFailures()),
 			}, nil
 		},
-	}, func(out *runner.Outcome[schemeSample]) (*SchemeResult, error) {
-		res := &SchemeResult{
-			Coverage: stats.Series{Name: "analytical key coverage"},
-			Accuracy: stats.Series{Name: "accuracy"},
-			Failures: stats.Series{Name: "channel failures"},
-		}
-		for i, ring := range p.RingSizes {
-			for _, sample := range out.Points[i] {
-				res.Coverage.Append(float64(ring), sample.Coverage, 0)
-				res.Accuracy.Append(float64(ring), sample.Accuracy, 0)
-				res.Failures.Append(float64(ring), sample.Failures, 0)
+		Reduce: func(out *runner.Outcome[schemeSample]) (*SchemeResult, error) {
+			res := &SchemeResult{
+				Coverage: stats.Series{Name: "analytical key coverage"},
+				Accuracy: stats.Series{Name: "accuracy"},
+				Failures: stats.Series{Name: "channel failures"},
 			}
-		}
-		return res, nil
-	})
+			for i, ring := range p.RingSizes {
+				for _, sample := range out.Points[i] {
+					res.Coverage.Append(float64(ring), sample.Coverage, 0)
+					res.Accuracy.Append(float64(ring), sample.Accuracy, 0)
+					res.Failures.Append(float64(ring), sample.Failures, 0)
+				}
+			}
+			return res, nil
+		},
+	}
 }
 
 // schemeSample is one key-ring configuration's measurement.
@@ -254,9 +264,13 @@ func (r *EnginesResult) Render() string {
 // the functional topologies they produce. The protocol is deterministic
 // given lossless delivery, so the accuracies must agree exactly.
 func Engines(ctx context.Context, p EnginesParams) (*EnginesResult, error) {
+	return planEngines(p).run(ctx, p.Engine)
+}
+
+func planEngines(p EnginesParams) Sweep[enginesSample, *EnginesResult] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)
-	return runGrid(ctx, p.Engine, grid[enginesSample]{
+	return Sweep[enginesSample, *EnginesResult]{
 		Name: "ablation-engines", Params: p, Points: 1, Trials: 1,
 		Trial: func(_, _ int) (enginesSample, error) {
 			// Deterministic engine.
@@ -294,16 +308,17 @@ func Engines(ctx context.Context, p EnginesParams) (*EnginesResult, error) {
 			sample.AsyncMessages = medium.Counters().Sent
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[enginesSample]) (*EnginesResult, error) {
-		if len(out.Points[0]) == 0 {
-			return nil, fmt.Errorf("exp: engines comparison produced no sample")
-		}
-		s := out.Points[0][0]
-		return &EnginesResult{
-			SyncAccuracy:  s.SyncAccuracy,
-			AsyncAccuracy: s.AsyncAccuracy,
-			SyncMessages:  s.SyncMessages,
-			AsyncMessages: s.AsyncMessages,
-		}, nil
-	})
+		Reduce: func(out *runner.Outcome[enginesSample]) (*EnginesResult, error) {
+			if len(out.Points[0]) == 0 {
+				return nil, fmt.Errorf("exp: engines comparison produced no sample")
+			}
+			s := out.Points[0][0]
+			return &EnginesResult{
+				SyncAccuracy:  s.SyncAccuracy,
+				AsyncAccuracy: s.AsyncAccuracy,
+				SyncMessages:  s.SyncMessages,
+				AsyncMessages: s.AsyncMessages,
+			}, nil
+		},
+	}
 }

@@ -76,8 +76,12 @@ func (r *AggregationResult) Render() string {
 // regions into one cluster over the tentative topology, corrupting the
 // averages; the functional topology keeps clusters local.
 func Aggregation(ctx context.Context, p AggregationParams) (*AggregationResult, error) {
+	return planAggregation(p).run(ctx, p.Engine)
+}
+
+func planAggregation(p AggregationParams) Sweep[aggregationSample, *AggregationResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[aggregationSample]{
+	return Sweep[aggregationSample, *AggregationResult]{
 		Name: "aggregation", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (aggregationSample, error) {
 			s, err := sim.New(sim.Params{
@@ -127,27 +131,28 @@ func Aggregation(ctx context.Context, p AggregationParams) (*AggregationResult, 
 			}
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[aggregationSample]) (*AggregationResult, error) {
-		agg := map[string]*AggregationRow{
-			"tentative (no validation)": {Table: "tentative (no validation)"},
-			"functional (this paper)":   {Table: "functional (this paper)"},
-		}
-		for _, sample := range out.Points[0] {
-			for name, errs := range sample.Tables {
-				row := agg[name]
-				row.MeanError += errs.MeanError
-				row.MaxError = maxFloat(row.MaxError, errs.MaxError)
-				row.WorstSpan = maxFloat(row.WorstSpan, errs.WorstSpan)
+		Reduce: func(out *runner.Outcome[aggregationSample]) (*AggregationResult, error) {
+			agg := map[string]*AggregationRow{
+				"tentative (no validation)": {Table: "tentative (no validation)"},
+				"functional (this paper)":   {Table: "functional (this paper)"},
 			}
-		}
-		res := &AggregationResult{}
-		for _, name := range []string{"tentative (no validation)", "functional (this paper)"} {
-			row := agg[name]
-			row.MeanError /= float64(len(out.Points[0]))
-			res.Rows = append(res.Rows, *row)
-		}
-		return res, nil
-	})
+			for _, sample := range out.Points[0] {
+				for name, errs := range sample.Tables {
+					row := agg[name]
+					row.MeanError += errs.MeanError
+					row.MaxError = maxFloat(row.MaxError, errs.MaxError)
+					row.WorstSpan = maxFloat(row.WorstSpan, errs.WorstSpan)
+				}
+			}
+			res := &AggregationResult{}
+			for _, name := range []string{"tentative (no validation)", "functional (this paper)"} {
+				row := agg[name]
+				row.MeanError /= float64(len(out.Points[0]))
+				res.Rows = append(res.Rows, *row)
+			}
+			return res, nil
+		},
+	}
 }
 
 // aggregationErrs is one table's error measurement within a trial.

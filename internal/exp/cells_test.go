@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -158,5 +159,61 @@ func TestRunCellsRejectsBadLeases(t *testing.T) {
 	}
 	if _, err := RunCells(context.Background(), eng, "fig3", json.RawMessage(`{"Trials":4,"Seed":7}`), "not-the-sweep", cells); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Errorf("sweep mismatch: err = %v", err)
+	}
+}
+
+// stopBackend records the sweep it is offered and refuses to run it, so a
+// test learns a sweep's identity without executing a single trial.
+type stopBackend struct {
+	desc runner.SweepDesc
+}
+
+func (b *stopBackend) RunSweep(ctx context.Context, desc runner.SweepDesc,
+	run func(runner.Cell) bool, deliver func(runner.Cell, []byte) bool) error {
+	b.desc = desc
+	return errors.New("stop")
+}
+
+// TestSweepIDsPinned pins the sweep ID each registered experiment's
+// default params hash to. The ID names both the trial-cache lineage and
+// the unit a coordinator leases, so a change here orphans every cached
+// trial and every in-flight lease; it must be deliberate.
+func TestSweepIDsPinned(t *testing.T) {
+	t.Parallel()
+	want := map[string]string{
+		"aggregation":   "3632e59bcc2a37ee0d361a1ba8daaf1460bf990c922bbc0db2d9010d97e5e11a",
+		"breakdown":     "692b0f43035f8abaa337e6990715c171f6cad9102c5f7bb089192773d756b7d2",
+		"compare":       "fd88f9101f5498798386ef9bd355a1840db3a3e5970ace4d811c833a885dbc98",
+		"engines":       "f3f769f939d9b936d9443e90bcf23db344fcf4f441956e23109b662cfc414aa5",
+		"fig3":          "85b61d35df9cda210d9dedcccc89a402edf055575f381e1f42df8fb1d3bc3ac3",
+		"fig4":          "8348f8fc4e638bbf676dc2e34ec104b9fc8b41044c063d6da83fd914fe6d7276",
+		"hostile":       "4ce67a7250d23752e1ab0c774880401814de375c2368c168d6d7828ad54f5afe",
+		"impossibility": "353eae3790671c30e44ac977818b652bd9b1ddf7732b947c9cc060f17252a54f",
+		"isolation":     "a380ef8af076b5a235d964e4006fd0ad22c8610f669e51c96bfc2c4a1564eab5",
+		"noise":         "aa0aee2cfc22bd73b7d39a761e8bc70c90f06f3143c4d9155fb3f7c5d67b0cf4",
+		"overhead":      "506967922969b6fa1ddc78f6b4d07ec991b1fa5e8fda2463d1baa2a593f396dc",
+		"routing":       "6b6939c2c92a4da7f62919661f8af3171768dcfc5ff1878ebfc3bd58da84cc0b",
+		"safety":        "2e4c26dee12fa38d36d2635a65f9406c0384810731ac852de6612febc8ec57c6",
+		"scale":         "3b04d846c8c100c1cea49774892990789b092102b4cb871a8756959159029c7c",
+		"scheme":        "b5bb70030943583a6c4937002481f2e7230bb14c40cb8e4d85aa9075fb3ca9e0",
+		"update":        "f1594c8fdfed8c0466e77052b2ca3abf2cb704d203355b96c22eb35798b89bea",
+	}
+	for _, e := range All() {
+		id, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("%s: no pinned sweep ID; pin the new experiment's", e.Name())
+			continue
+		}
+		delete(want, e.Name())
+		b := &stopBackend{}
+		if _, err := e.Run(context.Background(), runner.New(runner.Options{Workers: 1, Backend: b})); err == nil {
+			t.Errorf("%s: run past a refusing backend", e.Name())
+		}
+		if b.desc.ID != id {
+			t.Errorf("%s: sweep ID %q, pinned %q", e.Name(), b.desc.ID, id)
+		}
+	}
+	for name := range want {
+		t.Errorf("pinned experiment %s is not registered", name)
 	}
 }

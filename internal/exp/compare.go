@@ -84,9 +84,13 @@ type impossibilitySample struct {
 // protocol, the same adversary plants a physical replica next to the
 // target area and fresh nodes still reject it.
 func Impossibility(ctx context.Context, p ImpossibilityParams) (*ImpossibilityResult, error) {
+	return planImpossibility(p).run(ctx, p.Engine)
+}
+
+func planImpossibility(p ImpossibilityParams) Sweep[impossibilitySample, *ImpossibilityResult] {
 	p.applyDefaults()
 	rule := topology.CommonNeighborRule{Threshold: p.Threshold}
-	return runGrid(ctx, p.Engine, grid[impossibilitySample]{
+	return Sweep[impossibilitySample, *ImpossibilityResult]{
 		Name: "impossibility", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (impossibilitySample, error) {
 			seed := p.Seed + int64(trial)
@@ -143,26 +147,27 @@ func Impossibility(ctx context.Context, p ImpossibilityParams) (*ImpossibilityRe
 			sample.ProtoWin = core.Violations(ps.AuditSafety(2*p.Range)) > 0
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[impossibilitySample]) (*ImpossibilityResult, error) {
-		res := &ImpossibilityResult{Bound: 2 * p.Range}
-		var reachSum float64
-		var topoWins, protoWins int
-		for _, sample := range out.Points[0] {
-			if sample.TopoWin {
-				topoWins++
-				reachSum += sample.Reach
+		Reduce: func(out *runner.Outcome[impossibilitySample]) (*ImpossibilityResult, error) {
+			res := &ImpossibilityResult{Bound: 2 * p.Range}
+			var reachSum float64
+			var topoWins, protoWins int
+			for _, sample := range out.Points[0] {
+				if sample.TopoWin {
+					topoWins++
+					reachSum += sample.Reach
+				}
+				if sample.ProtoWin {
+					protoWins++
+				}
 			}
-			if sample.ProtoWin {
-				protoWins++
+			res.TopologyOnlySuccess = float64(topoWins) / float64(p.Trials)
+			if topoWins > 0 {
+				res.TopologyOnlyReach = reachSum / float64(topoWins)
 			}
-		}
-		res.TopologyOnlySuccess = float64(topoWins) / float64(p.Trials)
-		if topoWins > 0 {
-			res.TopologyOnlyReach = reachSum / float64(topoWins)
-		}
-		res.ProtocolSuccess = float64(protoWins) / float64(p.Trials)
-		return res, nil
-	})
+			res.ProtocolSuccess = float64(protoWins) / float64(p.Trials)
+			return res, nil
+		},
+	}
 }
 
 // farthestPair returns the two alive non-replica devices with the largest
@@ -259,8 +264,12 @@ type compareSample struct {
 // line-selected multicast, and (d) this paper's protocol, measuring
 // defense rate and overhead for each.
 func Compare(ctx context.Context, p CompareParams) (*CompareResult, error) {
+	return planCompare(p).run(ctx, p.Engine)
+}
+
+func planCompare(p CompareParams) Sweep[compareSample, *CompareResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[compareSample]{
+	return Sweep[compareSample, *CompareResult]{
 		Name: "compare", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (compareSample, error) {
 			seed := p.Seed + int64(trial)
@@ -330,63 +339,64 @@ func Compare(ctx context.Context, p CompareParams) (*CompareResult, error) {
 			sample.ProtoStore = o.StorageMeanBytes
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[compareSample]) (*CompareResult, error) {
-		var (
-			rmDetect, lsmDetect, rmMsgs, lsmMsgs   float64
-			rmStore, lsmStore                      float64
-			protoPrevent, protoMsgs, protoStoreSum float64
-			centDetect, centMsgs, centBytes        float64
-		)
-		for _, sample := range out.Points[0] {
-			if sample.RmDetect {
-				rmDetect++
+		Reduce: func(out *runner.Outcome[compareSample]) (*CompareResult, error) {
+			var (
+				rmDetect, lsmDetect, rmMsgs, lsmMsgs   float64
+				rmStore, lsmStore                      float64
+				protoPrevent, protoMsgs, protoStoreSum float64
+				centDetect, centMsgs, centBytes        float64
+			)
+			for _, sample := range out.Points[0] {
+				if sample.RmDetect {
+					rmDetect++
+				}
+				if sample.LsmDetect {
+					lsmDetect++
+				}
+				rmMsgs += sample.RmMsgs
+				lsmMsgs += sample.LsmMsgs
+				rmStore += sample.RmStore
+				lsmStore += sample.LsmStore
+				if sample.CentDetect {
+					centDetect++
+				}
+				centMsgs += sample.CentMsgs
+				centBytes += sample.CentBytes
+				if sample.ProtoPrevent {
+					protoPrevent++
+				}
+				protoMsgs += sample.ProtoMsgs
+				protoStoreSum += sample.ProtoStore
 			}
-			if sample.LsmDetect {
-				lsmDetect++
-			}
-			rmMsgs += sample.RmMsgs
-			lsmMsgs += sample.LsmMsgs
-			rmStore += sample.RmStore
-			lsmStore += sample.LsmStore
-			if sample.CentDetect {
-				centDetect++
-			}
-			centMsgs += sample.CentMsgs
-			centBytes += sample.CentBytes
-			if sample.ProtoPrevent {
-				protoPrevent++
-			}
-			protoMsgs += sample.ProtoMsgs
-			protoStoreSum += sample.ProtoStore
-		}
-		n := float64(len(out.Points[0]))
-		return &CompareResult{Rows: []CompareRow{
-			{
-				Scheme: "no defense", Defense: 0, Mode: "detection",
-				MsgsPerNode: 0, StoragePerNode: 0, StorageUnit: "claims", NeedsLocation: false,
-			},
-			{
-				Scheme: "randomized multicast", Defense: rmDetect / n, Mode: "detection",
-				MsgsPerNode: rmMsgs / n, StoragePerNode: rmStore / n, StorageUnit: "claims",
-				NeedsLocation: true,
-			},
-			{
-				Scheme: "line-selected multicast", Defense: lsmDetect / n, Mode: "detection",
-				MsgsPerNode: lsmMsgs / n, StoragePerNode: lsmStore / n, StorageUnit: "claims",
-				NeedsLocation: true,
-			},
-			{
-				Scheme: "centralized (base station)", Defense: centDetect / n, Mode: "detection",
-				MsgsPerNode: centMsgs / n, StoragePerNode: centBytes / n, StorageUnit: "B relayed",
-				NeedsLocation: false,
-			},
-			{
-				Scheme: "snd protocol (this paper)", Defense: protoPrevent / n, Mode: "prevention",
-				MsgsPerNode: protoMsgs / n, StoragePerNode: protoStoreSum / n, StorageUnit: "bytes",
-				NeedsLocation: false,
-			},
-		}}, nil
-	})
+			n := float64(len(out.Points[0]))
+			return &CompareResult{Rows: []CompareRow{
+				{
+					Scheme: "no defense", Defense: 0, Mode: "detection",
+					MsgsPerNode: 0, StoragePerNode: 0, StorageUnit: "claims", NeedsLocation: false,
+				},
+				{
+					Scheme: "randomized multicast", Defense: rmDetect / n, Mode: "detection",
+					MsgsPerNode: rmMsgs / n, StoragePerNode: rmStore / n, StorageUnit: "claims",
+					NeedsLocation: true,
+				},
+				{
+					Scheme: "line-selected multicast", Defense: lsmDetect / n, Mode: "detection",
+					MsgsPerNode: lsmMsgs / n, StoragePerNode: lsmStore / n, StorageUnit: "claims",
+					NeedsLocation: true,
+				},
+				{
+					Scheme: "centralized (base station)", Defense: centDetect / n, Mode: "detection",
+					MsgsPerNode: centMsgs / n, StoragePerNode: centBytes / n, StorageUnit: "B relayed",
+					NeedsLocation: false,
+				},
+				{
+					Scheme: "snd protocol (this paper)", Defense: protoPrevent / n, Mode: "prevention",
+					MsgsPerNode: protoMsgs / n, StoragePerNode: protoStoreSum / n, StorageUnit: "bytes",
+					NeedsLocation: false,
+				},
+			}}, nil
+		},
+	}
 }
 
 // HostileParams configures E10: a non-jamming active attacker flooding
@@ -438,8 +448,12 @@ type hostileSample struct {
 // Hostile runs E10: a replica floods forged records, commitments and
 // garbage at its neighborhood; benign accuracy must not move.
 func Hostile(ctx context.Context, p HostileParams) (*HostileResult, error) {
+	return planHostile(p).run(ctx, p.Engine)
+}
+
+func planHostile(p HostileParams) Sweep[hostileSample, *HostileResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[hostileSample]{
+	return Sweep[hostileSample, *HostileResult]{
 		Name: "hostile", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (hostileSample, error) {
 			var sample hostileSample
@@ -467,21 +481,22 @@ func Hostile(ctx context.Context, p HostileParams) (*HostileResult, error) {
 			sample.Rejected = s.ProtocolErrors()
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[hostileSample]) (*HostileResult, error) {
-		res := &HostileResult{}
-		var before, after float64
-		rejected := 0
-		for _, sample := range out.Points[0] {
-			before += sample.Before
-			after += sample.After
-			rejected += sample.Rejected
-		}
-		n := float64(len(out.Points[0]))
-		res.AccuracyBefore = before / n
-		res.AccuracyAfter = after / n
-		res.ForgedRejected = rejected
-		return res, nil
-	})
+		Reduce: func(out *runner.Outcome[hostileSample]) (*HostileResult, error) {
+			res := &HostileResult{}
+			var before, after float64
+			rejected := 0
+			for _, sample := range out.Points[0] {
+				before += sample.Before
+				after += sample.After
+				rejected += sample.Rejected
+			}
+			n := float64(len(out.Points[0]))
+			res.AccuracyBefore = before / n
+			res.AccuracyAfter = after / n
+			res.ForgedRejected = rejected
+			return res, nil
+		},
+	}
 }
 
 // OverheadParams configures E7: protocol overhead against network size.
@@ -533,8 +548,12 @@ type overheadSample struct {
 
 // OverheadSweep runs E7 across network sizes, one point per size.
 func OverheadSweep(ctx context.Context, p OverheadParams) (*OverheadResult, error) {
+	return planOverheadSweep(p).run(ctx, p.Engine)
+}
+
+func planOverheadSweep(p OverheadParams) Sweep[overheadSample, *OverheadResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[overheadSample]{
+	return Sweep[overheadSample, *OverheadResult]{
 		Name: "overhead", Params: p, Points: len(p.Sizes), Trials: 1,
 		Trial: func(point, _ int) (overheadSample, error) {
 			n := p.Sizes[point]
@@ -554,21 +573,22 @@ func OverheadSweep(ctx context.Context, p OverheadParams) (*OverheadResult, erro
 				Storage:  o.StorageMeanBytes,
 			}, nil
 		},
-	}, func(out *runner.Outcome[overheadSample]) (*OverheadResult, error) {
-		res := &OverheadResult{
-			Messages: stats.Series{Name: "msgs/node"},
-			Bytes:    stats.Series{Name: "bytes/node"},
-			HashOps:  stats.Series{Name: "hash ops/node"},
-			Storage:  stats.Series{Name: "storage bytes/node"},
-		}
-		for i, n := range p.Sizes {
-			for _, sample := range out.Points[i] {
-				res.Messages.Append(float64(n), sample.Messages, 0)
-				res.Bytes.Append(float64(n), sample.Bytes, 0)
-				res.HashOps.Append(float64(n), sample.HashOps, 0)
-				res.Storage.Append(float64(n), sample.Storage, 0)
+		Reduce: func(out *runner.Outcome[overheadSample]) (*OverheadResult, error) {
+			res := &OverheadResult{
+				Messages: stats.Series{Name: "msgs/node"},
+				Bytes:    stats.Series{Name: "bytes/node"},
+				HashOps:  stats.Series{Name: "hash ops/node"},
+				Storage:  stats.Series{Name: "storage bytes/node"},
 			}
-		}
-		return res, nil
-	})
+			for i, n := range p.Sizes {
+				for _, sample := range out.Points[i] {
+					res.Messages.Append(float64(n), sample.Messages, 0)
+					res.Bytes.Append(float64(n), sample.Bytes, 0)
+					res.HashOps.Append(float64(n), sample.HashOps, 0)
+					res.Storage.Append(float64(n), sample.Storage, 0)
+				}
+			}
+			return res, nil
+		},
+	}
 }

@@ -4,12 +4,12 @@
 // reflection-derived schema, strict JSON decode, and a Run method — and
 // cmd/sndfig, cmd/sndsim, and cmd/sndserve all dispatch through that one
 // registry instead of keeping per-binary experiment tables. Adding a
-// scenario means writing a params struct, one trial function, and one
-// reducer, then registering the triple; the binaries, the HTTP catalog,
-// and the docs pick it up automatically.
+// scenario means writing a params struct and a plan returning its Sweep
+// (one trial function, one reducer), then registering the plan; the
+// binaries, the HTTP catalog, and the docs pick it up automatically.
 //
-// Every runner executes its trials through internal/runner via the shared
-// runGrid scaffold (sweep.go): each trial is a pure function of its
+// Every experiment is one Sweep (sweep.go) executed by internal/runner:
+// each trial is a pure function of its
 // (point, trial) grid indices, so the engine can shard trials across
 // workers — and memoize them in a content-addressed cache — while
 // producing results bit-identical to a serial run for a fixed seed.
@@ -98,6 +98,10 @@ type fig3Sample struct {
 // package sim and produces matching numbers (see sim's
 // TestCenterAccuracyTracksTheory).
 func Fig3(ctx context.Context, p Fig3Params) (*Fig3Result, error) {
+	return planFig3(p).run(ctx, p.Engine)
+}
+
+func planFig3(p Fig3Params) Sweep[fig3Sample, *Fig3Result] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)
 	model := analysis.Model{
@@ -106,7 +110,7 @@ func Fig3(ctx context.Context, p Fig3Params) (*Fig3Result, error) {
 	}
 	// One deployment per trial yields a full common-neighbor profile of
 	// the center node; every threshold is then evaluated on it.
-	return runGrid(ctx, p.Engine, grid[fig3Sample]{
+	return Sweep[fig3Sample, *Fig3Result]{
 		Name: "fig3", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (fig3Sample, error) {
 			rng := rand.New(rand.NewSource(runner.TrialSeed(p.Seed, 0, trial)))
@@ -114,24 +118,25 @@ func Fig3(ctx context.Context, p Fig3Params) (*Fig3Result, error) {
 				Fractions: centerValidationProfile(field, p.Nodes, p.Range, p.Thresholds, rng),
 			}, nil
 		},
-	}, func(out *runner.Outcome[fig3Sample]) (*Fig3Result, error) {
-		res := &Fig3Result{
-			Theory:     stats.Series{Name: "theory f_b"},
-			Simulation: stats.Series{Name: "simulation"},
-		}
-		perThreshold := make([][]float64, len(p.Thresholds))
-		for _, sample := range out.Points[0] {
-			for i, f := range sample.Fractions {
-				perThreshold[i] = append(perThreshold[i], f)
+		Reduce: func(out *runner.Outcome[fig3Sample]) (*Fig3Result, error) {
+			res := &Fig3Result{
+				Theory:     stats.Series{Name: "theory f_b"},
+				Simulation: stats.Series{Name: "simulation"},
 			}
-		}
-		for i, t := range p.Thresholds {
-			res.Theory.Append(float64(t), model.Accuracy(t), 0)
-			s := stats.Summarize(perThreshold[i])
-			res.Simulation.Append(float64(t), s.Mean, s.CI95())
-		}
-		return res, nil
-	})
+			perThreshold := make([][]float64, len(p.Thresholds))
+			for _, sample := range out.Points[0] {
+				for i, f := range sample.Fractions {
+					perThreshold[i] = append(perThreshold[i], f)
+				}
+			}
+			for i, t := range p.Thresholds {
+				res.Theory.Append(float64(t), model.Accuracy(t), 0)
+				s := stats.Summarize(perThreshold[i])
+				res.Simulation.Append(float64(t), s.Mean, s.CI95())
+			}
+			return res, nil
+		},
+	}
 }
 
 // centerValidationProfile deploys one network and returns, for each
@@ -220,9 +225,13 @@ func (r *Fig4Result) Render() string { return r.Table().Render() }
 // deployment density, for t ∈ {10, 30, 50}. Each density is one point of
 // the sweep grid, so densities shard across workers as well as trials.
 func Fig4(ctx context.Context, p Fig4Params) (*Fig4Result, error) {
+	return planFig4(p).run(ctx, p.Engine)
+}
+
+func planFig4(p Fig4Params) Sweep[fig3Sample, *Fig4Result] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)
-	return runGrid(ctx, p.Engine, grid[fig3Sample]{
+	return Sweep[fig3Sample, *Fig4Result]{
 		Name: "fig4", Params: p, Points: len(p.Densities), Trials: p.Trials,
 		Trial: func(point, trial int) (fig3Sample, error) {
 			nodes := int(p.Densities[point] / 1000 * field.Area())
@@ -231,25 +240,26 @@ func Fig4(ctx context.Context, p Fig4Params) (*Fig4Result, error) {
 				Fractions: centerValidationProfile(field, nodes, p.Range, p.Thresholds, rng),
 			}, nil
 		},
-	}, func(out *runner.Outcome[fig3Sample]) (*Fig4Result, error) {
-		res := &Fig4Result{}
-		for _, t := range p.Thresholds {
-			res.Curves = append(res.Curves, &stats.Series{Name: seriesNameForThreshold(t)})
-		}
-		for pi, density := range p.Densities {
-			perT := make([][]float64, len(p.Thresholds))
-			for _, sample := range out.Points[pi] {
-				for i, f := range sample.Fractions {
-					perT[i] = append(perT[i], f)
+		Reduce: func(out *runner.Outcome[fig3Sample]) (*Fig4Result, error) {
+			res := &Fig4Result{}
+			for _, t := range p.Thresholds {
+				res.Curves = append(res.Curves, &stats.Series{Name: seriesNameForThreshold(t)})
+			}
+			for pi, density := range p.Densities {
+				perT := make([][]float64, len(p.Thresholds))
+				for _, sample := range out.Points[pi] {
+					for i, f := range sample.Fractions {
+						perT[i] = append(perT[i], f)
+					}
+				}
+				for i := range p.Thresholds {
+					s := stats.Summarize(perT[i])
+					res.Curves[i].Append(density, s.Mean, s.CI95())
 				}
 			}
-			for i := range p.Thresholds {
-				s := stats.Summarize(perT[i])
-				res.Curves[i].Append(density, s.Mean, s.CI95())
-			}
-		}
-		return res, nil
-	})
+			return res, nil
+		},
+	}
 }
 
 func seriesNameForThreshold(t int) string {

@@ -70,8 +70,12 @@ type isolationSample struct {
 
 // Isolation runs E12 over the paper's Figure 3 deployment.
 func Isolation(ctx context.Context, p IsolationParams) (*IsolationResult, error) {
+	return planIsolation(p).run(ctx, p.Engine)
+}
+
+func planIsolation(p IsolationParams) Sweep[isolationSample, *IsolationResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[isolationSample]{
+	return Sweep[isolationSample, *IsolationResult]{
 		Name: "isolation", Params: p, Points: len(p.Thresholds), Trials: p.Trials,
 		Trial: func(point, trial int) (isolationSample, error) {
 			t := p.Thresholds[point]
@@ -91,25 +95,26 @@ func Isolation(ctx context.Context, p IsolationParams) (*IsolationResult, error)
 				Accuracy:         s.Accuracy(),
 			}, nil
 		},
-	}, func(out *runner.Outcome[isolationSample]) (*IsolationResult, error) {
-		res := &IsolationResult{
-			IsolatedFraction: stats.Series{Name: "isolated fraction"},
-			Partitions:       stats.Series{Name: "partitions"},
-			Accuracy:         stats.Series{Name: "accuracy"},
-		}
-		for i, t := range p.Thresholds {
-			var isoFracs, partCounts, accs []float64
-			for _, sample := range out.Points[i] {
-				isoFracs = append(isoFracs, sample.IsolatedFraction)
-				partCounts = append(partCounts, sample.Partitions)
-				accs = append(accs, sample.Accuracy)
+		Reduce: func(out *runner.Outcome[isolationSample]) (*IsolationResult, error) {
+			res := &IsolationResult{
+				IsolatedFraction: stats.Series{Name: "isolated fraction"},
+				Partitions:       stats.Series{Name: "partitions"},
+				Accuracy:         stats.Series{Name: "accuracy"},
 			}
-			iso := stats.Summarize(isoFracs)
-			res.IsolatedFraction.Append(float64(t), iso.Mean, iso.CI95())
-			res.Partitions.Append(float64(t), stats.Mean(partCounts), 0)
-			acc := stats.Summarize(accs)
-			res.Accuracy.Append(float64(t), acc.Mean, acc.CI95())
-		}
-		return res, nil
-	})
+			for i, t := range p.Thresholds {
+				var isoFracs, partCounts, accs []float64
+				for _, sample := range out.Points[i] {
+					isoFracs = append(isoFracs, sample.IsolatedFraction)
+					partCounts = append(partCounts, sample.Partitions)
+					accs = append(accs, sample.Accuracy)
+				}
+				iso := stats.Summarize(isoFracs)
+				res.IsolatedFraction.Append(float64(t), iso.Mean, iso.CI95())
+				res.Partitions.Append(float64(t), stats.Mean(partCounts), 0)
+				acc := stats.Summarize(accs)
+				res.Accuracy.Append(float64(t), acc.Mean, acc.CI95())
+			}
+			return res, nil
+		},
+	}
 }

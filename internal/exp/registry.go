@@ -82,19 +82,20 @@ type CatalogEntry struct {
 type defaulter interface{ applyDefaults() }
 
 // definition is the generic Experiment implementation: a registered name
-// and description plus the typed run function. P is the params struct and
-// R the concrete result type.
-type definition[P any, R Result] struct {
+// and description plus the plan mapping params to the experiment's sweep.
+// P is the params struct, S the trial sample and R the concrete result
+// type.
+type definition[P, S any, R Result] struct {
 	name   string
 	desc   string
 	params P
-	run    func(ctx context.Context, eng *runner.Engine, p P) (R, error)
+	plan   func(P) Sweep[S, R]
 }
 
-func (d *definition[P, R]) Name() string     { return d.name }
-func (d *definition[P, R]) Describe() string { return d.desc }
+func (d *definition[P, S, R]) Name() string     { return d.name }
+func (d *definition[P, S, R]) Describe() string { return d.desc }
 
-func (d *definition[P, R]) DefaultParams() any {
+func (d *definition[P, S, R]) DefaultParams() any {
 	p := d.params
 	if dp, ok := any(&p).(defaulter); ok {
 		dp.applyDefaults()
@@ -102,7 +103,7 @@ func (d *definition[P, R]) DefaultParams() any {
 	return p
 }
 
-func (d *definition[P, R]) Decode(raw json.RawMessage) (Experiment, error) {
+func (d *definition[P, S, R]) Decode(raw json.RawMessage) (Experiment, error) {
 	var p P
 	if len(raw) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(raw))
@@ -116,18 +117,26 @@ func (d *definition[P, R]) Decode(raw json.RawMessage) (Experiment, error) {
 	return &bound, nil
 }
 
-func (d *definition[P, R]) Run(ctx context.Context, eng *runner.Engine) (Result, error) {
+func (d *definition[P, S, R]) Run(ctx context.Context, eng *runner.Engine) (Result, error) {
 	// Tag the context with the registry name so the engine can offer the
-	// run's sweeps to a distribution backend: a remote worker re-derives
-	// the trial function by looking this name up in its own registry.
-	r, err := d.run(runner.WithJobExperiment(ctx, d.name), eng, d.params)
+	// sweep to a distribution backend: a remote worker re-derives the
+	// trial function by looking this name up in its own registry.
+	r, err := d.plan(d.params).run(runner.WithJobExperiment(ctx, d.name), eng)
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func (d *definition[P, R]) Schema() []ParamField {
+// runCells executes the given cells of the bound params' sweep (see
+// RunCells).
+func (d *definition[P, S, R]) runCells(ctx context.Context, eng *runner.Engine,
+	sweepID string, cells []runner.Cell) ([]runner.CellSample, error) {
+	s := d.plan(d.params)
+	return runner.RunCells(ctx, eng, s.spec(), sweepID, cells, s.Trial)
+}
+
+func (d *definition[P, S, R]) Schema() []ParamField {
 	def := reflect.ValueOf(d.DefaultParams())
 	t := def.Type()
 	out := make([]ParamField, 0, t.NumField())
@@ -153,18 +162,44 @@ var (
 )
 
 // Register adds one experiment definition: a name, a one-line description,
-// and the typed run function. P is the params struct (zero values mean
-// paper defaults) and R the concrete result type. The built-in catalog
-// registers through it at init; external packages may add experiments the
-// same way before serving traffic. Duplicate names are a programming error
-// and panic.
-func Register[P any, R Result](name, desc string, run func(context.Context, *runner.Engine, P) (R, error)) {
+// and the plan building the experiment's sweep from its params. P is the
+// params struct (zero values mean paper defaults), S the trial sample and
+// R the concrete result type. The built-in catalog registers through it at
+// init; external packages may add experiments the same way before serving
+// traffic. Duplicate names are a programming error and panic.
+func Register[P, S any, R Result](name, desc string, plan func(P) Sweep[S, R]) {
 	if _, dup := registryByName[name]; dup {
 		panic("exp: duplicate experiment " + name)
 	}
-	d := &definition[P, R]{name: name, desc: desc, run: run}
+	d := &definition[P, S, R]{name: name, desc: desc, plan: plan}
 	registryByName[name] = d
 	registryOrder = append(registryOrder, d)
+}
+
+// cellRunner is implemented by every registered definition: it executes
+// leased cells of the bound params' sweep.
+type cellRunner interface {
+	runCells(ctx context.Context, eng *runner.Engine, sweepID string, cells []runner.Cell) ([]runner.CellSample, error)
+}
+
+// RunCells executes specific cells of one experiment's sweep — the worker
+// half of distributed sweep execution. The caller supplies what a dist
+// lease carries: the registry experiment name, the sweep's canonical
+// params document, the content-addressed sweep ID, and the cells to run.
+// The params go through the registry's strict decoder, the experiment's
+// plan builds its sweep, and runner.RunCells checks the lease and runs
+// exactly those cells; nothing is reduced.
+func RunCells(ctx context.Context, eng *runner.Engine, experiment string,
+	params []byte, sweepID string, cells []runner.Cell) ([]runner.CellSample, error) {
+	e, ok := Lookup(experiment)
+	if !ok {
+		return nil, fmt.Errorf("exp: unknown experiment %q", experiment)
+	}
+	bound, err := e.Decode(params)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s cell params: %w", experiment, err)
+	}
+	return bound.(cellRunner).runCells(ctx, eng, sweepID, cells)
 }
 
 // Lookup resolves a registered experiment by name.

@@ -73,8 +73,12 @@ func (r *RoutingResult) Render() string {
 // the protocol. Packets whose path crosses the compromised identity are
 // blackholed: the attacker attracts and drops them.
 func Routing(ctx context.Context, p RoutingParams) (*RoutingResult, error) {
+	return planRouting(p).run(ctx, p.Engine)
+}
+
+func planRouting(p RoutingParams) Sweep[routingSample, *RoutingResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[routingSample]{
+	return Sweep[routingSample, *RoutingResult]{
 		Name: "routing", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (routingSample, error) {
 			s, err := sim.New(sim.Params{
@@ -145,36 +149,37 @@ func Routing(ctx context.Context, p RoutingParams) (*RoutingResult, error) {
 			}
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[routingSample]) (*RoutingResult, error) {
-		agg := map[string]*RoutingRow{
-			"tentative (no validation)": {Table: "tentative (no validation)"},
-			"functional (this paper)":   {Table: "functional (this paper)"},
-		}
-		totalPairs := 0
-		for _, sample := range out.Points[0] {
-			totalPairs += sample.Pairs
-			for name, counts := range sample.Rows {
+		Reduce: func(out *runner.Outcome[routingSample]) (*RoutingResult, error) {
+			agg := map[string]*RoutingRow{
+				"tentative (no validation)": {Table: "tentative (no validation)"},
+				"functional (this paper)":   {Table: "functional (this paper)"},
+			}
+			totalPairs := 0
+			for _, sample := range out.Points[0] {
+				totalPairs += sample.Pairs
+				for name, counts := range sample.Rows {
+					row := agg[name]
+					row.Delivered += counts.Delivered
+					row.Blackholed += counts.Blackholed
+					row.Lost += counts.Lost
+					row.MeanHops += counts.HopsSum
+				}
+			}
+			result := &RoutingResult{}
+			for _, name := range []string{"tentative (no validation)", "functional (this paper)"} {
 				row := agg[name]
-				row.Delivered += counts.Delivered
-				row.Blackholed += counts.Blackholed
-				row.Lost += counts.Lost
-				row.MeanHops += counts.HopsSum
+				if row.Delivered > 0 {
+					row.MeanHops /= row.Delivered
+				}
+				n := float64(totalPairs)
+				row.Delivered /= n
+				row.Blackholed /= n
+				row.Lost /= n
+				result.Rows = append(result.Rows, *row)
 			}
-		}
-		result := &RoutingResult{}
-		for _, name := range []string{"tentative (no validation)", "functional (this paper)"} {
-			row := agg[name]
-			if row.Delivered > 0 {
-				row.MeanHops /= row.Delivered
-			}
-			n := float64(totalPairs)
-			row.Delivered /= n
-			row.Blackholed /= n
-			row.Lost /= n
-			result.Rows = append(result.Rows, *row)
-		}
-		return result, nil
-	})
+			return result, nil
+		},
+	}
 }
 
 // routingCounts accumulates one table's outcomes over a trial's pairs.

@@ -72,8 +72,12 @@ type safetySample struct {
 // Safety runs E3: compromise k ≤ t random nodes, replicate each at every
 // field corner, let a fresh wave of nodes deploy, and audit the 2R bound.
 func Safety(ctx context.Context, p SafetyParams) (*SafetyResult, error) {
+	return planSafety(p).run(ctx, p.Engine)
+}
+
+func planSafety(p SafetyParams) Sweep[safetySample, *SafetyResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[safetySample]{
+	return Sweep[safetySample, *SafetyResult]{
 		Name: "safety", Params: p, Points: len(p.CompromiseCounts), Trials: p.Trials,
 		Trial: func(point, trial int) (safetySample, error) {
 			k := p.CompromiseCounts[point]
@@ -118,27 +122,28 @@ func Safety(ctx context.Context, p SafetyParams) (*SafetyResult, error) {
 				Worst:    core.WorstCase(reports).EnclosingRadius,
 			}, nil
 		},
-	}, func(out *runner.Outcome[safetySample]) (*SafetyResult, error) {
-		res := &SafetyResult{
-			ViolationRate:  stats.Series{Name: "violation rate"},
-			WorstEnclosing: stats.Series{Name: "worst enclosing radius (m)"},
-			Bound:          2 * p.Range,
-		}
-		for i, k := range p.CompromiseCounts {
-			violated, worst := 0, 0.0
-			for _, sample := range out.Points[i] {
-				if sample.Violated {
-					violated++
-				}
-				if sample.Worst > worst {
-					worst = sample.Worst
-				}
+		Reduce: func(out *runner.Outcome[safetySample]) (*SafetyResult, error) {
+			res := &SafetyResult{
+				ViolationRate:  stats.Series{Name: "violation rate"},
+				WorstEnclosing: stats.Series{Name: "worst enclosing radius (m)"},
+				Bound:          2 * p.Range,
 			}
-			res.ViolationRate.Append(float64(k), float64(violated)/float64(len(out.Points[i])), 0)
-			res.WorstEnclosing.Append(float64(k), worst, 0)
-		}
-		return res, nil
-	})
+			for i, k := range p.CompromiseCounts {
+				violated, worst := 0, 0.0
+				for _, sample := range out.Points[i] {
+					if sample.Violated {
+						violated++
+					}
+					if sample.Worst > worst {
+						worst = sample.Worst
+					}
+				}
+				res.ViolationRate.Append(float64(k), float64(violated)/float64(len(out.Points[i])), 0)
+				res.WorstEnclosing.Append(float64(k), worst, 0)
+			}
+			return res, nil
+		},
+	}
 }
 
 // pickVictims selects k distinct random operational nodes spread across
@@ -217,8 +222,12 @@ type breakdownSample struct {
 // measure how often 2R-safety is violated. The transition at k = t+2 shows
 // the threshold guarantee of Theorem 3 is tight.
 func Breakdown(ctx context.Context, p BreakdownParams) (*BreakdownResult, error) {
+	return planBreakdown(p).run(ctx, p.Engine)
+}
+
+func planBreakdown(p BreakdownParams) Sweep[breakdownSample, *BreakdownResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[breakdownSample]{
+	return Sweep[breakdownSample, *BreakdownResult]{
 		Name: "breakdown", Params: p, Points: len(p.CliqueSizes), Trials: p.Trials,
 		Trial: func(point, trial int) (breakdownSample, error) {
 			k := p.CliqueSizes[point]
@@ -246,23 +255,24 @@ func Breakdown(ctx context.Context, p BreakdownParams) (*BreakdownResult, error)
 			}
 			return breakdownSample{Violated: core.Violations(s.AuditSafety(2*p.Range)) > 0}, nil
 		},
-	}, func(out *runner.Outcome[breakdownSample]) (*BreakdownResult, error) {
-		res := &BreakdownResult{
-			ViolationRate: stats.Series{Name: "violation rate"},
-			Threshold:     p.Threshold,
-			Bound:         2 * p.Range,
-		}
-		for i, k := range p.CliqueSizes {
-			violated := 0
-			for _, sample := range out.Points[i] {
-				if sample.Violated {
-					violated++
-				}
+		Reduce: func(out *runner.Outcome[breakdownSample]) (*BreakdownResult, error) {
+			res := &BreakdownResult{
+				ViolationRate: stats.Series{Name: "violation rate"},
+				Threshold:     p.Threshold,
+				Bound:         2 * p.Range,
 			}
-			res.ViolationRate.Append(float64(k), float64(violated)/float64(len(out.Points[i])), 0)
-		}
-		return res, nil
-	})
+			for i, k := range p.CliqueSizes {
+				violated := 0
+				for _, sample := range out.Points[i] {
+					if sample.Violated {
+						violated++
+					}
+				}
+				res.ViolationRate.Append(float64(k), float64(violated)/float64(len(out.Points[i])), 0)
+			}
+			return res, nil
+		},
+	}
 }
 
 // UpdateParams configures E9: the binding-record update extension in an
@@ -326,8 +336,12 @@ type updateSample struct {
 // re-bind to include newcomers); the compromised node's reach must stay
 // within (m+1)·R as its replica exploits the same update mechanism.
 func Update(ctx context.Context, p UpdateParams) (*UpdateResult, error) {
+	return planUpdate(p).run(ctx, p.Engine)
+}
+
+func planUpdate(p UpdateParams) Sweep[updateSample, *UpdateResult] {
 	p.applyDefaults()
-	return runGrid(ctx, p.Engine, grid[updateSample]{
+	return Sweep[updateSample, *UpdateResult]{
 		Name: "update", Params: p, Points: len(p.UpdateBudgets), Trials: p.Trials,
 		Trial: func(point, trial int) (updateSample, error) {
 			m := p.UpdateBudgets[point]
@@ -367,29 +381,30 @@ func Update(ctx context.Context, p UpdateParams) (*UpdateResult, error) {
 			}
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[updateSample]) (*UpdateResult, error) {
-		res := &UpdateResult{
-			Accuracy:     stats.Series{Name: "accuracy"},
-			MaxReach:     stats.Series{Name: "max compromised reach (m)"},
-			TheoremBound: stats.Series{Name: "(m+1)R bound"},
-			Range:        p.Range,
-		}
-		for i, m := range p.UpdateBudgets {
-			var accs []float64
-			maxReach := 0.0
-			for _, sample := range out.Points[i] {
-				accs = append(accs, sample.Accuracy)
-				if sample.MaxReach > maxReach {
-					maxReach = sample.MaxReach
-				}
+		Reduce: func(out *runner.Outcome[updateSample]) (*UpdateResult, error) {
+			res := &UpdateResult{
+				Accuracy:     stats.Series{Name: "accuracy"},
+				MaxReach:     stats.Series{Name: "max compromised reach (m)"},
+				TheoremBound: stats.Series{Name: "(m+1)R bound"},
+				Range:        p.Range,
 			}
-			sum := stats.Summarize(accs)
-			res.Accuracy.Append(float64(m), sum.Mean, sum.CI95())
-			res.MaxReach.Append(float64(m), maxReach, 0)
-			res.TheoremBound.Append(float64(m), float64(maxInt(m, 1)+1)*p.Range, 0)
-		}
-		return res, nil
-	})
+			for i, m := range p.UpdateBudgets {
+				var accs []float64
+				maxReach := 0.0
+				for _, sample := range out.Points[i] {
+					accs = append(accs, sample.Accuracy)
+					if sample.MaxReach > maxReach {
+						maxReach = sample.MaxReach
+					}
+				}
+				sum := stats.Summarize(accs)
+				res.Accuracy.Append(float64(m), sum.Mean, sum.CI95())
+				res.MaxReach.Append(float64(m), maxReach, 0)
+				res.TheoremBound.Append(float64(m), float64(maxInt(m, 1)+1)*p.Range, 0)
+			}
+			return res, nil
+		},
+	}
 }
 
 func maxInt(a, b int) int {

@@ -86,13 +86,17 @@ type scaleSample struct {
 // one trial exercises the dense-state pipeline end to end (deploy →
 // spatial index → CSR build → common-neighbor counting) at the target n.
 func Scale(ctx context.Context, p ScaleParams) (*ScaleResult, error) {
+	return planScale(p).run(ctx, p.Engine)
+}
+
+func planScale(p ScaleParams) Sweep[scaleSample, *ScaleResult] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)
 	model := analysis.Model{
 		Density: float64(p.Nodes) / field.Area(),
 		Range:   p.Range,
 	}
-	return runGrid(ctx, p.Engine, grid[scaleSample]{
+	return Sweep[scaleSample, *ScaleResult]{
 		Name: "scale", Params: p, Points: 1, Trials: p.Trials,
 		Trial: func(_, trial int) (scaleSample, error) {
 			rng := rand.New(rand.NewSource(runner.TrialSeed(p.Seed, 0, trial)))
@@ -145,28 +149,29 @@ func Scale(ctx context.Context, p ScaleParams) (*ScaleResult, error) {
 			}
 			return sample, nil
 		},
-	}, func(out *runner.Outcome[scaleSample]) (*ScaleResult, error) {
-		res := &ScaleResult{
-			Theory:     stats.Series{Name: "theory f_b"},
-			Simulation: stats.Series{Name: "simulation n=1e6"},
-			Nodes:      p.Nodes,
-		}
-		perThreshold := make([][]float64, len(p.Thresholds))
-		degrees := 0.0
-		for _, sample := range out.Points[0] {
-			for i, f := range sample.Fractions {
-				perThreshold[i] = append(perThreshold[i], f)
+		Reduce: func(out *runner.Outcome[scaleSample]) (*ScaleResult, error) {
+			res := &ScaleResult{
+				Theory:     stats.Series{Name: "theory f_b"},
+				Simulation: stats.Series{Name: "simulation n=1e6"},
+				Nodes:      p.Nodes,
 			}
-			degrees += sample.MeanDegree
-		}
-		if n := len(out.Points[0]); n > 0 {
-			res.MeanDegree = degrees / float64(n)
-		}
-		for i, t := range p.Thresholds {
-			res.Theory.Append(float64(t), model.Accuracy(t), 0)
-			s := stats.Summarize(perThreshold[i])
-			res.Simulation.Append(float64(t), s.Mean, s.CI95())
-		}
-		return res, nil
-	})
+			perThreshold := make([][]float64, len(p.Thresholds))
+			degrees := 0.0
+			for _, sample := range out.Points[0] {
+				for i, f := range sample.Fractions {
+					perThreshold[i] = append(perThreshold[i], f)
+				}
+				degrees += sample.MeanDegree
+			}
+			if n := len(out.Points[0]); n > 0 {
+				res.MeanDegree = degrees / float64(n)
+			}
+			for i, t := range p.Thresholds {
+				res.Theory.Append(float64(t), model.Accuracy(t), 0)
+				s := stats.Summarize(perThreshold[i])
+				res.Simulation.Append(float64(t), s.Mean, s.CI95())
+			}
+			return res, nil
+		},
+	}
 }

@@ -23,11 +23,15 @@ func (h *HealthReport) setHealth(s SweepHealth) { h.Sweep = s }
 // healthCarrier is satisfied by every result via the HealthReport embed.
 type healthCarrier interface{ setHealth(SweepHealth) }
 
-// grid declares one experiment's sweep shape: the cache-keying params, the
-// (point, trial) extent, and the trial function computing one cell.
-type grid[S any] struct {
-	// Name namespaces the trial cache (it is the registered experiment
-	// name for every runner in this package).
+// Sweep is one experiment's plan: the (point, trial) grid it runs, the
+// trial function computing one cell, and the reducer folding the dense
+// outcome into the result. Every registered experiment is a function from
+// its params to a Sweep, so the registry can run the whole grid or just
+// the cells a remote coordinator leased. With it a runner is just its
+// params struct, one trial function, and one reducer.
+type Sweep[S any, R Result] struct {
+	// Name namespaces the trial cache and the sweep ID. It is usually the
+	// registered experiment name.
 	Name string
 	// Params must capture everything Trial closes over; it keys the cache.
 	Params any
@@ -35,23 +39,25 @@ type grid[S any] struct {
 	Points, Trials int
 	// Trial computes one cell as a pure function of its indices.
 	Trial runner.TrialFunc[S]
+	// Reduce folds the outcome, in deterministic cell order, into the
+	// result.
+	Reduce func(out *runner.Outcome[S]) (R, error)
 }
 
-// runGrid is the generic sweep scaffold every runner calls: it executes the
-// grid on the engine (nil falls back to runner.Default()), hands the dense
-// outcome to reduce in deterministic cell order, and attaches the sweep's
-// drop accounting to the reduced result. With this scaffold a runner is
-// just its params struct, one trial function, and one reducer.
-func runGrid[S any, R Result](ctx context.Context, eng *runner.Engine, g grid[S],
-	reduce func(out *runner.Outcome[S]) (R, error)) (R, error) {
+func (s Sweep[S, R]) spec() runner.Spec {
+	return runner.Spec{Experiment: s.Name, Params: s.Params, Points: s.Points, Trials: s.Trials}
+}
+
+// run executes the grid on eng (nil falls back to runner.Default()),
+// reduces the outcome, and attaches the sweep's drop accounting to the
+// result.
+func (s Sweep[S, R]) run(ctx context.Context, eng *runner.Engine) (R, error) {
 	var zero R
-	out, err := runner.MapCtx(ctx, eng, runner.Spec{
-		Experiment: g.Name, Params: g.Params, Points: g.Points, Trials: g.Trials,
-	}, g.Trial)
+	out, err := runner.MapCtx(ctx, eng, s.spec(), s.Trial)
 	if err != nil {
 		return zero, err
 	}
-	res, err := reduce(out)
+	res, err := s.Reduce(out)
 	if err != nil {
 		return zero, err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestUntaggedSweepStaysLocal(t *testing.T) {
 	if b.calls.Load() != 0 {
 		t.Fatal("untagged sweep was offered to the backend")
 	}
-	if got := len(out.Samples()); got != 12 {
+	if got := len(out.Points[0]) + len(out.Points[1]) + len(out.Points[2]); got != 12 {
 		t.Fatalf("local fallback produced %d samples, want 12", got)
 	}
 }
@@ -221,13 +222,12 @@ func TestBackendDeliverFillsCache(t *testing.T) {
 	}
 }
 
-// Harvest mode runs exactly the requested cells of the matching sweep and
-// unwinds with ErrHarvested; samples are the trials' canonical encodings.
-func TestHarvestRunsExactlyRequestedCells(t *testing.T) {
+// RunCells runs exactly the requested cells of the matching sweep;
+// samples are the trials' canonical encodings, in request order.
+func TestRunCellsRunsExactlyRequestedCells(t *testing.T) {
 	spec := distSpec()
 	id, _, _ := SweepID(spec)
 	cells := []Cell{{0, 1}, {2, 3}, {1, 0}}
-	h := NewHarvest(id, cells)
 
 	var executed atomic.Int64
 	fn := func(p, tr int) (distSample, error) {
@@ -235,14 +235,13 @@ func TestHarvestRunsExactlyRequestedCells(t *testing.T) {
 		return distTrial(42)(p, tr)
 	}
 	eng := New(Options{Workers: 2})
-	_, err := MapCtx(WithHarvest(context.Background(), h), eng, spec, fn)
-	if !errors.Is(err, ErrHarvested) {
-		t.Fatalf("err = %v, want ErrHarvested", err)
+	samples, err := RunCells(context.Background(), eng, spec, id, cells, fn)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if executed.Load() != int64(len(cells)) {
 		t.Fatalf("executed %d cells, want %d", executed.Load(), len(cells))
 	}
-	samples := h.Samples()
 	if len(samples) != len(cells) {
 		t.Fatalf("%d samples, want %d", len(samples), len(cells))
 	}
@@ -258,23 +257,41 @@ func TestHarvestRunsExactlyRequestedCells(t *testing.T) {
 	}
 }
 
-// A harvest aimed at a different sweep must fail loudly, not silently run
+// A lease aimed at a different sweep must fail loudly, not silently run
 // the wrong trials.
-func TestHarvestSweepIDMismatch(t *testing.T) {
-	h := NewHarvest("deadbeef", []Cell{{0, 0}})
-	_, err := MapCtx(WithHarvest(context.Background(), h), New(Options{Workers: 1}), distSpec(), distTrial(42))
-	if err == nil || errors.Is(err, ErrHarvested) {
-		t.Fatalf("err = %v, want sweep-identity mismatch", err)
+func TestRunCellsSweepIDMismatch(t *testing.T) {
+	_, err := RunCells(context.Background(), New(Options{Workers: 1}), distSpec(), "deadbeef", []Cell{{0, 0}}, distTrial(42))
+	if err == nil {
+		t.Fatal("err = nil, want sweep-identity mismatch")
 	}
 }
 
 // Out-of-range cells are a protocol violation, not a panic.
-func TestHarvestRejectsOutOfRangeCells(t *testing.T) {
+func TestRunCellsRejectsOutOfRangeCells(t *testing.T) {
 	spec := distSpec()
 	id, _, _ := SweepID(spec)
-	h := NewHarvest(id, []Cell{{5, 0}})
-	_, err := MapCtx(WithHarvest(context.Background(), h), New(Options{Workers: 1}), spec, distTrial(42))
-	if err == nil || errors.Is(err, ErrHarvested) {
-		t.Fatalf("err = %v, want out-of-range error", err)
+	_, err := RunCells(context.Background(), New(Options{Workers: 1}), spec, id, []Cell{{5, 0}}, distTrial(42))
+	if err == nil {
+		t.Fatal("err = nil, want out-of-range error")
+	}
+}
+
+// A lease naming one cell twice would hand it to two workers writing the
+// same slot; it must be refused before any trial runs.
+func TestRunCellsRejectsRepeatedCell(t *testing.T) {
+	spec := distSpec()
+	id, _, _ := SweepID(spec)
+	var executed atomic.Int64
+	fn := func(p, tr int) (distSample, error) {
+		executed.Add(1)
+		return distTrial(42)(p, tr)
+	}
+	cells := []Cell{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
+	samples, err := RunCells(context.Background(), New(Options{Workers: 4}), spec, id, cells, fn)
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("err = %v, want a repeated-cell error", err)
+	}
+	if samples != nil || executed.Load() != 0 {
+		t.Fatalf("repeated-cell lease returned %d samples after %d trials, want none", len(samples), executed.Load())
 	}
 }

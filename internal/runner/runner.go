@@ -1,11 +1,10 @@
 // Package runner is the shared experiment-execution engine. Every sweep in
 // internal/exp is a grid of (point, trial) cells — a parameter point on the
-// x-axis times a number of independent trials — and until now each runner
-// walked that grid serially, recomputing identical cells on every
-// invocation. The engine shards the grid across a bounded worker pool,
-// memoizes completed cells in a content-addressed cache, survives panicking
-// trials, and exposes throughput counters, while guaranteeing that the
-// reduced results are bit-identical to a serial run:
+// x-axis times a number of independent trials. The engine shards the grid
+// (MapCtx), or just the cells a coordinator leased (RunCells), across a
+// bounded worker pool, memoizes completed cells in a content-addressed
+// cache, survives panicking trials, and exposes throughput counters, while
+// guaranteeing that the reduced results are bit-identical to a serial run:
 //
 //   - every trial is executed as a pure function of its (point, trial)
 //     indices (runners derive per-trial RNG seeds with TrialSeed or an
@@ -210,22 +209,6 @@ type Outcome[T any] struct {
 	Cached int
 	// Elapsed is the sweep's wall-clock time.
 	Elapsed time.Duration
-	// PointCompute sums each point's trial execution time — the compute
-	// bill per x-axis value, independent of worker interleaving.
-	PointCompute []time.Duration
-}
-
-// Samples flattens the outcome into a single slice, point-major. It is the
-// common accessor for single-point sweeps.
-func (o *Outcome[T]) Samples() []T {
-	if len(o.Points) == 1 {
-		return o.Points[0]
-	}
-	var out []T
-	for _, p := range o.Points {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // Map executes fn over every (point, trial) cell of spec on e's worker
@@ -247,24 +230,16 @@ func Map[T any](e *Engine, spec Spec, fn TrialFunc[T]) (*Outcome[T], error) {
 // trial error still takes precedence: it aborts the sweep and is returned
 // with a nil outcome, exactly as in Map.
 func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (*Outcome[T], error) {
-	if e == nil {
-		e = Default()
-	}
-	if spec.Points < 0 || spec.Trials < 0 {
-		return nil, fmt.Errorf("runner: negative grid %dx%d", spec.Points, spec.Trials)
-	}
-	// A harvest context turns the whole call into remote-cell execution:
-	// run exactly the leased cells of the target sweep, then unwind with
-	// ErrHarvested (see harvest.go). No outcome is produced.
-	if h := harvestFrom(ctx); h != nil {
-		return nil, runHarvest(ctx, e, spec, fn, h)
-	}
-	m := e.metrics.forExperiment(spec.Experiment)
-	m.sweeps.Inc()
-	m.sweepTotal.Add(int64(spec.Points * spec.Trials))
 	progress := ProgressFrom(ctx)
+	sw, err := newSweep[T](e, spec, progress)
+	if err != nil {
+		return nil, err
+	}
+	total := spec.Points * spec.Trials
+	sw.m.sweeps.Inc()
+	sw.m.sweepTotal.Add(int64(total))
 	if progress != nil {
-		progress.total.Add(int64(spec.Points * spec.Trials))
+		progress.total.Add(int64(total))
 	}
 	start := time.Now()
 
@@ -276,38 +251,16 @@ func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (
 	span.SetAttr("experiment", spec.Experiment)
 	span.SetAttr("points", strconv.Itoa(spec.Points))
 	span.SetAttr("trials", strconv.Itoa(spec.Trials))
-
-	sw := &sweep[T]{
-		engine:   e,
-		spec:     spec,
-		m:        m,
-		progress: progress,
-		vals:     make([][]T, spec.Points),
-		ok:       make([][]bool, spec.Points),
-		errAt:    make([][]error, spec.Points),
-		nanos:    make([]atomic.Int64, spec.Points),
-		failedAt: make([]atomic.Int64, spec.Points),
-		keyBase:  cacheKeyBase(e.cache, spec),
-	}
 	sw.initTracing(span)
-	for p := 0; p < spec.Points; p++ {
-		sw.vals[p] = make([]T, spec.Trials)
-		sw.ok[p] = make([]bool, spec.Trials)
-		sw.errAt[p] = make([]error, spec.Trials)
-	}
-
-	done := ctx.Done()
-	total := spec.Points * spec.Trials
 
 	// A distributable sweep — the engine has a backend, the context names
 	// a registry experiment to re-dispatch under, and the params encode —
 	// is handed to the backend, which accounts for every cell through the
 	// two callbacks (local execution with full fidelity, or delivery of a
-	// remotely-computed sample). Everything else runs on the local pool
-	// exactly as before.
-	if e.backend != nil && total > 0 {
+	// remotely-computed sample). Everything else runs on the local pool.
+	if sw.engine.backend != nil && total > 0 {
 		if desc, ok := describeSweep(ctx, spec); ok {
-			err := e.backend.RunSweep(ctx, desc,
+			err := sw.engine.backend.RunSweep(ctx, desc,
 				func(c Cell) bool {
 					sw.runCell(fn, c.Point, c.Trial, time.Time{})
 					return !sw.abort.Load()
@@ -328,61 +281,86 @@ func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (
 		}
 	}
 
-	workers := e.workers
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-	serial:
-		for p := 0; p < spec.Points && !sw.abort.Load(); p++ {
-			for t := 0; t < spec.Trials && !sw.abort.Load(); t++ {
-				select {
-				case <-done:
-					sw.cancelled.Store(true)
-					break serial
-				default:
-				}
-				sw.runCell(fn, p, t, time.Time{})
-			}
-		}
-	} else {
-		type cell struct {
-			p, t int
-			enq  time.Time
-		}
-		tasks := make(chan cell)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range tasks {
-					if sw.abort.Load() || sw.cancelled.Load() {
-						continue
-					}
-					sw.runCell(fn, c.p, c.t, c.enq)
-				}
-			}()
-		}
-		// The tasks channel is unbuffered, so a cancellation observed here
-		// leaves at most `workers` cells still executing — everything else
-		// is simply never handed out.
-	feed:
-		for p := 0; p < spec.Points; p++ {
-			for t := 0; t < spec.Trials; t++ {
-				select {
-				case tasks <- cell{p, t, time.Now()}:
-				case <-done:
-					sw.cancelled.Store(true)
-					break feed
-				}
-			}
-		}
-		close(tasks)
-		wg.Wait()
-	}
-
+	sw.execute(ctx, fn, total, func(i int) Cell {
+		return Cell{Point: i / spec.Trials, Trial: i % spec.Trials}
+	})
 	return sw.collect(ctx, start)
+}
+
+// newSweep allocates the dense per-cell state of one sweep over spec on e
+// (nil uses Default()). progress, when non-nil, is advanced as cells
+// complete.
+func newSweep[T any](e *Engine, spec Spec, progress *Progress) (*sweep[T], error) {
+	if spec.Points < 0 || spec.Trials < 0 {
+		return nil, fmt.Errorf("runner: negative grid %dx%d", spec.Points, spec.Trials)
+	}
+	if e == nil {
+		e = Default()
+	}
+	return &sweep[T]{
+		engine:   e,
+		spec:     spec,
+		m:        e.metrics.forExperiment(spec.Experiment),
+		progress: progress,
+		cells:    make([]cellState[T], spec.Points*spec.Trials),
+		failedAt: make([]atomic.Int64, spec.Points),
+		keyBase:  cacheKeyBase(e.cache, spec),
+	}, nil
+}
+
+// execute runs the n cells cellAt(0), ..., cellAt(n-1) on up to the
+// engine's pool width — the one cell loop behind both MapCtx and RunCells.
+// One worker degrades to a serial loop on the calling goroutine. A trial
+// error stops new cells from starting; so does ctx ending, which also
+// marks the sweep cancelled. Cells already executing run to completion.
+func (sw *sweep[T]) execute(ctx context.Context, fn TrialFunc[T], n int, cellAt func(i int) Cell) {
+	done := ctx.Done()
+	workers := min(sw.engine.workers, n)
+	if workers <= 1 {
+		for i := 0; i < n && !sw.abort.Load(); i++ {
+			select {
+			case <-done:
+				sw.cancelled.Store(true)
+				return
+			default:
+			}
+			c := cellAt(i)
+			sw.runCell(fn, c.Point, c.Trial, time.Time{})
+		}
+		return
+	}
+	type task struct {
+		c   Cell
+		enq time.Time
+	}
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				if sw.abort.Load() || sw.cancelled.Load() {
+					continue
+				}
+				sw.runCell(fn, t.c.Point, t.c.Trial, t.enq)
+			}
+		}()
+	}
+	// The tasks channel is unbuffered, so a cancellation observed here
+	// leaves at most `workers` cells still executing — everything else is
+	// simply never handed out.
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case tasks <- task{cellAt(i), time.Now()}:
+		case <-done:
+			sw.cancelled.Store(true)
+			break feed
+		}
+	}
+	close(tasks)
+	wg.Wait()
 }
 
 // collect builds the Outcome once scheduling has finished — shared by the
@@ -390,36 +368,32 @@ func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (
 // The first trial error in cell order wins, so the surfaced error, like
 // the samples, does not depend on scheduling.
 func (sw *sweep[T]) collect(ctx context.Context, start time.Time) (*Outcome[T], error) {
-	spec := sw.spec
-	for p := 0; p < spec.Points; p++ {
-		for t := 0; t < spec.Trials; t++ {
-			if err := sw.errAt[p][t]; err != nil {
-				sw.span.SetError(err)
-				sw.span.End()
-				return nil, err
-			}
+	for i := range sw.cells {
+		if err := sw.cells[i].err; err != nil {
+			sw.span.SetError(err)
+			sw.span.End()
+			return nil, err
 		}
 	}
 	sw.finishTracing()
 
+	spec := sw.spec
 	out := &Outcome[T]{
-		Points:       make([][]T, spec.Points),
-		Failed:       int(sw.failed.Load()),
-		Dropped:      make([]int, spec.Points),
-		Cancelled:    sw.cancelled.Load(),
-		Cached:       int(sw.cachedN.Load()),
-		PointCompute: make([]time.Duration, spec.Points),
+		Points:    make([][]T, spec.Points),
+		Failed:    int(sw.failed.Load()),
+		Dropped:   make([]int, spec.Points),
+		Cancelled: sw.cancelled.Load(),
+		Cached:    int(sw.cachedN.Load()),
 	}
-	for p := 0; p < spec.Points; p++ {
+	for p := range out.Points {
 		samples := make([]T, 0, spec.Trials)
-		for t := 0; t < spec.Trials; t++ {
-			if sw.ok[p][t] {
-				samples = append(samples, sw.vals[p][t])
+		for _, c := range sw.cells[p*spec.Trials : (p+1)*spec.Trials] {
+			if c.ok {
+				samples = append(samples, c.val)
 			}
 		}
 		out.Points[p] = samples
 		out.Dropped[p] = int(sw.failedAt[p].Load())
-		out.PointCompute[p] = time.Duration(sw.nanos[p].Load())
 	}
 	out.Elapsed = time.Since(start)
 	if out.Cancelled {
@@ -468,8 +442,7 @@ func (sw *sweep[T]) deliverRemote(c Cell, sample []byte) bool {
 	if err := json.Unmarshal(sample, &v); err != nil {
 		return false
 	}
-	sw.vals[c.Point][c.Trial] = v
-	sw.ok[c.Point][c.Trial] = true
+	sw.set(c.Point, c.Trial, v)
 	sw.m.done.Inc()
 	if sw.keyBase != nil {
 		_ = sw.engine.cache.Put(context.Background(), cellKey(sw.keyBase, c.Point, c.Trial), sample) // best-effort, as in runCell
@@ -478,17 +451,23 @@ func (sw *sweep[T]) deliverRemote(c Cell, sample []byte) bool {
 	return true
 }
 
-// sweep is the mutable state of one Map call. Cells write disjoint slots of
-// vals/ok/errAt, so only the atomics need synchronization.
+// cellState is one slot of a sweep grid: the sample once it is in (ok),
+// or the trial's error.
+type cellState[T any] struct {
+	val T
+	ok  bool
+	err error
+}
+
+// sweep is the mutable state of one MapCtx or RunCells call. Each cell is
+// executed by one goroutine, which alone writes its slot of cells, so only
+// the atomics need synchronization.
 type sweep[T any] struct {
 	engine    *Engine
 	spec      Spec
 	m         expMetrics
 	progress  *Progress
-	vals      [][]T
-	ok        [][]bool
-	errAt     [][]error
-	nanos     []atomic.Int64
+	cells     []cellState[T] // point-major: cell (p, t) is cells[p*Trials+t]
 	failedAt  []atomic.Int64
 	keyBase   []byte
 	abort     atomic.Bool
@@ -595,6 +574,12 @@ func (sw *sweep[T]) finishTracing() {
 	sw.span.End()
 }
 
+// at returns cell (p, t)'s slot.
+func (sw *sweep[T]) at(p, t int) *cellState[T] { return &sw.cells[p*sw.spec.Trials+t] }
+
+// set stores cell (p, t)'s sample.
+func (sw *sweep[T]) set(p, t int, v T) { *sw.at(p, t) = cellState[T]{val: v, ok: true} }
+
 // cellDone marks one cell completed in the progress views (registry gauge
 // plus the per-context tracker, if any).
 func (sw *sweep[T]) cellDone() {
@@ -619,8 +604,7 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 		if data, err := e.cache.Get(context.Background(), key); err == nil {
 			var v T
 			if err := json.Unmarshal(data, &v); err == nil {
-				sw.vals[p][t] = v
-				sw.ok[p][t] = true
+				sw.set(p, t, v)
 				sw.cachedN.Add(1)
 				sw.m.cacheHits.Inc()
 				sw.cellDone()
@@ -640,7 +624,6 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 	t0 := time.Now()
 	v, err, panicked := sw.attempt(fn, p, t, ts)
 	elapsed := time.Since(t0)
-	sw.nanos[p].Add(elapsed.Nanoseconds())
 	if ts != nil {
 		// A sampled trial stamps its trace ID onto the latency histogram as
 		// an exemplar, so a slow-tail bucket points at a concrete trace.
@@ -660,12 +643,11 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 		ts.SetError(err)
 		ts.Event("dropped")
 	case err != nil:
-		sw.errAt[p][t] = err
+		sw.at(p, t).err = err
 		sw.abort.Store(true)
 		ts.SetError(err)
 	default:
-		sw.vals[p][t] = v
-		sw.ok[p][t] = true
+		sw.set(p, t, v)
 		sw.m.done.Inc()
 		sw.cellDone()
 		if key != "" {
