@@ -7,6 +7,7 @@ package snd_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -125,13 +126,34 @@ func BenchmarkTruthGraphMillion(b *testing.B) {
 	})
 }
 
+// runExp runs one registered experiment the way sndserve runs a job:
+// Lookup, Decode of the typed params marshalled to JSON, then Run on eng
+// (nil uses runner.Default()).
+func runExp(b *testing.B, eng *runner.Engine, name string, params any) exp.Result {
+	b.Helper()
+	e, ok := exp.Lookup(name)
+	if !ok {
+		b.Fatalf("unknown experiment %q", name)
+	}
+	raw, err := json.Marshal(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bound, err := e.Decode(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := bound.Run(context.Background(), eng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig3Accuracy regenerates Figure 3 (accuracy vs threshold t).
 func BenchmarkFig3Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig3(context.Background(), exp.Fig3Params{Trials: 3, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp(b, nil, "fig3", exp.Fig3Params{Trials: 3, Seed: int64(i)}).(*exp.Fig3Result)
 		if res.Simulation.Len() == 0 {
 			b.Fatal("empty result")
 		}
@@ -141,10 +163,7 @@ func BenchmarkFig3Accuracy(b *testing.B) {
 // BenchmarkFig4Density regenerates Figure 4 (accuracy vs density).
 func BenchmarkFig4Density(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig4(context.Background(), exp.Fig4Params{Trials: 3, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp(b, nil, "fig4", exp.Fig4Params{Trials: 3, Seed: int64(i)}).(*exp.Fig4Result)
 		if len(res.Curves) == 0 {
 			b.Fatal("empty result")
 		}
@@ -154,12 +173,9 @@ func BenchmarkFig4Density(b *testing.B) {
 // BenchmarkSafetyAudit regenerates the Theorem 3 audit (E3).
 func BenchmarkSafetyAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Safety(context.Background(), exp.SafetyParams{
+		res := runExp(b, nil, "safety", exp.SafetyParams{
 			Trials: 1, CompromiseCounts: []int{2}, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		}).(*exp.SafetyResult)
 		if res.ViolationRate.Y[0] != 0 {
 			b.Fatal("unexpected violation under threshold")
 		}
@@ -169,51 +185,41 @@ func BenchmarkSafetyAudit(b *testing.B) {
 // BenchmarkBreakdown regenerates the clone-clique sweep (E4).
 func BenchmarkBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Breakdown(context.Background(), exp.BreakdownParams{
+		runExp(b, nil, "breakdown", exp.BreakdownParams{
 			Trials: 1, CliqueSizes: []int{6}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
 // BenchmarkImpossibility regenerates the Theorems 1-2 demonstration (E5).
 func BenchmarkImpossibility(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Impossibility(context.Background(), exp.ImpossibilityParams{Trials: 2, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "impossibility", exp.ImpossibilityParams{Trials: 2, Seed: int64(i)})
 	}
 }
 
 // BenchmarkProtocolOverhead regenerates the Section 4.3 overhead table (E7).
 func BenchmarkProtocolOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.OverheadSweep(context.Background(), exp.OverheadParams{
+		runExp(b, nil, "overhead", exp.OverheadParams{
 			Sizes: []int{150}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
 // BenchmarkReplicaBaselines regenerates the Section 4.5 comparison (E8).
 func BenchmarkReplicaBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Compare(context.Background(), exp.CompareParams{Trials: 1, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "compare", exp.CompareParams{Trials: 1, Seed: int64(i)})
 	}
 }
 
 // BenchmarkUpdateExtension regenerates the Theorem 4 experiment (E9).
 func BenchmarkUpdateExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Update(context.Background(), exp.UpdateParams{
+		runExp(b, nil, "update", exp.UpdateParams{
 			Trials: 1, Waves: 1, UpdateBudgets: []int{2}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -221,31 +227,25 @@ func BenchmarkUpdateExtension(b *testing.B) {
 // (E10).
 func BenchmarkHostileFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Hostile(context.Background(), exp.HostileParams{
+		runExp(b, nil, "hostile", exp.HostileParams{
 			Trials: 1, FloodCount: 100, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
 // BenchmarkRoutingImpact regenerates the GPSR blackhole experiment (E11).
 func BenchmarkRoutingImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Routing(context.Background(), exp.RoutingParams{Trials: 1, Pairs: 50, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "routing", exp.RoutingParams{Trials: 1, Pairs: 50, Seed: int64(i)})
 	}
 }
 
 // BenchmarkIsolation regenerates the connectivity-vs-threshold table (E12).
 func BenchmarkIsolation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Isolation(context.Background(), exp.IsolationParams{
+		runExp(b, nil, "isolation", exp.IsolationParams{
 			Trials: 1, Thresholds: []int{0, 120}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -253,9 +253,7 @@ func BenchmarkIsolation(b *testing.B) {
 // experiment (E14).
 func BenchmarkAggregationImpact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Aggregation(context.Background(), exp.AggregationParams{Trials: 1, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "aggregation", exp.AggregationParams{Trials: 1, Seed: int64(i)})
 	}
 }
 
@@ -263,16 +261,12 @@ func BenchmarkAggregationImpact(b *testing.B) {
 // ablation tables (E13).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.VerifierNoise(context.Background(), exp.NoiseParams{
+		runExp(b, nil, "noise", exp.NoiseParams{
 			Trials: 1, Sigmas: []float64{0, 5}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := exp.SchemeAblation(context.Background(), exp.SchemeParams{
+		})
+		runExp(b, nil, "scheme", exp.SchemeParams{
 			RingSizes: []int{40}, Seed: int64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 
@@ -285,11 +279,7 @@ func BenchmarkRunnerSerialVsParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := runner.New(runner.Options{Workers: workers})
-				if _, err := exp.Compare(context.Background(), exp.CompareParams{
-					Trials: 8, Seed: 42, Engine: eng,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				runExp(b, eng, "compare", exp.CompareParams{Trials: 8, Seed: 42})
 			}
 		})
 	}
@@ -324,14 +314,10 @@ func BenchmarkRunnerSharding(b *testing.B) {
 // memoized: the second run should be orders of magnitude cheaper.
 func BenchmarkRunnerCacheHit(b *testing.B) {
 	eng := runner.New(runner.Options{Workers: 4, Cache: store.NewMemStore()})
-	if _, err := exp.Compare(context.Background(), exp.CompareParams{Trials: 8, Seed: 42, Engine: eng}); err != nil {
-		b.Fatal(err)
-	}
+	runExp(b, eng, "compare", exp.CompareParams{Trials: 8, Seed: 42})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Compare(context.Background(), exp.CompareParams{Trials: 8, Seed: 42, Engine: eng}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, eng, "compare", exp.CompareParams{Trials: 8, Seed: 42})
 	}
 }
 
@@ -423,13 +409,10 @@ func BenchmarkE1Scale(b *testing.B) {
 		b.Skip("skipping n=1e5 E1 trial in -short mode")
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig3(context.Background(), exp.Fig3Params{
+		res := runExp(b, nil, "fig3", exp.Fig3Params{
 			Nodes: 100_000, FieldSide: 10 * math.Sqrt(100_000), Range: 25,
 			Trials: 1, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		}).(*exp.Fig3Result)
 		if res.Simulation.Len() == 0 {
 			b.Fatal("empty result")
 		}

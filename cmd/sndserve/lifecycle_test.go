@@ -211,6 +211,38 @@ func TestJobDeadlineExpiryFailsJob(t *testing.T) {
 	t.Fatal("job never finished")
 }
 
+// A job whose params ask for an impossibly large sweep fails with the
+// runner's grid-size error instead of taking the server down, and the
+// server keeps serving.
+func TestOversizedJobFailsServerSurvives(t *testing.T) {
+	_, _, ts := newLifecycleServer(t, Config{})
+
+	job, code := postJob(t, ts, `{"experiment":"fig3","params":{"Trials":4611686018427387904}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, _ := getJob(t, ts, job.ID)
+		if terminal(j.Status) {
+			if j.Status != StatusFailed || !strings.Contains(j.Error, runner.ErrGridTooLarge.Error()) {
+				t.Fatalf("status %s, error %q; want failed with %q", j.Status, j.Error, runner.ErrGridTooLarge)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("oversized job never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	small, code := postJob(t, ts, `{"experiment":"fig3","params":{"Trials":1,"Seed":3}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the oversized job: status %d", code)
+	}
+	waitDone(t, ts, small.ID)
+}
+
 // A malformed timeout is rejected up front.
 func TestBadTimeoutRejected(t *testing.T) {
 	_, _, ts := newLifecycleServer(t, Config{})

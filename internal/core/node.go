@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"snd/internal/crypto"
@@ -93,9 +93,9 @@ type Node struct {
 	// built by BeginDiscovery and dropped by FinishDiscovery.
 	own nodeid.Counter
 	// evidence buffers authenticated relation evidences received since the
-	// last binding-record update, keyed by issuer. It is allocated on the
-	// first insert, with room for every tentative neighbor.
-	evidence map[nodeid.ID]RelationEvidence
+	// last binding-record update, one per issuer, sorted by issuer. It is
+	// allocated on the first insert, with room for every tentative neighbor.
+	evidence []RelationEvidence
 
 	hashOps int
 }
@@ -362,9 +362,16 @@ func (n *Node) ReceiveRelationEvidence(ev RelationEvidence) error {
 		return fmt.Errorf("%w: evidence version %d, record version %d", ErrBadEvidence, ev.Version, n.record.Version)
 	}
 	if n.evidence == nil {
-		n.evidence = make(map[nodeid.ID]RelationEvidence, len(n.record.Neighbors))
+		n.evidence = make([]RelationEvidence, 0, len(n.record.Neighbors))
 	}
-	n.evidence[ev.From] = ev
+	i, found := slices.BinarySearchFunc(n.evidence, ev.From, func(e RelationEvidence, from nodeid.ID) int {
+		return cmp.Compare(e.From, from)
+	})
+	if found {
+		n.evidence[i] = ev // a repeated issuer's latest evidence wins
+	} else {
+		n.evidence = slices.Insert(n.evidence, i, ev)
+	}
 	return nil
 }
 
@@ -382,11 +389,7 @@ func (n *Node) BuildUpdateRequest() (UpdateRequest, error) {
 	if len(n.evidence) == 0 {
 		return UpdateRequest{}, errors.New("core: no relation evidence to justify an update")
 	}
-	req := UpdateRequest{Record: n.record}
-	for _, from := range sortedKeys(n.evidence) {
-		req.Evidences = append(req.Evidences, n.evidence[from])
-	}
-	return req, nil
+	return UpdateRequest{Record: n.record, Evidences: slices.Clone(n.evidence)}, nil
 }
 
 // ServeUpdateRequest runs on a newly deployed node (still holding K): it
@@ -456,7 +459,7 @@ func (n *Node) ApplyUpdate(updated BindingRecord) error {
 	}
 	n.record = updated
 	// Evidence bound to the old version is now consumed.
-	clear(n.evidence)
+	n.evidence = n.evidence[:0]
 	return nil
 }
 
@@ -495,7 +498,7 @@ func (n *Node) Clone() *Node {
 		functional: slices.Clone(n.functional),
 		pending:    slices.Clone(n.pending),
 		own:        n.own,
-		evidence:   maps.Clone(n.evidence),
+		evidence:   slices.Clone(n.evidence),
 		hashOps:    n.hashOps,
 	}
 	return c
@@ -507,12 +510,3 @@ func (n *Node) Clone() *Node {
 // violated), it gets a live K and the scheme collapses; the adversary
 // package's grace-violation experiment uses exactly this.
 func (n *Node) CompromiseMaster() *crypto.MasterKey { return n.master.Clone() }
-
-func sortedKeys[V any](m map[nodeid.ID]V) []nodeid.ID {
-	ids := make([]nodeid.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -245,5 +246,40 @@ func TestEvidenceRejections(t *testing.T) {
 	}
 	if err := n.ReceiveRelationEvidence(RelationEvidence{From: 9, To: 1, Version: 3}); !errors.Is(err, ErrBadEvidence) {
 		t.Errorf("wrong-version evidence err = %v", err)
+	}
+	if n.EvidenceCount() != 0 {
+		t.Fatalf("rejected evidence buffered: %d", n.EvidenceCount())
+	}
+
+	// Accepted evidence arrives out of issuer order, and issuer 7 repeats:
+	// its latest evidence replaces the earlier one, and the request lists
+	// one evidence per issuer in ascending issuer order.
+	for i, from := range []nodeid.ID{9, 7, 8, 7} {
+		ev := RelationEvidence{From: from, To: 1, Version: 0, Digest: crypto.Hash([]byte{byte(i)})}
+		if err := n.ReceiveRelationEvidence(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n.EvidenceCount() != 3 {
+		t.Fatalf("EvidenceCount = %d, want 3", n.EvidenceCount())
+	}
+	req, err := n.BuildUpdateRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var from []nodeid.ID
+	for _, ev := range req.Evidences {
+		from = append(from, ev.From)
+	}
+	if !slices.Equal(from, []nodeid.ID{7, 8, 9}) {
+		t.Errorf("request issuers = %v, want [7 8 9]", from)
+	}
+	if req.Evidences[0].Digest != crypto.Hash([]byte{3}) {
+		t.Error("repeated issuer 7: the earlier evidence was kept")
+	}
+	// The request holds a copy: editing it leaves the buffer alone.
+	req.Evidences[0].Version = 5
+	if again, _ := n.BuildUpdateRequest(); again.Evidences[0].Version != 0 {
+		t.Error("update request shares the node's evidence buffer")
 	}
 }

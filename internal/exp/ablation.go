@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -30,8 +29,6 @@ type NoiseParams struct {
 	Sigmas []float64
 	Trials int
 	Seed   int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *NoiseParams) applyDefaults() {
@@ -61,14 +58,11 @@ func (r *NoiseResult) Table() *stats.Table {
 // Render formats the table for terminal output.
 func (r *NoiseResult) Render() string { return r.Table().Render() }
 
-// VerifierNoise runs the ablation: the protocol over an RTT verifier whose
-// distance estimates carry Gaussian error. Boundary errors make tentative
-// relations asymmetric, which the protocol surfaces as rejected records
-// (ErrNotTentative) and slightly reduced accuracy.
-func VerifierNoise(ctx context.Context, p NoiseParams) (*NoiseResult, error) {
-	return planVerifierNoise(p).run(ctx, p.Engine)
-}
-
+// planVerifierNoise builds the sweep that runs the ablation: the protocol
+// over an RTT verifier whose distance estimates carry Gaussian error.
+// Boundary errors make tentative relations asymmetric, which the protocol
+// surfaces as rejected records (ErrNotTentative) and slightly reduced
+// accuracy.
 func planVerifierNoise(p NoiseParams) Sweep[noiseSample, *NoiseResult] {
 	p.applyDefaults()
 	return Sweep[noiseSample, *NoiseResult]{
@@ -126,8 +120,6 @@ type SchemeParams struct {
 	// RingSizes is the sweep of per-node key ring sizes.
 	RingSizes []int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *SchemeParams) applyDefaults() {
@@ -158,11 +150,7 @@ func (r *SchemeResult) Table() *stats.Table {
 // Render formats the table for terminal output.
 func (r *SchemeResult) Render() string { return r.Table().Render() }
 
-// SchemeAblation sweeps the EG ring size with secure channels enabled.
-func SchemeAblation(ctx context.Context, p SchemeParams) (*SchemeResult, error) {
-	return planSchemeAblation(p).run(ctx, p.Engine)
-}
-
+// planSchemeAblation sweeps the EG ring size with secure channels enabled.
 func planSchemeAblation(p SchemeParams) Sweep[schemeSample, *SchemeResult] {
 	p.applyDefaults()
 	return Sweep[schemeSample, *SchemeResult]{
@@ -224,8 +212,6 @@ type EnginesParams struct {
 	Range     float64
 	Threshold int
 	Seed      int64
-	// Engine executes the comparison; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *EnginesParams) applyDefaults() {
@@ -260,13 +246,10 @@ func (r *EnginesResult) Render() string {
 		r.SyncAccuracy, r.SyncMessages, r.AsyncAccuracy, r.AsyncMessages)
 }
 
-// Engines runs both engines over identical node positions and compares
-// the functional topologies they produce. The protocol is deterministic
-// given lossless delivery, so the accuracies must agree exactly.
-func Engines(ctx context.Context, p EnginesParams) (*EnginesResult, error) {
-	return planEngines(p).run(ctx, p.Engine)
-}
-
+// planEngines builds the sweep that runs both engines over identical node
+// positions and compares the functional topologies they produce. The
+// protocol is deterministic given lossless delivery, so the accuracies must
+// agree exactly.
 func planEngines(p EnginesParams) Sweep[enginesSample, *EnginesResult] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)

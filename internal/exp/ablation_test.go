@@ -9,7 +9,7 @@ import (
 
 func TestVerifierNoiseDegradesGracefully(t *testing.T) {
 	t.Parallel()
-	res, err := VerifierNoise(context.Background(), NoiseParams{Sigmas: []float64{0, 8}, Trials: 2, Seed: 31})
+	res, err := planVerifierNoise(NoiseParams{Sigmas: []float64{0, 8}, Trials: 2, Seed: 31}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestVerifierNoiseDegradesGracefully(t *testing.T) {
 
 func TestSchemeAblationCoverageGatesAccuracy(t *testing.T) {
 	t.Parallel()
-	res, err := SchemeAblation(context.Background(), SchemeParams{RingSizes: []int{20, 200}, Seed: 32})
+	res, err := planSchemeAblation(SchemeParams{RingSizes: []int{20, 200}, Seed: 32}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSchemeAblationCoverageGatesAccuracy(t *testing.T) {
 
 func TestEnginesAgree(t *testing.T) {
 	t.Parallel()
-	res, err := Engines(context.Background(), EnginesParams{Seed: 33})
+	res, err := planEngines(EnginesParams{Seed: 33}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

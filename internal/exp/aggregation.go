@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -26,8 +25,6 @@ type AggregationParams struct {
 	Threshold int
 	Trials    int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *AggregationParams) applyDefaults() {
@@ -68,17 +65,13 @@ func (r *AggregationResult) Render() string {
 	return b.String()
 }
 
-// Aggregation runs E14: every node senses a smooth spatial field
-// (f = x-coordinate); clusters form by lowest-ID election; each cluster
-// computes the average of its members' readings; a node's aggregation
-// error is the difference between its cluster's average and its own local
-// truth. A low-ID compromised node replicated across the field drags far
-// regions into one cluster over the tentative topology, corrupting the
-// averages; the functional topology keeps clusters local.
-func Aggregation(ctx context.Context, p AggregationParams) (*AggregationResult, error) {
-	return planAggregation(p).run(ctx, p.Engine)
-}
-
+// planAggregation builds the sweep that runs E14: every node senses a smooth
+// spatial field (f = x-coordinate); clusters form by lowest-ID election;
+// each cluster computes the average of its members' readings; a node's
+// aggregation error is the difference between its cluster's average and its
+// own local truth. A low-ID compromised node replicated across the field
+// drags far regions into one cluster over the tentative topology, corrupting
+// the averages; the functional topology keeps clusters local.
 func planAggregation(p AggregationParams) Sweep[aggregationSample, *AggregationResult] {
 	p.applyDefaults()
 	return Sweep[aggregationSample, *AggregationResult]{

@@ -8,7 +8,7 @@ import (
 
 func TestAggregationAttackImpact(t *testing.T) {
 	t.Parallel()
-	res, err := Aggregation(context.Background(), AggregationParams{Trials: 3, Seed: 81})
+	res, err := planAggregation(AggregationParams{Trials: 3, Seed: 81}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -30,8 +29,6 @@ type ImpossibilityParams struct {
 	Threshold int
 	Trials    int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *ImpossibilityParams) applyDefaults() {
@@ -78,15 +75,11 @@ type impossibilitySample struct {
 	ProtoWin bool
 }
 
-// Impossibility runs E5. For the topology-only rule, the attacker uses the
-// Theorem 2 substitution: compromise one node, forge relations around a
-// benign target on the far side of the field, and win. Against the paper's
-// protocol, the same adversary plants a physical replica next to the
-// target area and fresh nodes still reject it.
-func Impossibility(ctx context.Context, p ImpossibilityParams) (*ImpossibilityResult, error) {
-	return planImpossibility(p).run(ctx, p.Engine)
-}
-
+// planImpossibility builds the sweep that runs E5. For the topology-only
+// rule, the attacker uses the Theorem 2 substitution: compromise one node,
+// forge relations around a benign target on the far side of the field, and
+// win. Against the paper's protocol, the same adversary plants a physical
+// replica next to the target area and fresh nodes still reject it.
 func planImpossibility(p ImpossibilityParams) Sweep[impossibilitySample, *ImpossibilityResult] {
 	p.applyDefaults()
 	rule := topology.CommonNeighborRule{Threshold: p.Threshold}
@@ -200,8 +193,6 @@ type CompareParams struct {
 	Threshold int
 	Trials    int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *CompareParams) applyDefaults() {
@@ -259,14 +250,10 @@ type compareSample struct {
 	ProtoMsgs, ProtoStore float64
 }
 
-// Compare runs E8: a replication attack (one compromised node, one far
-// replica) against (a) no defense, (b) randomized multicast, (c)
-// line-selected multicast, and (d) this paper's protocol, measuring
-// defense rate and overhead for each.
-func Compare(ctx context.Context, p CompareParams) (*CompareResult, error) {
-	return planCompare(p).run(ctx, p.Engine)
-}
-
+// planCompare builds the sweep that runs E8: a replication attack (one
+// compromised node, one far replica) against (a) no defense, (b) randomized
+// multicast, (c) line-selected multicast, and (d) this paper's protocol,
+// measuring defense rate and overhead for each.
 func planCompare(p CompareParams) Sweep[compareSample, *CompareResult] {
 	p.applyDefaults()
 	return Sweep[compareSample, *CompareResult]{
@@ -409,8 +396,6 @@ type HostileParams struct {
 	FloodCount int
 	Trials     int
 	Seed       int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *HostileParams) applyDefaults() {
@@ -445,12 +430,9 @@ type hostileSample struct {
 	Rejected int
 }
 
-// Hostile runs E10: a replica floods forged records, commitments and
-// garbage at its neighborhood; benign accuracy must not move.
-func Hostile(ctx context.Context, p HostileParams) (*HostileResult, error) {
-	return planHostile(p).run(ctx, p.Engine)
-}
-
+// planHostile builds the sweep that runs E10: a replica floods forged
+// records, commitments and garbage at its neighborhood; benign accuracy must
+// not move.
 func planHostile(p HostileParams) Sweep[hostileSample, *HostileResult] {
 	p.applyDefaults()
 	return Sweep[hostileSample, *HostileResult]{
@@ -506,8 +488,6 @@ type OverheadParams struct {
 	Threshold int
 	Sizes     []int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *OverheadParams) applyDefaults() {
@@ -546,11 +526,8 @@ type overheadSample struct {
 	Storage  float64
 }
 
-// OverheadSweep runs E7 across network sizes, one point per size.
-func OverheadSweep(ctx context.Context, p OverheadParams) (*OverheadResult, error) {
-	return planOverheadSweep(p).run(ctx, p.Engine)
-}
-
+// planOverheadSweep builds the sweep that runs E7 across network sizes, one
+// point per size.
 func planOverheadSweep(p OverheadParams) Sweep[overheadSample, *OverheadResult] {
 	p.applyDefaults()
 	return Sweep[overheadSample, *OverheadResult]{

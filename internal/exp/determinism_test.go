@@ -36,49 +36,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 	t.Run("fig3", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*Fig3Result, error) {
-			return Fig3(context.Background(), Fig3Params{Nodes: 100, Trials: 3, Seed: 11, Engine: eng})
+			return planFig3(Fig3Params{Nodes: 100, Trials: 3, Seed: 11}).run(context.Background(), eng)
 		})
 	})
 	t.Run("fig4", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*Fig4Result, error) {
-			return Fig4(context.Background(), Fig4Params{Trials: 2, Seed: 12, Densities: []float64{10, 20}, Engine: eng})
+			return planFig4(Fig4Params{Trials: 2, Seed: 12, Densities: []float64{10, 20}}).run(context.Background(), eng)
 		})
 	})
 	t.Run("safety", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*SafetyResult, error) {
-			return Safety(context.Background(), SafetyParams{Nodes: 120, Trials: 2, CompromiseCounts: []int{1, 2}, Seed: 13, Engine: eng})
+			return planSafety(SafetyParams{Nodes: 120, Trials: 2, CompromiseCounts: []int{1, 2}, Seed: 13}).run(context.Background(), eng)
 		})
 	})
 	t.Run("compare", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*CompareResult, error) {
-			return Compare(context.Background(), CompareParams{Nodes: 100, Trials: 2, Seed: 14, Engine: eng})
+			return planCompare(CompareParams{Nodes: 100, Trials: 2, Seed: 14}).run(context.Background(), eng)
 		})
 	})
 	t.Run("isolation", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*IsolationResult, error) {
-			return Isolation(context.Background(), IsolationParams{Nodes: 100, Trials: 2, Thresholds: []int{0, 80}, Seed: 15, Engine: eng})
+			return planIsolation(IsolationParams{Nodes: 100, Trials: 2, Thresholds: []int{0, 80}, Seed: 15}).run(context.Background(), eng)
 		})
 	})
 	t.Run("routing", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*RoutingResult, error) {
-			return Routing(context.Background(), RoutingParams{Nodes: 150, Trials: 2, Pairs: 20, Seed: 16, Engine: eng})
+			return planRouting(RoutingParams{Nodes: 150, Trials: 2, Pairs: 20, Seed: 16}).run(context.Background(), eng)
 		})
 	})
 	t.Run("aggregation", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*AggregationResult, error) {
-			return Aggregation(context.Background(), AggregationParams{Nodes: 150, Trials: 2, Seed: 17, Engine: eng})
+			return planAggregation(AggregationParams{Nodes: 150, Trials: 2, Seed: 17}).run(context.Background(), eng)
 		})
 	})
 	t.Run("noise", func(t *testing.T) {
 		t.Parallel()
 		requireIdentical(t, func(eng *runner.Engine) (*NoiseResult, error) {
-			return VerifierNoise(context.Background(), NoiseParams{Nodes: 100, Trials: 2, Sigmas: []float64{0, 4}, Seed: 18, Engine: eng})
+			return planVerifierNoise(NoiseParams{Nodes: 100, Trials: 2, Sigmas: []float64{0, 4}, Seed: 18}).run(context.Background(), eng)
 		})
 	})
 }

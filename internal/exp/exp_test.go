@@ -13,7 +13,7 @@ import (
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
 	t.Parallel()
-	res, err := Fig3(context.Background(), Fig3Params{Trials: 8, Seed: 1})
+	res, err := planFig3(Fig3Params{Trials: 8, Seed: 1}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 
 func TestFig4DensityIncreasesAccuracy(t *testing.T) {
 	t.Parallel()
-	res, err := Fig4(context.Background(), Fig4Params{Trials: 8, Seed: 2, Densities: []float64{10, 20, 30, 40, 50}})
+	res, err := planFig4(Fig4Params{Trials: 8, Seed: 2, Densities: []float64{10, 20, 30, 40, 50}}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFig4DensityIncreasesAccuracy(t *testing.T) {
 
 func TestSafetyNoViolationsUnderThreshold(t *testing.T) {
 	t.Parallel()
-	res, err := Safety(context.Background(), SafetyParams{
+	res, err := planSafety(SafetyParams{
 		Trials:           3,
 		CompromiseCounts: []int{1, 3},
 		Seed:             3,
-	})
+	}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestSafetyNoViolationsUnderThreshold(t *testing.T) {
 func TestBreakdownTransitionAtThreshold(t *testing.T) {
 	t.Parallel()
 	const threshold = 4
-	res, err := Breakdown(context.Background(), BreakdownParams{
+	res, err := planBreakdown(BreakdownParams{
 		Threshold:   threshold,
 		CliqueSizes: []int{threshold + 1, threshold + 2},
 		Trials:      4,
 		Seed:        4,
-	})
+	}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBreakdownTransitionAtThreshold(t *testing.T) {
 
 func TestImpossibilityContrast(t *testing.T) {
 	t.Parallel()
-	res, err := Impossibility(context.Background(), ImpossibilityParams{Trials: 6, Seed: 5})
+	res, err := planImpossibility(ImpossibilityParams{Trials: 6, Seed: 5}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestImpossibilityContrast(t *testing.T) {
 
 func TestCompareTable(t *testing.T) {
 	t.Parallel()
-	res, err := Compare(context.Background(), CompareParams{Trials: 4, Seed: 6})
+	res, err := planCompare(CompareParams{Trials: 4, Seed: 6}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestCompareScaling(t *testing.T) {
 	// network size), while the baselines multicast claims across the whole
 	// network (per-node cost grows with n). Double the field area and node
 	// count at constant density and compare growth.
-	small, err := Compare(context.Background(), CompareParams{Nodes: 100, FieldSide: 100, Trials: 3, Seed: 20})
+	small, err := planCompare(CompareParams{Nodes: 100, FieldSide: 100, Trials: 3, Seed: 20}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Compare(context.Background(), CompareParams{Nodes: 400, FieldSide: 200, Trials: 3, Seed: 21})
+	large, err := planCompare(CompareParams{Nodes: 400, FieldSide: 200, Trials: 3, Seed: 21}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCompareScaling(t *testing.T) {
 
 func TestHostileAccuracyUnmoved(t *testing.T) {
 	t.Parallel()
-	res, err := Hostile(context.Background(), HostileParams{Trials: 2, FloodCount: 150, Seed: 7})
+	res, err := planHostile(HostileParams{Trials: 2, FloodCount: 150, Seed: 7}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestHostileAccuracyUnmoved(t *testing.T) {
 
 func TestOverheadSweepGrowsWithDensity(t *testing.T) {
 	t.Parallel()
-	res, err := OverheadSweep(context.Background(), OverheadParams{Sizes: []int{100, 300}, Seed: 8})
+	res, err := planOverheadSweep(OverheadParams{Sizes: []int{100, 300}, Seed: 8}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestOverheadSweepGrowsWithDensity(t *testing.T) {
 
 func TestUpdateExperiment(t *testing.T) {
 	t.Parallel()
-	res, err := Update(context.Background(), UpdateParams{UpdateBudgets: []int{0, 2}, Trials: 2, Waves: 2, Seed: 9})
+	res, err := planUpdate(UpdateParams{UpdateBudgets: []int{0, 2}, Trials: 2, Waves: 2, Seed: 9}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,14 @@
 // (point, trial) grid indices, so the engine can shard trials across
 // workers — and memoize them in a content-addressed cache — while
 // producing results bit-identical to a serial run for a fixed seed.
-// Params structs carry an optional Engine; nil falls back to the shared
-// runner.Default() pool.
+// The registry is the only way in: Lookup, Decode and Experiment.Run run
+// a whole sweep, and RunCells runs the cells a coordinator leased. Both
+// take the engine as an argument; nil falls back to the shared
+// runner.Default() pool. Params structs hold only what keys the sweep.
 //
-// Every runner takes a context.Context and propagates it to the engine:
+// Run takes a context.Context and propagates it to the engine:
 // cancelling the context stops the sweep promptly (no new trials are
-// scheduled) and the runner returns ctx.Err(). Completed trials stay in
+// scheduled) and Run returns ctx.Err(). Completed trials stay in
 // the engine cache, so a re-run resumes where the interruption hit.
 // Every result implements Result: Render() prints the same rows and
 // series the paper reports, and Health() exposes trials lost to the
@@ -27,7 +29,6 @@
 package exp
 
 import (
-	"context"
 	"math/rand"
 	"strconv"
 
@@ -50,8 +51,6 @@ type Fig3Params struct {
 	// Trials averages the simulated curve over this many deployments.
 	Trials int
 	Seed   int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *Fig3Params) applyDefaults() {
@@ -87,20 +86,16 @@ type fig3Sample struct {
 	Fractions []float64
 }
 
-// Fig3 reproduces Figure 3: the fraction of a benign center node's actual
-// neighbors that pass the |N(u) ∩ N(v)| ≥ t+1 validation, as a function of
-// t — the theoretical curve from the Section 4.4.1 model next to the
-// simulated one.
+// planFig3 builds the sweep that reproduces Figure 3: the fraction of a
+// benign center node's actual neighbors that pass the |N(u) ∩ N(v)| ≥ t+1
+// validation, as a function of t — the theoretical curve from the Section
+// 4.4.1 model next to the simulated one.
 //
 // The simulation measures the exact quantity the protocol computes (common
 // tentative neighbors against the threshold) directly on the tentative
 // topology; the full message-level protocol is exercised end to end in
 // package sim and produces matching numbers (see sim's
 // TestCenterAccuracyTracksTheory).
-func Fig3(ctx context.Context, p Fig3Params) (*Fig3Result, error) {
-	return planFig3(p).run(ctx, p.Engine)
-}
-
 func planFig3(p Fig3Params) Sweep[fig3Sample, *Fig3Result] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)
@@ -189,8 +184,6 @@ type Fig4Params struct {
 	Thresholds []int
 	Trials     int
 	Seed       int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *Fig4Params) applyDefaults() {
@@ -221,13 +214,10 @@ func (r *Fig4Result) Table() *stats.Table {
 // Render formats the table for terminal output.
 func (r *Fig4Result) Render() string { return r.Table().Render() }
 
-// Fig4 reproduces Figure 4: validated-neighbor fraction as a function of
-// deployment density, for t ∈ {10, 30, 50}. Each density is one point of
-// the sweep grid, so densities shard across workers as well as trials.
-func Fig4(ctx context.Context, p Fig4Params) (*Fig4Result, error) {
-	return planFig4(p).run(ctx, p.Engine)
-}
-
+// planFig4 builds the sweep that reproduces Figure 4: validated-neighbor
+// fraction as a function of deployment density, for t ∈ {10, 30, 50}. Each
+// density is one point of the sweep grid, so densities shard across workers
+// as well as trials.
 func planFig4(p Fig4Params) Sweep[fig3Sample, *Fig4Result] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)

@@ -34,7 +34,7 @@ func TestRunnerCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng := runner.New(runner.Options{Workers: 1})
-	res, err := Fig3(ctx, Fig3Params{Trials: 5, Seed: 1, Engine: eng})
+	res, err := planFig3(Fig3Params{Trials: 5, Seed: 1}).run(ctx, eng)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

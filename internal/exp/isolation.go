@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"context"
-
 	"snd/internal/geometry"
 	"snd/internal/runner"
 	"snd/internal/sim"
@@ -24,8 +22,6 @@ type IsolationParams struct {
 	Thresholds []int
 	Trials     int
 	Seed       int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *IsolationParams) applyDefaults() {
@@ -68,11 +64,8 @@ type isolationSample struct {
 	Accuracy         float64
 }
 
-// Isolation runs E12 over the paper's Figure 3 deployment.
-func Isolation(ctx context.Context, p IsolationParams) (*IsolationResult, error) {
-	return planIsolation(p).run(ctx, p.Engine)
-}
-
+// planIsolation builds the sweep that runs E12 over the paper's Figure 3
+// deployment.
 func planIsolation(p IsolationParams) Sweep[isolationSample, *IsolationResult] {
 	p.applyDefaults()
 	return Sweep[isolationSample, *IsolationResult]{

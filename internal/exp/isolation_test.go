@@ -8,11 +8,11 @@ import (
 
 func TestIsolationGrowsWithThreshold(t *testing.T) {
 	t.Parallel()
-	res, err := Isolation(context.Background(), IsolationParams{
+	res, err := planIsolation(IsolationParams{
 		Thresholds: []int{0, 120, 155},
 		Trials:     3,
 		Seed:       51,
-	})
+	}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func (d *definition[P, S, R]) Schema() []ParamField {
 	out := make([]ParamField, 0, t.NumField())
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		if !f.IsExported() || f.Tag.Get("json") == "-" {
+		if !f.IsExported() {
 			continue
 		}
 		out = append(out, ParamField{

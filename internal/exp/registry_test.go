@@ -52,9 +52,6 @@ func TestCatalogShape(t *testing.T) {
 			if f.Name == "" || f.Type == "" {
 				t.Errorf("%s: incomplete schema field %+v", entry.Name, f)
 			}
-			if f.Name == "Engine" {
-				t.Errorf("%s: schema leaks the Engine field", entry.Name)
-			}
 			if f.Name == "Seed" {
 				seen = true
 			}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -28,8 +27,6 @@ type RoutingParams struct {
 	Pairs     int
 	Trials    int
 	Seed      int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *RoutingParams) applyDefaults() {
@@ -66,16 +63,13 @@ func (r *RoutingResult) Render() string {
 	return b.String()
 }
 
-// Routing runs E11: one compromised node replicated at the four corners of
-// the field; GPSR routes random source/destination pairs first over the
-// tentative topology (what direct verification alone provides — replicas
-// included everywhere) and then over the functional topology produced by
-// the protocol. Packets whose path crosses the compromised identity are
-// blackholed: the attacker attracts and drops them.
-func Routing(ctx context.Context, p RoutingParams) (*RoutingResult, error) {
-	return planRouting(p).run(ctx, p.Engine)
-}
-
+// planRouting builds the sweep that runs E11: one compromised node
+// replicated at the four corners of the field; GPSR routes random
+// source/destination pairs first over the tentative topology (what direct
+// verification alone provides — replicas included everywhere) and then over
+// the functional topology produced by the protocol. Packets whose path
+// crosses the compromised identity are blackholed: the attacker attracts and
+// drops them.
 func planRouting(p RoutingParams) Sweep[routingSample, *RoutingResult] {
 	p.applyDefaults()
 	return Sweep[routingSample, *RoutingResult]{

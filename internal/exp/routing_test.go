@@ -8,7 +8,7 @@ import (
 
 func TestRoutingAttackImpact(t *testing.T) {
 	t.Parallel()
-	res, err := Routing(context.Background(), RoutingParams{Trials: 2, Pairs: 80, Seed: 41})
+	res, err := planRouting(RoutingParams{Trials: 2, Pairs: 80, Seed: 41}).run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

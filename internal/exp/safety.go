@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -27,8 +26,6 @@ type SafetyParams struct {
 	CompromiseCounts []int
 	Trials           int
 	Seed             int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *SafetyParams) applyDefaults() {
@@ -69,12 +66,9 @@ type safetySample struct {
 	Worst    float64
 }
 
-// Safety runs E3: compromise k ≤ t random nodes, replicate each at every
-// field corner, let a fresh wave of nodes deploy, and audit the 2R bound.
-func Safety(ctx context.Context, p SafetyParams) (*SafetyResult, error) {
-	return planSafety(p).run(ctx, p.Engine)
-}
-
+// planSafety builds the sweep that runs E3: compromise k ≤ t random nodes,
+// replicate each at every field corner, let a fresh wave of nodes deploy,
+// and audit the 2R bound.
 func planSafety(p SafetyParams) Sweep[safetySample, *SafetyResult] {
 	p.applyDefaults()
 	return Sweep[safetySample, *SafetyResult]{
@@ -176,8 +170,6 @@ type BreakdownParams struct {
 	CliqueSizes []int
 	Trials      int
 	Seed        int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *BreakdownParams) applyDefaults() {
@@ -217,14 +209,10 @@ type breakdownSample struct {
 	Violated bool
 }
 
-// Breakdown runs E4: for each clique size k, compromise a co-located
-// k-clique, replicate it at the far corner, steer fresh nodes there, and
-// measure how often 2R-safety is violated. The transition at k = t+2 shows
-// the threshold guarantee of Theorem 3 is tight.
-func Breakdown(ctx context.Context, p BreakdownParams) (*BreakdownResult, error) {
-	return planBreakdown(p).run(ctx, p.Engine)
-}
-
+// planBreakdown builds the sweep that runs E4: for each clique size k,
+// compromise a co-located k-clique, replicate it at the far corner, steer
+// fresh nodes there, and measure how often 2R-safety is violated. The
+// transition at k = t+2 shows the threshold guarantee of Theorem 3 is tight.
 func planBreakdown(p BreakdownParams) Sweep[breakdownSample, *BreakdownResult] {
 	p.applyDefaults()
 	return Sweep[breakdownSample, *BreakdownResult]{
@@ -288,8 +276,6 @@ type UpdateParams struct {
 	Waves  int
 	Trials int
 	Seed   int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *UpdateParams) applyDefaults() {
@@ -331,14 +317,11 @@ type updateSample struct {
 	MaxReach float64
 }
 
-// Update runs E9: an aging network (battery deaths, redeployment waves)
-// under each update budget m. Accuracy should improve with m (old nodes can
-// re-bind to include newcomers); the compromised node's reach must stay
-// within (m+1)·R as its replica exploits the same update mechanism.
-func Update(ctx context.Context, p UpdateParams) (*UpdateResult, error) {
-	return planUpdate(p).run(ctx, p.Engine)
-}
-
+// planUpdate builds the sweep that runs E9: an aging network (battery
+// deaths, redeployment waves) under each update budget m. Accuracy should
+// improve with m (old nodes can re-bind to include newcomers); the
+// compromised node's reach must stay within (m+1)·R as its replica exploits
+// the same update mechanism.
 func planUpdate(p UpdateParams) Sweep[updateSample, *UpdateResult] {
 	p.applyDefaults()
 	return Sweep[updateSample, *UpdateResult]{

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
@@ -30,8 +29,6 @@ type ScaleParams struct {
 	Samples int
 	Trials  int
 	Seed    int64
-	// Engine executes the trials; nil uses runner.Default().
-	Engine *runner.Engine `json:"-"`
 }
 
 func (p *ScaleParams) applyDefaults() {
@@ -77,18 +74,14 @@ type scaleSample struct {
 	MeanDegree float64
 }
 
-// Scale runs the headline scale experiment: the Figure 3 methodology —
-// validated fraction of actual neighbors vs threshold t — at a million
-// nodes. The all-benign deployment makes the tentative topology equal the
-// ground-truth graph, which the layout builds in CSR form through
-// the pooled parallel cell sweep; the validation profile is then measured
-// over a uniform sample of nodes rather than the single center node, so
-// one trial exercises the dense-state pipeline end to end (deploy →
+// planScale builds the sweep that runs the headline scale experiment: the
+// Figure 3 methodology — validated fraction of actual neighbors vs threshold
+// t — at a million nodes. The all-benign deployment makes the tentative
+// topology equal the ground-truth graph, which the layout builds in CSR form
+// through the pooled parallel cell sweep; the validation profile is then
+// measured over a uniform sample of nodes rather than the single center
+// node, so one trial exercises the dense-state pipeline end to end (deploy →
 // spatial index → CSR build → common-neighbor counting) at the target n.
-func Scale(ctx context.Context, p ScaleParams) (*ScaleResult, error) {
-	return planScale(p).run(ctx, p.Engine)
-}
-
 func planScale(p ScaleParams) Sweep[scaleSample, *ScaleResult] {
 	p.applyDefaults()
 	field := geometry.NewField(p.FieldSide, p.FieldSide)

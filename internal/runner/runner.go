@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -38,6 +39,18 @@ import (
 // zero: a panicking trial is attempted once more before being dropped as a
 // failed sample.
 const DefaultRetries = 1
+
+// MaxCells bounds the cells of one sweep grid. A sweep allocates a slot
+// per cell before its first trial runs, so a Points×Trials taken from a
+// request could otherwise exhaust the host's memory or overflow int. The
+// largest default sweep in the catalog (fig4) has 450 cells; 1<<20 leaves
+// more than 2000× that for explicit params and sndsim -trials, and the
+// slots of a full grid stay near 100 MB.
+const MaxCells = 1 << 20
+
+// ErrGridTooLarge means a sweep's Points or Points×Trials exceeds
+// MaxCells. The sweep is refused before anything is allocated or run.
+var ErrGridTooLarge = errors.New("runner: sweep grid too large")
 
 // Options configures an Engine.
 type Options struct {
@@ -122,7 +135,8 @@ var (
 )
 
 // Default returns the process-wide engine: GOMAXPROCS workers, no cache.
-// Experiment runners fall back to it when their params carry no engine.
+// Every entry point that takes an engine (Map, MapCtx, RunCells, and the
+// exp registry's Run and RunCells) falls back to it when passed nil.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(Options{}) })
 	return defaultEngine
@@ -172,8 +186,7 @@ type Spec struct {
 	// Experiment namespaces the cache (e.g. "fig3", "safety").
 	Experiment string
 	// Params is canonically encoded (JSON) into the cache key; it must
-	// capture everything the trial function closes over. Fields tagged
-	// `json:"-"` (such as the engine itself) are excluded.
+	// capture everything the trial function closes over.
 	Params any
 	// Points is the number of parameter points (x-axis values).
 	Points int
@@ -293,6 +306,12 @@ func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (
 func newSweep[T any](e *Engine, spec Spec, progress *Progress) (*sweep[T], error) {
 	if spec.Points < 0 || spec.Trials < 0 {
 		return nil, fmt.Errorf("runner: negative grid %dx%d", spec.Points, spec.Trials)
+	}
+	// Dividing instead of multiplying keeps the check itself from
+	// overflowing.
+	if spec.Points > MaxCells || (spec.Trials > 0 && spec.Points > MaxCells/spec.Trials) {
+		return nil, fmt.Errorf("%w: %dx%d grid, limit %d cells",
+			ErrGridTooLarge, spec.Points, spec.Trials, MaxCells)
 	}
 	if e == nil {
 		e = Default()

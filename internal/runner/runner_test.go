@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -195,5 +196,39 @@ func TestMapNilEngineUsesDefault(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out.Points[0], []int{0, 1}) {
 		t.Fatalf("samples = %v", out.Points[0])
+	}
+}
+
+// A grid whose cell count overflows int or exceeds MaxCells is refused
+// with ErrGridTooLarge before any slot is allocated or trial run, whether
+// the whole grid is mapped or a lease names one of its cells.
+func TestOversizedGridRefused(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name           string
+		points, trials int
+	}{
+		{"overflow", 4, 1 << 62},
+		{"over cap", 1 << 10, MaxCells>>10 + 1},
+	} {
+		eng := New(Options{Workers: 2})
+		ran := false
+		fn := func(p, tr int) (int, error) { ran = true; return 0, nil }
+		spec := Spec{Experiment: "huge", Params: tc.name, Points: tc.points, Trials: tc.trials}
+		if _, err := Map(eng, spec, fn); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("%s: Map err = %v, want ErrGridTooLarge", tc.name, err)
+		}
+		id, _, _ := SweepID(spec)
+		if _, err := RunCells(context.Background(), eng, spec, id, []Cell{{0, 0}}, fn); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("%s: RunCells err = %v, want ErrGridTooLarge", tc.name, err)
+		}
+		if ran || eng.Stats().TrialsStarted != 0 {
+			t.Errorf("%s: a trial ran on a refused grid", tc.name)
+		}
+	}
+	// An empty grid allocates per point too, so Points alone is bounded.
+	_, err := Map(New(Options{}), Spec{Points: MaxCells + 1}, func(p, tr int) (int, error) { return 0, nil })
+	if !errors.Is(err, ErrGridTooLarge) {
+		t.Errorf("%d points x 0 trials: err = %v, want ErrGridTooLarge", MaxCells+1, err)
 	}
 }

@@ -4,8 +4,10 @@
 // everything needed to study it: a wireless sensor network simulator,
 // direct neighbor verification mechanisms, key predistribution schemes, an
 // attacker with replication/forgery/jamming capabilities, the Parno et al.
-// replica-detection baselines, and runners for every experiment in the
-// paper's evaluation.
+// replica-detection baselines. The paper's evaluation is regenerated by
+// cmd/sndfig (and served by cmd/sndserve) through the experiment registry
+// in internal/exp; this package re-exports only the protocol and
+// simulation building blocks.
 //
 // # The protocol in one paragraph
 //
@@ -39,7 +41,6 @@ import (
 	"snd/internal/core"
 	"snd/internal/crypto"
 	"snd/internal/deploy"
-	"snd/internal/exp"
 	"snd/internal/geometry"
 	"snd/internal/georoute"
 	"snd/internal/nodeid"
@@ -63,8 +64,6 @@ type (
 	Point = geometry.Point
 	// Rect is an axis-aligned region, e.g. the deployment field.
 	Rect = geometry.Rect
-	// Circle is a disk, used for jamming regions and safety audits.
-	Circle = geometry.Circle
 )
 
 // NewNodeSet builds a set from the given IDs, in any order; it copies them.
@@ -81,12 +80,6 @@ type (
 	Node = core.Node
 	// BindingRecord is R(u) = {i, N(u), C(u)}.
 	BindingRecord = core.BindingRecord
-	// RelationCommitment is C(u,v).
-	RelationCommitment = core.RelationCommitment
-	// RelationEvidence is E(u,v).
-	RelationEvidence = core.RelationEvidence
-	// SafetyReport audits one compromised node against d-safety.
-	SafetyReport = core.SafetyReport
 	// MasterKey is the pre-distributed, erasable network key K.
 	MasterKey = crypto.MasterKey
 )
@@ -124,43 +117,18 @@ type (
 	DeviceHandle = deploy.Handle
 	// Sampler draws deployment positions.
 	Sampler = deploy.Sampler
-	// UniformSampler scatters nodes uniformly (the paper's model).
-	UniformSampler = deploy.Uniform
-	// GridJitterSampler places nodes on a jittered grid.
-	GridJitterSampler = deploy.GridJitter
-	// ClusteredSampler drops nodes around a few drop points.
-	ClusteredSampler = deploy.Clustered
 	// WithinSampler restricts a sampler to a sub-region.
 	WithinSampler = deploy.Within
 	// Verifier is a direct neighbor verification mechanism.
 	Verifier = verify.Verifier
 	// OracleVerifier is ideal direct verification.
 	OracleVerifier = verify.Oracle
-	// RTTVerifier models distance bounding with noise.
-	RTTVerifier = verify.RTT
-	// RSSVerifier models signal-strength ranging.
-	RSSVerifier = verify.RSS
 	// Medium is the simulated wireless channel.
 	Medium = radio.Medium
 )
 
 // NewLayout returns an empty deployment over the given field.
 func NewLayout(field Rect) *Layout { return deploy.NewLayout(field) }
-
-// ForEachInRange visits every alive device within radius r of device h
-// (excluding h itself) in deployment order. It resolves receivers through
-// the layout's uniform-grid spatial index — O(k) in the neighborhood size
-// rather than O(n) in the network — and allocates nothing; see
-// Layout.EnsureGrid for how the index is built and maintained.
-func ForEachInRange(l *Layout, h DeviceHandle, r float64, fn func(*Device)) {
-	l.ForEachInRange(h, r, fn)
-}
-
-// ForEachAliveIn visits every alive device inside the circle, in
-// deployment order, through the same grid index as ForEachInRange.
-func ForEachAliveIn(l *Layout, c Circle, fn func(*Device)) {
-	l.ForEachAliveIn(c, fn)
-}
 
 // Topology model (Section 3).
 type (
@@ -170,8 +138,6 @@ type (
 	// GraphBuilder collects vertices and relations; Finalize turns them
 	// into a Graph.
 	GraphBuilder = topology.Builder
-	// ValidationFunc models Definition 3's F(u, v, B).
-	ValidationFunc = topology.ValidationFunc
 	// CommonNeighborRule is the topology-only threshold rule that
 	// Theorems 1–2 prove attackable.
 	CommonNeighborRule = topology.CommonNeighborRule
@@ -212,15 +178,9 @@ var (
 	NewPolyPoolScheme = crypto.NewPolyPoolScheme
 )
 
-// Geographic routing (GPSR, the paper's reference [12]).
-type (
-	// GeoRouter routes greedily with recovery over a neighbor table.
-	GeoRouter = georoute.Router
-	// RouteResult describes one routing attempt.
-	RouteResult = georoute.Result
-	// RouteStats aggregates many attempts.
-	RouteStats = georoute.Stats
-)
+// GeoRouter is GPSR (the paper's reference [12]): it routes greedily with
+// recovery over a neighbor table.
+type GeoRouter = georoute.Router
 
 // NewGeoRouter builds a router over positions and a neighbor graph.
 var NewGeoRouter = georoute.New
@@ -256,15 +216,9 @@ type (
 // NewTraceRing builds an event recorder retaining up to capacity events.
 var NewTraceRing = trace.NewRing
 
-// Centralized baseline (the Section 4 alternative).
-var (
-	// DetectSplitNeighborhoods is the base station's topology-only
-	// replica detector.
-	DetectSplitNeighborhoods = central.DetectSplitNeighborhoods
-	// CentralCollectionCost estimates the cost of shipping the topology
-	// to a base station.
-	CentralCollectionCost = central.CollectionCost
-)
+// DetectSplitNeighborhoods is the base station's topology-only replica
+// detector (the Section 4 centralized alternative).
+var DetectSplitNeighborhoods = central.DetectSplitNeighborhoods
 
 // Replica-detection baselines (Parno et al., S&P 2005).
 type (
@@ -282,55 +236,12 @@ var (
 	BuildReplicaNetwork = replica.BuildNetwork
 	// RandomizedMulticast runs Parno et al.'s first protocol.
 	RandomizedMulticast = replica.RandomizedMulticast
-	// LineSelectedMulticast runs their cheaper line-crossing variant.
-	LineSelectedMulticast = replica.LineSelectedMulticast
 )
 
-// Concurrent runtime: one goroutine per node.
-type (
-	// AsyncConfig parameterizes the concurrent engine.
-	AsyncConfig = async.Config
-	// AsyncNetwork runs protocol endpoints as goroutines.
-	AsyncNetwork = async.Network
-)
+// AsyncConfig parameterizes the concurrent runtime: one goroutine per
+// node.
+type AsyncConfig = async.Config
 
 // DiscoverAll boots a whole layout concurrently — every node a goroutine —
 // and returns the resulting functional topology.
 var DiscoverAll = async.DiscoverAll
-
-// Experiment runners (one per paper figure/table; see DESIGN.md). Every
-// runner takes a context.Context first: cancel it to stop the sweep
-// cooperatively (completed trials stay cached; the runner returns
-// ctx.Err()).
-var (
-	// Fig3 reproduces Figure 3 (accuracy vs threshold t).
-	Fig3 = exp.Fig3
-	// Fig4 reproduces Figure 4 (accuracy vs deployment density).
-	Fig4 = exp.Fig4
-	// SafetyExperiment audits Theorem 3's 2R bound (E3).
-	SafetyExperiment = exp.Safety
-	// BreakdownExperiment sweeps the clone-clique attack past t (E4).
-	BreakdownExperiment = exp.Breakdown
-	// ImpossibilityExperiment demonstrates Theorems 1–2 (E5).
-	ImpossibilityExperiment = exp.Impossibility
-	// CompareExperiment quantifies the Section 4.5 comparison (E8).
-	CompareExperiment = exp.Compare
-	// OverheadExperiment measures Section 4.3's overhead (E7).
-	OverheadExperiment = exp.OverheadSweep
-	// UpdateExperiment studies the update extension and Theorem 4 (E9).
-	UpdateExperiment = exp.Update
-	// HostileExperiment checks Section 4.4.2's robustness claim (E10).
-	HostileExperiment = exp.Hostile
-	// RoutingExperiment quantifies the routing blackhole impact (E11).
-	RoutingExperiment = exp.Routing
-	// IsolationExperiment measures functional-topology partitioning (E12).
-	IsolationExperiment = exp.Isolation
-	// AggregationExperiment quantifies cluster-aggregation corruption (E14).
-	AggregationExperiment = exp.Aggregation
-	// VerifierNoiseAblation sweeps direct-verification error.
-	VerifierNoiseAblation = exp.VerifierNoise
-	// SchemeAblation sweeps key predistribution coverage.
-	SchemeAblation = exp.SchemeAblation
-	// EnginesAblation cross-checks the two engines.
-	EnginesAblation = exp.Engines
-)
