@@ -105,13 +105,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("-params applies to a single experiment, not %d", len(names))
 	}
 
-	var cache runner.Cache
+	var cache store.Blob
 	if *storeURL != "" {
-		blob, err := store.Open(*storeURL)
-		if err != nil {
+		var err error
+		if cache, err = store.Open(*storeURL); err != nil {
 			return fmt.Errorf("-store: %w", err)
 		}
-		cache = blob
 	}
 	eng := runner.New(runner.Options{Workers: *workers, Cache: cache})
 

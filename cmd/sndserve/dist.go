@@ -20,11 +20,19 @@ import (
 //	unknown_lease  → 409 (lease expired or reassigned; abandon the batch)
 //	job_cancelled  → 409 (sweep revoked; abandon the batch)
 func (s *Server) mountDist(handle func(pattern, route string, h http.HandlerFunc)) {
-	handle("POST "+dist.PathRegister, dist.PathRegister, s.distRegister)
-	handle("POST "+dist.PathLease, dist.PathLease, s.distLease)
-	handle("POST "+dist.PathRenew, dist.PathRenew, s.distRenew)
-	handle("POST "+dist.PathResults, dist.PathResults, s.distResults)
-	handle("POST "+dist.PathHeartbeat, dist.PathHeartbeat, s.distHeartbeat)
+	post := func(path string, h http.HandlerFunc) { handle("POST "+path, path, h) }
+	post(dist.PathRegister, distPost(s, func(req dist.RegisterRequest) (dist.RegisterResponse, error) {
+		return s.coord.Register(req), nil
+	}))
+	post(dist.PathLease, distPost(s, func(req dist.LeaseRequest) (dist.LeaseResponse, error) {
+		return s.coord.Lease(req.WorkerID)
+	}))
+	post(dist.PathRenew, distPost(s, func(req dist.RenewRequest) (dist.RenewResponse, error) {
+		return s.coord.Renew(req.WorkerID, req.BatchID)
+	}))
+	post(dist.PathResults, distPost(s, func(req dist.ResultsRequest) (dist.ResultsResponse, error) {
+		return s.coord.Report(req)
+	}))
 	handle("GET "+dist.PathStatus, dist.PathStatus, s.distStatus)
 }
 
@@ -34,15 +42,6 @@ func (s *Server) distEnabled(w http.ResponseWriter) bool {
 	if s.coord == nil {
 		writeError(w, http.StatusNotFound, dist.CodeCoordinatorDisabled, "",
 			"this server does not host a coordinator (start sndserve with -coordinator)")
-		return false
-	}
-	return true
-}
-
-// decodeDist parses a protocol request body.
-func decodeDist(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, errBadBody, "", "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -62,79 +61,26 @@ func writeDistError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, "internal", "", "%v", err)
 }
 
-func (s *Server) distRegister(w http.ResponseWriter, r *http.Request) {
-	if !s.distEnabled(w) {
-		return
+// distPost serves one protocol POST: it decodes the Req body, hands it to
+// the coordinator call, and answers the Resp as JSON or the call's typed
+// error as the /v1 envelope.
+func distPost[Req, Resp any](s *Server, call func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.distEnabled(w) {
+			return
+		}
+		var req Req
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, errBadBody, "", "bad request body: %v", err)
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			writeDistError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	var req dist.RegisterRequest
-	if !decodeDist(w, r, &req) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.coord.Register(req))
-}
-
-func (s *Server) distLease(w http.ResponseWriter, r *http.Request) {
-	if !s.distEnabled(w) {
-		return
-	}
-	var req dist.LeaseRequest
-	if !decodeDist(w, r, &req) {
-		return
-	}
-	resp, err := s.coord.Lease(req.WorkerID)
-	if err != nil {
-		writeDistError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) distRenew(w http.ResponseWriter, r *http.Request) {
-	if !s.distEnabled(w) {
-		return
-	}
-	var req dist.RenewRequest
-	if !decodeDist(w, r, &req) {
-		return
-	}
-	resp, err := s.coord.Renew(req.WorkerID, req.BatchID)
-	if err != nil {
-		writeDistError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) distResults(w http.ResponseWriter, r *http.Request) {
-	if !s.distEnabled(w) {
-		return
-	}
-	var req dist.ResultsRequest
-	if !decodeDist(w, r, &req) {
-		return
-	}
-	resp, err := s.coord.Report(req)
-	if err != nil {
-		writeDistError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) distHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !s.distEnabled(w) {
-		return
-	}
-	var req dist.HeartbeatRequest
-	if !decodeDist(w, r, &req) {
-		return
-	}
-	resp, err := s.coord.Heartbeat(req.WorkerID)
-	if err != nil {
-		writeDistError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) distStatus(w http.ResponseWriter, r *http.Request) {

@@ -8,21 +8,23 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"snd/internal/exp"
+	"snd/internal/obs/trace"
 	"snd/internal/runner"
 	"snd/internal/store"
 )
 
 // Test-only experiments, registered into the same exp registry the real
 // catalog lives in: a sweep that sleeps per trial (cancellable at trial
-// granularity), one that blocks until its context is cancelled, and one
-// that fails while flakyFail is set. They exercise the lifecycle paths
-// without burning real compute.
+// granularity), one that blocks until its context is cancelled, one that
+// fails while flakyFail is set, and one whose Reduce panics. They exercise
+// the lifecycle paths without burning real compute.
 var flakyFail atomic.Bool
 
 // testResult satisfies exp.Result for the test experiments.
@@ -78,6 +80,18 @@ func init() {
 				},
 				Reduce: func(out *runner.Outcome[int]) (*testResult, error) {
 					return &testResult{N: 1}, nil
+				},
+			}
+		})
+	// The runner recovers panicking trials, but a Reduce runs on the job's
+	// own goroutine, outside that recovery.
+	exp.Register("test-panic", "test-only: Reduce panics",
+		func(p struct{ Seed int64 }) exp.Sweep[int, *testResult] {
+			return exp.Sweep[int, *testResult]{
+				Name: "test-panic", Params: p, Points: 1, Trials: 1,
+				Trial: func(_, trial int) (int, error) { return trial, nil },
+				Reduce: func(out *runner.Outcome[int]) (*testResult, error) {
+					panic("reduce exploded")
 				},
 			}
 		})
@@ -241,6 +255,77 @@ func TestOversizedJobFailsServerSurvives(t *testing.T) {
 		t.Fatalf("submit after the oversized job: status %d", code)
 	}
 	waitDone(t, ts, small.ID)
+}
+
+// A panic outside a trial (here in Reduce) fails its job instead of
+// ending the server: the job is failed with the panic text in the table,
+// the WAL and its span, it leaves the in-flight count, and the next job
+// still runs.
+func TestPanickingJobFailsServerSurvives(t *testing.T) {
+	wal, err := store.OpenWAL(filepath.Join(t.TempDir(), "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	tracer := trace.New(trace.Options{Capacity: 256})
+	s, _, ts := newLifecycleServer(t, Config{Jobs: wal, Tracer: tracer})
+
+	job, code := postJob(t, ts, `{"experiment":"test-panic","params":{"Seed":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	const want = "job panicked: reduce exploded"
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, _ := getJob(t, ts, job.ID)
+		if terminal(j.Status) {
+			if j.Status != StatusFailed || j.Error != want {
+				t.Fatalf("status %s, error %q; want failed with %q", j.Status, j.Error, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("panicking job never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	recs, err := wal.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Status != StatusFailed || recs[0].Error != want {
+		t.Errorf("WAL holds %+v, want the job failed with %q", recs, want)
+	}
+
+	next, code := postJob(t, ts, `{"experiment":"test-sleep","params":{"Trials":2,"Millis":1,"Seed":9}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the panicking job: status %d", code)
+	}
+	waitDone(t, ts, next.ID)
+	// Shutdown returns only once every job goroutine released the WaitGroup.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	s.mu.Lock()
+	inFlight := s.inFlight
+	s.mu.Unlock()
+	if inFlight != 0 {
+		t.Errorf("server job gauge = %d, want 0", inFlight)
+	}
+	// execute ends the job's span after publishing its status; Shutdown
+	// has waited for that.
+	var spanErr string
+	for _, sd := range tracer.TraceSpans(job.TraceID) {
+		if sd.Name == "job.run" {
+			spanErr = sd.Error
+		}
+	}
+	if spanErr != want {
+		t.Errorf("job.run span error = %q, want %q", spanErr, want)
+	}
 }
 
 // A malformed timeout is rejected up front.

@@ -26,7 +26,7 @@
 //	                        slow-trial exemplars; ?job={id} and ?trace={id}
 //	                        filters (404 tracing_disabled with -tracebuf 0)
 //	GET    /debug/pprof     runtime profiles (only with -pprof; unversioned)
-//	POST   /v1/dist/{register,lease,renew,results,heartbeat}
+//	POST   /v1/dist/{register,lease,renew,results}
 //	GET    /v1/dist/status  distributed-sweep lease protocol (only with
 //	                        -coordinator; see internal/dist and DESIGN.md)
 //
@@ -129,15 +129,13 @@ func main() {
 	storeScheme := store.Scheme(*storeURL)
 	cache := store.Instrument(blob, storeScheme, reg)
 
-	var jobs store.JobStore
+	var jobs *store.WAL
 	if *jobStore != "" {
-		wal, err := store.OpenWAL(*jobStore)
-		if err != nil {
+		if jobs, err = store.OpenWAL(*jobStore); err != nil {
 			fmt.Fprintln(os.Stderr, "sndserve: -jobstore:", err)
 			os.Exit(2)
 		}
-		defer wal.Close()
-		jobs = wal
+		defer jobs.Close()
 	}
 
 	var keys *Keyring

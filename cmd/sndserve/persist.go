@@ -1,15 +1,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"snd/internal/exp"
 	"snd/internal/obs"
-	"snd/internal/runner"
 	"snd/internal/store"
 )
 
@@ -147,44 +144,20 @@ func (s *Server) recoverInterrupted(job *Job) bool {
 		fail(fmt.Sprintf("recovery: params no longer decode: %v", err))
 		return false
 	}
-	var timeout time.Duration
-	if job.Timeout != "" {
-		// The timeout budget restarts from zero: the pre-kill run's elapsed
-		// time is gone with the process.
-		if d, perr := time.ParseDuration(job.Timeout); perr == nil && d > 0 {
-			timeout = d
-		}
-	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
 	job.Status = StatusQueued
 	job.Started = nil
 	job.Finished = nil
 	job.Error = ""
 	job.Result = nil
 	job.bound = bound
-	job.cancel = cancel
-	job.progress = &runner.Progress{}
-	if s.tracer != nil {
-		jspan := s.tracer.StartRoot("job.run")
-		jspan.SetAttr("job_id", job.ID)
-		jspan.SetAttr("experiment", job.Experiment)
-		jspan.SetAttr("resumed", "true")
-		job.span = jspan
-		job.TraceID = jspan.TraceID()
-	}
+	// A resumed job starts a fresh trace, and its timeout budget restarts
+	// from zero: the pre-kill run's span and elapsed time are gone with the
+	// process.
+	jspan := s.tracer.StartRoot("job.run")
+	jspan.SetAttr("resumed", "true")
 	s.mu.Lock()
-	s.jobs[job.ID] = job
-	s.inFlight++
-	s.wg.Add(1)
-	s.persistLocked(job)
+	s.startLocked(job, jspan)
 	s.mu.Unlock()
 	s.log.Info("resuming interrupted job", obs.JobAttrs(job.ID, job.Experiment))
-	go s.execute(ctx, cancel, job)
 	return true
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"regexp"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,8 +125,8 @@ type Config struct {
 	// Jobs, when non-nil, persists every job transition so the table
 	// survives restarts: finished jobs come back as queryable history and
 	// interrupted jobs are re-queued by Recover. Nil keeps the table
-	// memory-only (the pre-redesign behaviour).
-	Jobs store.JobStore
+	// memory-only.
+	Jobs *store.WAL
 	// StoreScheme labels jobs (and the store field of the /v1 resource)
 	// with the blob-store scheme backing the trial cache: mem, file, or s3.
 	StoreScheme string
@@ -154,7 +155,7 @@ type Server struct {
 	reg         *obs.Registry
 	coord       *dist.Coordinator // nil unless started with -coordinator
 	tracer      *trace.Tracer     // nil = tracing off
-	jobStore    store.JobStore    // nil = memory-only job table
+	jobStore    *store.WAL        // nil = memory-only job table
 	storeScheme string            // blob-store scheme label for the store field
 	keys        *Keyring          // nil = auth off
 
@@ -377,15 +378,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadParams, fieldFromDecodeError(err), "%v", err)
 		return
 	}
-	var timeout time.Duration
 	if req.Timeout != "" {
-		d, err := time.ParseDuration(req.Timeout)
-		if err != nil || d <= 0 {
+		if d, err := time.ParseDuration(req.Timeout); err != nil || d <= 0 {
 			writeError(w, http.StatusBadRequest, errBadTimeout, "timeout",
 				"bad timeout %q: want a positive Go duration like \"90s\"", req.Timeout)
 			return
 		}
-		timeout = d
 	}
 
 	id := jobID(req.Experiment, req.Params)
@@ -421,13 +419,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			"%d jobs already in flight (cap %d); retry later", s.maxInFlight, s.maxInFlight)
 		return
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), timeout)
-	} else {
-		ctx, cancel = context.WithCancel(context.Background())
-	}
 	job := &Job{
 		ID:         id,
 		Experiment: req.Experiment,
@@ -436,40 +427,49 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		Status:     StatusQueued,
 		Submitted:  s.now().UTC(),
 		Store:      s.storeScheme,
-		cancel:     cancel,
-		progress:   &runner.Progress{},
 		bound:      bound,
 	}
-	// The job.run span is minted here, as a child of the submitting
-	// request's span, so the 202 response already carries the trace ID.
-	// The job_id attribute is what GET /v1/debug/traces?job={id} keys on.
-	if jspan := spanOf(w).StartChild("job.run"); jspan != nil {
-		jspan.SetAttr("job_id", id)
-		jspan.SetAttr("experiment", req.Experiment)
-		job.span = jspan
-		job.TraceID = jspan.TraceID()
-	} else if s.tracer != nil {
-		// No request span (shouldn't happen with tracing on, but be safe):
-		// the job gets its own root trace.
-		jspan := s.tracer.StartRoot("job.run")
-		jspan.SetAttr("job_id", id)
-		jspan.SetAttr("experiment", req.Experiment)
-		job.span = jspan
-		job.TraceID = jspan.TraceID()
-	}
-	s.jobs[id] = job
-	s.inFlight++
-	s.wg.Add(1)
-	s.persistLocked(job)
+	// The job.run span is a child of the submitting request's span, so the
+	// 202 response already carries the trace ID.
+	s.startLocked(job, spanOf(w).StartChild("job.run"))
 	// Snapshot before unlocking: execute mutates job as soon as it starts.
 	snapshot := snapshotLocked(job)
 	s.mu.Unlock()
 
 	s.log.Info("job submitted", obs.JobAttrs(id, req.Experiment),
 		slog.String("timeout", req.Timeout))
-	go s.execute(ctx, cancel, job)
-
 	writeJSON(w, http.StatusAccepted, snapshot)
+}
+
+// startLocked admits a queued job to the table and launches it. It
+// builds the job's context (bounded by job.Timeout when that parses), its
+// progress tracker and its job.run span, counts it in flight, writes its
+// first WAL record and starts execute. jspan is the job.run span the
+// caller minted; nil with tracing on gets a fresh root. The job_id
+// attribute is what GET /v1/debug/traces?job={id} keys on. Callers hold
+// s.mu and have set job.bound.
+func (s *Server) startLocked(job *Job, jspan *trace.Span) {
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if d, err := time.ParseDuration(job.Timeout); err == nil && d > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), d)
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
+	}
+	if jspan == nil {
+		jspan = s.tracer.StartRoot("job.run")
+	}
+	jspan.SetAttr("job_id", job.ID)
+	jspan.SetAttr("experiment", job.Experiment)
+	job.span = jspan
+	job.TraceID = jspan.TraceID()
+	job.cancel = cancel
+	job.progress = &runner.Progress{}
+	s.jobs[job.ID] = job
+	s.inFlight++
+	s.wg.Add(1)
+	s.persistLocked(job)
+	go s.execute(ctx, cancel, job)
 }
 
 // snapshotLocked copies a job for serialization, resolving its live
@@ -503,7 +503,7 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Jo
 	ctx = runner.WithProgress(ctx, job.progress)
 	ctx = trace.WithTracer(ctx, s.tracer)
 	ctx = trace.ContextWithSpan(ctx, job.span)
-	result, err := bound.Run(ctx, s.eng)
+	result, err := s.run(ctx, job, bound)
 
 	now := s.now().UTC()
 	s.mu.Lock()
@@ -542,6 +542,21 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Jo
 		slog.Int64("trials_done", ps.Done),
 		slog.Int64("trials_total", ps.Total),
 		slog.Int64("trials_dropped", ps.Dropped))
+}
+
+// run executes a bound experiment on the shared engine. The runner
+// recovers panicking trials; a panic anywhere else on the job's goroutine
+// (a plan's set-up, a Reduce) becomes the job's error here instead of
+// ending the server.
+func (s *Server) run(ctx context.Context, job *Job, bound exp.Experiment) (result exp.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("job panicked: %v", v)
+			s.log.Error("job panicked", obs.JobAttrs(job.ID, job.Experiment),
+				slog.Any("panic", v), slog.String("stack", string(debug.Stack())))
+		}
+	}()
+	return bound.Run(ctx, s.eng)
 }
 
 // cancelJob handles DELETE /v1/jobs/{id}: it cancels the job's context,

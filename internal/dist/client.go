@@ -68,10 +68,3 @@ func (c *Client) Report(ctx context.Context, req ResultsRequest) (ResultsRespons
 	err := c.post(ctx, PathResults, req, &resp)
 	return resp, err
 }
-
-// Heartbeat keeps the worker registered while idle.
-func (c *Client) Heartbeat(ctx context.Context, workerID string) (HeartbeatResponse, error) {
-	var resp HeartbeatResponse
-	err := c.post(ctx, PathHeartbeat, HeartbeatRequest{WorkerID: workerID}, &resp)
-	return resp, err
-}

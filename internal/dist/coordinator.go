@@ -82,7 +82,7 @@ type Coordinator struct {
 	queue    []*batch          // pending, FIFO
 	leases   map[string]*batch // by batch ID
 	finished map[string]*batchRecord
-	revoked  map[string]*revocation
+	revoked  map[string]time.Time // batch ID → when its sweep was revoked
 	nextID   uint64
 	draining bool
 }
@@ -122,12 +122,6 @@ type batch struct {
 	local     bool   // held by a loopback executor (no TTL)
 	expiry    time.Time
 	grantedAt time.Time
-}
-
-type revocation struct {
-	code   string
-	worker string
-	at     time.Time
 }
 
 // sweepRun is one RunSweep call's scheduling state.
@@ -196,7 +190,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		sweeps:       make(map[*sweepRun]struct{}),
 		leases:       make(map[string]*batch),
 		finished:     make(map[string]*batchRecord),
-		revoked:      make(map[string]*revocation),
+		revoked:      make(map[string]time.Time),
 	}
 	reg.OnGather(c.refreshGauges)
 	return c
@@ -402,8 +396,8 @@ func (c *Coordinator) finishBatchLocked(b *batch, who string) {
 
 // finishSweep removes a sweep from the table once its RunSweep call is
 // returning: pending batches are dropped, and outstanding remote leases
-// are revoked so the holder's next renewal, result post, or heartbeat
-// answers job_cancelled instead of silently accepting work for a dead
+// are revoked so the holder's next renewal or result post answers
+// job_cancelled instead of silently accepting work for a dead
 // sweep. Running under mu also guarantees no in-flight Report is still
 // delivering into the sweep's grid when RunSweep returns.
 func (c *Coordinator) finishSweep(sr *sweepRun) {
@@ -424,7 +418,7 @@ func (c *Coordinator) finishSweep(sr *sweepRun) {
 		}
 		delete(c.leases, id)
 		if !b.local && sr.remaining > 0 {
-			c.revoked[id] = &revocation{code: CodeJobCancelled, worker: b.worker, at: c.now()}
+			c.revoked[id] = c.now()
 			c.m.revocations.Inc()
 			sr.span.Event("lease_revoked", "batch", id, "worker", b.worker)
 			c.log.Info("lease revoked", "batch", id, "worker", b.worker)
@@ -458,8 +452,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			delete(c.finished, id)
 		}
 	}
-	for id, r := range c.revoked {
-		if r.at.Before(horizon) {
+	for id, at := range c.revoked {
+		if at.Before(horizon) {
 			delete(c.revoked, id)
 		}
 	}
@@ -502,10 +496,9 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	c.mu.Unlock()
 	c.log.Info("worker registered", "worker", w.id, "experiments", len(req.Experiments))
 	return RegisterResponse{
-		WorkerID:       w.id,
-		LeaseTTL:       c.ttl.String(),
-		RenewEvery:     (c.ttl / 3).String(),
-		HeartbeatEvery: (c.ttl / 2).String(),
+		WorkerID:   w.id,
+		LeaseTTL:   c.ttl.String(),
+		RenewEvery: (c.ttl / 3).String(),
 	}
 }
 
@@ -573,7 +566,7 @@ func (c *Coordinator) Renew(workerID, batchID string) (RenewResponse, error) {
 	if _, werr := c.workerLocked(workerID); werr != nil {
 		return RenewResponse{}, werr
 	}
-	if r := c.revoked[batchID]; r != nil {
+	if _, revoked := c.revoked[batchID]; revoked {
 		return RenewResponse{}, errf(CodeJobCancelled, "batch %s: its job was cancelled; abandon it", batchID)
 	}
 	b := c.leases[batchID]
@@ -598,7 +591,7 @@ func (c *Coordinator) Report(req ResultsRequest) (ResultsResponse, error) {
 	if werr != nil {
 		return ResultsResponse{}, werr
 	}
-	if r := c.revoked[req.BatchID]; r != nil {
+	if _, revoked := c.revoked[req.BatchID]; revoked {
 		return ResultsResponse{}, errf(CodeJobCancelled, "batch %s: its job was cancelled; results discarded", req.BatchID)
 	}
 	b := c.leases[req.BatchID]
@@ -686,25 +679,6 @@ func (c *Coordinator) Report(req ResultsRequest) (ResultsResponse, error) {
 	if sr.remaining == 0 {
 		sr.close()
 	}
-	return resp, nil
-}
-
-// Heartbeat keeps a worker live and piggybacks fleet signals: the draining
-// flag and any revoked leases the worker still holds.
-func (c *Coordinator) Heartbeat(workerID string) (HeartbeatResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, werr := c.workerLocked(workerID); werr != nil {
-		return HeartbeatResponse{}, werr
-	}
-	c.m.heartbeats.Inc()
-	resp := HeartbeatResponse{Draining: c.draining}
-	for id, r := range c.revoked {
-		if r.worker == workerID {
-			resp.Revoked = append(resp.Revoked, id)
-		}
-	}
-	sort.Strings(resp.Revoked)
 	return resp, nil
 }
 

@@ -15,7 +15,6 @@ type metrics struct {
 	leaseExpired *obs.Counter
 	requeues     *obs.Counter
 	revocations  *obs.Counter
-	heartbeats   *obs.Counter
 	batchFails   *obs.Counter
 	cells        *obs.CounterVec // status: local | remote | duplicate | dropped
 	batchSeconds *obs.Histogram
@@ -30,7 +29,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		leaseExpired: reg.Counter("snd_dist_lease_expired_total", "Leases reclaimed after their TTL lapsed without renewal."),
 		requeues:     reg.Counter("snd_dist_requeues_total", "Batches re-queued after an expired or failed lease."),
 		revocations:  reg.Counter("snd_dist_lease_revocations_total", "Leases revoked because their sweep was cancelled or ended."),
-		heartbeats:   reg.Counter("snd_dist_heartbeats_total", "Worker heartbeats received."),
 		batchFails:   reg.Counter("snd_dist_batch_failures_total", "Batches a worker reported as failed (re-queued immediately)."),
 		cells:        reg.CounterVec("snd_dist_cells_total", "Sweep cells accounted for, by how.", "status"),
 		batchSeconds: reg.Histogram("snd_dist_batch_seconds", "Remote batch latency from lease grant to completion.", nil),

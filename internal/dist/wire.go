@@ -7,7 +7,10 @@
 // The Coordinator implements runner.Backend. It partitions each sweep's
 // cell grid into batches and hands them out through a lease protocol:
 // workers register with a capabilities handshake, claim batches with
-// renewable TTL leases, and post per-cell results back. Expired or failed
+// renewable TTL leases, and post per-cell results back. Those three calls
+// are the whole conversation: each one refreshes the worker's liveness,
+// the lease answer carries the coordinator's drain signal, and a renewal
+// or results post for a cancelled job answers job_cancelled. Expired or failed
 // leases are re-queued with capped remote attempts, after which a batch is
 // pinned local-only — combined with the in-process loopback workers that
 // drain the same lease table, a killed worker can delay a sweep but never
@@ -26,12 +29,11 @@ import (
 
 // Protocol endpoints, mounted by cmd/sndserve when -coordinator is set.
 const (
-	PathRegister  = "/v1/dist/register"
-	PathLease     = "/v1/dist/lease"
-	PathRenew     = "/v1/dist/renew"
-	PathResults   = "/v1/dist/results"
-	PathHeartbeat = "/v1/dist/heartbeat"
-	PathStatus    = "/v1/dist/status"
+	PathRegister = "/v1/dist/register"
+	PathLease    = "/v1/dist/lease"
+	PathRenew    = "/v1/dist/renew"
+	PathResults  = "/v1/dist/results"
+	PathStatus   = "/v1/dist/status"
 )
 
 // Error is a typed protocol failure. The coordinator returns these and the
@@ -80,8 +82,6 @@ type RegisterResponse struct {
 	// renew well inside it (RenewEvery is the suggested cadence).
 	LeaseTTL   string `json:"lease_ttl"`
 	RenewEvery string `json:"renew_every"`
-	// HeartbeatEvery is the liveness cadence when idle.
-	HeartbeatEvery string `json:"heartbeat_every"`
 }
 
 // LeaseRequest claims the next available batch for a registered worker.
@@ -153,20 +153,6 @@ type ResultsResponse struct {
 	// Done reports whether the batch is fully accounted for (lease
 	// released).
 	Done bool `json:"done"`
-}
-
-// HeartbeatRequest keeps an idle worker registered.
-type HeartbeatRequest struct {
-	WorkerID string `json:"worker_id"`
-}
-
-// HeartbeatResponse piggybacks fleet-level signals on liveness: Draining
-// tells workers to stop polling for leases; Revoked lists batch IDs this
-// worker holds whose sweeps were cancelled, so cancellation is observed at
-// the next heartbeat even between renewals.
-type HeartbeatResponse struct {
-	Draining bool     `json:"draining,omitempty"`
-	Revoked  []string `json:"revoked,omitempty"`
 }
 
 // Status is the observability snapshot served by GET /v1/dist/status.

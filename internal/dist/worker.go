@@ -92,13 +92,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	renewEvery := parseDurationOr(reg.RenewEvery, DefaultLeaseTTL/3)
-	heartbeatEvery := parseDurationOr(reg.HeartbeatEvery, DefaultLeaseTTL/2)
 	w.log.Info("registered", "worker", reg.WorkerID,
 		"lease_ttl", reg.LeaseTTL, "renew_every", renewEvery)
-
-	hbCtx, stopHB := context.WithCancel(ctx)
-	defer stopHB()
-	go w.heartbeatLoop(hbCtx, heartbeatEvery)
 
 	for {
 		if ctx.Err() != nil {
@@ -163,25 +158,6 @@ func (w *Worker) workerID() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.id
-}
-
-func (w *Worker) heartbeatLoop(ctx context.Context, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		resp, err := w.client.Heartbeat(ctx, w.workerID())
-		if err != nil {
-			continue // transient; registration recovery happens on the lease path
-		}
-		if resp.Draining {
-			w.draining.Store(true)
-		}
-	}
 }
 
 // runBatch executes one leased batch: a renewal goroutine keeps the lease

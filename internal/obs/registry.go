@@ -64,8 +64,7 @@ type family struct {
 	help    string
 	typ     string
 	labels  []string
-	buckets []float64      // histogram upper bounds (exclusive of +Inf)
-	fn      func() float64 // gauge-func families have no children
+	buckets []float64 // histogram upper bounds (exclusive of +Inf)
 
 	mu       sync.RWMutex
 	children map[string]*child
@@ -81,7 +80,7 @@ type child struct {
 }
 
 // register implements get-or-register for every metric constructor.
-func (r *Registry) register(name, help, typ string, labels []string, buckets []float64, fn func() float64) *family {
+func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) *family {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -96,7 +95,6 @@ func (r *Registry) register(name, help, typ string, labels []string, buckets []f
 	f := &family{
 		name: name, help: help, typ: typ,
 		labels: append([]string(nil), labels...),
-		fn:     fn,
 	}
 	if typ == typeHistogram {
 		if len(buckets) == 0 {
@@ -145,44 +143,34 @@ func (f *family) childFor(values []string) *child {
 // Counter returns the unlabeled counter named name, registering it first if
 // needed. The sample line exists (at 0) from registration on.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, typeCounter, nil, nil, nil).childFor(nil).c
+	return r.register(name, help, typeCounter, nil, nil).childFor(nil).c
 }
 
 // Gauge returns the unlabeled gauge named name.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, typeGauge, nil, nil, nil).childFor(nil).g
+	return r.register(name, help, typeGauge, nil, nil).childFor(nil).g
 }
 
 // Histogram returns the unlabeled histogram named name. A nil buckets slice
 // uses DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, typeHistogram, nil, buckets, nil).childFor(nil).h
+	return r.register(name, help, typeHistogram, nil, buckets).childFor(nil).h
 }
 
 // CounterVec returns the counter family named name partitioned by labels.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, typeCounter, labels, nil, nil)}
+	return &CounterVec{f: r.register(name, help, typeCounter, labels, nil)}
 }
 
 // GaugeVec returns the gauge family named name partitioned by labels.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, typeGauge, labels, nil, nil)}
+	return &GaugeVec{f: r.register(name, help, typeGauge, labels, nil)}
 }
 
 // HistogramVec returns the histogram family named name partitioned by
 // labels. A nil buckets slice uses DefBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, typeHistogram, labels, buckets, nil)}
-}
-
-// GaugeFunc registers a gauge whose value is computed by fn at exposition
-// time — for values derived from state that is cheaper to read on demand
-// than to mirror on every mutation.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if fn == nil {
-		panic("obs: nil GaugeFunc")
-	}
-	r.register(name, help, typeGauge, nil, nil, fn)
+	return &HistogramVec{f: r.register(name, help, typeHistogram, labels, buckets)}
 }
 
 // OnGather registers a hook run before every exposition, outside the
@@ -229,10 +217,6 @@ func (r *Registry) Handler() http.Handler {
 func (f *family) write(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	if f.fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
-		return
-	}
 	f.mu.RLock()
 	children := make([]*child, 0, len(f.children))
 	for _, c := range f.children {

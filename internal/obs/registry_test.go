@@ -144,7 +144,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	g := r.Gauge("snd_g", "g")
 	vec := r.CounterVec("snd_v_total", "v", "k")
 	h := r.Histogram("snd_h_seconds", "h", nil)
-	r.GaugeFunc("snd_fn", "fn", func() float64 { return 42 })
 
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup

@@ -33,6 +33,7 @@ import (
 
 	"snd/internal/obs"
 	"snd/internal/obs/trace"
+	"snd/internal/store"
 )
 
 // DefaultRetries is the panic-retry budget applied when Options.Retries is
@@ -61,8 +62,11 @@ type Options struct {
 	// is recorded as failed. 0 means DefaultRetries; negative means none.
 	Retries int
 	// Cache, when non-nil, memoizes trial samples keyed by a hash of the
-	// canonical-encoded sweep parameters and cell indices.
-	Cache Cache
+	// canonical-encoded sweep parameters and cell indices. Any blob store
+	// backend (mem://, file://, s3://) serves. The cache is best-effort:
+	// any Get error is a miss and Put errors are ignored, so the sweep
+	// simply recomputes next time.
+	Cache store.Blob
 	// Registry receives the engine's metrics (trial latency and queue-wait
 	// histograms, cache hit/miss and lifecycle counters, progress gauges —
 	// all labeled by experiment). Nil creates a private registry, reachable
@@ -83,7 +87,7 @@ type Options struct {
 type Engine struct {
 	workers int
 	retries int
-	cache   Cache
+	cache   store.Blob
 	reg     *obs.Registry
 	metrics *Metrics
 	backend Backend
@@ -712,7 +716,7 @@ func safeCall[T any](fn TrialFunc[T], p, t int) (v T, err error, panicked bool) 
 // for this sweep (no cache configured, or parameters that do not encode).
 // It is the same hash SweepID exposes, so a sweep's cache lineage and its
 // distributed-scheduling identity are one value by construction.
-func cacheKeyBase(c Cache, spec Spec) []byte {
+func cacheKeyBase(c store.Blob, spec Spec) []byte {
 	if c == nil {
 		return nil
 	}

@@ -1,25 +1,23 @@
-package store
+package store_test
 
 import (
-	"encoding/xml"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 )
 
 // fakeS3 is a minimal in-memory S3-compatible service for tests: object
-// GET/PUT/HEAD/DELETE plus ListObjectsV2 with prefix and continuation
-// tokens, path-style addressing only. It rejects requests without a SigV4
-// Authorization header so the client's signing path is exercised on every
-// call (signatures are not verified — this is a protocol fake, not a KMS).
+// GET and PUT, path-style addressing only. Every request must carry a
+// valid AWS Signature Version 4 for the fake's credentials (access key AK,
+// secret SK, region test-1) over the exact bytes sent, so the client's
+// signing path is checked on every call.
 type fakeS3 struct {
 	mu      sync.Mutex
 	objects map[string][]byte // full path "bucket/key" -> value
-	// pageSize bounds list pages so the continuation-token path is
-	// exercised; 0 means everything in one page.
-	pageSize int
 }
 
 func newFakeS3() *fakeS3 {
@@ -27,26 +25,20 @@ func newFakeS3() *fakeS3 {
 }
 
 func (f *fakeS3) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	auth := r.Header.Get("Authorization")
-	if !strings.HasPrefix(auth, "AWS4-HMAC-SHA256 ") ||
-		r.Header.Get("X-Amz-Date") == "" || r.Header.Get("X-Amz-Content-Sha256") == "" {
-		http.Error(w, "<Error><Code>AccessDenied</Code></Error>", http.StatusForbidden)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, "read", http.StatusBadRequest)
+		return
+	}
+	if !validSigV4(r, body) {
+		http.Error(w, "<Error><Code>SignatureDoesNotMatch</Code></Error>", http.StatusForbidden)
 		return
 	}
 	path := strings.TrimPrefix(r.URL.Path, "/")
-	if r.Method == http.MethodGet && r.URL.Query().Get("list-type") == "2" {
-		f.list(w, path, r.URL.Query().Get("prefix"), r.URL.Query().Get("continuation-token"))
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch r.Method {
 	case http.MethodPut:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, "read", http.StatusBadRequest)
-			return
-		}
 		f.objects[path] = body
 		w.WriteHeader(http.StatusOK)
 	case http.MethodGet:
@@ -56,58 +48,45 @@ func (f *fakeS3) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Write(v)
-	case http.MethodHead:
-		if _, ok := f.objects[path]; !ok {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	case http.MethodDelete:
-		delete(f.objects, path)
-		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "method", http.StatusMethodNotAllowed)
 	}
 }
 
-// list renders a ListObjectsV2 page. The continuation token is simply the
-// last key of the previous page.
-func (f *fakeS3) list(w http.ResponseWriter, bucket, prefix, token string) {
-	f.mu.Lock()
-	var keys []string
-	for p := range f.objects {
-		if b, key, ok := strings.Cut(p, "/"); ok && b == bucket && strings.HasPrefix(key, prefix) {
-			keys = append(keys, key)
-		}
+// validSigV4 recomputes the request's SigV4 signature from what arrived on
+// the wire: the payload hash must match the body, and the signature must
+// match the canonical request over method, path, query and the three
+// signed headers.
+func validSigV4(r *http.Request, body []byte) bool {
+	const secret, region = "SK", "test-1"
+	payload := sha256.Sum256(body)
+	payloadHex := hex.EncodeToString(payload[:])
+	amzDate := r.Header.Get("X-Amz-Date")
+	if r.Header.Get("X-Amz-Content-Sha256") != payloadHex || len(amzDate) != len("20060102T150405Z") {
+		return false
 	}
-	f.mu.Unlock()
-	sort.Strings(keys)
-	if token != "" {
-		i := sort.SearchStrings(keys, token)
-		if i < len(keys) && keys[i] == token {
-			i++
-		}
-		keys = keys[i:]
+	canonical := strings.Join([]string{
+		r.Method,
+		r.URL.EscapedPath(),
+		r.URL.RawQuery,
+		"host:" + r.Host + "\nx-amz-content-sha256:" + payloadHex + "\nx-amz-date:" + amzDate + "\n",
+		"host;x-amz-content-sha256;x-amz-date",
+		payloadHex,
+	}, "\n")
+	scope := amzDate[:8] + "/" + region + "/s3/aws4_request"
+	crHash := sha256.Sum256([]byte(canonical))
+	key := []byte("AWS4" + secret)
+	for _, part := range []string{amzDate[:8], region, "s3", "aws4_request"} {
+		key = hmacSum(key, part)
 	}
-	truncated := false
-	next := ""
-	if f.pageSize > 0 && len(keys) > f.pageSize {
-		keys = keys[:f.pageSize]
-		truncated = true
-		next = keys[len(keys)-1]
-	}
-	type contents struct {
-		Key string `xml:"Key"`
-	}
-	out := struct {
-		XMLName               xml.Name   `xml:"ListBucketResult"`
-		IsTruncated           bool       `xml:"IsTruncated"`
-		NextContinuationToken string     `xml:"NextContinuationToken,omitempty"`
-		Contents              []contents `xml:"Contents"`
-	}{IsTruncated: truncated, NextContinuationToken: next}
-	for _, k := range keys {
-		out.Contents = append(out.Contents, contents{Key: k})
-	}
-	w.Header().Set("Content-Type", "application/xml")
-	xml.NewEncoder(w).Encode(out)
+	sig := hex.EncodeToString(hmacSum(key, "AWS4-HMAC-SHA256\n"+amzDate+"\n"+scope+"\n"+hex.EncodeToString(crHash[:])))
+	want := "AWS4-HMAC-SHA256 Credential=AK/" + scope +
+		", SignedHeaders=host;x-amz-content-sha256;x-amz-date, Signature=" + sig
+	return r.Header.Get("Authorization") == want
+}
+
+func hmacSum(key []byte, msg string) []byte {
+	h := hmac.New(sha256.New, key)
+	h.Write([]byte(msg))
+	return h.Sum(nil)
 }

@@ -19,9 +19,10 @@ type FileStore struct {
 	dir string
 }
 
-// staleTempAge is how old an orphaned .put-* temp file must be before
-// NewFileStore deletes it. One hour is far beyond any plausible in-flight
-// Put, so a concurrent writer's live temp file is never touched.
+// staleTempAge is how old an orphaned temp file (.put-* of a FileStore,
+// .wal-* of a WAL compaction) must be before opening the store deletes
+// it. One hour is far beyond any plausible in-flight write, so a
+// concurrent writer's live temp file is never touched.
 const staleTempAge = time.Hour
 
 // NewFileStore roots a store at dir, creating it if needed, and removes
@@ -31,15 +32,28 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	sweepStaleTemps(dir, time.Now().Add(-staleTempAge))
+	sweepStaleTemps(dir, ".put-", true, time.Now().Add(-staleTempAge))
 	return &FileStore{dir: dir}, nil
 }
 
-// sweepStaleTemps removes .put-* files under dir last modified before
-// cutoff. Errors are ignored: cleanup is best-effort.
-func sweepStaleTemps(dir string, cutoff time.Time) {
+// sweepStaleTemps removes the files named prefix* that crashed writers
+// left in dir, once last modified before cutoff. With subtree set it
+// descends into subdirectories too: FileStore.Put writes its temp beside
+// the key's file, nested keys included. The WAL's temps sit only beside
+// the log, whose directory may hold unrelated data below it. Errors are
+// ignored: cleanup is best-effort.
+func sweepStaleTemps(dir, prefix string, subtree bool, cutoff time.Time) {
 	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".put-") {
+		if err != nil {
+			return nil
+		}
+		if d.IsDir() {
+			if !subtree && path != dir {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasPrefix(d.Name(), prefix) {
 			return nil
 		}
 		if info, err := d.Info(); err == nil && info.ModTime().Before(cutoff) {
@@ -48,9 +62,6 @@ func sweepStaleTemps(dir string, cutoff time.Time) {
 		return nil
 	})
 }
-
-// Dir reports the root directory.
-func (s *FileStore) Dir() string { return s.dir }
 
 // path maps a key to its file. Keys are clean relative paths by the Blob
 // contract; Clean guards against escaping the root regardless.
@@ -95,54 +106,4 @@ func (s *FileStore) Put(_ context.Context, key string, val []byte) error {
 		return err
 	}
 	return nil
-}
-
-// Exists reports whether key has a value.
-func (s *FileStore) Exists(_ context.Context, key string) (bool, error) {
-	_, err := os.Stat(s.path(key))
-	if err == nil {
-		return true, nil
-	}
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	return false, err
-}
-
-// Del removes key; absent keys are not an error.
-func (s *FileStore) Del(_ context.Context, key string) error {
-	err := os.Remove(s.path(key))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// Iter walks the tree under the root and reports every key (relative
-// slash-separated path) with the prefix. In-flight .put-* temp files are
-// skipped — they are not values yet.
-func (s *FileStore) Iter(ctx context.Context, prefix string, fn func(key string) error) error {
-	return filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil // concurrently deleted; not a value anymore
-			}
-			return err
-		}
-		if d.IsDir() || strings.HasPrefix(d.Name(), ".put-") {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(s.dir, path)
-		if err != nil {
-			return err
-		}
-		key := filepath.ToSlash(rel)
-		if !strings.HasPrefix(key, prefix) {
-			return nil
-		}
-		return fn(key)
-	})
 }

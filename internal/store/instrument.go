@@ -46,9 +46,6 @@ func Instrument(b Blob, backend string, reg *obs.Registry) *Instrumented {
 	return &Instrumented{b: b, backend: backend, m: newStoreMetrics(reg)}
 }
 
-// Unwrap returns the underlying backend.
-func (s *Instrumented) Unwrap() Blob { return s.b }
-
 // observe records one operation's outcome; span is nil when the context
 // carried none.
 func (s *Instrumented) observe(op string, start time.Time, span *trace.Span, err error) {
@@ -80,26 +77,5 @@ func (s *Instrumented) Put(ctx context.Context, key string, val []byte) error {
 	sp, start := s.span(ctx, "put"), time.Now()
 	err := s.b.Put(ctx, key, val)
 	s.observe("put", start, sp, err)
-	return err
-}
-
-func (s *Instrumented) Exists(ctx context.Context, key string) (bool, error) {
-	sp, start := s.span(ctx, "exists"), time.Now()
-	ok, err := s.b.Exists(ctx, key)
-	s.observe("exists", start, sp, err)
-	return ok, err
-}
-
-func (s *Instrumented) Del(ctx context.Context, key string) error {
-	sp, start := s.span(ctx, "del"), time.Now()
-	err := s.b.Del(ctx, key)
-	s.observe("del", start, sp, err)
-	return err
-}
-
-func (s *Instrumented) Iter(ctx context.Context, prefix string, fn func(key string) error) error {
-	sp, start := s.span(ctx, "iter"), time.Now()
-	err := s.b.Iter(ctx, prefix, fn)
-	s.observe("iter", start, sp, err)
 	return err
 }

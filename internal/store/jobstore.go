@@ -30,16 +30,6 @@ type JobRecord struct {
 	Finished   *time.Time      `json:"finished_at,omitempty"`
 }
 
-// JobStore persists job records across process restarts. Implementations
-// must be safe for concurrent use. Save is last-writer-wins per job ID;
-// Load returns the live records in creation order.
-type JobStore interface {
-	Save(rec JobRecord) error
-	Delete(id string) error
-	Load() ([]JobRecord, error)
-	Close() error
-}
-
 // walRecord is one WAL line: a save carries the job, a delete carries
 // only the ID (a tombstone, so an evicted job stays evicted across both
 // restarts and compactions).
@@ -58,16 +48,20 @@ const compactionSlack = 4
 // considered, so small logs are never rewritten.
 const compactionFloor = 64
 
-// WAL is the JSONL-append-only JobStore: every Save/Delete appends one
-// fsynced JSON line, recovery replays the log last-wins, and a log grown
-// past compactionSlack times its live set is rewritten in place (temp
-// file + rename, the same atomicity discipline as FileStore.Put).
+// WAL is the job store: it persists job records across process restarts.
+// Every Save/Delete appends one fsynced JSON line, recovery replays the log
+// last-wins (Save is last-writer-wins per job ID), and a log grown past
+// compactionSlack times its live set is rewritten in place (temp file +
+// rename, the same atomicity discipline as FileStore.Put). A WAL is safe
+// for concurrent use.
 //
 // Crash safety: a SIGKILL mid-append leaves at most one torn line at the
 // tail. OpenWAL tolerates it — the intact prefix is replayed, the torn
 // tail is truncated away, and the next append starts from a clean
 // boundary. Records are only ever appended or atomically rewritten, so
-// no crash can corrupt an already-synced record.
+// no crash can corrupt an already-synced record. A crash mid-compaction
+// leaves only a .wal-* temp file beside the log, which a later OpenWAL
+// removes once it is older than staleTempAge.
 type WAL struct {
 	mu      sync.Mutex
 	path    string
@@ -77,13 +71,14 @@ type WAL struct {
 	records int                  // lines in the file (live + superseded)
 }
 
-// OpenWAL opens (or creates) the log at path and replays it.
+// OpenWAL opens (or creates) the log at path and replays it, removing
+// .wal-* temp files that crashed compactions left beside it.
 func OpenWAL(path string) (*WAL, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: jobstore: %w", err)
-		}
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: jobstore: %w", err)
 	}
+	sweepStaleTemps(dir, ".wal-", false, time.Now().Add(-staleTempAge))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: jobstore: %w", err)
@@ -104,7 +99,7 @@ func (w *WAL) replay() error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: jobstore: %w", err)
 	}
-	r := bufio.NewReaderSize(w.f, 1<<20)
+	r := bufio.NewReaderSize(w.f, 64<<10)
 	var good int64 // byte offset after the last intact record
 	for {
 		line, err := r.ReadBytes('\n')

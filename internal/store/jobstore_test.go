@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,64 +83,203 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALTruncatedTail is the crash-recovery contract: a SIGKILL between
-// write and newline leaves a torn final record, and recovery must keep
-// every intact record, drop the torn tail, and leave the log appendable.
-func TestWALTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.wal")
+// TestWALCrashPoints replays a recorded session from every point a crash
+// can leave on disk. The session saves and deletes jobs until the log
+// compacts once, snapshotting the log after every call. Every byte-offset
+// truncation of every snapshot must reopen to the table of the complete
+// lines in that prefix and then accept one more Save that survives a
+// reopen. The compaction's own crash points — a partial or a complete
+// .wal-* temp file beside the not-yet-replaced log — must not change the
+// reopened table, and OpenWAL must remove such a temp once it is stale.
+func TestWALCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.wal")
 	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
-		if err := w.Save(record(fmt.Sprintf("job-%d", i), "done", t0.Add(time.Duration(i)*time.Second))); err != nil {
+	statuses := []string{"queued", "running", "done"}
+	want := map[string]JobRecord{}
+	var snaps [][]byte
+	var preRename, compacted []byte
+	// Run until the log has compacted and three more calls followed.
+	for i, after := 0, 0; after < 4; i++ {
+		id := fmt.Sprintf("j%d", i%3)
+		prev := w.Records()
+		var line []byte
+		if i%7 == 6 {
+			if err := w.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, id)
+			line, _ = json.Marshal(walRecord{Op: "del", ID: id})
+		} else {
+			rec := JobRecord{ID: id, Status: statuses[i%3], Created: t0.Add(time.Duration(i%3) * time.Second)}
+			if err := w.Save(rec); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = rec
+			line, _ = json.Marshal(walRecord{Op: "save", Job: &rec})
+		}
+		snap, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if w.Records() < prev {
+			// The call appended its line, then rewrote the log: the state
+			// just before the rename is the old log plus that line, beside a
+			// temp file holding what the log now is.
+			preRename = append(append(append([]byte(nil), snaps[len(snaps)-1]...), line...), '\n')
+			compacted = snap
+			snaps = append(snaps, preRename)
+		}
+		if compacted != nil {
+			after++
+		}
+		if got := tableJSON(t, replayLines(t, snap)); got != tableJSON(t, want) {
+			t.Fatalf("call %d: log replays to %s, want %s", i, got, tableJSON(t, want))
+		}
+		snaps = append(snaps, snap)
 	}
 	w.Close()
 
-	// Simulate the crash: chop the file mid-way through the last record.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-17], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Truncations shared with the previous snapshot (its append-only
+	// prefix) were already tried; start each sweep where the bytes differ.
+	// Snapshots are independent, so their sweeps run in parallel.
+	t.Run("truncations", func(t *testing.T) {
+		var prev []byte
+		for i, snap := range snaps {
+			from := 0
+			for from < len(prev) && from < len(snap) && prev[from] == snap[from] {
+				from++
+			}
+			prev = snap
+			t.Run(fmt.Sprintf("snapshot%02d", i), func(t *testing.T) {
+				t.Parallel()
+				path := filepath.Join(t.TempDir(), "jobs.wal")
+				var want map[string]JobRecord
+				cut := -2 // no line boundary yet seen
+				for n := from; n <= len(snap); n++ {
+					// The expected table changes only at line boundaries.
+					if c := bytes.LastIndexByte(snap[:n], '\n'); c != cut {
+						cut, want = c, replayLines(t, snap[:n])
+					}
+					checkCrashPoint(t, path, snap[:n], want)
+				}
+			})
+		}
+	})
 
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("recovery failed on torn tail: %v", err)
-	}
-	recs, err := w2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("recovered %d records, want the 4 intact ones", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.ID != fmt.Sprintf("job-%d", i) {
-			t.Fatalf("recs[%d] = %+v", i, rec)
+	// Compaction crash points: the log is still the pre-rename one and a
+	// .wal-* temp holds part or all of its replacement.
+	tmp := filepath.Join(dir, ".wal-crash")
+	for _, temp := range [][]byte{compacted[:len(compacted)/2], compacted} {
+		if err := os.WriteFile(tmp, temp, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkCrashPoint(t, path, preRename, replayLines(t, preRename))
+		if _, err := os.Stat(tmp); err != nil {
+			t.Fatalf("a fresh compaction temp was removed: %v", err)
+		}
+		old := time.Now().Add(-2 * staleTempAge)
+		if err := os.Chtimes(tmp, old, old); err != nil {
+			t.Fatal(err)
+		}
+		checkCrashPoint(t, path, preRename, replayLines(t, preRename))
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("a stale compaction temp survived OpenWAL: %v", err)
 		}
 	}
+}
 
-	// The log must be appendable from the repaired boundary: re-save the
-	// lost record and reopen once more.
-	if err := w2.Save(record("job-4", "done", t0.Add(4*time.Second))); err != nil {
+// checkCrashPoint leaves log as the WAL file, reopens it, and checks the
+// recovered table against want, the table of the complete lines of log,
+// and that only those lines are left in the file; one more Save must then
+// survive a reopen.
+func checkCrashPoint(t *testing.T, path string, log []byte, want map[string]JobRecord) {
+	t.Helper()
+	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2.Close()
-	w3, err := OpenWAL(path)
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatalf("OpenWAL on a %d-byte prefix: %v", len(log), err)
+	}
+	if got := loadJSON(t, w); got != tableJSON(t, want) {
+		t.Fatalf("%d-byte prefix recovered %s, want %s", len(log), got, tableJSON(t, want))
+	}
+	// The torn tail is cut away, so the next append starts on a line
+	// boundary.
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w3.Close()
-	recs, _ = w3.Load()
-	if len(recs) != 5 {
-		t.Fatalf("after repair+append: %d records, want 5", len(recs))
+	if complete := int64(bytes.LastIndexByte(log, '\n') + 1); fi.Size() != complete {
+		t.Fatalf("%d-byte prefix: log is %d bytes after recovery, want its %d bytes of complete lines", len(log), fi.Size(), complete)
 	}
+	extra := JobRecord{ID: "after-crash", Status: "queued", Created: time.Unix(1, 0).UTC()}
+	if err := w.Save(extra); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	want = maps.Clone(want)
+	want[extra.ID] = extra
+	w, err = OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := loadJSON(t, w); got != tableJSON(t, want) {
+		t.Fatalf("%d-byte prefix plus one Save reopened as %s, want %s", len(log), got, tableJSON(t, want))
+	}
+}
+
+// replayLines folds the newline-terminated lines of a log into a job
+// table: the state a crash leaving exactly these bytes must recover.
+func replayLines(t *testing.T, log []byte) map[string]JobRecord {
+	t.Helper()
+	table := map[string]JobRecord{}
+	for {
+		line, rest, ok := bytes.Cut(log, []byte("\n"))
+		if !ok {
+			return table
+		}
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("complete log line %q does not decode: %v", line, err)
+		}
+		if rec.Op == "del" {
+			delete(table, rec.ID)
+		} else {
+			table[rec.Job.ID] = *rec.Job
+		}
+		log = rest
+	}
+}
+
+func loadJSON(t *testing.T, w *WAL) string {
+	t.Helper()
+	recs, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := map[string]JobRecord{}
+	for _, rec := range recs {
+		table[rec.ID] = rec
+	}
+	return tableJSON(t, table)
+}
+
+// tableJSON renders a job table canonically (encoding/json sorts map
+// keys) so tables compare as strings.
+func tableJSON(t *testing.T, table map[string]JobRecord) string {
+	t.Helper()
+	b, err := json.Marshal(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestWALGarbageTail extends recovery to a tail that is complete-line but

@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -41,48 +39,4 @@ func (s *MemStore) Put(_ context.Context, key string, val []byte) error {
 	s.m[key] = cp
 	s.mu.Unlock()
 	return nil
-}
-
-// Exists reports whether key has a value.
-func (s *MemStore) Exists(_ context.Context, key string) (bool, error) {
-	s.mu.RLock()
-	_, ok := s.m[key]
-	s.mu.RUnlock()
-	return ok, nil
-}
-
-// Del removes key.
-func (s *MemStore) Del(_ context.Context, key string) error {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-	return nil
-}
-
-// Iter visits every key with the prefix in sorted order (sorted so tests
-// against this reference backend are deterministic; the interface itself
-// promises no order).
-func (s *MemStore) Iter(_ context.Context, prefix string, fn func(key string) error) error {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := fn(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Len reports the number of stored keys.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }

@@ -6,12 +6,10 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -39,10 +37,10 @@ type S3Config struct {
 	Now func() time.Time
 }
 
-// S3Store speaks the minimal S3 REST surface — GET/PUT/HEAD/DELETE object
-// and ListObjectsV2 — over plain HTTP with AWS Signature Version 4, so the
-// repo stays free of SDK dependencies while the trial cache can live on
-// any S3-compatible service and dedup across a whole worker fleet.
+// S3Store speaks the minimal S3 REST surface — object GET and PUT — over
+// plain HTTP with AWS Signature Version 4, so the repo stays free of SDK
+// dependencies while the trial cache can live on any S3-compatible service
+// and dedup across a whole worker fleet.
 type S3Store struct {
 	cfg      S3Config
 	endpoint string
@@ -91,14 +89,9 @@ func (s *S3Store) object(key string) string {
 	return s.cfg.Bucket + "/" + s.cfg.Prefix + key
 }
 
-// do signs and sends one request, answering the response. query must
-// already be in canonical (sorted, encoded) form — buildQuery produces it.
-func (s *S3Store) do(ctx context.Context, method, objectPath, query string, body []byte) (*http.Response, error) {
-	u := s.endpoint + "/" + objectPath
-	if query != "" {
-		u += "?" + query
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+// do signs and sends one object request, answering the response.
+func (s *S3Store) do(ctx context.Context, method, objectPath string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, s.endpoint+"/"+objectPath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +114,7 @@ func httpErr(op string, resp *http.Response) error {
 
 // Get fetches an object, or ErrNotFound on 404.
 func (s *S3Store) Get(ctx context.Context, key string) ([]byte, error) {
-	resp, err := s.do(ctx, http.MethodGet, s.object(key), "", nil)
+	resp, err := s.do(ctx, http.MethodGet, s.object(key), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +131,7 @@ func (s *S3Store) Get(ctx context.Context, key string) ([]byte, error) {
 
 // Put uploads an object; S3 PUTs are atomic by contract.
 func (s *S3Store) Put(ctx context.Context, key string, val []byte) error {
-	resp, err := s.do(ctx, http.MethodPut, s.object(key), "", val)
+	resp, err := s.do(ctx, http.MethodPut, s.object(key), val)
 	if err != nil {
 		return err
 	}
@@ -147,105 +140,6 @@ func (s *S3Store) Put(ctx context.Context, key string, val []byte) error {
 		return httpErr("put", resp)
 	}
 	return nil
-}
-
-// Exists HEADs the object.
-func (s *S3Store) Exists(ctx context.Context, key string) (bool, error) {
-	resp, err := s.do(ctx, http.MethodHead, s.object(key), "", nil)
-	if err != nil {
-		return false, err
-	}
-	defer drain(resp)
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return true, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return false, nil
-	default:
-		return false, httpErr("head", resp)
-	}
-}
-
-// Del deletes the object; S3 answers 204 whether or not it existed.
-func (s *S3Store) Del(ctx context.Context, key string) error {
-	resp, err := s.do(ctx, http.MethodDelete, s.object(key), "", nil)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return httpErr("delete", resp)
-	}
-	return nil
-}
-
-// listResult is the subset of the ListObjectsV2 response we consume.
-type listResult struct {
-	Contents []struct {
-		Key string `xml:"Key"`
-	} `xml:"Contents"`
-	IsTruncated           bool   `xml:"IsTruncated"`
-	NextContinuationToken string `xml:"NextContinuationToken"`
-}
-
-// Iter pages through ListObjectsV2 with the store prefix plus the caller's.
-func (s *S3Store) Iter(ctx context.Context, prefix string, fn func(key string) error) error {
-	token := ""
-	for {
-		q := map[string]string{
-			"list-type": "2",
-			"prefix":    s.cfg.Prefix + prefix,
-		}
-		if token != "" {
-			q["continuation-token"] = token
-		}
-		resp, err := s.do(ctx, http.MethodGet, s.cfg.Bucket, buildQuery(q), nil)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			err := httpErr("list", resp)
-			resp.Body.Close()
-			return err
-		}
-		var page listResult
-		err = xml.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("store: s3 list: decode response: %w", err)
-		}
-		for _, obj := range page.Contents {
-			key := strings.TrimPrefix(obj.Key, s.cfg.Prefix)
-			if err := fn(key); err != nil {
-				return err
-			}
-		}
-		if !page.IsTruncated || page.NextContinuationToken == "" {
-			return nil
-		}
-		token = page.NextContinuationToken
-	}
-}
-
-// buildQuery renders query parameters in SigV4 canonical form (sorted
-// keys, RFC 3986 encoding) — the same string is signed and sent, so the
-// signature can never disagree with the wire.
-func buildQuery(q map[string]string) string {
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('&')
-		}
-		b.WriteString(uriEncode(k, true))
-		b.WriteByte('=')
-		b.WriteString(uriEncode(q[k], true))
-	}
-	return b.String()
 }
 
 // sign applies AWS Signature Version 4 with the s3 service name. The
@@ -302,32 +196,24 @@ func hmacSHA256(key []byte, msg string) []byte {
 	return h.Sum(nil)
 }
 
-// uriEncode implements the AWS flavor of RFC 3986 percent-encoding:
-// unreserved characters pass through, spaces become %20 (never +), and
-// '/' is encoded unless encodeSlash is false.
-func uriEncode(s string, encodeSlash bool) string {
+// uriEncodePath canonicalizes a request path with the AWS flavor of
+// RFC 3986 percent-encoding: unreserved characters and the '/' separators
+// pass through, everything else (spaces included, never +) becomes %XX.
+// The path arrives already decoded from url.Parse.
+func uriEncodePath(path string) string {
+	if path == "" {
+		return "/"
+	}
 	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	for i := 0; i < len(path); i++ {
+		c := path[i]
 		switch {
 		case c >= 'A' && c <= 'Z', c >= 'a' && c <= 'z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.', c == '~':
-			b.WriteByte(c)
-		case c == '/' && !encodeSlash:
+			c == '-', c == '_', c == '.', c == '~', c == '/':
 			b.WriteByte(c)
 		default:
 			fmt.Fprintf(&b, "%%%02X", c)
 		}
 	}
 	return b.String()
-}
-
-// uriEncodePath canonicalizes a request path segment-wise, keeping '/'.
-func uriEncodePath(path string) string {
-	if path == "" {
-		return "/"
-	}
-	// The path arrives already decoded from url.Parse; re-encode each
-	// byte except the separators.
-	return uriEncode(path, false)
 }

@@ -6,8 +6,8 @@
 // sndserve reload its job table after a restart — including a SIGKILL —
 // and resume interrupted sweeps.
 //
-// The blob interface is deliberately tiny — Get/Put/Exists/Del/Iter — so
-// a backend is a screenful of code and the engine's cache semantics
+// The blob interface is exactly what the trial cache uses — Get and Put —
+// so a backend is a screenful of code and the engine's cache semantics
 // (best-effort, content-addressed, idempotent writes) hold everywhere.
 // Backends are resolved by Open from a URL:
 //
@@ -33,19 +33,13 @@ var ErrNotFound = errors.New("store: key not found")
 // for concurrent use. Keys are non-empty strings drawn from
 // [A-Za-z0-9._/-]; values are opaque. Put is last-writer-wins and must be
 // atomic: a concurrent Get sees either the whole old value or the whole
-// new one, never a torn write.
+// new one, never a torn write. Blob is the runner's trial cache
+// (runner.Options.Cache).
 type Blob interface {
 	// Get returns the value for key, or ErrNotFound.
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put stores val under key, overwriting any previous value.
 	Put(ctx context.Context, key string, val []byte) error
-	// Exists reports whether key has a value, without fetching it.
-	Exists(ctx context.Context, key string) (bool, error)
-	// Del removes key. Deleting an absent key is not an error.
-	Del(ctx context.Context, key string) error
-	// Iter calls fn for every key with the given prefix, in unspecified
-	// order. fn returning an error stops the iteration and surfaces it.
-	Iter(ctx context.Context, prefix string, fn func(key string) error) error
 }
 
 // Open resolves a blob store from its URL. Supported schemes:

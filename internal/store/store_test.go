@@ -1,4 +1,4 @@
-package store
+package store_test
 
 import (
 	"context"
@@ -7,13 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"snd/internal/obs"
 	"snd/internal/runner"
+	"snd/internal/store"
 )
 
 // schemes returns the backend schemes under test, filtered by the
@@ -28,23 +28,21 @@ func schemes() []string {
 }
 
 // openScheme builds a fresh store of the given scheme for one test.
-func openScheme(t *testing.T, scheme string) Blob {
+func openScheme(t *testing.T, scheme string) store.Blob {
 	t.Helper()
 	switch scheme {
 	case "mem":
-		return NewMemStore()
+		return store.NewMemStore()
 	case "file":
-		b, err := Open("file://" + t.TempDir())
+		b, err := store.Open("file://" + t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	case "s3":
-		fake := newFakeS3()
-		fake.pageSize = 3 // force the continuation-token path
-		srv := httptest.NewServer(fake)
+		srv := httptest.NewServer(newFakeS3())
 		t.Cleanup(srv.Close)
-		b, err := Open("s3://bucket/pfx?endpoint=" + srv.URL + "&region=test-1&access=AK&secret=SK")
+		b, err := store.Open("s3://bucket/pfx?endpoint=" + srv.URL + "&region=test-1&access=AK&secret=SK")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,97 +54,28 @@ func openScheme(t *testing.T, scheme string) Blob {
 }
 
 // TestBlobConformance runs the same contract checks against every
-// backend: round trips, overwrite, ErrNotFound, Exists, Del idempotence,
-// and prefix iteration.
+// backend: round trips, overwrite, and ErrNotFound.
 func TestBlobConformance(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			ctx := context.Background()
 			b := openScheme(t, scheme)
 
-			if _, err := b.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
+			if _, err := b.Get(ctx, "missing"); !errors.Is(err, store.ErrNotFound) {
 				t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 			}
-			if ok, err := b.Exists(ctx, "missing"); err != nil || ok {
-				t.Fatalf("Exists(missing) = %v, %v", ok, err)
-			}
-			if err := b.Del(ctx, "missing"); err != nil {
-				t.Fatalf("Del(missing) = %v, want nil", err)
-			}
-
 			if err := b.Put(ctx, "aa/k1", []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Put(ctx, "aa/k2", []byte("v2")); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Put(ctx, "bb/k3", []byte("v3")); err != nil {
+			if err := b.Put(ctx, "bb/k2", []byte("v2")); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Put(ctx, "aa/k1", []byte("v1-updated")); err != nil {
 				t.Fatal(err)
 			}
-			got, err := b.Get(ctx, "aa/k1")
-			if err != nil || string(got) != "v1-updated" {
-				t.Fatalf("Get after overwrite = %q, %v", got, err)
-			}
-			if ok, err := b.Exists(ctx, "bb/k3"); err != nil || !ok {
-				t.Fatalf("Exists(bb/k3) = %v, %v", ok, err)
-			}
-
-			var keys []string
-			if err := b.Iter(ctx, "aa/", func(k string) error { keys = append(keys, k); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			sort.Strings(keys)
-			if len(keys) != 2 || keys[0] != "aa/k1" || keys[1] != "aa/k2" {
-				t.Fatalf("Iter(aa/) = %v", keys)
-			}
-
-			if err := b.Del(ctx, "aa/k1"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.Get(ctx, "aa/k1"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after Del = %v, want ErrNotFound", err)
-			}
-
-			// Iteration over everything sees the two survivors.
-			var all []string
-			if err := b.Iter(ctx, "", func(k string) error { all = append(all, k); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			sort.Strings(all)
-			if len(all) != 2 || all[0] != "aa/k2" || all[1] != "bb/k3" {
-				t.Fatalf("Iter(\"\") = %v", all)
-			}
-		})
-	}
-}
-
-// TestIterManyPages drives the s3 continuation-token path (and the other
-// backends for symmetry) past one page.
-func TestIterManyPages(t *testing.T) {
-	for _, scheme := range schemes() {
-		t.Run(scheme, func(t *testing.T) {
-			ctx := context.Background()
-			b := openScheme(t, scheme)
-			want := []string{"p/a", "p/b", "p/c", "p/d", "p/e", "p/f", "p/g"}
-			for _, k := range want {
-				if err := b.Put(ctx, k, []byte(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var got []string
-			if err := b.Iter(ctx, "p/", func(k string) error { got = append(got, k); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("Iter saw %v, want %v", got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("Iter saw %v, want %v", got, want)
+			for key, want := range map[string]string{"aa/k1": "v1-updated", "bb/k2": "v2"} {
+				if got, err := b.Get(ctx, key); err != nil || string(got) != want {
+					t.Fatalf("Get(%s) = %q, %v, want %q", key, got, err, want)
 				}
 			}
 		})
@@ -162,7 +91,7 @@ var sweepSpec = runner.Spec{
 	Trials:     8,
 }
 
-func runSweep(t *testing.T, cache runner.Cache) (*runner.Outcome[float64], runner.Stats) {
+func runSweep(t *testing.T, cache store.Blob) (*runner.Outcome[float64], runner.Stats) {
 	t.Helper()
 	eng := runner.New(runner.Options{Workers: 4, Cache: cache})
 	out, err := runner.Map(eng, sweepSpec, func(point, trial int) (float64, error) {
@@ -188,7 +117,7 @@ func TestDifferentialCacheMatrix(t *testing.T) {
 	var runs []run
 	for _, scheme := range schemes() {
 		t.Run(scheme, func(t *testing.T) {
-			blob := Instrument(openScheme(t, scheme), scheme, obs.NewRegistry())
+			blob := store.Instrument(openScheme(t, scheme), scheme, obs.NewRegistry())
 
 			out1, stats1 := runSweep(t, blob)
 			if stats1.TrialsCached != 0 {
@@ -253,7 +182,7 @@ func TestFileStoreSweepsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Open("file://" + dir); err != nil {
+	if _, err := store.Open("file://" + dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -270,7 +199,7 @@ func TestFileStoreSweepsStaleTemps(t *testing.T) {
 // under the backend label, and ErrNotFound is not an error.
 func TestInstrumentedMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := Instrument(NewMemStore(), "mem", reg)
+	b := store.Instrument(store.NewMemStore(), "mem", reg)
 	ctx := context.Background()
 	if err := b.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -278,7 +207,7 @@ func TestInstrumentedMetrics(t *testing.T) {
 	if _, err := b.Get(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := b.Get(ctx, "missing"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -303,16 +232,16 @@ func TestInstrumentedMetrics(t *testing.T) {
 
 // TestOpenRejectsUnknownScheme pins the factory's error contract.
 func TestOpenRejectsUnknownScheme(t *testing.T) {
-	if _, err := Open("redis://nope"); err == nil {
+	if _, err := store.Open("redis://nope"); err == nil {
 		t.Fatal("Open(redis://) succeeded")
 	}
-	if _, err := Open("file://"); err == nil {
+	if _, err := store.Open("file://"); err == nil {
 		t.Fatal("Open(file:// with no dir) succeeded")
 	}
-	if _, err := Open("s3://"); err == nil {
+	if _, err := store.Open("s3://"); err == nil {
 		t.Fatal("Open(s3:// with no bucket) succeeded")
 	}
-	if _, err := Open("mem://"); err != nil {
+	if _, err := store.Open("mem://"); err != nil {
 		t.Fatalf("Open(mem://) = %v", err)
 	}
 }
@@ -326,7 +255,7 @@ func TestScheme(t *testing.T) {
 		"s3://bucket/pfx":  "s3",
 		"s3://b?endpoint=": "s3",
 	} {
-		if got := Scheme(raw); got != want {
+		if got := store.Scheme(raw); got != want {
 			t.Errorf("Scheme(%q) = %q, want %q", raw, got, want)
 		}
 	}
