@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -103,15 +104,32 @@ func BenchmarkTruthGraphMillion(b *testing.B) {
 	)
 	layout := benchLayout(n, 11)
 	layout.EnsureGrid(r)
-	b.Run("build", func(b *testing.B) {
+	// timed runs one sample's iterations after a throwaway build, so they
+	// take the pooled builder and stripe buffers warm, and with the
+	// collector off. Cold, a build allocates anything from 0.1 to 1.9 GB
+	// in 28 to 209 allocations, depending on which collections emptied the
+	// pools; warm, 22 to 31, depending on whether a collection mid-build
+	// made the pools allocate their per-P slots again. A one-iteration
+	// sample would gate on that noise. Each iteration leaves ~100 MB of
+	// garbage until the sample ends.
+	timed := func(b *testing.B, build func()) {
+		layout.TruthGraph(r)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			build()
+		}
+		b.StopTimer()
+	}
+	b.Run("build", func(b *testing.B) {
+		timed(b, func() {
 			if g := layout.TruthGraph(r); g.NumNodes() != n {
 				b.Fatal("bad graph")
 			}
-		}
+		})
 	})
 	b.Run("build+validate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		timed(b, func() {
 			g := layout.TruthGraph(r)
 			common := 0
 			for _, u := range g.Nodes()[:100_000] {
@@ -122,7 +140,7 @@ func BenchmarkTruthGraphMillion(b *testing.B) {
 			if common == 0 {
 				b.Fatal("no common neighbors at R=25")
 			}
-		}
+		})
 	})
 }
 

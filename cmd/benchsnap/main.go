@@ -8,10 +8,12 @@
 // entry keyed by the benchmark name with the "Benchmark" prefix and the
 // trailing -GOMAXPROCS suffix stripped (the benchstat convention), so keys
 // compare across machines with different core counts. A benchmark that
-// appears more than once (-count>1) is aggregated to its fastest sample —
-// the minimum ns/op is the standard low-noise estimator, since slowdowns
-// come from interference but nothing runs faster than the code allows —
-// and the snapshot records how many samples fed the aggregate. Header
+// appears more than once (-count>1) is aggregated to its minimum ns/op,
+// B/op and allocs/op, each taken over the samples on its own — the minimum
+// is the standard low-noise estimator, since slowdowns and extra
+// allocations come from interference (a collection that emptied a pool)
+// but nothing runs faster or leaner than the code allows — and the
+// snapshot records how many samples fed the aggregate. Header
 // lines (goos/goarch/cpu) are carried into the snapshot for provenance,
 // along with the environment needed to compare two runs: the GOMAXPROCS
 // values read from the stripped suffixes (a name without one ran at 1),
@@ -55,10 +57,10 @@ import (
 	"time"
 )
 
-// Sample is one benchmark's parsed measurements — the fastest of its
-// result lines. ns/op is the headline number; B/op and allocs/op appear
-// only when the benchmark reports them. Samples counts the result lines
-// aggregated into the entry.
+// Sample is one benchmark's parsed measurements — the minimum of each over
+// its result lines, with the iteration count of the fastest. ns/op is the
+// headline number; B/op and allocs/op appear only when the benchmark
+// reports them. Samples counts the result lines aggregated into the entry.
 type Sample struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -87,8 +89,8 @@ type Snapshot struct {
 }
 
 // parse reads `go test -bench` output and builds a snapshot. A benchmark
-// appearing more than once (e.g. -count>1) keeps its minimum-ns/op result
-// and counts the samples.
+// appearing more than once (e.g. -count>1) keeps the minimum of each
+// measurement and counts the samples.
 func parse(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{Schema: "snd-bench-snapshot/v1", Benchmarks: make(map[string]Sample)}
 	sc := bufio.NewScanner(r)
@@ -168,10 +170,22 @@ func parseResult(line string) (string, int, Sample, error) {
 	return name, procs, s, nil
 }
 
-// minSample keeps the faster of two samples of one benchmark, wholesale:
-// the fastest run's iteration count and memory numbers stay together.
+// minSample merges two samples of one benchmark: each measurement keeps
+// its minimum, and the iteration count stays with the faster ns/op.
 func minSample(a, b Sample) Sample {
+	out := a
 	if b.NsPerOp < a.NsPerOp {
+		out.NsPerOp, out.Iterations = b.NsPerOp, b.Iterations
+	}
+	out.BytesPerOp = minCount(a.BytesPerOp, b.BytesPerOp)
+	out.AllocsPerOp = minCount(a.AllocsPerOp, b.AllocsPerOp)
+	return out
+}
+
+// minCount is the smaller of two optional counts; a count only one sample
+// reports is kept.
+func minCount(a, b *int64) *int64 {
+	if a == nil || (b != nil && *b < *a) {
 		return b
 	}
 	return a
@@ -311,7 +325,7 @@ func main() {
 	out := flag.String("o", "-", "output path for the JSON snapshot (- for stdout)")
 	comparePath := flag.String("compare", "", "baseline snapshot to gate against (skips snapshot output unless -o is also set)")
 	gate := flag.String("gate", ".", "regexp of benchmark keys the -compare gate applies to")
-	tolerance := flag.Float64("tolerance", 0.30, "allowed fractional ns/op growth over the -compare baseline")
+	tolerance := flag.Float64("tolerance", 0.30, "allowed fractional growth of ns/op and allocs/op over the -compare baseline")
 	sha := flag.String("sha", "", "git SHA to stamp into the snapshot (default: $GITHUB_SHA, then git rev-parse HEAD)")
 	trajectory := flag.String("trajectory", "", "append the snapshot as one JSON line to this file (e.g. BENCH_trajectory.jsonl)")
 	flag.Parse()

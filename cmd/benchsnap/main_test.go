@@ -139,7 +139,7 @@ BenchmarkBroadcast/n=1000-8  40000  30000 ns/op
 
 func TestParseAggregatesRepeatedResults(t *testing.T) {
 	// -count=3 emits the same benchmark three times; the snapshot must keep
-	// the fastest run (not the last) and count the samples.
+	// the minimum (not the last) and count the samples.
 	out := `goos: linux
 BenchmarkTruthGraph/n=10000-8  100  300000 ns/op  9000 B/op  12 allocs/op
 BenchmarkTruthGraph/n=10000-8  100  250000 ns/op  8000 B/op  11 allocs/op
@@ -157,12 +157,42 @@ BenchmarkBroadcast/n=200-8  210843  5630 ns/op
 	if tg.Samples != 3 {
 		t.Errorf("samples = %d, want 3", tg.Samples)
 	}
-	// The memory numbers travel with the fastest run, not a mix.
 	if tg.BytesPerOp == nil || *tg.BytesPerOp != 8000 || tg.AllocsPerOp == nil || *tg.AllocsPerOp != 11 {
-		t.Errorf("fastest run's memory stats not kept: %+v", tg)
+		t.Errorf("minimum memory stats not kept: %+v", tg)
 	}
 	if b := snap.Benchmarks["Broadcast/n=200"]; b.Samples != 1 {
 		t.Errorf("single-line benchmark samples = %d, want 1", b.Samples)
+	}
+}
+
+// B/op and allocs/op each aggregate to their own minimum, whichever
+// sample ran fastest: a one-iteration sample's allocation count depends on
+// whether a collection emptied a sync.Pool first, and the gate must not
+// read that as a regression.
+func TestParseAggregatesMemoryToMinimum(t *testing.T) {
+	out := `BenchmarkTruthGraphMillion/build-2  1  2500000000 ns/op  1933691840 B/op  209 allocs/op
+BenchmarkTruthGraphMillion/build-2  1  2600000000 ns/op  104670936 B/op  25 allocs/op
+BenchmarkTruthGraphMillion/build-2  1  2700000000 ns/op  950888752 B/op  23 allocs/op
+BenchmarkBroadcast/n=200  10000  5000 ns/op
+BenchmarkBroadcast/n=200  10000  4000 ns/op  0 B/op  0 allocs/op
+`
+	snap, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := snap.Benchmarks["TruthGraphMillion/build"]
+	if tg.NsPerOp != 2500000000 || tg.Iterations != 1 || tg.Samples != 3 {
+		t.Errorf("ns/op aggregate = %+v, want the fastest 2.5e9 over 3 samples", tg)
+	}
+	if tg.BytesPerOp == nil || *tg.BytesPerOp != 104670936 {
+		t.Errorf("B/op = %v, want the minimum 104670936", tg.BytesPerOp)
+	}
+	if tg.AllocsPerOp == nil || *tg.AllocsPerOp != 23 {
+		t.Errorf("allocs/op = %v, want the minimum 23", tg.AllocsPerOp)
+	}
+	// A measurement only some samples report is kept.
+	if b := snap.Benchmarks["Broadcast/n=200"]; b.AllocsPerOp == nil || *b.AllocsPerOp != 0 || b.NsPerOp != 4000 {
+		t.Errorf("Broadcast = %+v, want 4000 ns/op and 0 allocs/op", b)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Command sndfig regenerates every figure and table of the paper's
 // evaluation (plus the theorem audits this reproduction adds). Experiments
-// come from the internal/exp registry — the same catalog sndsim and
-// sndserve dispatch through — so -list always matches what the other
-// entrypoints accept. Each experiment prints the same rows/series the
-// paper reports. Trials execute on the internal/runner engine: -workers
-// shards them across a bounded pool, and -store memoizes completed trials
-// in a blob store (file://dir, s3://bucket/prefix) so re-running a sweep
-// with the same parameters is nearly free.
+// come from the internal/exp registry — the same catalog sndserve
+// dispatches through — so -list always matches what the job API accepts.
+// Each experiment prints the same rows/series the paper reports. Trials
+// execute on the internal/runner engine: -workers shards them across a
+// bounded pool, and -store memoizes completed trials in a blob store
+// (file://dir, s3://bucket/prefix) so re-running a sweep with the same
+// parameters is nearly free.
 //
 // Ctrl-C (or SIGTERM) cancels the in-progress sweep cooperatively: no new
 // trials are scheduled, completed trials stay in the cache, and sndfig
@@ -18,10 +18,9 @@
 // Usage:
 //
 //	sndfig -list                  # every registered experiment, one per line
-//	sndfig -fig 3                 # Figure 3 (accuracy vs threshold)
-//	sndfig -fig 4                 # Figure 4 (accuracy vs density)
+//	sndfig -exp fig3              # Figure 3 (accuracy vs threshold)
+//	sndfig -exp fig4              # Figure 4 (accuracy vs density)
 //	sndfig -exp safety            # any registered experiment by name
-//	sndfig -exp ablation          # alias: noise + scheme + engines
 //	sndfig -exp fig3 -params '{"Nodes":400}'        # typed JSON overrides
 //	sndfig -all                   # everything, registration order
 //	sndfig -all -workers 8 -store file://$HOME/.cache/snd   # sharded + cached
@@ -55,8 +54,7 @@ func main() {
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sndfig", flag.ContinueOnError)
 	var (
-		fig      = fs.Int("fig", 0, "paper figure to regenerate (3 or 4)")
-		expt     = fs.String("exp", "", "registered experiment name (see -list), or the 'ablation' alias")
+		expt     = fs.String("exp", "", "registered experiment name (see -list)")
 		all      = fs.Bool("all", false, "run every registered experiment")
 		list     = fs.Bool("list", false, "list registered experiments and exit")
 		params   = fs.String("params", "", "experiment params as JSON (single experiment only; unknown fields are errors)")
@@ -87,19 +85,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		for _, e := range exp.All() {
 			names = append(names, e.Name())
 		}
-	case *fig == 3:
-		names = []string{"fig3"}
-	case *fig == 4:
-		names = []string{"fig4"}
-	case *fig != 0:
-		return fmt.Errorf("unknown figure %d (3 or 4)", *fig)
-	case *expt == "ablation":
-		names = []string{"noise", "scheme", "engines"}
 	case *expt != "":
 		names = []string{*expt}
 	default:
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -fig, -exp, -all or -list")
+		return fmt.Errorf("nothing to do: pass -exp, -all or -list")
 	}
 	if *params != "" && len(names) != 1 {
 		return fmt.Errorf("-params applies to a single experiment, not %d", len(names))

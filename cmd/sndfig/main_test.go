@@ -10,7 +10,7 @@ import (
 
 func TestRunFig3(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-fig", "3", "-trials", "2"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig3", "-trials", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Figure 3") {
@@ -23,7 +23,7 @@ func TestRunFig3(t *testing.T) {
 
 func TestRunFig4(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-fig", "4", "-trials", "2"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig4", "-trials", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Figure 4") {
@@ -69,11 +69,19 @@ func TestRunParamsOverride(t *testing.T) {
 	if !strings.Contains(out.String(), "Hostile") {
 		t.Error("output missing hostile section")
 	}
+	// A JSON null document means the defaults, as it does over HTTP.
+	out.Reset()
+	if err := run(context.Background(), []string{"-exp", "fig3", "-params", "null", "-trials", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "Figure 3") {
+		t.Errorf("-params null: output missing Figure 3 table:\n%s", out.String())
+	}
 }
 
 func TestRunCSVFormat(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-fig", "3", "-trials", "1", "-format", "csv"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig3", "-trials", "1", "-format", "csv"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "# Figure 3") || !strings.Contains(out.String(), ",") {
@@ -107,10 +115,14 @@ func TestRunStoreRoundTrip(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-exp", "nope"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown experiment should error by name, got %v", err)
+	// "ablation" is not a registered name: -exp accepts exactly what
+	// -list prints.
+	for _, name := range []string{"nope", "ablation"} {
+		var out strings.Builder
+		err := run(context.Background(), []string{"-exp", name}, &out)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown experiment %q should error by name, got %v", name, err)
+		}
 	}
 }
 

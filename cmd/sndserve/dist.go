@@ -61,16 +61,19 @@ func writeDistError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, "internal", "", "%v", err)
 }
 
-// distPost serves one protocol POST: it decodes the Req body, hands it to
-// the coordinator call, and answers the Resp as JSON or the call's typed
-// error as the /v1 envelope.
+// distPost serves one protocol POST: it decodes the Req body strictly (an
+// unknown field is a 400 bad_body naming it, as on POST /v1/jobs), hands
+// it to the coordinator call, and answers the Resp as JSON or the call's
+// typed error as the /v1 envelope.
 func distPost[Req, Resp any](s *Server, call func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.distEnabled(w) {
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, errBadBody, "", "bad request body: %v", err)
 			return
 		}

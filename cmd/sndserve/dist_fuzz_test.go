@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,4 +87,20 @@ func newFuzzCoordinator(t *testing.T) *http.ServeMux {
 		t.Fatalf("fixture: worker %s leased %+v, %v; want w-0003 holding b00000001", w.WorkerID, lease.Batch, err)
 	}
 	return mux
+}
+
+// A /v1/dist body with a field the protocol does not declare is refused
+// with 400 bad_body naming the field, as POST /v1/jobs refuses one.
+func TestDistPostRejectsUnknownFields(t *testing.T) {
+	mux := newFuzzCoordinator(t)
+	rec := httptest.NewRecorder()
+	body := `{"worker_id":"w-0003","bogus":true}`
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, dist.PathLease, bytes.NewReader([]byte(body))))
+	var env struct {
+		Error *apiError `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+		env.Error == nil || env.Error.Code != errBadBody || !strings.Contains(env.Error.Message, `"bogus"`) {
+		t.Fatalf("POST %s %s: %d %s; want 400 bad_body naming \"bogus\"", dist.PathLease, body, rec.Code, rec.Body)
+	}
 }

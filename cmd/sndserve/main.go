@@ -1,5 +1,5 @@
 // Command sndserve exposes the internal/exp experiment registry — the
-// same catalog sndfig and sndsim dispatch through — as an HTTP job API.
+// same catalog sndfig dispatches through — as an HTTP job API.
 // Jobs execute on one shared internal/runner engine, so trial
 // concurrency stays bounded regardless of how many jobs are submitted,
 // and completed trials are memoized: identical jobs are answered from

@@ -3,10 +3,8 @@
 // d-safety audit. With -trials > 1 the whole scenario is replicated across
 // derived seeds on the internal/runner engine (-workers shards the
 // replicates) and the report aggregates mean accuracy and violation counts.
-//
-// Any experiment from the internal/exp registry (the catalog sndfig and
-// sndserve share) can also be run directly: -list names them and
-// -exp <name> runs one, with -params supplying typed JSON overrides.
+// Registered experiments (the internal/exp catalog) run through sndfig and
+// sndserve, not here.
 //
 // Examples:
 //
@@ -14,8 +12,7 @@
 //	sndsim -nodes 300 -range 25 -t 6 -compromise 3     # replicate 3 nodes at the corners
 //	sndsim -nodes 200 -t 6 -m 2 -kill 0.3 -rounds 3    # aging network with updates
 //	sndsim -nodes 200 -t 10 -trials 20 -workers 8      # 20 seeds, sharded
-//	sndsim -list                                       # registered experiments
-//	sndsim -exp safety -params '{"Trials":5}'          # one registry experiment
+//	sndsim -nodes 100 -t 5 -trace 20                   # last 20 protocol events
 package main
 
 import (
@@ -30,14 +27,12 @@ import (
 	"time"
 
 	"snd/internal/core"
-	"snd/internal/exp"
 	"snd/internal/geometry"
 	"snd/internal/nodeid"
 	"snd/internal/obs"
 	"snd/internal/runner"
 	"snd/internal/sim"
 	"snd/internal/stats"
-	"snd/internal/trace"
 )
 
 func main() {
@@ -66,7 +61,7 @@ type scenario struct {
 
 // build runs the scenario under one seed and returns the finished
 // simulation plus the compromised victims (nil when no attack).
-func (sc scenario) build(seed int64, rec *trace.Ring) (*sim.Simulation, []nodeid.ID, error) {
+func (sc scenario) build(seed int64, rec *sim.Ring) (*sim.Simulation, []nodeid.ID, error) {
 	params := sim.Params{
 		Field:      geometry.NewField(sc.Field, sc.Field),
 		Range:      sc.Range,
@@ -143,44 +138,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		traceN     = fs.Int("trace", 0, "print the last N protocol events and per-kind counts")
 		showStats  = fs.Bool("stats", false, "print protocol event counts (single run) or engine latency quantiles (sweep)")
 		showMap    = fs.Bool("map", false, "print an ASCII map of the field (o=benign, X=compromised, R=replica, +=dead)")
-		expName    = fs.String("exp", "", "run a registered experiment from the internal/exp catalog (see -list)")
-		list       = fs.Bool("list", false, "list registered experiments and exit")
-		expParams  = fs.String("params", "", "experiment params as JSON for -exp (unknown fields are errors)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *list {
-		for _, name := range exp.Names() {
-			fmt.Fprintln(w, name)
-		}
-		return nil
-	}
-	if *expName != "" {
-		// Registry mode: dispatch through the shared experiment catalog.
-		// The -trials default (1) belongs to scenario mode; the experiment's
-		// own default applies unless the flag was passed explicitly.
-		trialsOverride := 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "trials" {
-				trialsOverride = *trials
-			}
-		})
-		bound, err := exp.DecodeCLI(*expName, *expParams, trialsOverride, *seed)
-		if err != nil {
-			return err
-		}
-		eng := runner.New(runner.Options{Workers: *workers})
-		res, err := bound.Run(ctx, eng)
-		if err != nil {
-			return fmt.Errorf("%s: %w", *expName, err)
-		}
-		exp.WarnIfDegraded(w, *expName, res)
-		fmt.Fprintln(w, res.Render())
-		return nil
-	}
-	if *expParams != "" {
-		return fmt.Errorf("-params requires -exp")
 	}
 
 	sc := scenario{
@@ -192,9 +152,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return runSweep(ctx, w, sc, *seed, *trials, *workers, *showStats)
 	}
 
-	var rec *trace.Ring
+	var rec *sim.Ring
 	if *traceN > 0 {
-		rec = trace.NewRing(*traceN)
+		rec = sim.NewRing(*traceN)
 	}
 	s, victims, err := sc.build(*seed, rec)
 	if err != nil {
@@ -229,21 +189,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *showMap {
 		fmt.Fprintf(w, "\n%s", fieldMap(s, 48, 24))
 	}
+	counts := s.EventCounts()
 	if rec != nil {
-		fmt.Fprintf(w, "\nprotocol trace (%d events total; last %d shown):\n", rec.Total(), len(rec.Events()))
+		fmt.Fprintf(w, "\nprotocol trace (last %d of %d events):\n", len(rec.Events()), counts.Total())
 		fmt.Fprint(w, rec.Dump())
-		fmt.Fprintln(w, "events by kind:")
-		for _, kind := range trace.Kinds() {
-			if n := rec.Count(kind); n > 0 {
-				fmt.Fprintf(w, "  %-18s %d\n", kind, n)
-			}
-		}
 	}
-	if *showStats {
-		// The always-on counter bridge: per-kind tallies without a recorder.
-		counts := s.EventCounts()
+	if rec != nil || *showStats {
 		fmt.Fprintf(w, "\nprotocol events (%d total):\n", counts.Total())
-		for _, kind := range trace.Kinds() {
+		for _, kind := range sim.Kinds() {
 			if n := counts.Count(kind); n > 0 {
 				fmt.Fprintf(w, "  %-18s %d\n", kind, n)
 			}

@@ -5,8 +5,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"snd/internal/exp"
 )
 
 func TestRunBenign(t *testing.T) {
@@ -89,44 +87,23 @@ func TestRunWithTrace(t *testing.T) {
 	}
 }
 
-func TestRunList(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
+// -stats prints the per-kind tally; -trace prints the same tally after
+// the retained events.
+func TestRunStatsCounts(t *testing.T) {
+	var stats, traced strings.Builder
+	args := []string{"-nodes", "60", "-t", "2"}
+	if err := run(context.Background(), append(args, "-stats"), &stats); err != nil {
 		t.Fatal(err)
 	}
-	names := strings.Fields(out.String())
-	if len(names) != len(exp.Names()) {
-		t.Fatalf("-list printed %d names, registry has %d", len(names), len(exp.Names()))
-	}
-	for i, want := range exp.Names() {
-		if names[i] != want {
-			t.Errorf("-list[%d] = %q, want %q", i, names[i], want)
-		}
-	}
-}
-
-func TestRunRegisteredExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-exp", "hostile", "-params", `{"Trials":1,"Nodes":100}`}, &out)
-	if err != nil {
+	if err := run(context.Background(), append(args, "-trace", "5"), &traced); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Hostile") {
-		t.Errorf("output missing hostile section:\n%s", out.String())
+	want := regexp.MustCompile(`(?s)protocol events \(\d+ total\):\n  hello +60\n.*`).FindString(stats.String())
+	if want == "" {
+		t.Fatalf("-stats counts missing:\n%s", stats.String())
 	}
-}
-
-func TestRunExperimentBadParams(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-exp", "hostile", "-params", `{"Nodez":5}`}, &out)
-	if err == nil || !strings.Contains(err.Error(), "Nodez") {
-		t.Errorf("typoed params should error naming the field, got %v", err)
-	}
-	if err := run(context.Background(), []string{"-exp", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown experiment should error by name, got %v", err)
-	}
-	if err := run(context.Background(), []string{"-params", `{"Trials":1}`}, &out); err == nil {
-		t.Error("-params without -exp accepted")
+	if !strings.HasSuffix(traced.String(), want) {
+		t.Errorf("-trace counts differ from -stats counts:\n%s\nwant suffix:\n%s", traced.String(), want)
 	}
 }
 

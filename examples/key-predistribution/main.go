@@ -85,7 +85,7 @@ func run() error {
 		}
 		s, err := snd.NewSimulation(snd.SimParams{
 			Nodes: n, Threshold: 3, Seed: 9,
-			SecureChannels: true, Scheme: scheme,
+			Scheme: scheme,
 		})
 		if err != nil {
 			return err

@@ -103,21 +103,13 @@ type runner struct {
 	ready   <-chan struct{}
 	network *Network
 
-	// expected is the set of tentative neighbors whose records the fresh
-	// node is still waiting for (fresh nodes only; nil on responders).
+	// expected is the set of tentative neighbors whose records the node
+	// is still waiting for; nil once discovery has finished.
 	expected map[nodeid.ID]bool
 	finished chan struct{} // closed when discovery completes
 	finish   chan struct{} // a request, counted in busy, to finish discovery now
 	stop     chan struct{}
 	done     chan struct{}
-}
-
-// StartResponder spawns the event loop for an already-operational device
-// (it answers hellos and processes commitments/evidences). The endpoint is
-// owned by the runner from this point on.
-func (n *Network) StartResponder(h deploy.Handle, ep *core.Node) error {
-	_, err := n.start(h, ep, nil, nil)
-	return err
 }
 
 // StartDiscovery creates a fresh endpoint for device h, begins discovery
@@ -149,21 +141,14 @@ func (n *Network) StartDiscovery(h deploy.Handle, tentative nodeid.Set) (<-chan 
 	for _, v := range tentative {
 		expected[v] = true
 	}
-	r, err := n.start(h, ep, expected, hello)
-	if err != nil {
-		return nil, err
-	}
-	return r.finished, nil
+	return n.start(dev, ep, expected, hello)
 }
 
-// start registers and spawns device h's runner. A fresh node (expected
-// non-nil) first broadcasts its hello; one with no tentative neighbors has
-// nothing to wait for, so its first act is to finish discovery.
-func (n *Network) start(h deploy.Handle, ep *core.Node, expected map[nodeid.ID]bool, hello []byte) (*runner, error) {
-	dev := n.layout.Device(h)
-	if dev == nil {
-		return nil, fmt.Errorf("async: unknown device %d", h)
-	}
+// start registers and spawns the device's runner after broadcasting its
+// hello. A node with no tentative neighbors has nothing to wait for, so
+// its first act is to finish discovery.
+func (n *Network) start(dev *deploy.Device, ep *core.Node, expected map[nodeid.ID]bool, hello []byte) (<-chan struct{}, error) {
+	h := dev.Handle
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if at(n.runners, h) != nil {
@@ -173,13 +158,11 @@ func (n *Network) start(h deploy.Handle, ep *core.Node, expected map[nodeid.ID]b
 	if err != nil {
 		return nil, fmt.Errorf("async: attach: %w", err)
 	}
-	if hello != nil {
-		k, err := n.medium.Broadcast(h, hello)
-		if err != nil {
-			return nil, fmt.Errorf("async: hello: %w", err)
-		}
-		n.queued += k
+	k, err := n.medium.Broadcast(h, hello)
+	if err != nil {
+		return nil, fmt.Errorf("async: hello: %w", err)
 	}
+	n.queued += k
 	r := &runner{
 		dev:      dev,
 		ep:       ep,
@@ -192,17 +175,14 @@ func (n *Network) start(h deploy.Handle, ep *core.Node, expected map[nodeid.ID]b
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	switch {
-	case expected == nil:
-		close(r.finished)
-	case len(expected) == 0:
+	if len(expected) == 0 {
 		n.busy++
 		r.finish <- struct{}{}
 	}
 	n.runners = grown(n.runners, h)
 	n.runners[h-1] = r
 	go r.run()
-	return r, nil
+	return r.finished, nil
 }
 
 // Settle blocks until the network is quiet — no frame queued at any

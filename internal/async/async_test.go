@@ -171,9 +171,6 @@ func TestStartDiscoveryErrors(t *testing.T) {
 	<-ch
 	n.Stop()
 	// Unknown device.
-	if err := n.StartResponder(deploy.Handle(99), nil); err == nil {
-		t.Error("responder for unknown device accepted")
-	}
 	if _, err := n.StartDiscovery(deploy.Handle(99), nil); err == nil {
 		t.Error("discovery on unknown device accepted")
 	}

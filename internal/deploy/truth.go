@@ -64,9 +64,19 @@ func (l *Layout) TruthGraph(r float64) *topology.Graph {
 func (l *Layout) truthGraph(r float64, workers int) *topology.Graph {
 	l.EnsureGrid(r)
 	b := truthBuilderPool.Get().(*topology.Builder)
+	var bufs []*[]nodeid.Pair
+	// The pooled state goes back only after Finalize. Finalize allocates
+	// the whole graph, and a pooled buffer survives only one collection,
+	// so buffers pooled before it would often be gone by the next build.
 	defer func() {
 		b.Reset()
 		truthBuilderPool.Put(b)
+		for _, bp := range bufs {
+			if bp != nil {
+				*bp = (*bp)[:0]
+				pairBufPool.Put(bp)
+			}
+		}
 	}()
 	alive := 0
 	for _, d := range l.devices {
@@ -81,7 +91,7 @@ func (l *Layout) truthGraph(r float64, workers int) *topology.Graph {
 	case workers <= 1 || alive < truthParallelMin:
 		l.truthEdgesSerial(r, b)
 	default:
-		l.truthEdgesParallel(r, workers, b)
+		bufs = l.truthEdgesParallel(r, workers, b)
 	}
 	return b.Finalize()
 }
@@ -184,8 +194,9 @@ func (l *Layout) truthEdgesSerial(r float64, b *topology.Builder) {
 // state (cell lists, device fields) and append to their own buffer, so
 // the build is race-free by construction, and the per-cell sweeps cover
 // each unordered pair exactly once whichever stripe its owning cell
-// landed in.
-func (l *Layout) truthEdgesParallel(r float64, workers int, b *topology.Builder) {
+// landed in. It returns the stripe buffers, nil for empty stripes, which
+// the caller pools once it is done with b.
+func (l *Layout) truthEdgesParallel(r float64, workers int, b *topology.Builder) []*[]nodeid.Pair {
 	cells := l.sortedCellKeys()
 	if workers > len(cells) {
 		workers = len(cells)
@@ -218,11 +229,9 @@ func (l *Layout) truthEdgesParallel(r float64, workers int, b *topology.Builder)
 	}
 	wg.Wait()
 	for _, bp := range bufs {
-		if bp == nil {
-			continue
+		if bp != nil {
+			b.AddPairs(*bp)
 		}
-		b.AddPairs(*bp)
-		*bp = (*bp)[:0]
-		pairBufPool.Put(bp)
 	}
+	return bufs
 }

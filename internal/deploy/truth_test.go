@@ -64,6 +64,19 @@ func TestTruthGraphParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// When the cells do not divide evenly, the last stripes come out empty
+// (here 9 cells over 4 workers: 3, 3, 3, none); the parallel build must
+// skip them.
+func TestTruthGraphParallelEmptyStripes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l := NewLayout(geometry.NewField(10, 10))
+	l.DeploySampled(Uniform{}, truthParallelMin, rng, 0)
+	serial := l.truthGraph(4, 1)
+	for i := 0; i < 2; i++ { // the second build takes the pooled buffers
+		assertBitIdentical(t, serial, l.truthGraph(4, 4))
+	}
+}
+
 // TestTruthGraphMatchesBruteForce cross-checks the grid-swept builder
 // against the O(n²) definition on a small messy layout.
 func TestTruthGraphMatchesBruteForce(t *testing.T) {

@@ -15,11 +15,13 @@ import (
 	"snd/internal/runner"
 )
 
-// Defaults for Options fields left zero.
-const (
-	DefaultLeaseTTL    = 10 * time.Second
-	DefaultMaxAttempts = 3
-)
+// DefaultLeaseTTL is the lease duration when Options.LeaseTTL is zero.
+const DefaultLeaseTTL = 10 * time.Second
+
+// DefaultMaxAttempts caps remote lease grants per batch: a batch re-queued
+// past the cap is pinned to loopback execution, so a poisonous batch
+// cannot ping-pong across the fleet forever.
+const DefaultMaxAttempts = 3
 
 // maxRecentBatches bounds the completed-batch attribution list in Status.
 const maxRecentBatches = 32
@@ -31,21 +33,12 @@ type Options struct {
 	// LeaseTTL is how long a granted lease lives without renewal; 0 means
 	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// MaxAttempts caps remote lease grants per batch; a batch re-queued
-	// past the cap is pinned to loopback execution so a poisonous batch
-	// cannot ping-pong across the fleet forever. 0 means
-	// DefaultMaxAttempts.
-	MaxAttempts int
 	// LocalWorkers bounds the loopback executors per sweep — normally the
 	// engine's pool width, so a coordinator with no fleet attached keeps
 	// the local machine exactly as busy as the plain engine would. 0 means
 	// GOMAXPROCS; negative disables loopback execution entirely (tests
 	// exercising the pure-fleet path).
 	LocalWorkers int
-	// WorkerExpiry is how long a silent worker stays counted in the fleet
-	// gauge; 0 means 3×LeaseTTL. Liveness only affects observability —
-	// correctness rests on lease expiry, not worker expiry.
-	WorkerExpiry time.Duration
 	// Registry receives the coordinator's metrics; nil creates a private
 	// one.
 	Registry *obs.Registry
@@ -64,8 +57,10 @@ type Options struct {
 type Coordinator struct {
 	batchSize    int
 	ttl          time.Duration
-	maxAttempts  int
 	localWorkers int
+	// workerExpiry (3×ttl) is how long a silent worker stays counted in
+	// the fleet gauge. Liveness only affects observability — correctness
+	// rests on lease expiry, not worker expiry.
 	workerExpiry time.Duration
 	log          *slog.Logger
 	m            *metrics
@@ -155,17 +150,11 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = DefaultMaxAttempts
-	}
 	switch {
 	case opts.LocalWorkers == 0:
 		opts.LocalWorkers = runtime.GOMAXPROCS(0)
 	case opts.LocalWorkers < 0:
 		opts.LocalWorkers = 0
-	}
-	if opts.WorkerExpiry <= 0 {
-		opts.WorkerExpiry = 3 * opts.LeaseTTL
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -180,9 +169,8 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		batchSize:    opts.BatchSize,
 		ttl:          opts.LeaseTTL,
-		maxAttempts:  opts.MaxAttempts,
 		localWorkers: opts.LocalWorkers,
-		workerExpiry: opts.WorkerExpiry,
+		workerExpiry: 3 * opts.LeaseTTL,
 		log:          opts.Logger,
 		m:            newMetrics(reg),
 		now:          opts.Now,
@@ -464,7 +452,7 @@ func (c *Coordinator) requeueLocked(b *batch) {
 	// Past the remote-attempt cap the batch is pinned to loopback
 	// execution — unless there are no loopback executors at all, in which
 	// case remote retry is the only way the batch can ever finish.
-	if b.attempts >= c.maxAttempts && c.localWorkers > 0 {
+	if b.attempts >= DefaultMaxAttempts && c.localWorkers > 0 {
 		b.localOnly = true
 	}
 	c.queue = append(c.queue, b)

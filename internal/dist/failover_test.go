@@ -223,7 +223,7 @@ func TestCancelRevokesOutstandingLeases(t *testing.T) {
 // the remote-attempt cap it is pinned to loopback execution: the fleet
 // never sees it again, but the sweep still completes.
 func TestFailedBatchPinsLocalAfterMaxAttempts(t *testing.T) {
-	coord := NewCoordinator(Options{LocalWorkers: 1, BatchSize: 2, MaxAttempts: 1})
+	coord := NewCoordinator(Options{LocalWorkers: 1, BatchSize: 2})
 	rec := newRecorder()
 
 	// Gate the loopback executor: its first cell blocks until released, so
@@ -250,24 +250,28 @@ func TestFailedBatchPinsLocalAfterMaxAttempts(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// The remote worker gets the second batch and fails it, once per
+	// allowed attempt.
 	w := coord.Register(RegisterRequest{Name: "failer"})
-	var b *Batch
-	for i := 0; i < 1000 && b == nil; i++ {
-		lease, err := coord.Lease(w.WorkerID)
-		if err != nil {
+	for attempt := 1; attempt <= DefaultMaxAttempts; attempt++ {
+		var b *Batch
+		for i := 0; i < 1000 && b == nil; i++ {
+			lease, err := coord.Lease(w.WorkerID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = lease.Batch
+			time.Sleep(time.Millisecond)
+		}
+		if b == nil {
+			t.Fatalf("attempt %d: remote worker never got the second batch", attempt)
+		}
+		if _, err := coord.Report(ResultsRequest{WorkerID: w.WorkerID, BatchID: b.ID, Failed: "simulated"}); err != nil {
 			t.Fatal(err)
 		}
-		b = lease.Batch
-		time.Sleep(time.Millisecond)
 	}
-	if b == nil {
-		t.Fatal("remote worker never got the second batch")
-	}
-	if _, err := coord.Report(ResultsRequest{WorkerID: w.WorkerID, BatchID: b.ID, Failed: "simulated"}); err != nil {
-		t.Fatal(err)
-	}
-	if coord.m.batchFails.Value() != 1 {
-		t.Errorf("batch_failures = %d, want 1", coord.m.batchFails.Value())
+	if got := coord.m.batchFails.Value(); got != DefaultMaxAttempts {
+		t.Errorf("batch_failures = %d, want %d", got, DefaultMaxAttempts)
 	}
 
 	// Past the cap, the batch is local-only: the fleet gets nothing more.
@@ -276,7 +280,7 @@ func TestFailedBatchPinsLocalAfterMaxAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lease.Batch != nil {
-		t.Fatalf("batch re-leased remotely (%+v) past MaxAttempts", lease.Batch)
+		t.Fatalf("batch re-leased remotely (%+v) past DefaultMaxAttempts", lease.Batch)
 	}
 
 	close(release)

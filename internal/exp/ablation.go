@@ -168,7 +168,7 @@ func planSchemeAblation(p SchemeParams) Sweep[schemeSample, *SchemeResult] {
 			s, err := sim.New(sim.Params{
 				Field: geometry.NewField(p.FieldSide, p.FieldSide), Range: p.Range,
 				Nodes: p.Nodes, Threshold: p.Threshold, Seed: p.Seed + int64(ring),
-				SecureChannels: true, Scheme: eg,
+				Scheme: eg,
 			})
 			if err != nil {
 				return schemeSample{}, err

@@ -2,7 +2,7 @@
 // self-registering catalog: every runner is registered once (catalog.go)
 // as an Experiment — name, description, typed params with a
 // reflection-derived schema, strict JSON decode, and a Run method — and
-// cmd/sndfig, cmd/sndsim, and cmd/sndserve all dispatch through that one
+// cmd/sndfig, cmd/sndserve and cmd/sndworker all dispatch through that one
 // registry instead of keeping per-binary experiment tables. Adding a
 // scenario means writing a params struct and a plan returning its Sweep
 // (one trial function, one reducer), then registering the plan; the

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"snd/internal/runner"
@@ -45,6 +47,71 @@ func FuzzDecodeParams(f *testing.F) {
 		}
 		if got := again.DefaultParams(); !reflect.DeepEqual(got, def) {
 			t.Fatalf("%s: defaults changed across a round trip:\n%+v\n%+v", e.Name(), def, got)
+		}
+	})
+}
+
+// FuzzDecodeCLI feeds arbitrary -params documents and -trials/-seed flag
+// values to DecodeCLI for every registered experiment (pick indexes
+// Names()). An empty document and JSON null both mean {}. Nothing may
+// panic; DecodeCLI must fail exactly when the document is not one JSON
+// value or the strict decoder rejects it (the flags are well-typed fields,
+// so merging them never changes the verdict); and on success the bound
+// params must equal the document's own, except that a Seed the document
+// leaves unset takes the -seed flag, and an unset Trials takes -trials
+// when it is positive and the experiment has that field. A field set to
+// null counts as unset, as it does in the decoder. `go test` runs the
+// committed corpus under testdata/fuzz/FuzzDecodeCLI.
+func FuzzDecodeCLI(f *testing.F) {
+	names := Names()
+	f.Fuzz(func(t *testing.T, pick byte, params string, trials int, seed int64) {
+		name := names[int(pick)%len(names)]
+		e, _ := Lookup(name)
+		bound, err := DecodeCLI(name, params, trials, seed)
+
+		doc := strings.TrimSpace(params)
+		if doc == "" || doc == "null" {
+			doc = "{}"
+		}
+		if !json.Valid([]byte(doc)) {
+			if err == nil {
+				t.Fatalf("%s %q: accepted a document that is not one JSON value", name, params)
+			}
+			return
+		}
+		own, ownErr := e.Decode(json.RawMessage(doc))
+		if (err == nil) != (ownErr == nil) {
+			t.Fatalf("%s %q trials=%d seed=%d: DecodeCLI error %v, strict decoder error %v",
+				name, params, trials, seed, err, ownErr)
+		}
+		if err != nil {
+			return
+		}
+
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(doc), &fields); err != nil {
+			t.Fatalf("%s %q: decoded, but is not an object: %v", name, params, err)
+		}
+		sets := func(field string) bool {
+			for k, v := range fields {
+				if strings.EqualFold(k, field) && !bytes.Equal(bytes.TrimSpace(v), []byte("null")) {
+					return true
+				}
+			}
+			return false
+		}
+		want := reflect.New(reflect.TypeOf(own.DefaultParams())).Elem()
+		want.Set(reflect.ValueOf(own.DefaultParams()))
+		// A zero flag leaves the field zero, which the defaults then fill
+		// exactly as they fill the document's own zero.
+		if f := want.FieldByName("Seed"); f.IsValid() && !sets("Seed") && seed != 0 {
+			f.SetInt(seed)
+		}
+		if f := want.FieldByName("Trials"); f.IsValid() && !sets("Trials") && trials > 0 {
+			f.SetInt(int64(trials))
+		}
+		if got := bound.DefaultParams(); !reflect.DeepEqual(got, want.Interface()) {
+			t.Fatalf("%s %q trials=%d seed=%d:\ngot  %+v\nwant %+v", name, params, trials, seed, got, want.Interface())
 		}
 	})
 }

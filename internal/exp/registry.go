@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 
 	"snd/internal/runner"
 	"snd/internal/stats"
@@ -39,8 +40,8 @@ type Tabular interface{ Table() *stats.Table }
 // this interface, so adding a scenario means registering one component —
 // not editing three tables.
 type Experiment interface {
-	// Name is the registry key, shared verbatim by sndfig -exp, sndsim
-	// -exp, and the sndserve job API.
+	// Name is the registry key, shared verbatim by sndfig -exp and the
+	// sndserve job API.
 	Name() string
 	// Describe is a one-line human summary for catalogs.
 	Describe() string
@@ -208,8 +209,8 @@ func Lookup(name string) (Experiment, bool) {
 	return e, ok
 }
 
-// Names returns every registered name, sorted. sndfig -list, sndsim -list,
-// and sndserve's catalog all derive from it, so the three views cannot
+// Names returns every registered name, sorted. sndfig -list and
+// sndserve's catalog both derive from it, so the two views cannot
 // disagree.
 func Names() []string {
 	out := make([]string, 0, len(registryByName))
@@ -247,16 +248,19 @@ func Catalog() []CatalogEntry {
 // document does not already set it — so `-params '{"Seed":5}'` wins over
 // the -seed default, and experiments without a Trials knob ignore the
 // override instead of rejecting it. trials <= 0 means "experiment default".
+// An empty document and JSON null both mean the defaults, as over HTTP.
 func DecodeCLI(name, paramsJSON string, trials int, seed int64) (Experiment, error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (see -list)", name)
 	}
-	doc := map[string]json.RawMessage{}
-	if paramsJSON != "" {
-		if err := json.Unmarshal([]byte(paramsJSON), &doc); err != nil {
-			return nil, fmt.Errorf("%s params: %w", name, err)
-		}
+	doc := bytes.TrimSpace([]byte(paramsJSON))
+	if len(doc) == 0 || string(doc) == "null" {
+		doc = []byte("{}")
+	}
+	var whole json.RawMessage // rejects malformed JSON and trailing data
+	if err := json.Unmarshal(doc, &whole); err != nil {
+		return nil, fmt.Errorf("%s params: %w", name, err)
 	}
 	has := func(field string) bool {
 		for _, f := range e.Schema() {
@@ -266,19 +270,28 @@ func DecodeCLI(name, paramsJSON string, trials int, seed int64) (Experiment, err
 		}
 		return false
 	}
-	if _, set := doc["Trials"]; !set && trials > 0 && has("Trials") {
-		doc["Trials"] = json.RawMessage(fmt.Sprintf("%d", trials))
+	var flags []string
+	if trials > 0 && has("Trials") {
+		flags = append(flags, fmt.Sprintf(`"Trials":%d`, trials))
 	}
-	if _, set := doc["Seed"]; !set && has("Seed") {
-		doc["Seed"] = json.RawMessage(fmt.Sprintf("%d", seed))
+	if has("Seed") {
+		flags = append(flags, fmt.Sprintf(`"Seed":%d`, seed))
 	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return nil, err
+	// The flags become the object's leading fields. The decoder lets a
+	// later field overwrite an earlier one, so a field the document sets,
+	// in any letter case, wins over its flag. A document that is not an
+	// object goes to the decoder as is, which rejects it.
+	if doc[0] == '{' && len(flags) > 0 {
+		rest := bytes.TrimSpace(doc[1:])
+		sep := ","
+		if rest[0] == '}' {
+			sep = ""
+		}
+		doc = []byte("{" + strings.Join(flags, ",") + sep + string(rest))
 	}
 	// Decode the merged document through the registry's strict decoder, so
 	// a typoed field in -params fails the same way it does over HTTP.
-	return e.Decode(raw)
+	return e.Decode(doc)
 }
 
 // WarnIfDegraded prints the shared degraded-sweep warning when the sweep

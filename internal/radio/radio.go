@@ -63,30 +63,16 @@ type Config struct {
 	InboxSize int
 	// Seed drives the loss process for reproducible runs.
 	Seed int64
-	// Energy configures per-device energy accounting; the zero value uses
-	// DefaultEnergy.
-	Energy EnergyModel
 }
 
-// EnergyModel prices radio operations in abstract energy units (µJ-scale
-// for typical mote radios). Transmission costs a fixed startup plus a
-// per-byte rate; reception costs per byte received.
-type EnergyModel struct {
-	// TxBase is charged per transmission.
-	TxBase float64
-	// TxPerByte is charged per payload byte transmitted.
-	TxPerByte float64
-	// RxPerByte is charged per payload byte received.
-	RxPerByte float64
-}
-
-// DefaultEnergy approximates a CC2420-class mote radio: ~17 µJ
-// transmission startup, ~0.6 µJ/byte to send, ~0.67 µJ/byte to receive.
-var DefaultEnergy = EnergyModel{TxBase: 17, TxPerByte: 0.6, RxPerByte: 0.67}
-
-func (m EnergyModel) isZero() bool {
-	return m.TxBase == 0 && m.TxPerByte == 0 && m.RxPerByte == 0
-}
+// Energy prices of radio operations, in µJ, approximating a CC2420-class
+// mote radio: a transmission costs a fixed startup plus a per-byte rate,
+// a reception a per-byte rate.
+const (
+	txBase    = 17   // charged per transmission
+	txPerByte = 0.6  // charged per payload byte transmitted
+	rxPerByte = 0.67 // charged per payload byte received
+)
 
 // Message is one received frame.
 type Message struct {
@@ -140,9 +126,6 @@ type Medium struct {
 func NewMedium(layout *deploy.Layout, cfg Config) *Medium {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = defaultInboxSize
-	}
-	if cfg.Energy.isZero() {
-		cfg.Energy = DefaultEnergy
 	}
 	layout.EnsureGrid(cfg.Range)
 	return &Medium{
@@ -243,7 +226,7 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 	m.count.BytesSent += len(payload)
 	m.perSend[h-1]++
 	m.perByte[h-1] += len(payload)
-	m.energy[h-1] += m.cfg.Energy.TxBase + m.cfg.Energy.TxPerByte*float64(len(payload))
+	m.energy[h-1] += txBase + txPerByte*float64(len(payload))
 
 	if m.inJam(sender.Pos) {
 		m.count.LostJammed++
@@ -307,7 +290,7 @@ func (m *Medium) deliver(rcv *deploy.Device, msg Message) bool {
 	n := len(msg.Payload)
 	m.count.Delivered++
 	m.count.BytesDelivered += n
-	m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(n)
+	m.energy[rcv.Handle-1] += rxPerByte * float64(n)
 	return true
 }
 

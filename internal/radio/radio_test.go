@@ -348,18 +348,18 @@ func BenchmarkBroadcast200Nodes(b *testing.B) {
 
 func TestEnergyAccounting(t *testing.T) {
 	l, devs := lineLayout(t)
-	m := NewMedium(l, Config{Range: 50, Energy: EnergyModel{TxBase: 10, TxPerByte: 1, RxPerByte: 2}})
+	m := NewMedium(l, Config{Range: 50})
 	attachAll(t, m, devs)
-	// One 5-byte broadcast: sender pays 10 + 5 = 15; the single in-range
-	// receiver pays 2*5 = 10.
+	// One 5-byte broadcast at the CC2420 prices: the sender pays
+	// 17 + 0.6·5 = 20 µJ; the single in-range receiver pays 0.67·5 = 3.35.
 	if _, err := m.Broadcast(devs[0].Handle, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.EnergyUsedBy(devs[0].Handle); got != 15 {
-		t.Errorf("sender energy = %v, want 15", got)
+	if got := m.EnergyUsedBy(devs[0].Handle); got != 20 {
+		t.Errorf("sender energy = %v, want 20", got)
 	}
-	if got := m.EnergyUsedBy(devs[1].Handle); got != 10 {
-		t.Errorf("receiver energy = %v, want 10", got)
+	if got := m.EnergyUsedBy(devs[1].Handle); got != 3.35 {
+		t.Errorf("receiver energy = %v, want 3.35", got)
 	}
 	if got := m.EnergyUsedBy(devs[2].Handle); got != 0 {
 		t.Errorf("out-of-range device charged %v", got)

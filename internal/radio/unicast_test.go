@@ -32,7 +32,7 @@ func sweepUnicast(m *Medium, h deploy.Handle, to nodeid.ID, payload []byte) ([]d
 	m.count.BytesSent += len(body)
 	m.perSend[h-1]++
 	m.perByte[h-1] += len(body)
-	m.energy[h-1] += m.cfg.Energy.TxBase + m.cfg.Energy.TxPerByte*float64(len(body))
+	m.energy[h-1] += txBase + txPerByte*float64(len(body))
 	if m.inJam(sender.Pos) {
 		m.count.LostJammed++
 		return nil, nil
@@ -59,7 +59,7 @@ func sweepUnicast(m *Medium, h deploy.Handle, to nodeid.ID, payload []byte) ([]d
 		got = append(got, rcv.Handle)
 		m.count.Delivered++
 		m.count.BytesDelivered += len(body)
-		m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
+		m.energy[rcv.Handle-1] += rxPerByte * float64(len(body))
 	})
 	return got, nil
 }

@@ -116,7 +116,7 @@ func TestMapCtxErrorBeatsCancel(t *testing.T) {
 // Dropped must break Failed down by point so callers can name the
 // degraded cells.
 func TestOutcomeDroppedPerPoint(t *testing.T) {
-	e := New(Options{Workers: 1, Retries: -1})
+	e := New(Options{Workers: 1})
 	out, err := Map(e, Spec{Experiment: "dropped", Points: 3, Trials: 4},
 		func(p, trial int) (int, error) {
 			if p == 1 {

@@ -86,7 +86,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 // A Progress attached to the context tracks done/total/dropped across
 // every sweep run under it, including cached cells and dropped trials.
 func TestProgressTracking(t *testing.T) {
-	e := New(Options{Workers: 2, Cache: store.NewMemStore(), Retries: -1})
+	e := New(Options{Workers: 2, Cache: store.NewMemStore()})
 	var pr Progress
 	ctx := WithProgress(context.Background(), &pr)
 

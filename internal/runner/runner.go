@@ -36,9 +36,8 @@ import (
 	"snd/internal/store"
 )
 
-// DefaultRetries is the panic-retry budget applied when Options.Retries is
-// zero: a panicking trial is attempted once more before being dropped as a
-// failed sample.
+// DefaultRetries is the panic-retry budget: a panicking trial is attempted
+// once more before being dropped as a failed sample.
 const DefaultRetries = 1
 
 // MaxCells bounds the cells of one sweep grid. A sweep allocates a slot
@@ -58,9 +57,6 @@ type Options struct {
 	// Workers bounds the pool; 0 means GOMAXPROCS. 1 degrades to a plain
 	// serial loop on the calling goroutine.
 	Workers int
-	// Retries is how many times a panicking trial is re-attempted before it
-	// is recorded as failed. 0 means DefaultRetries; negative means none.
-	Retries int
 	// Cache, when non-nil, memoizes trial samples keyed by a hash of the
 	// canonical-encoded sweep parameters and cell indices. Any blob store
 	// backend (mem://, file://, s3://) serves. The cache is best-effort:
@@ -86,7 +82,6 @@ type Options struct {
 // pool, not the job count, bounds CPU use.
 type Engine struct {
 	workers int
-	retries int
 	cache   store.Blob
 	reg     *obs.Registry
 	metrics *Metrics
@@ -100,18 +95,11 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	r := opts.Retries
-	switch {
-	case r == 0:
-		r = DefaultRetries
-	case r < 0:
-		r = 0
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Engine{workers: w, retries: r, cache: opts.Cache, reg: reg, metrics: newMetrics(reg), backend: opts.Backend}
+	e := &Engine{workers: w, cache: opts.Cache, reg: reg, metrics: newMetrics(reg), backend: opts.Backend}
 	e.metrics.Workers.Set(int64(w))
 	return e
 }
@@ -683,8 +671,8 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 	ts.End()
 }
 
-// attempt runs fn with panic recovery, re-attempting panics up to the
-// engine's retry budget. The final return reports whether the cell was
+// attempt runs fn with panic recovery, re-attempting panics up to
+// DefaultRetries times. The final return reports whether the cell was
 // abandoned to a panic. ts (nil when the trial is unsampled) collects a
 // panic_retry event per re-attempt.
 func (sw *sweep[T]) attempt(fn TrialFunc[T], p, t int, ts *trace.Span) (v T, err error, panicked bool) {
@@ -693,7 +681,7 @@ func (sw *sweep[T]) attempt(fn TrialFunc[T], p, t int, ts *trace.Span) (v T, err
 		if !panicked {
 			return v, err, false
 		}
-		if tries >= sw.engine.retries {
+		if tries >= DefaultRetries {
 			return v, err, true
 		}
 		sw.m.retried.Inc()

@@ -98,7 +98,7 @@ func TestMapCacheHitsSkipExecution(t *testing.T) {
 
 func TestMapPanicRetriesThenDrops(t *testing.T) {
 	t.Parallel()
-	e := New(Options{Workers: 3, Retries: 2})
+	e := New(Options{Workers: 3})
 	var attempts atomic.Int64
 	fn := func(p, tr int) (int, error) {
 		if p == 1 && tr == 2 {
@@ -111,8 +111,8 @@ func TestMapPanicRetriesThenDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("panicking cell attempted %d times, want 3 (1 + 2 retries)", got)
+	if got := attempts.Load(); got != 1+DefaultRetries {
+		t.Fatalf("panicking cell attempted %d times, want %d (1 + DefaultRetries)", got, 1+DefaultRetries)
 	}
 	if out.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", out.Failed)
@@ -124,14 +124,14 @@ func TestMapPanicRetriesThenDrops(t *testing.T) {
 	if !reflect.DeepEqual(out.Points[1], []int{10, 11, 13}) {
 		t.Fatalf("point 1 samples = %v", out.Points[1])
 	}
-	if s := e.Stats(); s.TrialsFailed != 1 || s.TrialsRetried != 2 {
+	if s := e.Stats(); s.TrialsFailed != 1 || s.TrialsRetried != DefaultRetries {
 		t.Fatalf("engine stats %+v", s)
 	}
 }
 
 func TestMapRecoversFromPanicOnRetry(t *testing.T) {
 	t.Parallel()
-	e := New(Options{Workers: 1, Retries: 1})
+	e := New(Options{Workers: 1})
 	var once atomic.Bool
 	fn := func(p, tr int) (int, error) {
 		if p == 0 && tr == 1 && once.CompareAndSwap(false, true) {

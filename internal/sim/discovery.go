@@ -9,7 +9,6 @@ import (
 	"snd/internal/deploy"
 	"snd/internal/nodeid"
 	"snd/internal/radio"
-	"snd/internal/trace"
 	"snd/internal/verify"
 )
 
@@ -91,7 +90,7 @@ func (s *Simulation) runDiscovery(newDevs []*deploy.Device) error {
 		if err := s.broadcast(d.Handle, env); err != nil {
 			return err
 		}
-		s.trace(trace.KindHello, d.Node, nodeid.None)
+		s.trace(KindHello, d.Node, nodeid.None)
 	}
 	if err := s.pump(); err != nil {
 		return err
@@ -130,7 +129,7 @@ func (s *Simulation) sendResult(d *deploy.Device, res *core.DiscoveryResult) err
 		return s.send(d.Handle, to, buf[start:len(buf):len(buf)])
 	}
 	for _, c := range res.Commitments {
-		s.trace(trace.KindValidated, d.Node, c.To)
+		s.trace(KindValidated, d.Node, c.To)
 		if err := send(c.To, core.Envelope{Type: core.MsgCommitment, Commitment: c}); err != nil {
 			return err
 		}
@@ -195,7 +194,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 			from, err := core.HelloSender(payload)
 			if err != nil {
 				s.protocolErrors++
-				s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+				s.trace(KindMalformed, d.Node, msg.FromNode)
 				return nil
 			}
 			return s.handleHello(d, ep, from)
@@ -207,7 +206,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 	env, err := core.DecodeEnvelope(payload)
 	if err != nil {
 		s.protocolErrors++
-		s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+		s.trace(KindMalformed, d.Node, msg.FromNode)
 		return nil
 	}
 	switch env.Type {
@@ -218,7 +217,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 				s.protocolErrors++
 				return nil
 			}
-			s.trace(trace.KindUpdateServed, d.Node, env.Update.Record.Node)
+			s.trace(KindUpdateServed, d.Node, env.Update.Record.Node)
 			reply := core.Envelope{Type: core.MsgUpdateReply, Record: updated}
 			return s.unicast(d.Handle, env.Update.Record.Node, reply)
 		}
@@ -227,7 +226,7 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 			s.protocolErrors++
 			return nil
 		}
-		s.trace(trace.KindUpdateApplied, d.Node, msg.FromNode)
+		s.trace(KindUpdateApplied, d.Node, msg.FromNode)
 		// The refreshed record becomes visible to the fresh nodes heard
 		// this round.
 		for _, target := range s.a.helloHeardAt(d.Handle) {
@@ -238,16 +237,16 @@ func (s *Simulation) handleMessage(d *deploy.Device, msg radio.Message) error {
 	case core.MsgCommitment:
 		if err := ep.ReceiveRelationCommitment(env.Commitment); err != nil {
 			s.protocolErrors++
-			s.trace(trace.KindCommitRejected, d.Node, env.Commitment.From)
+			s.trace(KindCommitRejected, d.Node, env.Commitment.From)
 		} else {
-			s.trace(trace.KindCommitAccepted, d.Node, env.Commitment.From)
+			s.trace(KindCommitAccepted, d.Node, env.Commitment.From)
 		}
 	case core.MsgEvidence:
 		if ep.Phase() == core.PhaseOperational {
 			if err := ep.ReceiveRelationEvidence(env.Evidence); err != nil {
 				s.protocolErrors++
 			} else {
-				s.trace(trace.KindEvidenceBuffered, d.Node, env.Evidence.From)
+				s.trace(KindEvidenceBuffered, d.Node, env.Evidence.From)
 			}
 		}
 	default:
@@ -263,15 +262,15 @@ func (s *Simulation) handleRecord(d *deploy.Device, ep *core.Node, msg radio.Mes
 	from, err := ep.ReceiveRecordFrame(frame)
 	switch {
 	case err == nil:
-		s.trace(trace.KindRecordAccepted, d.Node, from)
+		s.trace(KindRecordAccepted, d.Node, from)
 	case errors.Is(err, core.ErrMalformed):
 		s.protocolErrors++
-		s.trace(trace.KindMalformed, d.Node, msg.FromNode)
+		s.trace(KindMalformed, d.Node, msg.FromNode)
 	case errors.Is(err, core.ErrPhase):
 		// Too late (or early) to matter: not an error.
 	default:
 		s.protocolErrors++
-		s.trace(trace.KindRecordRejected, d.Node, from)
+		s.trace(KindRecordRejected, d.Node, from)
 	}
 }
 
@@ -285,7 +284,6 @@ func (s *Simulation) handleHello(d *deploy.Device, ep *core.Node, from nodeid.ID
 	s.a.addHelloHeard(d.Handle, from)
 
 	if ep.Phase() == core.PhaseOperational &&
-		!s.params.DisableUpdates &&
 		!s.a.updateRequestedAt(d.Handle) &&
 		ep.EvidenceCount() > 0 {
 		if req, err := ep.BuildUpdateRequest(); err == nil {
@@ -333,10 +331,10 @@ func (s *Simulation) unicast(from deploy.Handle, to nodeid.ID, env core.Envelope
 	return s.send(from, to, payload)
 }
 
-// send optionally seals an encoded frame and unicasts it to a logical
-// node. The medium keeps the frame, so callers never write to it again.
+// send seals an encoded frame when the simulation has a key scheme and
+// unicasts it to a logical node. The medium keeps the frame, so callers never write to it again.
 func (s *Simulation) send(from deploy.Handle, to nodeid.ID, payload []byte) error {
-	if s.params.SecureChannels {
+	if s.params.Scheme != nil {
 		sealed, ok := s.sealPayload(from, to, payload)
 		if !ok {
 			s.channelFailures++
@@ -365,10 +363,10 @@ func (s *Simulation) sealPayload(from deploy.Handle, to nodeid.ID, payload []byt
 }
 
 // openPayload reverses sealPayload at the receiver. Broadcasts (hello) are
-// always plaintext; with secure channels enabled, unicasts must open
+// always plaintext; with a key scheme set, unicasts must open
 // correctly or they are dropped.
 func (s *Simulation) openPayload(at deploy.Handle, msg radio.Message) ([]byte, bool) {
-	if !s.params.SecureChannels || msg.To == nodeid.None {
+	if s.params.Scheme == nil || msg.To == nodeid.None {
 		return msg.Payload, true
 	}
 	link, ok := s.linkFor(at, msg.FromNode)

@@ -1,8 +1,4 @@
-// Package trace provides structured protocol-event recording for the
-// simulation engine: every hello, record exchange, validation decision,
-// commitment, update, and rejection can be captured as a typed event for
-// debugging, assertions in tests, and post-hoc analysis of attacked runs.
-package trace
+package sim
 
 import (
 	"fmt"
@@ -97,19 +93,18 @@ func (e Event) String() string {
 	return fmt.Sprintf("#%d r%d %s %v<-%v", e.Seq, e.Round, e.Kind, e.Node, e.Peer)
 }
 
-// Recorder receives protocol events. The simulation engine calls Record
-// from the one goroutine that runs the simulation, so an implementation
-// needs no synchronization of its own unless it is shared between
-// simulations running in parallel.
+// Recorder receives protocol events. The simulation calls Record from the
+// one goroutine that runs it, so an implementation needs no
+// synchronization of its own unless it is shared between simulations
+// running in parallel.
 type Recorder interface {
 	Record(e Event)
 }
 
-// Counts is a Recorder that keeps only per-kind event tallies — the
-// metrics bridge for attacked-run statistics. Unlike Ring it retains no
-// events, so it can stay on for every simulation at negligible cost:
-// Record is one array increment. It is not safe for concurrent use; each
-// simulation owns its own. The zero value is ready to use.
+// Counts keeps per-kind event tallies. Every Simulation owns one and
+// feeds it every event it emits (see Simulation.EventCounts); Record is
+// one array increment. It is not safe for concurrent use. The zero value
+// is ready to use.
 type Counts struct {
 	n     [maxKind + 1]int64
 	other int64 // events with an out-of-range kind
@@ -159,11 +154,10 @@ func (c *Counts) Snapshot() map[Kind]int64 {
 // collect the events of several simulations. The zero value is unusable;
 // call NewRing.
 type Ring struct {
-	mu     sync.Mutex
-	buf    []Event // retained events; once full, buf[start] is the oldest
-	start  int
-	next   uint64
-	counts map[Kind]int
+	mu    sync.Mutex
+	buf   []Event // retained events; once full, buf[start] is the oldest
+	start int
+	next  uint64
 }
 
 var _ Recorder = (*Ring)(nil)
@@ -173,10 +167,7 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{
-		buf:    make([]Event, 0, capacity),
-		counts: make(map[Kind]int),
-	}
+	return &Ring{buf: make([]Event, 0, capacity)}
 }
 
 // Record implements Recorder. A full ring overwrites its oldest event.
@@ -191,7 +182,6 @@ func (r *Ring) Record(e Event) {
 		r.buf[r.start] = e
 		r.start = (r.start + 1) % len(r.buf)
 	}
-	r.counts[e.Kind]++
 }
 
 // Events returns a copy of the retained events, oldest first.
@@ -201,32 +191,6 @@ func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.start:]...)
 	return append(out, r.buf[:r.start]...)
-}
-
-// Count returns how many events of the given kind were recorded over the
-// recorder's lifetime (including evicted ones).
-func (r *Ring) Count(k Kind) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[k]
-}
-
-// Total returns the lifetime event count.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// Filter returns the retained events matching the predicate, oldest first.
-func (r *Ring) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Dump renders the retained events as a multi-line log.

@@ -1,4 +1,4 @@
-package trace
+package sim
 
 import (
 	"strings"
@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestRingRecordsAndCounts(t *testing.T) {
+func TestRingRecords(t *testing.T) {
 	r := NewRing(10)
 	r.Record(Event{Kind: KindHello, Node: 1})
 	r.Record(Event{Kind: KindRecordAccepted, Node: 2, Peer: 1})
@@ -19,11 +19,8 @@ func TestRingRecordsAndCounts(t *testing.T) {
 	if events[0].Seq != 1 || events[2].Seq != 3 {
 		t.Errorf("sequence numbers = %d..%d", events[0].Seq, events[2].Seq)
 	}
-	if r.Count(KindRecordAccepted) != 2 || r.Count(KindHello) != 1 {
-		t.Errorf("counts = %d, %d", r.Count(KindRecordAccepted), r.Count(KindHello))
-	}
-	if r.Total() != 3 {
-		t.Errorf("total = %d", r.Total())
+	if events[1].Kind != KindRecordAccepted || events[1].Node != 2 || events[1].Peer != 1 {
+		t.Errorf("event 2 = %+v", events[1])
 	}
 }
 
@@ -39,10 +36,6 @@ func TestRingEviction(t *testing.T) {
 	if events[0].Seq != 3 || events[2].Seq != 5 {
 		t.Errorf("retained seqs %d..%d, want 3..5", events[0].Seq, events[2].Seq)
 	}
-	// Lifetime count survives eviction.
-	if r.Count(KindHello) != 5 {
-		t.Errorf("lifetime count = %d", r.Count(KindHello))
-	}
 	// Wrapping more than once keeps the newest three, oldest first.
 	for i := 6; i <= 8; i++ {
 		r.Record(Event{Kind: KindHello, Node: 1})
@@ -56,19 +49,12 @@ func TestRingEviction(t *testing.T) {
 			t.Errorf("event %d: seq %d, want %d (retained %v)", i, e.Seq, want, events)
 		}
 	}
-	if r.Total() != 8 || r.Count(KindHello) != 8 {
-		t.Errorf("total = %d, hello = %d, want 8", r.Total(), r.Count(KindHello))
-	}
 }
 
-func TestRingFilterAndDump(t *testing.T) {
+func TestRingDump(t *testing.T) {
 	r := NewRing(10)
 	r.Record(Event{Kind: KindHello, Node: 1})
 	r.Record(Event{Kind: KindCommitRejected, Node: 2, Peer: 9})
-	rejected := r.Filter(func(e Event) bool { return e.Kind == KindCommitRejected })
-	if len(rejected) != 1 || rejected[0].Peer != 9 {
-		t.Errorf("filter = %+v", rejected)
-	}
 	dump := r.Dump()
 	if !strings.Contains(dump, "hello") || !strings.Contains(dump, "commit-rejected") {
 		t.Errorf("dump:\n%s", dump)
@@ -96,7 +82,7 @@ func TestRingZeroCapacityClamped(t *testing.T) {
 }
 
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(128)
+	r := NewRing(1000)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -109,8 +95,14 @@ func TestRingConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Total() != 800 {
-		t.Errorf("total = %d, want 800", r.Total())
+	events := r.Events()
+	if len(events) != 800 {
+		t.Fatalf("retained = %d, want 800", len(events))
+	}
+	for i, e := range events {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d: sequence numbers must be unique and ordered", i, e.Seq)
+		}
 	}
 }
 

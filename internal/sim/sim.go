@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -25,7 +24,6 @@ import (
 	"snd/internal/nodeid"
 	"snd/internal/radio"
 	"snd/internal/topology"
-	"snd/internal/trace"
 	"snd/internal/verify"
 )
 
@@ -53,18 +51,14 @@ type Params struct {
 	Verifier verify.Verifier
 	// LossProb is the radio packet loss probability.
 	LossProb float64
-	// Scheme, when set together with SecureChannels, provides pairwise
-	// keys for sealing unicast protocol messages.
+	// Scheme, when set, provides pairwise keys and turns on authenticated
+	// encryption of every unicast protocol message; nil sends them in the
+	// clear.
 	Scheme crypto.PairwiseScheme
-	// SecureChannels turns on authenticated encryption of unicasts.
-	SecureChannels bool
-	// DisableUpdates turns off update serving even when MaxUpdates > 0,
-	// for ablations.
-	DisableUpdates bool
-	// Recorder, when set, receives a trace.Event for every protocol step
+	// Recorder, when set, receives an Event for every protocol step
 	// (hellos, record decisions, validations, commitments, updates,
 	// rejections).
-	Recorder trace.Recorder
+	Recorder Recorder
 }
 
 func (p *Params) applyDefaults() {
@@ -105,10 +99,10 @@ type Simulation struct {
 	tentative *topology.Graph
 	round     int
 	// events tallies every protocol event by kind, whether or not a
-	// Recorder is configured — the always-on bridge from trace events to
-	// per-run counters, so attacked-run statistics (rejected records,
-	// rejected commitments, malformed frames) are queryable after any run.
-	events trace.Counts
+	// Recorder is configured, so attacked-run statistics (rejected
+	// records, rejected commitments, malformed frames) are queryable after
+	// any run.
+	events Counts
 	// protocolErrors counts rejected records/commitments/evidences —
 	// attacker noise the protocol absorbed.
 	protocolErrors int
@@ -120,9 +114,6 @@ type Simulation struct {
 // New builds a simulation and runs the initial deployment round.
 func New(p Params) (*Simulation, error) {
 	p.applyDefaults()
-	if p.SecureChannels && p.Scheme == nil {
-		return nil, errors.New("sim: SecureChannels requires a pairwise key scheme")
-	}
 	master, err := crypto.NewMasterKey(deterministicReader(p.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("sim: master key: %w", err)
@@ -206,12 +197,12 @@ func (s *Simulation) Close() {
 // EventCounts returns the per-kind tallies of every protocol event this
 // simulation has emitted. Counting is always on — it does not require a
 // Recorder — and exactly mirrors what a configured Recorder receives.
-func (s *Simulation) EventCounts() *trace.Counts { return &s.events }
+func (s *Simulation) EventCounts() *Counts { return &s.events }
 
 // trace tallies a protocol event and forwards it to the configured
 // recorder, if any.
-func (s *Simulation) trace(kind trace.Kind, node, peer nodeid.ID) {
-	e := trace.Event{Kind: kind, Node: node, Peer: peer, Round: s.round}
+func (s *Simulation) trace(kind Kind, node, peer nodeid.ID) {
+	e := Event{Kind: kind, Node: node, Peer: peer, Round: s.round}
 	s.events.Record(e)
 	if s.params.Recorder != nil {
 		s.params.Recorder.Record(e)

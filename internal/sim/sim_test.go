@@ -242,8 +242,7 @@ func TestSecureChannelsEquivalentAccuracy(t *testing.T) {
 	}
 	secured, err := New(Params{
 		Seed: 8, Threshold: 5, Nodes: 120,
-		SecureChannels: true,
-		Scheme:         crypto.NewKDFScheme([]byte("net secret")),
+		Scheme: crypto.NewKDFScheme([]byte("net secret")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +253,6 @@ func TestSecureChannelsEquivalentAccuracy(t *testing.T) {
 	}
 	if secured.ChannelFailures() != 0 {
 		t.Errorf("channel failures with full-coverage scheme: %d", secured.ChannelFailures())
-	}
-}
-
-func TestSecureChannelsRequireScheme(t *testing.T) {
-	if _, err := New(Params{Seed: 1, SecureChannels: true}); err == nil {
-		t.Error("SecureChannels without scheme accepted")
 	}
 }
 
@@ -278,8 +271,7 @@ func TestEGSchemeCoverageGatesDiscovery(t *testing.T) {
 	}
 	s, err := New(Params{
 		Seed: 9, Threshold: 3, Nodes: 150,
-		SecureChannels: true,
-		Scheme:         eg,
+		Scheme: eg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,11 +314,8 @@ func TestOverheadReport(t *testing.T) {
 
 func TestUpdatesImproveAgingNetworkAccuracy(t *testing.T) {
 	t.Parallel()
-	run := func(disable bool) float64 {
-		s, err := New(Params{
-			Seed: 11, Threshold: 6, Nodes: 200, MaxUpdates: 3,
-			DisableUpdates: disable,
-		})
+	run := func(maxUpdates int) float64 {
+		s, err := New(Params{Seed: 11, Threshold: 6, Nodes: 200, MaxUpdates: maxUpdates})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,8 +329,8 @@ func TestUpdatesImproveAgingNetworkAccuracy(t *testing.T) {
 		}
 		return s.Accuracy()
 	}
-	with := run(false)
-	without := run(true)
+	with := run(3)
+	without := run(0)
 	if with < without {
 		t.Errorf("updates made accuracy worse: with=%v without=%v", with, without)
 	}

@@ -4,29 +4,43 @@ import (
 	"testing"
 
 	"snd/internal/geometry"
-	"snd/internal/nodeid"
-	"snd/internal/trace"
 )
+
+// filter returns the ring's retained events matching the predicate.
+func filter(r *Ring, keep func(Event) bool) []Event {
+	var out []Event
+	for _, e := range r.Events() {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// retained counts the ring's retained events of one kind.
+func retained(r *Ring, k Kind) int {
+	return len(filter(r, func(e Event) bool { return e.Kind == k }))
+}
 
 func TestTraceBenignRun(t *testing.T) {
 	t.Parallel()
-	rec := trace.NewRing(100_000)
+	rec := NewRing(100_000)
 	s, err := New(Params{Seed: 71, Threshold: 3, Nodes: 80, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(trace.KindHello) != 80 {
-		t.Errorf("hellos = %d, want 80", rec.Count(trace.KindHello))
+	if retained(rec, KindHello) != 80 {
+		t.Errorf("hellos = %d, want 80", retained(rec, KindHello))
 	}
-	if rec.Count(trace.KindRecordAccepted) == 0 {
+	if retained(rec, KindRecordAccepted) == 0 {
 		t.Error("no records accepted")
 	}
-	if rec.Count(trace.KindRecordRejected) != 0 {
-		t.Errorf("benign run rejected %d records", rec.Count(trace.KindRecordRejected))
+	if retained(rec, KindRecordRejected) != 0 {
+		t.Errorf("benign run rejected %d records", retained(rec, KindRecordRejected))
 	}
 	// Every validation produced a matching accepted commitment.
-	validated := rec.Count(trace.KindValidated)
-	accepted := rec.Count(trace.KindCommitAccepted)
+	validated := retained(rec, KindValidated)
+	accepted := retained(rec, KindCommitAccepted)
 	if validated == 0 || validated != accepted {
 		t.Errorf("validated %d vs commitments accepted %d", validated, accepted)
 	}
@@ -42,7 +56,7 @@ func TestTraceBenignRun(t *testing.T) {
 
 func TestTraceAttackedRunShowsRejections(t *testing.T) {
 	t.Parallel()
-	rec := trace.NewRing(100_000)
+	rec := NewRing(100_000)
 	s, err := New(Params{Seed: 72, Threshold: 3, Nodes: 100, Range: 25, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -58,17 +72,17 @@ func TestTraceAttackedRunShowsRejections(t *testing.T) {
 	if err := s.ForgeFlood(rep.Handle, 60); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(trace.KindMalformed) == 0 {
+	if retained(rec, KindMalformed) == 0 {
 		t.Error("forged garbage left no malformed events")
 	}
 	// The flood targets operational nodes, whose commitment rejections
 	// show up as commit-rejected events.
-	if rec.Count(trace.KindCommitRejected) == 0 {
+	if retained(rec, KindCommitRejected) == 0 {
 		t.Error("bogus commitments left no rejection events")
 	}
 	// The rejection events name the compromised identity as peer.
-	hits := rec.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.KindCommitRejected && e.Peer == victim
+	hits := filter(rec, func(e Event) bool {
+		return e.Kind == KindCommitRejected && e.Peer == victim
 	})
 	if len(hits) == 0 {
 		t.Error("no rejection attributed to the compromised identity")
@@ -77,7 +91,7 @@ func TestTraceAttackedRunShowsRejections(t *testing.T) {
 
 func TestTraceUpdateEvents(t *testing.T) {
 	t.Parallel()
-	rec := trace.NewRing(200_000)
+	rec := NewRing(200_000)
 	s, err := New(Params{Seed: 73, Threshold: 4, Nodes: 200, MaxUpdates: 2, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +104,11 @@ func TestTraceUpdateEvents(t *testing.T) {
 	if err := s.DeployRound(40); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(trace.KindEvidenceBuffered) == 0 {
+	if retained(rec, KindEvidenceBuffered) == 0 {
 		t.Error("no evidence buffered")
 	}
-	served := rec.Count(trace.KindUpdateServed)
-	applied := rec.Count(trace.KindUpdateApplied)
+	served := retained(rec, KindUpdateServed)
+	applied := retained(rec, KindUpdateApplied)
 	if served == 0 {
 		t.Error("no updates served across redeployment waves")
 	}
@@ -102,20 +116,18 @@ func TestTraceUpdateEvents(t *testing.T) {
 		t.Errorf("applied %d > served %d", applied, served)
 	}
 	// Round numbers are recorded.
-	late := rec.Filter(func(e trace.Event) bool { return e.Round >= 1 })
+	late := filter(rec, func(e Event) bool { return e.Round >= 1 })
 	if len(late) == 0 {
 		t.Error("no events attributed to later rounds")
 	}
-	_ = nodeid.None
 }
 
-// The always-on EventCounts bridge must agree exactly, kind by kind, with
-// what a configured Recorder observes on a seeded attacked run — the
-// counters are the metrics view of the same event stream, so any drift
-// means lost or double-counted events.
+// The always-on EventCounts tally must agree exactly, kind by kind, with
+// what a configured Recorder observes on a seeded attacked run — both see
+// the same event stream, so any drift means lost or double-counted events.
 func TestEventCountsMatchRecorder(t *testing.T) {
 	t.Parallel()
-	rec := trace.NewRing(1_000_000) // large enough to retain everything
+	rec := NewRing(1_000_000) // large enough to retain everything
 	s, err := New(Params{Seed: 74, Threshold: 3, Nodes: 120, Range: 25, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -139,18 +151,22 @@ func TestEventCountsMatchRecorder(t *testing.T) {
 	if counts.Total() == 0 {
 		t.Fatal("attacked run produced no events")
 	}
-	if got, want := counts.Total(), int64(rec.Total()); got != want {
+	events := rec.Events()
+	if last := events[len(events)-1].Seq; last != uint64(len(events)) {
+		t.Fatalf("ring evicted events: retained %d of %d", len(events), last)
+	}
+	if got, want := counts.Total(), int64(len(events)); got != want {
 		t.Fatalf("EventCounts total %d != recorder total %d", got, want)
 	}
-	for _, k := range trace.Kinds() {
-		if got, want := counts.Count(k), int64(rec.Count(k)); got != want {
+	for _, k := range Kinds() {
+		if got, want := counts.Count(k), int64(retained(rec, k)); got != want {
 			t.Errorf("kind %v: EventCounts %d != recorder %d", k, got, want)
 		}
 	}
 	// The attacked run must surface nonzero rejection statistics through
 	// the counters alone.
-	if counts.Count(trace.KindMalformed) == 0 {
-		t.Error("bridge shows no malformed frames on an attacked run")
+	if counts.Count(KindMalformed) == 0 {
+		t.Error("EventCounts shows no malformed frames on an attacked run")
 	}
 }
 
@@ -161,7 +177,7 @@ func TestEventCountsWithoutRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.EventCounts().Count(trace.KindHello); got != 60 {
+	if got := s.EventCounts().Count(KindHello); got != 60 {
 		t.Errorf("hellos = %d, want 60 without a recorder", got)
 	}
 }

@@ -53,18 +53,27 @@ family() {
 	done
 }
 
-# The micro family (Broadcast, TruthGraph) takes 5 samples of 100 fixed
-# iterations each; benchsnap aggregates to the fastest sample. The runner
-# family keeps one iteration per sample (each is a full multi-second
-# sweep). The million-node TruthGraph bench runs once, as a
+# benchsnap aggregates every benchmark to the minimum ns/op, B/op and
+# allocs/op over its samples. The host's speed drifts by a quarter from
+# one second to the next, so every gated sample lasts at least ~0.5 s
+# (a 60 ms sample's minimum over 5 samples still swung 1.37x between two
+# builds of the same code); iteration counts are fixed, so both binaries
+# amortize the same pool warm-ups into allocs/op. Broadcast (5-10 µs)
+# runs 100000 iterations; TruthGraph 1000 at n=200 and 100 above; the
+# runner family one per sample (each is a full multi-second sweep). The
+# million-node TruthGraph bench takes 3 one-iteration samples, as a
 # did-it-stay-in-seconds smoke. E1Scale runs one full n=10⁵ experiment
-# trial per sample; ProtocolTrial runs one message-level protocol trial
-# per sample at n=2000, at n=10⁴ and on the dense Figure 3 field.
-family 5 'Broadcast$|TruthGraph$' 100x
+# trial per sample; ProtocolTrial runs message-level protocol trials: one
+# at n=10⁴, 5 at n=2000 and 10 on the dense Figure 3 field per sample.
+family 5 'Broadcast$' 100000x
+family 5 'TruthGraph$/n=200$' 1000x
+family 5 'TruthGraph$/n=(2000|10000)$' 100x
 family 5 'Runner' 1x
-family 1 'TruthGraphMillion' 1x
+family 3 'TruthGraphMillion' 1x
 family 3 'E1Scale' 1x
-family 3 'ProtocolTrial' 1x
+family 3 'ProtocolTrial$/n=10000$' 1x
+family 3 'ProtocolTrial$/n=2000$' 5x
+family 3 'ProtocolTrial$/dense$' 10x
 
 cd "$root"
 go run ./cmd/benchsnap -sha "$base_rev" -o "$out/bench-base.json" "$out/bench-base.txt"

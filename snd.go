@@ -48,7 +48,6 @@ import (
 	"snd/internal/replica"
 	"snd/internal/sim"
 	"snd/internal/topology"
-	"snd/internal/trace"
 	"snd/internal/verify"
 )
 
@@ -205,16 +204,16 @@ var (
 // Protocol tracing.
 type (
 	// TraceEvent is one recorded protocol step.
-	TraceEvent = trace.Event
+	TraceEvent = sim.Event
 	// TraceKind classifies protocol events.
-	TraceKind = trace.Kind
+	TraceKind = sim.Kind
 	// TraceRing is a bounded in-memory event recorder; pass it as
 	// SimParams.Recorder to observe a run.
-	TraceRing = trace.Ring
+	TraceRing = sim.Ring
 )
 
 // NewTraceRing builds an event recorder retaining up to capacity events.
-var NewTraceRing = trace.NewRing
+var NewTraceRing = sim.NewRing
 
 // DetectSplitNeighborhoods is the base station's topology-only replica
 // detector (the Section 4 centralized alternative).
