@@ -314,7 +314,7 @@ func BenchmarkRunnerSharding(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng := runner.New(runner.Options{Workers: workers})
 			for i := 0; i < b.N; i++ {
-				_, err := runner.Map(eng, runner.Spec{
+				_, err := runner.MapCtx(context.Background(), eng, runner.Spec{
 					Experiment: "bench-sharding", Params: i, Points: 1, Trials: 8,
 				}, func(_, trial int) (int, error) {
 					time.Sleep(5 * time.Millisecond)

@@ -178,10 +178,10 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	// Prove the cancellation drained rather than leaked: the engine's
 	// in-flight trial count and the server's job gauge both hit zero.
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && eng.InFlight() != 0 {
+	for time.Now().Before(deadline) && eng.Metrics().InFlight.Value() != 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := eng.InFlight(); n != 0 {
+	if n := eng.Metrics().InFlight.Value(); n != 0 {
 		t.Errorf("engine still has %d trials in flight after cancel", n)
 	}
 	s.mu.Lock()

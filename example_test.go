@@ -66,13 +66,15 @@ func ExampleAnalyticalModel() {
 }
 
 // ExampleCommonNeighborRule shows the topology-only rule that Theorems 1–2
-// prove attackable.
+// prove attackable, on the tentative topology of four nodes that all hear
+// each other.
 func ExampleCommonNeighborRule() {
-	b := snd.NewGraphBuilder()
-	for _, pair := range [][2]snd.NodeID{{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}} {
-		b.AddMutual(pair[0], pair[1])
+	s, err := snd.NewSimulation(snd.SimParams{Field: snd.NewField(10, 10), Nodes: 4, Threshold: 1, Seed: 1})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
 	}
-	g := b.Finalize()
+	g := s.Tentative()
 	rule := snd.CommonNeighborRule{Threshold: 1}
 	fmt.Println("1 validates 2:", rule.Validate(1, 2, g))
 	fmt.Println("minimum deployment:", rule.MinimumDeploymentSize())

@@ -28,16 +28,13 @@ import (
 type Attacker struct {
 	rng      *rand.Rand
 	captured map[nodeid.ID]*core.Node
-	// stolenKeys holds master keys captured live (grace violations only).
-	stolenKeys map[nodeid.ID]bool
 }
 
 // New returns an attacker with a deterministic decision source.
 func New(seed int64) *Attacker {
 	return &Attacker{
-		rng:        rand.New(rand.NewSource(seed)),
-		captured:   make(map[nodeid.ID]*core.Node),
-		stolenKeys: make(map[nodeid.ID]bool),
+		rng:      rand.New(rand.NewSource(seed)),
+		captured: make(map[nodeid.ID]*core.Node),
 	}
 }
 
@@ -48,17 +45,13 @@ func New(seed int64) *Attacker {
 func (a *Attacker) Capture(n *core.Node) (gotMasterKey bool) {
 	clone := n.Clone()
 	a.captured[clone.ID()] = clone
-	if clone.HoldsMasterKey() {
-		a.stolenKeys[clone.ID()] = true
-		return true
-	}
-	return false
+	return clone.HoldsMasterKey()
 }
 
 // MarkCompromised records the compromise of a node by identity alone, for
 // graph-level attack modeling (e.g. the Theorem 2 substitution, which only
 // needs the right to forge relations regarding the node). No protocol
-// state is captured, so ReplicaState and CapturedRecord still fail for it.
+// state is captured, so ReplicaState still fails for it.
 func (a *Attacker) MarkCompromised(id nodeid.ID) {
 	if _, ok := a.captured[id]; !ok {
 		a.captured[id] = nil
@@ -80,9 +73,6 @@ func (a *Attacker) Has(id nodeid.ID) bool {
 	return ok
 }
 
-// HasMasterKey reports whether any capture yielded a live master key.
-func (a *Attacker) HasMasterKey() bool { return len(a.stolenKeys) > 0 }
-
 // ReplicaState returns a fresh copy of the captured state for planting a
 // replica device of node id. Each replica runs its own copy, as each
 // physical clone carries its own flash image.
@@ -92,15 +82,6 @@ func (a *Attacker) ReplicaState(id nodeid.ID) (*core.Node, error) {
 		return nil, fmt.Errorf("adversary: no state captured for node %v", id)
 	}
 	return n.Clone(), nil
-}
-
-// CapturedRecord returns the binding record extracted from node id.
-func (a *Attacker) CapturedRecord(id nodeid.ID) (core.BindingRecord, error) {
-	n, ok := a.captured[id]
-	if !ok || n == nil {
-		return core.BindingRecord{}, fmt.Errorf("adversary: no state captured for node %v", id)
-	}
-	return n.Record(), nil
 }
 
 // ForgeSubstitution mounts the Theorem 2 attack against a topology-only

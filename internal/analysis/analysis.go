@@ -148,7 +148,3 @@ func SafetyRadius(r float64, updates int) float64 {
 	}
 	return float64(updates+1) * r
 }
-
-// DensityPerThousand converts the paper's Figure 4 x-axis unit (nodes per
-// 1,000 square meters) into a Model density (nodes per square meter).
-func DensityPerThousand(nodesPer1000 float64) float64 { return nodesPer1000 / 1000 }

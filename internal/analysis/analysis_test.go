@@ -137,7 +137,7 @@ func TestDensityIncreasesAccuracy(t *testing.T) {
 	const tt = 30
 	prev := -1.0
 	for _, per1000 := range []float64{10, 20, 30, 40, 50} {
-		m := Model{Density: DensityPerThousand(per1000), Range: 50}
+		m := Model{Density: per1000 / 1000, Range: 50}
 		acc := m.Accuracy(tt)
 		if acc < prev-1e-9 {
 			t.Fatalf("accuracy decreased with density at %v/1000 m²", per1000)

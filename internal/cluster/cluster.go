@@ -32,18 +32,6 @@ func (a Assignment) Heads() []nodeid.ID {
 	return slices.Compact(heads)
 }
 
-// Members returns the nodes assigned to head h, ascending.
-func (a Assignment) Members(h nodeid.ID) []nodeid.ID {
-	var members []nodeid.ID
-	for n, head := range a {
-		if head == h {
-			members = append(members, n)
-		}
-	}
-	slices.Sort(members)
-	return members
-}
-
 // LowestID elects, for every node, the smallest ID in its closed
 // out-neighborhood — the classic 1-hop heuristic of the paper's
 // introduction.

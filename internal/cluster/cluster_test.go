@@ -43,8 +43,14 @@ func TestLowestID(t *testing.T) {
 	if len(heads) != 2 || heads[0] != 3 || heads[1] != 9 {
 		t.Errorf("heads = %v", heads)
 	}
-	if got := a.Members(3); len(got) != 3 {
-		t.Errorf("members of 3 = %v", got)
+	members := 0
+	for _, h := range a {
+		if h == 3 {
+			members++
+		}
+	}
+	if members != 3 {
+		t.Errorf("head 3 has %d members, want 3", members)
 	}
 }
 

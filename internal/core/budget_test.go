@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"snd/internal/nodeid"
@@ -149,10 +150,10 @@ func TestBeginDiscoveryCopiesTentative(t *testing.T) {
 	}
 	built[0], viaNewSet[0], direct[0] = 9, 9, 9
 
-	if got := nodes[1].Record().Neighbors; !got.Equal(nodeid.Set{2, 3, 4}) {
+	if got := nodes[1].Record().Neighbors; !slices.Equal(got, nodeid.Set{2, 3, 4}) {
 		t.Errorf("node 1 record follows its input: %v", got)
 	}
-	if got := nodes[2].Record().Neighbors; !got.Equal(nodeid.Set{1, 3, 4}) {
+	if got := nodes[2].Record().Neighbors; !slices.Equal(got, nodeid.Set{1, 3, 4}) {
 		t.Errorf("node 2 record follows its input: %v", got)
 	}
 	if err := nodes[3].BeginDiscovery(nodeid.Set{1, 2}); err != nil {
@@ -177,13 +178,13 @@ func TestServeUpdateLeavesRequestUntouched(t *testing.T) {
 	roomy := make(nodeid.Set, len(req.Record.Neighbors), len(req.Record.Neighbors)+8)
 	copy(roomy, req.Record.Neighbors)
 	req.Record.Neighbors = roomy
-	before := nodeid.EncodeList(roomy[:cap(roomy)])
+	before := nodeid.AppendList(nil, roomy[:cap(roomy)])
 
 	updated, err := f.fresh.ServeUpdateRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := nodeid.EncodeList(roomy[:cap(roomy)]); !bytes.Equal(after, before) {
+	if after := nodeid.AppendList(nil, roomy[:cap(roomy)]); !bytes.Equal(after, before) {
 		t.Errorf("request array changed:\n%x\n%x", before, after)
 	}
 	if len(updated.Neighbors) <= len(roomy) || &updated.Neighbors[0] == &roomy[0] {

@@ -132,7 +132,10 @@ var recordFixtureCfg = Config{Threshold: 2, MaxUpdates: 2}
 
 func newRecordFixture(t testing.TB) *recordFixture {
 	t.Helper()
-	master := crypto.MasterKeyFromBytes(bytes.Repeat([]byte{0x5a}, crypto.DigestSize))
+	master, err := crypto.NewMasterKey(bytes.NewReader(bytes.Repeat([]byte{0x5a}, crypto.DigestSize)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	node := func(tentative nodeid.Set) *Node {
 		n, err := NewNode(1, master, recordFixtureCfg)
 		if err != nil {
@@ -203,7 +206,7 @@ func oracleReceive(master *crypto.MasterKey, u *Node, frame []byte) (nodeid.ID, 
 	if !own.Contains(r.Node) {
 		return r.Node, pendingRecord{}, ErrNotTentative
 	}
-	if int(r.Version) > u.Config().MaxUpdates {
+	if int(r.Version) > u.cfg.MaxUpdates {
 		return r.Node, pendingRecord{}, ErrBadRecord
 	}
 	if want, _ := master.BindingCommitment(r.Node, r.Version, r.Neighbors); !want.Equal(r.Commitment) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -39,7 +40,7 @@ func TestEnvelopeRecordTypesRoundTrip(t *testing.T) {
 		if got.Record.Node != 5 || got.Record.Version != 2 {
 			t.Errorf("type %d: record header %+v", typ, got.Record)
 		}
-		if !got.Record.Neighbors.Equal(nodeid.NewSet(1, 2, 3)) {
+		if !slices.Equal(got.Record.Neighbors, nodeid.NewSet(1, 2, 3)) {
 			t.Errorf("type %d: neighbors %v", typ, got.Record.Neighbors)
 		}
 	}
@@ -76,7 +77,7 @@ func TestEnvelopeUpdateRequestRoundTrip(t *testing.T) {
 	if got.Update.Evidences[1] != req.Evidences[1] {
 		t.Errorf("evidence[1] = %+v", got.Update.Evidences[1])
 	}
-	if !got.Update.Record.Neighbors.Equal(req.Record.Neighbors) {
+	if !slices.Equal(got.Update.Record.Neighbors, req.Record.Neighbors) {
 		t.Error("record neighbors mismatch")
 	}
 	// Empty evidence list also round-trips.

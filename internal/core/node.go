@@ -140,9 +140,6 @@ func NewNode(id nodeid.ID, master *crypto.MasterKey, cfg Config) (*Node, error) 
 // ID returns the node's identity.
 func (n *Node) ID() nodeid.ID { return n.id }
 
-// Config returns the protocol parameters.
-func (n *Node) Config() Config { return n.cfg }
-
 // Phase returns the node's current protocol phase.
 func (n *Node) Phase() Phase { return n.phase }
 

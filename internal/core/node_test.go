@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -98,7 +99,7 @@ func TestCliqueDiscoveryValidatesEveryone(t *testing.T) {
 	runClique(t, nodes, ids)
 	for _, id := range ids {
 		want := nodeid.NewSet(ids...).Diff(nodeid.Set{id})
-		if got := nodes[id].Functional(); !got.Equal(want) {
+		if got := nodes[id].Functional(); !slices.Equal(got, want) {
 			t.Errorf("node %v functional = %v, want %v", id, got, want)
 		}
 		if nodes[id].HoldsMasterKey() {
@@ -454,7 +455,7 @@ func TestRecordFrameStorageParity(t *testing.T) {
 	if !reflect.DeepEqual(res, resRef) {
 		t.Errorf("FinishDiscovery: frame path %+v, record path %+v", res, resRef)
 	}
-	if got := u.Functional(); !got.Equal(nodeid.Set{2, 4, 7}) || !got.Equal(ref.Functional()) {
+	if got := u.Functional(); !slices.Equal(got, nodeid.Set{2, 4, 7}) || !slices.Equal(got, ref.Functional()) {
 		t.Errorf("functional: frame path %v, record path %v, want [2 4 7]", got, ref.Functional())
 	}
 	if len(res.Evidences) != 4 {
@@ -491,7 +492,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if clone.ID() != orig.ID() || clone.Phase() != orig.Phase() {
 		t.Error("clone header mismatch")
 	}
-	if !clone.Record().Neighbors.Equal(orig.Record().Neighbors) {
+	if !slices.Equal(clone.Record().Neighbors, orig.Record().Neighbors) {
 		t.Error("clone record mismatch")
 	}
 	// Commitment delivery to the clone must not affect the original.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,7 +62,7 @@ func TestPropertyValidationRule(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !u.Functional().Equal(wantFunctional) {
+		if !slices.Equal(u.Functional(), wantFunctional) {
 			return false
 		}
 		// One commitment per functional neighbor, one evidence per
@@ -216,7 +217,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 		case MsgHello:
 			return got.Record.Node == e.Record.Node &&
 				got.Record.Version == e.Record.Version &&
-				got.Record.Neighbors.Equal(e.Record.Neighbors) &&
+				slices.Equal(got.Record.Neighbors, e.Record.Neighbors) &&
 				got.Record.Commitment.Equal(e.Record.Commitment)
 		case MsgCommitment:
 			return got.Commitment == e.Commitment
@@ -231,7 +232,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 					return false
 				}
 			}
-			return got.Update.Record.Neighbors.Equal(e.Update.Record.Neighbors)
+			return slices.Equal(got.Update.Record.Neighbors, e.Update.Record.Neighbors)
 		}
 		return false
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestBindingRecordEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Node != r.Node || got.Version != r.Version {
 		t.Errorf("header mismatch: %+v", got)
 	}
-	if !got.Neighbors.Equal(r.Neighbors) {
+	if !slices.Equal(got.Neighbors, r.Neighbors) {
 		t.Errorf("neighbors = %v", got.Neighbors)
 	}
 	if !got.Commitment.Equal(r.Commitment) {
@@ -49,7 +50,7 @@ func TestBindingRecordRoundTripProperty(t *testing.T) {
 		}
 		got, err := DecodeBindingRecord(r.Encode())
 		return err == nil && got.Node == r.Node && got.Version == r.Version &&
-			got.Neighbors.Equal(r.Neighbors) && got.Commitment.Equal(r.Commitment)
+			slices.Equal(got.Neighbors, r.Neighbors) && got.Commitment.Equal(r.Commitment)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -95,7 +96,7 @@ func TestDecodedRecordIndependentOfFrame(t *testing.T) {
 	for i := range frame {
 		frame[i] = 0xff
 	}
-	if !r.Neighbors.Equal(nodeid.Set{2, 3}) {
+	if !slices.Equal(r.Neighbors, nodeid.Set{2, 3}) {
 		t.Errorf("neighbors follow the frame: %v", r.Neighbors)
 	}
 }

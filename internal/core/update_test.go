@@ -186,6 +186,38 @@ func TestServeUpdateRejectsInconsistentVersions(t *testing.T) {
 	}
 }
 
+// TestServeUpdateRejectsReplayedEvidence replays a genuine E(u,v) issued
+// for record version 0 in an update request for version 1. The digest
+// verifies (it binds version 0, and says so), so only the check that an
+// evidence names the request's record version refuses it: the paper binds
+// E(u,v) to version i, and evidence spent on one update must not justify
+// the next.
+func TestServeUpdateRejectsReplayedEvidence(t *testing.T) {
+	f := newUpdateFixture(t)
+	req, err := f.old.BuildUpdateRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	updated, err := f.fresh.ServeUpdateRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.old.ApplyUpdate(updated); err != nil {
+		t.Fatal(err)
+	}
+	stale := req.Evidences[0]
+	if stale.Version != 0 {
+		t.Fatalf("fixture evidence has version %d, want 0", stale.Version)
+	}
+	replay := UpdateRequest{Record: f.old.Record(), Evidences: []RelationEvidence{stale}}
+	if replay.Record.Version != 1 {
+		t.Fatalf("record version after update = %d, want 1", replay.Record.Version)
+	}
+	if _, err := f.fresh.ServeUpdateRequest(replay); !errors.Is(err, ErrBadEvidence) {
+		t.Errorf("err = %v, want ErrBadEvidence", err)
+	}
+}
+
 func TestServeUpdateEnforcesLimit(t *testing.T) {
 	f := newUpdateFixture(t)
 	req, err := f.old.BuildUpdateRequest()

@@ -41,8 +41,6 @@ const (
 //
 // Link is not safe for concurrent use; each node owns its endpoints.
 type Link struct {
-	local   nodeid.ID
-	peer    nodeid.ID
 	sendEnc []byte
 	sendMac []byte
 	recvEnc []byte
@@ -67,8 +65,6 @@ func NewLink(shared []byte, local, peer nodeid.ID) (*Link, error) {
 		return d[:]
 	}
 	return &Link{
-		local:   local,
-		peer:    peer,
 		sendEnc: dir(local, peer, "enc"),
 		sendMac: dir(local, peer, "mac"),
 		recvEnc: dir(peer, local, "enc"),
@@ -115,9 +111,6 @@ func (l *Link) Open(msg []byte) ([]byte, error) {
 	l.started = true
 	return plaintext, nil
 }
-
-// Peer returns the remote endpoint's ID.
-func (l *Link) Peer() nodeid.ID { return l.peer }
 
 // xorStream applies AES-256-CTR keyed by key with an IV derived from the
 // sequence number, writing dst = src XOR keystream.

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"snd/internal/nodeid"
 )
 
 func newLinkPair(t *testing.T) (*Link, *Link) {
@@ -156,10 +154,18 @@ func TestNewLinkValidation(t *testing.T) {
 	}
 }
 
+// TestLinkPeer checks that the endpoints' identities are bound into the
+// directional subkeys: under the same shared key, a frame from 1 to 2 does
+// not open on node 3's link from 1.
 func TestLinkPeer(t *testing.T) {
 	a, _ := newLinkPair(t)
-	if a.Peer() != nodeid.ID(2) {
-		t.Errorf("Peer = %v", a.Peer())
+	sealed, _ := a.Seal([]byte("for n2 only"))
+	other, err := NewLink([]byte("pairwise key between n1 and n2"), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Open(sealed); err == nil {
+		t.Error("frame for peer 2 opened on a link between 3 and 1")
 	}
 }
 

@@ -24,13 +24,6 @@ type Digest [DigestSize]byte
 // String renders a short hex prefix of the digest for logs.
 func (d Digest) String() string { return hex.EncodeToString(d[:6]) }
 
-// IsZero reports whether the digest is all zero (the reserved "no digest"
-// value, also what an erased key region reads as).
-func (d Digest) IsZero() bool {
-	var zero Digest
-	return d == zero
-}
-
 // Equal compares two digests in constant time, as required for commitment
 // verification.
 func (d Digest) Equal(e Digest) bool {

@@ -49,16 +49,6 @@ func TestTaggedDomainsDisjoint(t *testing.T) {
 	}
 }
 
-func TestDigestIsZero(t *testing.T) {
-	var zero Digest
-	if !zero.IsZero() {
-		t.Error("zero digest not IsZero")
-	}
-	if Hash([]byte("x")).IsZero() {
-		t.Error("real digest reported zero")
-	}
-}
-
 func TestDigestStringShort(t *testing.T) {
 	d := Hash([]byte("x"))
 	if len(d.String()) != 12 {

@@ -61,18 +61,6 @@ func (s *EGScheme) Provision(u nodeid.ID) {
 	s.rings[u] = owned
 }
 
-// Ring returns the pool indices held by u, or nil if u was never
-// provisioned. The returned slice is a copy.
-func (s *EGScheme) Ring(u nodeid.ID) []int {
-	ring, ok := s.rings[u]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(ring))
-	copy(out, ring)
-	return out
-}
-
 // Name implements PairwiseScheme.
 func (s *EGScheme) Name() string {
 	return fmt.Sprintf("eg(P=%d,k=%d)", s.poolSize, s.ringSize)

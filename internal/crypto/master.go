@@ -51,14 +51,6 @@ func NewMasterKey(rng io.Reader) (*MasterKey, error) {
 	return &MasterKey{key: key}, nil
 }
 
-// MasterKeyFromBytes builds a master key from existing material (used by
-// tests and by the attacker model when it captures K before erasure).
-func MasterKeyFromBytes(b []byte) *MasterKey {
-	key := make([]byte, len(b))
-	copy(key, b)
-	return &MasterKey{key: key}
-}
-
 // Clone returns an independent copy of the key, modeling the pre-deployment
 // loading of K onto another node. Cloning an erased key yields an erased
 // key: erasure is irreversible per the paper's assumption that deleted
@@ -104,8 +96,8 @@ func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nod
 	if k.erased {
 		return Digest{}, ErrErased
 	}
-	// The list part is exactly EncodeList(neighbors), streamed through buf
-	// a chunk at a time instead of materialized.
+	// The list part is exactly AppendList(nil, neighbors), streamed through
+	// buf a chunk at a time instead of materialized.
 	h := sha256.New()
 	var buf [256]byte
 	b := k.appendBindingHead(buf[:0], version, 4*len(neighbors))
@@ -124,10 +116,10 @@ func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nod
 }
 
 // BindingCommitmentEncoded is BindingCommitment over a list already in its
-// canonical encoding, EncodeList(N(u)) — the form a record carries on the
-// wire — so a receiver hashes the received bytes in one Write. It does not
-// check that list is canonical; a list that is not hashes to a digest no
-// Set commits to.
+// canonical encoding, AppendList(nil, N(u)) — the form a record carries on
+// the wire — so a receiver hashes the received bytes in one Write. It does
+// not check that list is canonical; a list that is not hashes to a digest
+// no Set commits to.
 func (k *MasterKey) BindingCommitmentEncoded(u nodeid.ID, version uint32, list []byte) (Digest, error) {
 	if k.erased {
 		return Digest{}, ErrErased
@@ -145,8 +137,8 @@ func (k *MasterKey) BindingCommitmentEncoded(u nodeid.ID, version uint32, list [
 // appendBindingHead appends to b the framing of C(u) that precedes the list
 // bytes: the tag, K, the version i, and the list part's length prefix. Both
 // commitment forms hash this head, then the listLen bytes of
-// EncodeList(N(u)), then u framed, so the digest is Hash(tag, K, i,
-// EncodeList(N(u)), u) in one place.
+// AppendList(nil, N(u)), then u framed, so the digest is Hash(tag, K, i,
+// AppendList(nil, N(u)), u) in one place.
 func (k *MasterKey) appendBindingHead(b []byte, version uint32, listLen int) []byte {
 	b = appendFramed(b, tagBindingCommitment)
 	b = appendFramed(b, k.key)
@@ -168,9 +160,6 @@ func (k *MasterKey) RelationEvidence(u, v nodeid.ID, version uint32) (Digest, er
 // hold K) can compute it for an arbitrary v; node v itself retains its own
 // K_v forever to verify incoming relation commitments.
 type VerificationKey Digest
-
-// IsZero reports whether the key is unset.
-func (vk VerificationKey) IsZero() bool { return Digest(vk).IsZero() }
 
 // RelationCommitment computes C(u,v) = H(K_v‖u), where vk is K_v and from
 // is u. Producing this value proves the producer is (or was) a newly

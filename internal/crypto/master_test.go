@@ -88,7 +88,7 @@ func TestEraseBlocksEverything(t *testing.T) {
 	if _, err := k.BindingCommitment(1, 0, nodeid.NewSet(2)); !errors.Is(err, ErrErased) {
 		t.Errorf("BindingCommitment err = %v, want ErrErased", err)
 	}
-	if _, err := k.BindingCommitmentEncoded(1, 0, nodeid.EncodeList(nodeid.NewSet(2))); !errors.Is(err, ErrErased) {
+	if _, err := k.BindingCommitmentEncoded(1, 0, nodeid.AppendList(nil, nodeid.NewSet(2))); !errors.Is(err, ErrErased) {
 		t.Errorf("BindingCommitmentEncoded err = %v, want ErrErased", err)
 	}
 	if _, err := k.RelationEvidence(1, 2, 0); !errors.Is(err, ErrErased) {
@@ -145,18 +145,6 @@ func TestRelationCommitmentVerification(t *testing.T) {
 	}
 }
 
-func TestMasterKeyFromBytesCopies(t *testing.T) {
-	raw := []byte("seed material for the master key")
-	k := MasterKeyFromBytes(raw)
-	raw[0] ^= 0xff
-	k2 := MasterKeyFromBytes([]byte("seed material for the master key"))
-	a, _ := k.VerificationKey(1)
-	b, _ := k2.VerificationKey(1)
-	if a != b {
-		t.Error("MasterKeyFromBytes aliased caller's buffer")
-	}
-}
-
 func BenchmarkBindingCommitment(b *testing.B) {
 	k, err := NewMasterKey(nil)
 	if err != nil {
@@ -193,7 +181,7 @@ func TestBindingCommitmentAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { _, _ = k.BindingCommitment(42, 1, ns) }); got > 1 {
 		t.Errorf("BindingCommitment: %v allocs, budget 1", got)
 	}
-	list := nodeid.EncodeList(ns)
+	list := nodeid.AppendList(nil, ns)
 	if got := testing.AllocsPerRun(100, func() { _, _ = k.BindingCommitmentEncoded(42, 1, list) }); got != 0 {
 		t.Errorf("BindingCommitmentEncoded: %v allocs, want 0", got)
 	}

@@ -151,8 +151,8 @@ func TestEGSchemeUnprovisionedNode(t *testing.T) {
 	if s.SupportsPair(1, 99) {
 		t.Error("unprovisioned node supported")
 	}
-	if s.Ring(99) != nil {
-		t.Error("Ring of unprovisioned node not nil")
+	if s.rings[99] != nil {
+		t.Error("ring of unprovisioned node not nil")
 	}
 }
 
@@ -162,9 +162,9 @@ func TestEGProvisionIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Provision(1)
-	r1 := s.Ring(1)
+	r1 := s.rings[1]
 	s.Provision(1)
-	r2 := s.Ring(1)
+	r2 := s.rings[1]
 	if len(r1) != len(r2) {
 		t.Fatal("ring length changed on re-provision")
 	}

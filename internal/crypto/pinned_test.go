@@ -15,7 +15,7 @@ func pinnedKey() *MasterKey {
 	for i := range raw {
 		raw[i] = byte(i*7 + 1)
 	}
-	return MasterKeyFromBytes(raw)
+	return &MasterKey{key: raw}
 }
 
 // pinnedList returns n distinct IDs, built in descending order so the
@@ -75,7 +75,7 @@ func TestCommitmentDigestsPinned(t *testing.T) {
 			t.Errorf("BindingCommitment(42, v%d, %d IDs) = %s, want %s", b.version, b.n, got, b.want)
 		}
 		// The wire-list form hashes the same framing to the same pin.
-		c, err = k.BindingCommitmentEncoded(42, b.version, nodeid.EncodeList(pinnedList(b.n)))
+		c, err = k.BindingCommitmentEncoded(42, b.version, nodeid.AppendList(nil, pinnedList(b.n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestCommitmentDigestsPinned(t *testing.T) {
 }
 
 // TestBindingCommitmentMatchesFraming checks, on random lists, that both
-// forms of BindingCommitment are exactly Hash(tag, K, i, EncodeList(N(u)), u).
+// forms of BindingCommitment are exactly Hash(tag, K, i, AppendList(nil, N(u)), u).
 func TestBindingCommitmentMatchesFraming(t *testing.T) {
 	k := pinnedKey()
 	rng := rand.New(rand.NewSource(11))
@@ -102,11 +102,11 @@ func TestBindingCommitmentMatchesFraming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Hash([]byte(tagBindingCommitment), k.key, uint32Bytes(version), nodeid.EncodeList(ns), u.Bytes())
+		want := Hash([]byte(tagBindingCommitment), k.key, uint32Bytes(version), nodeid.AppendList(nil, ns), u.Bytes())
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: BindingCommitment = %x, framed hash = %x", trial, got, want)
 		}
-		enc, err := k.BindingCommitmentEncoded(u, version, nodeid.EncodeList(ns))
+		enc, err := k.BindingCommitmentEncoded(u, version, nodeid.AppendList(nil, ns))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,20 +65,6 @@ func (s *PolyPoolScheme) Provision(u nodeid.ID) {
 	s.rings[u] = owned
 }
 
-// Ring returns the pool indices of u's shares (copy), or nil.
-func (s *PolyPoolScheme) Ring(u nodeid.ID) []int {
-	ring, ok := s.rings[u]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(ring))
-	copy(out, ring)
-	return out
-}
-
-// Degree returns the per-polynomial collusion resistance λ.
-func (s *PolyPoolScheme) Degree() int { return s.degree }
-
 // Name implements PairwiseScheme.
 func (s *PolyPoolScheme) Name() string {
 	return fmt.Sprintf("polypool(P=%d,k=%d,λ=%d)", s.poolSize, s.ringSize, s.degree)
@@ -129,11 +115,4 @@ func (s *PolyPoolScheme) KeyFor(a, b nodeid.ID) ([]byte, error) {
 // SupportsPair implements PairwiseScheme.
 func (s *PolyPoolScheme) SupportsPair(a, b nodeid.ID) bool {
 	return a != b && s.sharedIndex(a, b) >= 0
-}
-
-// ConnectivityEstimate returns the analytical probability two provisioned
-// nodes share at least one polynomial — identical combinatorics to EG.
-func (s *PolyPoolScheme) ConnectivityEstimate() float64 {
-	eg := EGScheme{poolSize: s.poolSize, ringSize: s.ringSize}
-	return eg.ConnectivityEstimate()
 }

@@ -22,11 +22,9 @@ import (
 )
 
 // Handle uniquely identifies a physical device within a layout. Distinct
-// replicas of the same logical node have distinct handles.
+// replicas of the same logical node have distinct handles. Handles are
+// assigned from 1, so the zero Handle names no device.
 type Handle int
-
-// NoHandle is the zero, never-assigned handle.
-const NoHandle Handle = 0
 
 // Device is one physical radio in the field.
 type Device struct {
@@ -70,8 +68,8 @@ type Layout struct {
 	nextH    Handle
 	nextID   nodeid.ID
 	// idx is the uniform-grid spatial index behind the range queries; nil
-	// until EnsureGrid builds it (see grid.go), after which Deploy, Kill,
-	// and Move maintain it incrementally.
+	// until EnsureGrid builds it (see grid.go), after which Deploy and Kill
+	// maintain it incrementally.
 	idx *gridIndex
 }
 
@@ -79,9 +77,6 @@ type Layout struct {
 func NewLayout(field geometry.Rect) *Layout {
 	return &Layout{field: field}
 }
-
-// Field returns the deployment field.
-func (l *Layout) Field() geometry.Rect { return l.field }
 
 // Deploy places a brand-new node (fresh logical ID) at pos in the given
 // round and returns its device.
@@ -169,29 +164,12 @@ func (l *Layout) ForEachDevice(fn func(*Device)) {
 	}
 }
 
-// DevicesOf returns every device claiming logical node id, originals first.
-func (l *Layout) DevicesOf(id nodeid.ID) []*Device {
-	var out []*Device
-	l.ForEachDeviceOf(id, func(d *Device) { out = append(out, d) })
-	return out
-}
-
 // Primary returns the original (non-replica) device of node id, or nil.
 func (l *Layout) Primary(id nodeid.ID) *Device {
 	if id < 1 || int(id) > len(l.primary) {
 		return nil
 	}
 	return l.devices[l.primary[id-1]-1]
-}
-
-// NodeIDs returns every logical node ID ever deployed, ascending. IDs are
-// assigned sequentially from 1, so this is simply the range [1, nextID].
-func (l *Layout) NodeIDs() []nodeid.ID {
-	ids := make([]nodeid.ID, len(l.primary))
-	for i := range ids {
-		ids[i] = nodeid.ID(i + 1)
-	}
-	return ids
 }
 
 // Kill marks the device dead (battery depletion or removal) and drops it

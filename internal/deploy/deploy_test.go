@@ -3,6 +3,7 @@ package deploy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snd/internal/geometry"
@@ -23,7 +24,7 @@ func TestDeployAssignsFreshIdentities(t *testing.T) {
 	if a.Handle == b.Handle {
 		t.Error("two deployments share a handle")
 	}
-	if a.Node == nodeid.None || a.Handle == NoHandle {
+	if a.Node == nodeid.None || a.Handle == 0 {
 		t.Error("reserved identifiers assigned")
 	}
 	if !a.Alive || a.Replica {
@@ -50,9 +51,10 @@ func TestDeployReplica(t *testing.T) {
 	if !rep.Replica {
 		t.Error("replica not flagged")
 	}
-	devs := l.DevicesOf(orig.Node)
+	var devs []*Device
+	l.ForEachDeviceOf(orig.Node, func(d *Device) { devs = append(devs, d) })
 	if len(devs) != 2 {
-		t.Fatalf("DevicesOf = %d devices", len(devs))
+		t.Fatalf("ForEachDeviceOf visited %d devices", len(devs))
 	}
 	if devs[0].Replica || !devs[1].Replica {
 		t.Error("originals-first ordering violated")
@@ -166,7 +168,7 @@ func TestTruthGraph(t *testing.T) {
 	}
 	// Dead devices drop out.
 	l.Kill(b.Handle)
-	if g3 := l.TruthGraph(50); g3.HasNode(b.Node) {
+	if g3 := l.TruthGraph(50); slices.Contains(g3.Nodes(), b.Node) {
 		t.Error("dead node in truth graph")
 	}
 }
@@ -191,15 +193,17 @@ func TestClosestToCenter(t *testing.T) {
 	}
 }
 
+// TestNodeIDsSorted checks that Deploy hands out logical IDs 1, 2, 3, …
+// in deployment order, the numbering Primary indexes by.
 func TestNodeIDsSorted(t *testing.T) {
 	l := newTestLayout()
 	for i := 0; i < 5; i++ {
-		l.Deploy(geometry.Point{X: float64(i), Y: 0}, 0)
-	}
-	ids := l.NodeIDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("NodeIDs not ascending: %v", ids)
+		d := l.Deploy(geometry.Point{X: float64(i), Y: 0}, 0)
+		if want := nodeid.ID(i + 1); d.Node != want {
+			t.Fatalf("deployment %d got ID %v, want %v", i, d.Node, want)
+		}
+		if p := l.Primary(d.Node); p != d {
+			t.Fatalf("Primary(%v) = %v, want the deployed device", d.Node, p)
 		}
 	}
 }
@@ -212,7 +216,7 @@ func TestUniformSamplerInField(t *testing.T) {
 		t.Fatalf("n = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !field.Contains(p) {
+		if field.Clamp(p) != p {
 			t.Fatalf("point %v outside field", p)
 		}
 	}
@@ -237,7 +241,7 @@ func TestGridJitterSampler(t *testing.T) {
 		t.Fatalf("n = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !field.Contains(p) {
+		if field.Clamp(p) != p {
 			t.Fatalf("point %v outside field", p)
 		}
 	}
@@ -269,7 +273,7 @@ func TestClusteredSampler(t *testing.T) {
 		t.Fatalf("n = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !field.Contains(p) {
+		if field.Clamp(p) != p {
 			t.Fatalf("point %v outside field", p)
 		}
 	}

@@ -43,8 +43,8 @@ import (
 type gridCell struct{ x, y int32 }
 
 // gridIndex is the uniform grid. It holds only alive devices: insert adds,
-// Kill removes, Move rebuckets. Dead devices never match a query, so
-// keeping them out of the cells makes long-lived layouts with churn cheap.
+// Kill removes. Dead devices never match a query, so keeping them out of
+// the cells makes long-lived layouts with churn cheap.
 type gridIndex struct {
 	cell  float64
 	cells map[gridCell][]*Device
@@ -82,8 +82,8 @@ func (g *gridIndex) remove(d *Device) {
 // no-op, whatever the cell size — queries are correct under any cell size,
 // so the first builder (typically radio.NewMedium, with the radio range)
 // wins and later callers share it. Non-positive or non-finite cell sizes
-// are ignored. Deploy, Kill, and Move maintain the index incrementally
-// from then on.
+// are ignored. Deploy and Kill maintain the index incrementally from then
+// on.
 func (l *Layout) EnsureGrid(cell float64) {
 	if l.idx != nil || !(cell > 0) || math.IsInf(cell, 0) {
 		return
@@ -180,17 +180,10 @@ func (l *Layout) ForEachInRange(h Handle, r float64, fn func(*Device)) {
 	l.forEachAlive(self.Pos, r, h, fn)
 }
 
-// ForEachAliveIn invokes fn for every alive device inside the circle
-// (inclusive boundary, same unit-disk rule as Point.InRange), in
-// deployment order. fn must not mutate the layout.
-func (l *Layout) ForEachAliveIn(c geometry.Circle, fn func(*Device)) {
-	l.forEachAlive(c.Center, c.Radius, NoHandle, fn)
-}
-
-// ForEachDeviceOf invokes fn for every device claiming logical node id, in
-// deployment order — the iterator form of DevicesOf for hot paths (e.g.
-// the georouting reach predicate) that only probe, and would otherwise
-// allocate and sort a fresh slice per call. fn must not mutate the layout.
+// ForEachDeviceOf invokes fn for every device claiming logical node id,
+// originals first, in deployment order. It materializes no slice, so hot
+// paths (e.g. the georouting reach predicate) that only probe allocate
+// nothing. fn must not mutate the layout.
 func (l *Layout) ForEachDeviceOf(id nodeid.ID, fn func(*Device)) {
 	if id >= 1 && int(id) <= len(l.primary) {
 		fn(l.devices[l.primary[id-1]-1])
@@ -198,23 +191,4 @@ func (l *Layout) ForEachDeviceOf(id nodeid.ID, fn func(*Device)) {
 	for _, h := range l.replicas[id] {
 		fn(l.devices[h-1])
 	}
-}
-
-// Move updates device h's current position — the attacker physically
-// relocating hardware — keeping the spatial index consistent. The
-// device's Origin is unchanged, exactly as the d-safety analysis requires.
-// Once a layout carries an index, positions must change through Move, not
-// by writing Device.Pos directly.
-func (l *Layout) Move(h Handle, pos geometry.Point) {
-	d := l.Device(h)
-	if d == nil {
-		return
-	}
-	if l.idx != nil && d.Alive {
-		l.idx.remove(d)
-		d.Pos = pos
-		l.idx.add(d)
-		return
-	}
-	d.Pos = pos
 }

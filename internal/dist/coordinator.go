@@ -184,9 +184,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	return c
 }
 
-// LeaseTTL reports the configured lease duration.
-func (c *Coordinator) LeaseTTL() time.Duration { return c.ttl }
-
 func (c *Coordinator) refreshGauges() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -199,8 +199,8 @@ func physicalReach(l *deploy.Layout, r float64) func(a, b nodeid.ID) bool {
 		if pa == nil || !pa.Alive {
 			return false
 		}
-		// Iterator form: this predicate runs once per routing hop, and
-		// DevicesOf would allocate and sort a fresh slice each time.
+		// Iterator form: this predicate runs once per routing hop, so it
+		// must not allocate a slice of devices each time.
 		reached := false
 		l.ForEachDeviceOf(b, func(d *deploy.Device) {
 			if d.Alive && pa.Pos.InRange(d.Pos, r) {

@@ -23,9 +23,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
 
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{X: p.X * k, Y: p.Y * k} }
 
@@ -40,9 +37,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // InRange reports whether q lies within radio range r of p. Range is
 // inclusive, matching the unit-disk model used by the paper ("two sensor
@@ -76,11 +70,6 @@ func (r Rect) Area() float64 { return r.Width() * r.Height() }
 // the node closest to the field center to avoid border effects.
 func (r Rect) Center() Point {
 	return Point{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
-// Contains reports whether p lies inside the rectangle (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
 // Clamp returns the point in the rectangle closest to p.
@@ -122,24 +111,13 @@ func (c Circle) Contains(p Point) bool {
 	return c.Center.Dist2(p) <= (c.Radius+eps)*(c.Radius+eps)
 }
 
-// LensArea returns the area of the intersection of two circles of equal
-// radius r whose centers are d apart. This is the geometric heart of the
-// paper's estimate of the expected number of common neighbors of two nodes:
-// with deployment density D, N = D * LensArea(d, r) counts nodes in radio
-// range of both endpoints.
-func LensArea(d, r float64) float64 {
-	if r <= 0 || d >= 2*r {
-		return 0
-	}
-	if d <= 0 {
-		return math.Pi * r * r
-	}
-	half := d / (2 * r)
-	return 2*r*r*math.Acos(half) - (d/2)*math.Sqrt(4*r*r-d*d)
-}
-
-// LensAreaNormalized returns LensArea(c*R, R)/R², i.e. the paper's
-// 2·arccos(c/2) − c·sqrt(1 − (c/2)²) with c = d/R ∈ [0, 2].
+// LensAreaNormalized returns the area of the intersection of two circles
+// of radius R whose centers are c·R apart, divided by R²: the paper's
+// 2·arccos(c/2) − c·sqrt(1 − (c/2)²) with c = d/R ∈ [0, 2]. This is the
+// geometric heart of the paper's estimate of the expected number of common
+// neighbors of two nodes: with deployment density D,
+// D·R²·LensAreaNormalized(d/R) counts nodes in radio range of both
+// endpoints.
 func LensAreaNormalized(c float64) float64 {
 	if c <= 0 {
 		return math.Pi

@@ -210,51 +210,3 @@ func (r *Router) recoveryNext(cur nodeid.ID, dstPos geometry.Point, visited map[
 	}
 	return chosen
 }
-
-// Stats aggregates many routing attempts.
-type Stats struct {
-	Attempts      int
-	Delivered     int
-	PhantomLosses int
-	Stuck         int
-	MeanHops      float64
-	PerimeterUse  float64
-}
-
-// DeliveryRate returns the fraction of delivered packets.
-func (s Stats) DeliveryRate() float64 {
-	if s.Attempts == 0 {
-		return 0
-	}
-	return float64(s.Delivered) / float64(s.Attempts)
-}
-
-// Evaluate routes between every given (src, dst) pair and aggregates.
-func (r *Router) Evaluate(pairs []nodeid.Pair) (Stats, error) {
-	var (
-		s        Stats
-		hopTotal int
-		periTot  int
-	)
-	for _, p := range pairs {
-		res, err := r.Route(p.From, p.To)
-		if err != nil {
-			return s, err
-		}
-		s.Attempts++
-		if res.Delivered {
-			s.Delivered++
-			hopTotal += res.Hops
-			periTot += res.PerimeterHops
-		} else if res.LostAtPhantom {
-			s.PhantomLosses++
-		} else {
-			s.Stuck++
-		}
-	}
-	if s.Delivered > 0 {
-		s.MeanHops = float64(hopTotal) / float64(s.Delivered)
-		s.PerimeterUse = float64(periTot) / float64(hopTotal+1)
-	}
-	return s, nil
-}

@@ -163,31 +163,31 @@ func TestEvaluateOverRandomDeployment(t *testing.T) {
 	}
 	r := New(pos, g, nil)
 
-	var pairs []nodeid.Pair
+	const attempts = 100
+	var delivered, hops, phantomLosses int
 	ids := g.Nodes()
-	for i := 0; i < 100; i++ {
-		pairs = append(pairs, nodeid.Pair{
-			From: ids[rng.Intn(len(ids))],
-			To:   ids[rng.Intn(len(ids))],
-		})
-	}
-	stats, err := r.Evaluate(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Attempts != 100 {
-		t.Fatalf("attempts = %d", stats.Attempts)
+	for i := 0; i < attempts; i++ {
+		res, err := r.Route(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered {
+			delivered++
+			hops += res.Hops
+		} else if res.LostAtPhantom {
+			phantomLosses++
+		}
 	}
 	// A 250-node/200 m²/R=40 deployment is essentially connected: GPSR
 	// should deliver the large majority.
-	if stats.DeliveryRate() < 0.8 {
-		t.Errorf("delivery rate %v too low for a dense connected network", stats.DeliveryRate())
+	if rate := float64(delivered) / attempts; rate < 0.8 {
+		t.Errorf("delivery rate %v too low for a dense connected network", rate)
 	}
-	if stats.MeanHops <= 1 {
-		t.Errorf("mean hops %v implausible", stats.MeanHops)
+	if meanHops := float64(hops) / float64(delivered); meanHops <= 1 {
+		t.Errorf("mean hops %v implausible", meanHops)
 	}
-	if stats.PhantomLosses != 0 {
-		t.Errorf("phantom losses %d over truthful tables", stats.PhantomLosses)
+	if phantomLosses != 0 {
+		t.Errorf("phantom losses %d over truthful tables", phantomLosses)
 	}
 }
 

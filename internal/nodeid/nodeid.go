@@ -121,25 +121,6 @@ func (s Set) Union(t Set) Set {
 	return append(u, t[j:]...)
 }
 
-// Intersect returns a new set containing the IDs present in both s and t.
-func (s Set) Intersect(t Set) Set {
-	u := make(Set, 0, min(len(s), len(t)))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			u = append(u, s[i])
-			i++
-			j++
-		}
-	}
-	return u
-}
-
 // IntersectLen returns |s ∩ t| by sorted merge, without allocating. This
 // is the hot operation of the paper's validation rule |N(u) ∩ N(v)| ≥ t+1.
 func (s Set) IntersectLen(t Set) int {
@@ -174,14 +155,6 @@ func (s Set) Diff(t Set) Set {
 	return u
 }
 
-// Equal reports whether s and t contain exactly the same IDs.
-func (s Set) Equal(t Set) bool { return slices.Equal(s, t) }
-
-// EncodeList returns the canonical byte encoding of a neighbor list: the
-// 4-byte encodings of the IDs in ascending order. Two equal sets always
-// encode identically, which makes the binding commitment well defined.
-func EncodeList(s Set) []byte { return AppendList(make([]byte, 0, 4*len(s)), s) }
-
 // AppendList appends the canonical encoding of s to b, the form record
 // encoders use to write a list straight into their frame.
 func AppendList(b []byte, s Set) []byte {
@@ -200,7 +173,7 @@ func ValidList(b []byte) bool {
 	return ok
 }
 
-// DecodeList parses the canonical encoding produced by EncodeList into a
+// DecodeList parses the canonical encoding produced by AppendList into a
 // Set of its own. It returns false unless ValidList(b): an unsorted or
 // repeated list is not canonical, and accepting one would let a single set
 // arrive as many byte strings.

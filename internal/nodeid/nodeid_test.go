@@ -3,6 +3,7 @@ package nodeid
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -83,7 +84,7 @@ func TestNewSetCopiesInput(t *testing.T) {
 	ids := []ID{2, 1}
 	s := NewSet(ids...)
 	ids[0], ids[1] = 7, 8
-	if !s.Equal(Set{1, 2}) {
+	if !slices.Equal(s, Set{1, 2}) {
 		t.Errorf("set changed with its input slice: %v", s)
 	}
 }
@@ -92,19 +93,16 @@ func TestSetAlgebra(t *testing.T) {
 	a := NewSet(1, 2, 3, 4)
 	b := NewSet(3, 4, 5)
 
-	if got := a.Intersect(b); !got.Equal(NewSet(3, 4)) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Union(b); !got.Equal(NewSet(1, 2, 3, 4, 5)) {
+	if got := a.Union(b); !slices.Equal(got, NewSet(1, 2, 3, 4, 5)) {
 		t.Errorf("Union = %v", got)
 	}
-	if got := a.Diff(b); !got.Equal(NewSet(1, 2)) {
+	if got := a.Diff(b); !slices.Equal(got, NewSet(1, 2)) {
 		t.Errorf("Diff = %v", got)
 	}
 	if got := a.IntersectLen(b); got != 2 {
 		t.Errorf("IntersectLen = %d, want 2", got)
 	}
-	if !a.Equal(NewSet(1, 2, 3, 4)) || !b.Equal(NewSet(3, 4, 5)) {
+	if !slices.Equal(a, NewSet(1, 2, 3, 4)) || !slices.Equal(b, NewSet(3, 4, 5)) {
 		t.Errorf("operands changed: %v, %v", a, b)
 	}
 }
@@ -121,8 +119,14 @@ func TestIntersectLenMatchesIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		a, b := randomSet(rng, 30), randomSet(rng, 30)
-		if got, want := a.IntersectLen(b), a.Intersect(b).Len(); got != want {
-			t.Fatalf("IntersectLen = %d, Intersect().Len() = %d", got, want)
+		want := 0
+		for _, id := range a {
+			if b.Contains(id) {
+				want++
+			}
+		}
+		if got := a.IntersectLen(b); got != want {
+			t.Fatalf("IntersectLen = %d, members of a in b = %d", got, want)
 		}
 	}
 }
@@ -140,7 +144,7 @@ func TestSetEqual(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Equal(tt.b); got != tt.want {
+			if got := slices.Equal(tt.a, tt.b); got != tt.want {
 				t.Errorf("Equal = %v, want %v", got, tt.want)
 			}
 		})
@@ -164,7 +168,7 @@ func TestEncodeListCanonical(t *testing.T) {
 	// Two sets built in different insertion orders must encode identically.
 	a := NewSet(3, 1, 2)
 	b := NewSet(2, 3, 1)
-	ea, eb := EncodeList(a), EncodeList(b)
+	ea, eb := AppendList(nil, a), AppendList(nil, b)
 	if string(ea) != string(eb) {
 		t.Errorf("encodings differ: %x vs %x", ea, eb)
 	}
@@ -177,8 +181,8 @@ func TestEncodeDecodeListRoundTrip(t *testing.T) {
 			ids[i] = ID(v)
 		}
 		s := NewSet(ids...)
-		dec, ok := DecodeList(EncodeList(s))
-		return ok && dec.Equal(s)
+		dec, ok := DecodeList(AppendList(nil, s))
+		return ok && slices.Equal(dec, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -204,7 +208,7 @@ func TestDecodeListRejectsNonCanonical(t *testing.T) {
 			t.Errorf("DecodeList accepted non-canonical %v", ids)
 		}
 	}
-	if s, ok := DecodeList(list(1, 5, 9)); !ok || !s.Equal(NewSet(1, 5, 9)) {
+	if s, ok := DecodeList(list(1, 5, 9)); !ok || !slices.Equal(s, NewSet(1, 5, 9)) {
 		t.Errorf("DecodeList rejected ascending list: %v, %v", s, ok)
 	}
 }
@@ -214,7 +218,7 @@ func TestDecodeListRejectsNonCanonical(t *testing.T) {
 // ascending Set that re-encodes to exactly the input bytes.
 func FuzzDecodeList(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeList(NewSet(1, 2, 300)))
+	f.Add(AppendList(nil, NewSet(1, 2, 300)))
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1})
 	f.Add([]byte{0, 0, 0, 7, 0, 0, 0, 7})
 	f.Add([]byte{0, 0, 1})
@@ -227,7 +231,7 @@ func FuzzDecodeList(f *testing.F) {
 			return
 		}
 		assertAscending(t, "DecodeList", s)
-		if got := EncodeList(s); !bytes.Equal(got, data) {
+		if got := AppendList(nil, s); !bytes.Equal(got, data) {
 			t.Fatalf("decoded %x re-encodes as %x", data, got)
 		}
 	})
@@ -265,11 +269,11 @@ func TestIsomorphismApply(t *testing.T) {
 	if got := m.Apply(99); got != 99 {
 		t.Errorf("Apply(99) = %v, want identity on unmapped IDs", got)
 	}
-	if got := m.ApplySet(NewSet(1, 2, 3)); !got.Equal(NewSet(10, 20, 3)) {
+	if got := m.ApplySet(NewSet(1, 2, 3)); !slices.Equal(got, NewSet(10, 20, 3)) {
 		t.Errorf("ApplySet = %v", got)
 	}
 	// A renaming onto an ID the set already holds collapses the two.
-	if got := m.ApplySet(NewSet(1, 10)); !got.Equal(NewSet(10)) {
+	if got := m.ApplySet(NewSet(1, 10)); !slices.Equal(got, NewSet(10)) {
 		t.Errorf("ApplySet onto a held ID = %v", got)
 	}
 }

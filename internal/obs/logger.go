@@ -47,14 +47,6 @@ func JobAttrs(id, experiment string) slog.Attr {
 	return slog.Group("job", slog.String("id", id), slog.String("experiment", experiment))
 }
 
-// TrialAttrs groups the identifying attributes of one sweep cell.
-func TrialAttrs(experiment string, point, trial int) slog.Attr {
-	return slog.Group("trial",
-		slog.String("experiment", experiment),
-		slog.Int("point", point),
-		slog.Int("trial", trial))
-}
-
 // DurationQuantiles renders a latency histogram's headline summary:
 // "n=120 p50=1.2ms p95=4ms p99=9ms". The histogram must hold seconds.
 func DurationQuantiles(h *Histogram) string {

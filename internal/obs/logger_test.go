@@ -33,9 +33,9 @@ func TestNewLoggerTextAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Info("http request", TrialAttrs("fig4", 2, 7))
-	if !strings.Contains(b.String(), "trial.experiment=fig4") || !strings.Contains(b.String(), "trial.point=2") {
-		t.Errorf("text log missing trial attrs: %s", b.String())
+	log.Info("http request", JobAttrs("j1", "fig4"))
+	if !strings.Contains(b.String(), "job.experiment=fig4") || !strings.Contains(b.String(), "job.id=j1") {
+		t.Errorf("text log missing job attrs: %s", b.String())
 	}
 	if _, err := NewLogger(&b, "yaml"); err == nil {
 		t.Error("unknown format accepted")

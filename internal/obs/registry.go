@@ -11,7 +11,7 @@
 // that is always a programming error, and silently forking the family would
 // corrupt the exposition.
 //
-// Metric updates (Counter.Add, Gauge.Set, Histogram.Observe) never take a
+// Metric updates (Counter.Inc, Gauge.Set, Histogram.Observe) never take a
 // lock: they are single atomic operations, safe to call from every worker
 // of a hot sweep. Vec lookups (With) take a read lock on the family's
 // children map; resolve children once outside a loop when the label value
@@ -324,14 +324,6 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta; negative deltas panic (counters only go up).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("obs: negative counter delta")
-	}
-	c.v.Add(delta)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -511,17 +503,6 @@ type GaugeVec struct{ f *family }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.childFor(values).g }
-
-// Sum totals every child.
-func (v *GaugeVec) Sum() int64 {
-	var total int64
-	v.f.mu.RLock()
-	defer v.f.mu.RUnlock()
-	for _, c := range v.f.children {
-		total += c.g.Value()
-	}
-	return total
-}
 
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }

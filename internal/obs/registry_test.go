@@ -9,10 +9,15 @@ import (
 
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("snd_things_total", "Things counted.").Add(3)
+	c := r.Counter("snd_things_total", "Things counted.")
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
 	r.Gauge("snd_level", "Current level.").Set(-2)
 	v := r.CounterVec("snd_events_total", "Events by kind.", "kind")
-	v.With("hello").Add(5)
+	for i := 0; i < 5; i++ {
+		v.With("hello").Inc()
+	}
 	v.With("reject").Inc()
 	h := r.HistogramVec("snd_op_seconds", "Op latency.", []float64{0.1, 1}, "op")
 	h.With("run").Observe(0.05)

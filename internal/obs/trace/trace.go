@@ -120,9 +120,6 @@ type SpanData struct {
 	Error    string    `json:"error,omitempty"`
 }
 
-// Duration is the span's wall-clock extent.
-func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
-
 // Attr returns the value of the named attribute, or "".
 func (d SpanData) Attr(key string) string {
 	for _, a := range d.Attrs {
@@ -417,16 +414,6 @@ func (t *Tracer) FindByAttr(key, value string, limit int) []TraceSummary {
 	return out
 }
 
-// Len reports how many completed spans the flight recorder holds.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
-
 // Span is one in-flight operation. All methods are safe on a nil receiver
 // (no-ops returning zero values), so instrumented code never guards on
 // whether tracing is configured. All methods are safe for concurrent use;
@@ -461,14 +448,6 @@ func (s *Span) TraceID() string {
 		return ""
 	}
 	return s.traceID.String()
-}
-
-// SpanID returns the span's own ID (zero for nil).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.spanID
 }
 
 // Traceparent renders the W3C propagation header for this span ("" for

@@ -51,7 +51,7 @@ func TestQueueFIFOAcrossReset(t *testing.T) {
 	next, want := byte(0), byte(0)
 	send := func(n int) {
 		for ; n > 0; n-- {
-			if _, err := trx[0].Send([]byte{next}); err != nil {
+			if _, err := m.Broadcast(devs[0].Handle, []byte{next}); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -98,7 +98,7 @@ func TestOverflowCountsPendingFrames(t *testing.T) {
 	trx := attachAll(t, m, devs)
 	broadcast := func(n int) {
 		for ; n > 0; n-- {
-			if _, err := trx[0].Send([]byte("x")); err != nil {
+			if _, err := m.Broadcast(devs[0].Handle, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,7 +131,7 @@ func TestReadyOnDemand(t *testing.T) {
 	}
 	send := func(b byte) {
 		t.Helper()
-		if _, err := trx[0].Send([]byte{b}); err != nil {
+		if _, err := m.Broadcast(devs[0].Handle, []byte{b}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -156,10 +156,10 @@ func (m *Medium) growTo(h deploy.Handle) {
 // Range returns the configured radio range.
 func (m *Medium) Range() float64 { return m.cfg.Range }
 
-// Transceiver is one device's interface to the medium.
+// Transceiver is one device's receive side of the medium: frames reaching
+// the device queue here until its owner drains them. Devices transmit
+// through Medium.Broadcast and Medium.Unicast.
 type Transceiver struct {
-	medium *Medium
-	handle deploy.Handle
 	// queue[head:] are the pending frames.
 	queue []Message
 	head  int
@@ -174,7 +174,7 @@ func (m *Medium) Attach(h deploy.Handle) (*Transceiver, error) {
 	if m.layout.Device(h) == nil {
 		return nil, fmt.Errorf("radio: attach %d: unknown device", h)
 	}
-	t := &Transceiver{medium: m, handle: h}
+	t := &Transceiver{}
 	m.growTo(h)
 	m.trx[h-1] = t
 	return t, nil
@@ -184,11 +184,6 @@ func (m *Medium) Attach(h deploy.Handle) (*Transceiver, error) {
 // the circle gets through.
 func (m *Medium) Jam(c geometry.Circle) {
 	m.jams = append(m.jams, c)
-}
-
-// ClearJamming removes all jamming regions.
-func (m *Medium) ClearJamming() {
-	m.jams = nil
 }
 
 // Broadcast transmits payload from device h to every alive attached device
@@ -333,9 +328,6 @@ func (m *Medium) EnergyUsedBy(h deploy.Handle) float64 {
 	return m.energy[h-1]
 }
 
-// Handle returns the device this transceiver belongs to.
-func (t *Transceiver) Handle() deploy.Handle { return t.handle }
-
 // Ready returns a channel that yields a token after frames are queued,
 // for a consumer goroutine that waits for traffic and then, as the
 // medium's owner, drains it with TryRecv. A token may outlive the frames
@@ -364,16 +356,4 @@ func (t *Transceiver) TryRecv() (Message, bool) {
 		t.queue, t.head = t.queue[:0], 0
 	}
 	return msg, true
-}
-
-// Send broadcasts from this transceiver's device. The medium keeps
-// payload; the caller must not write to it afterwards.
-func (t *Transceiver) Send(payload []byte) (int, error) {
-	return t.medium.Broadcast(t.handle, payload)
-}
-
-// SendTo unicasts from this transceiver's device to the logical node id.
-// The medium keeps payload; the caller must not write to it afterwards.
-func (t *Transceiver) SendTo(to nodeid.ID, payload []byte) (int, error) {
-	return t.medium.Unicast(t.handle, to, payload)
 }

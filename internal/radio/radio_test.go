@@ -168,7 +168,7 @@ func TestPacketLoss(t *testing.T) {
 func TestJamming(t *testing.T) {
 	l, devs := lineLayout(t)
 	m := NewMedium(l, Config{Range: 50})
-	trx := attachAll(t, m, devs)
+	attachAll(t, m, devs)
 
 	// Jam around the receiver at x=30.
 	m.Jam(geometry.Circle{Center: geometry.Point{X: 30, Y: 10}, Radius: 5})
@@ -178,18 +178,14 @@ func TestJamming(t *testing.T) {
 	if m.Counters().LostJammed == 0 {
 		t.Error("jam loss not counted")
 	}
+
 	// Jammed sender cannot transmit at all.
-	m.ClearJamming()
+	m = NewMedium(l, Config{Range: 50})
+	attachAll(t, m, devs)
 	m.Jam(geometry.Circle{Center: geometry.Point{X: 0, Y: 10}, Radius: 5})
 	if n, _ := m.Broadcast(devs[0].Handle, []byte("x")); n != 0 {
 		t.Errorf("jammed sender delivered: %d", n)
 	}
-	// Clearing restores connectivity.
-	m.ClearJamming()
-	if n, _ := m.Broadcast(devs[0].Handle, []byte("x")); n != 1 {
-		t.Errorf("after clear delivered = %d", n)
-	}
-	_ = trx
 }
 
 func TestInboxOverflow(t *testing.T) {
@@ -286,7 +282,7 @@ func TestDrainAndCounters(t *testing.T) {
 	m := NewMedium(l, Config{Range: 50})
 	trx := attachAll(t, m, devs)
 	for i := 0; i < 3; i++ {
-		if _, err := trx[0].Send([]byte{byte(i)}); err != nil {
+		if _, err := m.Broadcast(devs[0].Handle, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,21 +300,6 @@ func TestDrainAndCounters(t *testing.T) {
 	}
 	if got := m.BytesSentBy(devs[0].Handle); got != 3 {
 		t.Errorf("BytesSentBy = %d", got)
-	}
-}
-
-func TestSendToViaTransceiver(t *testing.T) {
-	l, devs := lineLayout(t)
-	m := NewMedium(l, Config{Range: 100})
-	trx := attachAll(t, m, devs)
-	if _, err := trx[0].SendTo(devs[1].Node, []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	if msg, ok := trx[1].TryRecv(); !ok || msg.To != devs[1].Node {
-		t.Errorf("SendTo delivery = %+v ok=%v", msg, ok)
-	}
-	if trx[0].Handle() != devs[0].Handle {
-		t.Errorf("Handle = %v", trx[0].Handle())
 	}
 }
 

@@ -83,7 +83,7 @@ func (b *recordingBackend) RunSweep(ctx context.Context, desc SweepDesc,
 // be indistinguishable from local execution.
 func TestBackendRunPathMatchesLocal(t *testing.T) {
 	spec := distSpec()
-	local, err := Map(New(Options{Workers: 2}), spec, distTrial(42))
+	local, err := mapSweep(New(Options{Workers: 2}), spec, distTrial(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBackendRunPathMatchesLocal(t *testing.T) {
 func TestUntaggedSweepStaysLocal(t *testing.T) {
 	b := &recordingBackend{}
 	eng := New(Options{Workers: 2, Backend: b})
-	out, err := Map(eng, distSpec(), distTrial(42))
+	out, err := mapSweep(eng, distSpec(), distTrial(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func (b *deliveringBackend) RunSweep(ctx context.Context, desc SweepDesc,
 // must be re-run rather than lost.
 func TestBackendDeliverPathMatchesLocal(t *testing.T) {
 	spec := distSpec()
-	local, err := Map(New(Options{Workers: 2}), spec, distTrial(42))
+	local, err := mapSweep(New(Options{Workers: 2}), spec, distTrial(42))
 	if err != nil {
 		t.Fatal(err)
 	}

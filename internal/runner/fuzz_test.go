@@ -18,7 +18,7 @@ import (
 func FuzzRunCells(f *testing.F) {
 	spec := distSpec()
 	id, _, _ := SweepID(spec)
-	full, err := Map(New(Options{Workers: 1}), spec, distTrial(42))
+	full, err := mapSweep(New(Options{Workers: 1}), spec, distTrial(42))
 	if err != nil {
 		f.Fatal(err)
 	}

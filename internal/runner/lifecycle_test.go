@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestMapCtxCancelReturnsPartial(t *testing.T) {
 	}
 	// MapCtx waits for its workers before returning, so nothing may still
 	// be executing — this is the no-leaked-workers guarantee.
-	if n := e.InFlight(); n != 0 {
+	if n := e.Metrics().InFlight.Value(); n != 0 {
 		t.Errorf("InFlight = %d after MapCtx returned, want 0", n)
 	}
 }
@@ -117,7 +118,7 @@ func TestMapCtxErrorBeatsCancel(t *testing.T) {
 // degraded cells.
 func TestOutcomeDroppedPerPoint(t *testing.T) {
 	e := New(Options{Workers: 1})
-	out, err := Map(e, Spec{Experiment: "dropped", Points: 3, Trials: 4},
+	out, err := mapSweep(e, Spec{Experiment: "dropped", Points: 3, Trials: 4},
 		func(p, trial int) (int, error) {
 			if p == 1 {
 				panic("always")
@@ -169,7 +170,7 @@ func TestDiskCacheSweepStaleTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Map(New(Options{Workers: 2, Cache: first}), diskSpec, diskFn); err != nil {
+	if _, err := mapSweep(New(Options{Workers: 2, Cache: first}), diskSpec, diskFn); err != nil {
 		t.Fatal(err)
 	}
 	stale := writeTemp(t, dir, ".put-stale", 2*time.Hour)
@@ -185,7 +186,7 @@ func TestDiskCacheSweepStaleTemps(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Error("fresh temp file was removed but should have been kept")
 	}
-	out, err := Map(New(Options{Workers: 2, Cache: reopened}), diskSpec, diskFn)
+	out, err := mapSweep(New(Options{Workers: 2, Cache: reopened}), diskSpec, diskFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestNewSweepsStaleTemps(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatal("engine started on an unswept cache directory")
 	}
-	if _, err := Map(e, diskSpec, diskFn); err != nil {
+	if _, err := mapSweep(e, diskSpec, diskFn); err != nil {
 		t.Fatal(err)
 	}
 	temps, err := filepath.Glob(filepath.Join(dir, ".put-*"))
@@ -217,5 +218,63 @@ func TestNewSweepsStaleTemps(t *testing.T) {
 	}
 	if len(temps) != 0 {
 		t.Errorf("Puts left temp files behind: %v", temps)
+	}
+}
+
+// tornSample is shaped like the experiments' samples: a struct, so its JSON
+// encoding is an object and no strict prefix of it decodes.
+type tornSample struct {
+	Point, Trial int
+	Value        float64
+}
+
+// FileStore.Put writes a temp file and renames it without an fsync, so a
+// crash can leave a cell's entry torn: any prefix of the sample, the empty
+// value included. The runner must treat every such entry as a miss,
+// recompute the cell, and produce the uncached sweep's result.
+func TestTornCacheEntryIsRecomputed(t *testing.T) {
+	spec := Spec{Experiment: "torn", Params: struct{ Seed int64 }{5}, Points: 2, Trials: 2}
+	var calls atomic.Int64
+	fn := func(p, tr int) (tornSample, error) {
+		calls.Add(1)
+		return tornSample{Point: p, Trial: tr, Value: trialValue(5, p, tr)}, nil
+	}
+	want, err := mapSweep(New(Options{Workers: 1}), spec, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := store.Open("file://" + t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mapSweep(New(Options{Workers: 1, Cache: cache}), spec, fn); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := cellKey(cacheKeyBase(cache, spec), 1, 0)
+	full, err := cache.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(full); n++ {
+		if err := cache.Put(ctx, key, full[:n]); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{Workers: 1, Cache: cache})
+		calls.Store(0)
+		got, err := mapSweep(e, spec, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := e.Metrics().CacheMisses.Sum(); misses != 1 || got.Cached != 3 {
+			t.Fatalf("prefix %q: %d misses, %d cached; want 1 and 3", full[:n], misses, got.Cached)
+		}
+		if c := calls.Load(); c != 1 {
+			t.Fatalf("prefix %q: %d cells recomputed, want 1", full[:n], c)
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("prefix %q: points %v, want %v", full[:n], got.Points, want.Points)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Spec.Experiment, so one shared engine (as in cmd/sndserve) still yields
 // per-experiment latency and cache-effectiveness breakdowns.
 type Metrics struct {
-	// Sweeps counts Map/MapCtx calls per experiment.
+	// Sweeps counts MapCtx calls per experiment.
 	Sweeps *obs.CounterVec
 	// Started/Done/Failed/Retried count trial executions (cache hits
 	// excluded), successful samples, drops past the retry budget, and

@@ -15,10 +15,10 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	e := New(Options{Workers: 4, Cache: store.NewMemStore()})
 	spec := Spec{Experiment: "statstest", Params: 1, Points: 3, Trials: 4}
 	fn := func(p, tr int) (int, error) { return p * tr, nil }
-	if _, err := Map(e, spec, fn); err != nil {
+	if _, err := mapSweep(e, spec, fn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Map(e, spec, fn); err != nil { // second run: all cached
+	if _, err := mapSweep(e, spec, fn); err != nil { // second run: all cached
 		t.Fatal(err)
 	}
 
@@ -63,7 +63,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 func TestLatencyHistogramCounts(t *testing.T) {
 	e := New(Options{Workers: 4})
 	spec := Spec{Experiment: "latency", Points: 2, Trials: 10}
-	if _, err := Map(e, spec, func(p, tr int) (int, error) { return 0, nil }); err != nil {
+	if _, err := mapSweep(e, spec, func(p, tr int) (int, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	h := e.Metrics().TrialDuration.With("latency")
@@ -75,7 +75,7 @@ func TestLatencyHistogramCounts(t *testing.T) {
 	}
 	// Serial sweeps have no queue.
 	se := New(Options{Workers: 1})
-	if _, err := Map(se, spec, func(p, tr int) (int, error) { return 0, nil }); err != nil {
+	if _, err := mapSweep(se, spec, func(p, tr int) (int, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if q := se.Metrics().QueueWait.With("latency"); q.Count() != 0 {

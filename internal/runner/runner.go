@@ -115,19 +115,13 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // (e.g. cmd/sndfig's -stats quantile summary).
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
-// InFlight reports how many trials are executing right now across every
-// sweep on this engine. It reaches zero once all sweeps have returned and
-// their worker goroutines exited — the lifecycle tests use it to prove
-// cancellation does not leak workers.
-func (e *Engine) InFlight() int64 { return e.metrics.InFlight.Value() }
-
 var (
 	defaultOnce   sync.Once
 	defaultEngine *Engine
 )
 
 // Default returns the process-wide engine: GOMAXPROCS workers, no cache.
-// Every entry point that takes an engine (Map, MapCtx, RunCells, and the
+// Every entry point that takes an engine (MapCtx, RunCells, and the
 // exp registry's Run and RunCells) falls back to it when passed nil.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEngine = New(Options{}) })
@@ -136,7 +130,7 @@ func Default() *Engine {
 
 // Stats is a snapshot of an engine's lifetime counters.
 type Stats struct {
-	// Sweeps is how many Map calls the engine has served.
+	// Sweeps is how many MapCtx calls the engine has served.
 	Sweeps int64
 	// TrialsStarted counts trial executions begun (cache hits excluded).
 	TrialsStarted int64
@@ -216,24 +210,19 @@ type Outcome[T any] struct {
 	Elapsed time.Duration
 }
 
-// Map executes fn over every (point, trial) cell of spec on e's worker
+// MapCtx executes fn over every (point, trial) cell of spec on e's worker
 // pool and returns the samples grouped by point in trial order. A nil
 // engine uses Default(). fn returning an error aborts the sweep and
-// surfaces the first error observed in cell order; a panicking fn is
-// retried per the engine budget and then dropped as a failed sample.
+// surfaces the first error observed in cell order, with a nil outcome; a
+// panicking fn is retried per the engine budget and then dropped as a
+// failed sample.
 //
-// Map never stops early on its own; use MapCtx to bound or cancel a sweep.
-func Map[T any](e *Engine, spec Spec, fn TrialFunc[T]) (*Outcome[T], error) {
-	return MapCtx(context.Background(), e, spec, fn)
-}
-
-// MapCtx is Map under a context. When ctx is cancelled (or its deadline
-// passes) the engine stops scheduling new trials immediately; trials
-// already executing run to completion (trial functions are pure and
-// uninterruptible), their samples are kept and cached, and MapCtx returns
-// the partial Outcome — tagged Cancelled — together with ctx.Err(). A
-// trial error still takes precedence: it aborts the sweep and is returned
-// with a nil outcome, exactly as in Map.
+// When ctx is cancelled (or its deadline passes) the engine stops
+// scheduling new trials immediately; trials already executing run to
+// completion (trial functions are pure and uninterruptible), their samples
+// are kept and cached, and MapCtx returns the partial Outcome — tagged
+// Cancelled — together with ctx.Err(). A trial error still takes
+// precedence.
 func MapCtx[T any](ctx context.Context, e *Engine, spec Spec, fn TrialFunc[T]) (*Outcome[T], error) {
 	progress := ProgressFrom(ctx)
 	sw, err := newSweep[T](e, spec, progress)

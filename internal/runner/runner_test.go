@@ -13,6 +13,11 @@ import (
 	"snd/internal/store"
 )
 
+// mapSweep runs MapCtx with no deadline, as most tests need.
+func mapSweep[T any](e *Engine, spec Spec, fn TrialFunc[T]) (*Outcome[T], error) {
+	return MapCtx(context.Background(), e, spec, fn)
+}
+
 // trialValue is the reference pure trial function: a short deterministic
 // RNG walk from the cell-derived seed.
 func trialValue(seed int64, point, trial int) float64 {
@@ -29,12 +34,12 @@ func TestMapParallelMatchesSerial(t *testing.T) {
 	spec := Spec{Experiment: "unit", Params: map[string]int{"n": 7}, Points: 5, Trials: 9}
 	fn := func(p, tr int) (float64, error) { return trialValue(42, p, tr), nil }
 
-	serial, err := Map(New(Options{Workers: 1}), spec, fn)
+	serial, err := mapSweep(New(Options{Workers: 1}), spec, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 32} {
-		par, err := Map(New(Options{Workers: workers}), spec, fn)
+		par, err := mapSweep(New(Options{Workers: workers}), spec, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +63,7 @@ func TestMapCacheHitsSkipExecution(t *testing.T) {
 		return trialValue(5, p, tr), nil
 	}
 
-	first, err := Map(e, spec, fn)
+	first, err := mapSweep(e, spec, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,7 @@ func TestMapCacheHitsSkipExecution(t *testing.T) {
 		t.Fatalf("first run reported %d cached cells", first.Cached)
 	}
 
-	second, err := Map(e, spec, fn)
+	second, err := mapSweep(e, spec, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestMapCacheHitsSkipExecution(t *testing.T) {
 
 	// A different parameter set must miss.
 	other := Spec{Experiment: "unit-cache", Params: struct{ Seed int64 }{6}, Points: 3, Trials: 4}
-	if _, err := Map(e, other, fn); err != nil {
+	if _, err := mapSweep(e, other, fn); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 24 {
@@ -107,7 +112,7 @@ func TestMapPanicRetriesThenDrops(t *testing.T) {
 		}
 		return p*10 + tr, nil
 	}
-	out, err := Map(e, Spec{Points: 2, Trials: 4}, fn)
+	out, err := mapSweep(e, Spec{Points: 2, Trials: 4}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +144,7 @@ func TestMapRecoversFromPanicOnRetry(t *testing.T) {
 		}
 		return tr, nil
 	}
-	out, err := Map(e, Spec{Points: 1, Trials: 3}, fn)
+	out, err := mapSweep(e, Spec{Points: 1, Trials: 3}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestMapErrorAborts(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			return 0, nil
 		}
-		_, err := Map(New(Options{Workers: workers}), Spec{Points: 4, Trials: 50}, fn)
+		_, err := mapSweep(New(Options{Workers: workers}), Spec{Points: 4, Trials: 50}, fn)
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("workers=%d: err = %v, want sentinel", workers, err)
 		}
@@ -190,7 +195,7 @@ func TestTrialSeedDisjointStreams(t *testing.T) {
 
 func TestMapNilEngineUsesDefault(t *testing.T) {
 	t.Parallel()
-	out, err := Map[int](nil, Spec{Points: 1, Trials: 2}, func(p, tr int) (int, error) { return tr, nil })
+	out, err := MapCtx[int](context.Background(), nil, Spec{Points: 1, Trials: 2}, func(p, tr int) (int, error) { return tr, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +220,7 @@ func TestOversizedGridRefused(t *testing.T) {
 		ran := false
 		fn := func(p, tr int) (int, error) { ran = true; return 0, nil }
 		spec := Spec{Experiment: "huge", Params: tc.name, Points: tc.points, Trials: tc.trials}
-		if _, err := Map(eng, spec, fn); !errors.Is(err, ErrGridTooLarge) {
+		if _, err := mapSweep(eng, spec, fn); !errors.Is(err, ErrGridTooLarge) {
 			t.Errorf("%s: Map err = %v, want ErrGridTooLarge", tc.name, err)
 		}
 		id, _, _ := SweepID(spec)
@@ -227,7 +232,7 @@ func TestOversizedGridRefused(t *testing.T) {
 		}
 	}
 	// An empty grid allocates per point too, so Points alone is bounded.
-	_, err := Map(New(Options{}), Spec{Points: MaxCells + 1}, func(p, tr int) (int, error) { return 0, nil })
+	_, err := mapSweep(New(Options{}), Spec{Points: MaxCells + 1}, func(p, tr int) (int, error) { return 0, nil })
 	if !errors.Is(err, ErrGridTooLarge) {
 		t.Errorf("%d points x 0 trials: err = %v, want ErrGridTooLarge", MaxCells+1, err)
 	}

@@ -58,7 +58,7 @@ func fingerprintSim(s *Simulation) string {
 	fmt.Fprintf(&b, "accuracy=%.15f\n", s.Accuracy())
 	fmt.Fprintf(&b, "overhead=%+v\n", s.Overhead())
 	fmt.Fprintf(&b, "errors=%d channel=%d round=%d\n",
-		s.ProtocolErrors(), s.ChannelFailures(), s.Round())
+		s.ProtocolErrors(), s.ChannelFailures(), s.round)
 	return b.String()
 }
 

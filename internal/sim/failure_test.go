@@ -19,7 +19,7 @@ func TestDiscoveryUnderHeavyLoss(t *testing.T) {
 	// Lost hellos/records shrink functional lists but the run completes
 	// and no node retains K.
 	for _, d := range s.Layout().Devices() {
-		if s.Endpoint(d.Handle).HoldsMasterKey() {
+		if s.a.endpoint(d.Handle).HoldsMasterKey() {
 			t.Fatalf("node %v kept K under loss", d.Node)
 		}
 	}
@@ -56,7 +56,7 @@ func TestMassDeathThenRedeployment(t *testing.T) {
 	// Fresh nodes validated among themselves.
 	fresh := 0
 	for _, d := range s.Layout().Devices() {
-		if d.Round == 1 && s.Endpoint(d.Handle).Functional().Len() > 0 {
+		if d.Round == 1 && s.a.endpoint(d.Handle).Functional().Len() > 0 {
 			fresh++
 		}
 	}
@@ -98,7 +98,7 @@ func TestPartitionedFieldStillCompletes(t *testing.T) {
 	validatedOutside, validatedInside := 0, 0
 	jam := geometry.Circle{Center: geometry.Point{X: 50, Y: 50}, Radius: 12}
 	for _, d := range s.Layout().Devices() {
-		n := s.Endpoint(d.Handle).Functional().Len()
+		n := s.a.endpoint(d.Handle).Functional().Len()
 		if jam.Contains(d.Pos) {
 			validatedInside += n
 		} else if n > 0 {
@@ -122,8 +122,8 @@ func TestDeployRoundZeroNodes(t *testing.T) {
 	if err := s.DeployRound(0); err != nil {
 		t.Fatalf("empty round failed: %v", err)
 	}
-	if s.Round() != 2 {
-		t.Errorf("rounds = %d", s.Round())
+	if s.round != 2 {
+		t.Errorf("rounds = %d", s.round)
 	}
 }
 

@@ -159,9 +159,6 @@ func (s *Simulation) Attacker() *adversary.Attacker { return s.attacker }
 // discovery round).
 func (s *Simulation) Tentative() *topology.Graph { return s.tentative }
 
-// Round returns the number of completed deployment rounds.
-func (s *Simulation) Round() int { return s.round }
-
 // ProtocolErrors returns how many protocol messages were rejected
 // (authentication failures, replays, malformed frames).
 func (s *Simulation) ProtocolErrors() int { return s.protocolErrors }
@@ -169,9 +166,6 @@ func (s *Simulation) ProtocolErrors() int { return s.protocolErrors }
 // ChannelFailures returns how many unicasts failed at the secure-channel
 // layer (no pairwise key, or decryption failure).
 func (s *Simulation) ChannelFailures() int { return s.channelFailures }
-
-// Endpoint returns the protocol state machine of the given device, or nil.
-func (s *Simulation) Endpoint(h deploy.Handle) *core.Node { return s.a.endpoint(h) }
 
 // PrimaryEndpoint returns the protocol state of node id's original device.
 func (s *Simulation) PrimaryEndpoint(id nodeid.ID) *core.Node {

@@ -24,12 +24,12 @@ func TestNewDefaultsRunDiscovery(t *testing.T) {
 	if s.Layout().Count() != 200 {
 		t.Fatalf("deployed %d devices", s.Layout().Count())
 	}
-	if s.Round() != 1 {
-		t.Errorf("rounds = %d", s.Round())
+	if s.round != 1 {
+		t.Errorf("rounds = %d", s.round)
 	}
 	// Every endpoint finished discovery and erased K.
 	for _, d := range s.Layout().Devices() {
-		ep := s.Endpoint(d.Handle)
+		ep := s.a.endpoint(d.Handle)
 		if ep == nil {
 			t.Fatalf("device %v has no endpoint", d.Node)
 		}
@@ -108,8 +108,8 @@ func TestIncrementalDeployment(t *testing.T) {
 	if err := s.DeployRound(50); err != nil {
 		t.Fatal(err)
 	}
-	if s.Round() != 2 {
-		t.Fatalf("rounds = %d", s.Round())
+	if s.round != 2 {
+		t.Fatalf("rounds = %d", s.round)
 	}
 	if s.Layout().Count() != 200 {
 		t.Fatalf("devices = %d", s.Layout().Count())
@@ -122,7 +122,7 @@ func TestIncrementalDeployment(t *testing.T) {
 		if d.Round != 0 {
 			continue
 		}
-		ep := s.Endpoint(d.Handle)
+		ep := s.a.endpoint(d.Handle)
 		for _, v := range ep.Functional() {
 			if vd := s.Layout().Primary(v); vd != nil && vd.Round == 1 {
 				crossEdges++
@@ -314,16 +314,19 @@ func TestOverheadReport(t *testing.T) {
 
 func TestUpdatesImproveAgingNetworkAccuracy(t *testing.T) {
 	t.Parallel()
+	// E9's aging network on a sparse field (120 nodes, R = 25 m, t = 6):
+	// old nodes can validate newcomers only after updating their records to
+	// include them, so the update budget shows in accuracy.
 	run := func(maxUpdates int) float64 {
-		s, err := New(Params{Seed: 11, Threshold: 6, Nodes: 200, MaxUpdates: maxUpdates})
+		s, err := New(Params{Seed: 11, Range: 25, Threshold: 6, Nodes: 120, MaxUpdates: maxUpdates})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Age the network: kill a third, redeploy in waves so evidences
+		// Age the network: kill 30%, redeploy in waves so evidences
 		// accumulate and updates can happen.
 		s.KillFraction(0.3)
 		for i := 0; i < 3; i++ {
-			if err := s.DeployRound(40); err != nil {
+			if err := s.DeployRound(24); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -331,11 +334,8 @@ func TestUpdatesImproveAgingNetworkAccuracy(t *testing.T) {
 	}
 	with := run(3)
 	without := run(0)
-	if with < without {
-		t.Errorf("updates made accuracy worse: with=%v without=%v", with, without)
-	}
-	if with == without {
-		t.Logf("updates made no difference (with=%v); weak but not fatal", with)
+	if with <= without {
+		t.Errorf("updates did not improve accuracy: with=%v without=%v", with, without)
 	}
 }
 
@@ -351,7 +351,7 @@ func TestJammingBlocksDiscovery(t *testing.T) {
 	}
 	for _, d := range s.Layout().Devices() {
 		if d.Round == 1 {
-			if got := s.Endpoint(d.Handle).Functional().Len(); got != 0 {
+			if got := s.a.endpoint(d.Handle).Functional().Len(); got != 0 {
 				t.Fatalf("node %v validated %d neighbors under total jamming", d.Node, got)
 			}
 		}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -62,31 +61,6 @@ func (s Summary) CI95() float64 {
 // String renders the summary as "mean ± ci95 [min, max] (n)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4f ± %.4f [%.4f, %.4f] (n=%d)", s.Mean, s.CI95(), s.Min, s.Max, s.N)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation. The input is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty sample.
@@ -238,66 +212,4 @@ func csvEscape(s string) string {
 		return s
 	}
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of observed samples including outliers.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Render draws a simple horizontal bar chart of the histogram.
-func (h *Histogram) Render(width int) string {
-	max := 1
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*width/max)
-		fmt.Fprintf(&b, "[%8.2f, %8.2f) %6d %s\n", h.Lo+float64(i)*binW, h.Lo+float64(i+1)*binW, c, bar)
-	}
-	if h.Under > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Under)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Over)
-	}
-	return b.String()
 }

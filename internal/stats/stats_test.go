@@ -61,35 +61,6 @@ func TestSummaryMeanWithinBounds(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1},
-		{0.25, 2},
-		{0.5, 3},
-		{1, 5},
-	}
-	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	_ = Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
@@ -129,34 +100,6 @@ func TestTableRender(t *testing.T) {
 	// Title + header + 2 data rows; shorter series leaves a blank cell.
 	if lines := strings.Split(strings.TrimRight(out, "\n"), "\n"); len(lines) != 4 {
 		t.Errorf("unexpected line count %d:\n%s", len(lines), out)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 15} {
-		h.Observe(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if out := h.Render(20); !strings.Contains(out, "overflow 2") {
-		t.Errorf("render missing overflow:\n%s", out)
 	}
 }
 

@@ -206,14 +206,6 @@ func (w *WAL) Load() ([]JobRecord, error) {
 	return w.loadLocked()
 }
 
-// Records reports how many lines the log currently holds (live +
-// superseded) — observability for the compaction tests.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
 // maybeCompactLocked rewrites the log once superseded records dominate:
 // one save line per live job, written to a temp file, fsynced, and
 // renamed over the log. Tombstones are dropped — after compaction there

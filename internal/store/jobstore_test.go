@@ -106,7 +106,7 @@ func TestWALCrashPoints(t *testing.T) {
 	// Run until the log has compacted and three more calls followed.
 	for i, after := 0, 0; after < 4; i++ {
 		id := fmt.Sprintf("j%d", i%3)
-		prev := w.Records()
+		prev := walRecords(w)
 		var line []byte
 		if i%7 == 6 {
 			if err := w.Delete(id); err != nil {
@@ -126,7 +126,7 @@ func TestWALCrashPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Records() < prev {
+		if walRecords(w) < prev {
 			// The call appended its line, then rewrote the log: the state
 			// just before the rename is the old log plus that line, beside a
 			// temp file holding what the log now is.
@@ -332,7 +332,7 @@ func TestWALCompaction(t *testing.T) {
 	}
 	// The log is bounded by max(compactionFloor, slack*live): each time it
 	// reaches the floor it is rewritten down to the 2 live records.
-	if got := w.Records(); got >= compactionFloor {
+	if got := walRecords(w); got >= compactionFloor {
 		t.Fatalf("log holds %d records after compaction threshold, want < %d", got, compactionFloor)
 	}
 	recs, err := w.Load()
@@ -354,4 +354,12 @@ func TestWALCompaction(t *testing.T) {
 	if len(recs2) != 2 || recs2[0].ID != recs[0].ID || recs2[1].ID != recs[1].ID {
 		t.Fatalf("replayed %+v, want %+v", recs2, recs)
 	}
+}
+
+// walRecords reports how many lines the log currently holds (live +
+// superseded) — observability for the compaction tests.
+func walRecords(w *WAL) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.records
 }

@@ -94,7 +94,7 @@ var sweepSpec = runner.Spec{
 func runSweep(t *testing.T, cache store.Blob) (*runner.Outcome[float64], runner.Stats) {
 	t.Helper()
 	eng := runner.New(runner.Options{Workers: 4, Cache: cache})
-	out, err := runner.Map(eng, sweepSpec, func(point, trial int) (float64, error) {
+	out, err := runner.MapCtx(context.Background(), eng, sweepSpec, func(point, trial int) (float64, error) {
 		seed := runner.TrialSeed(42, point, trial)
 		return float64(seed%1000) / 7.0, nil
 	})

@@ -81,9 +81,6 @@ func (g *Graph) row(u nodeid.ID) nodeid.Set {
 	return g.adj[g.off[i]:g.off[i+1]]
 }
 
-// HasNode reports whether id is a vertex.
-func (g *Graph) HasNode(id nodeid.ID) bool { return g.idx(id) >= 0 }
-
 // HasRelation reports whether the relation (from, to) exists.
 func (g *Graph) HasRelation(from, to nodeid.ID) bool {
 	return g.row(from).Contains(to)
@@ -108,9 +105,6 @@ func (g *Graph) CommonOut(u, v nodeid.ID) int {
 func (g *Graph) Nodes() []nodeid.ID {
 	return append([]nodeid.ID(nil), g.ids...)
 }
-
-// NodeSet returns the vertex set, shared with the graph.
-func (g *Graph) NodeSet() nodeid.Set { return g.ids }
 
 // NumNodes returns the number of vertices.
 func (g *Graph) NumNodes() int { return len(g.ids) }

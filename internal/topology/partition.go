@@ -81,33 +81,16 @@ type LargestOnly struct{}
 // Useful implements UsefulPolicy.
 func (LargestOnly) Useful(rank int, _ Partition) bool { return rank == 0 }
 
-// MinSize treats every partition with at least N members as useful.
-type MinSize struct{ N int }
-
-// Useful implements UsefulPolicy.
-func (m MinSize) Useful(_ int, p Partition) bool { return p.Size() >= m.N }
-
 // IsolatedNodes returns the nodes that belong to no useful partition under
 // the given policy, in ascending ID order. A node is "non-isolated if it
 // belongs to a useful partition; otherwise, it is isolated."
 func (g *Graph) IsolatedNodes(policy UsefulPolicy) []nodeid.ID {
-	return selectByUsefulness(g.Partitions(), policy, false)
-}
-
-// NonIsolatedNodes returns the complement of IsolatedNodes.
-func (g *Graph) NonIsolatedNodes(policy UsefulPolicy) []nodeid.ID {
-	return selectByUsefulness(g.Partitions(), policy, true)
-}
-
-// selectByUsefulness gathers the members of the partitions whose
-// usefulness under the policy matches wantUseful, ascending.
-func selectByUsefulness(parts []Partition, policy UsefulPolicy, wantUseful bool) []nodeid.ID {
-	var picked []nodeid.ID
-	for rank, p := range parts {
-		if policy.Useful(rank, p) == wantUseful {
-			picked = append(picked, p.Members...)
+	var isolated []nodeid.ID
+	for rank, p := range g.Partitions() {
+		if !policy.Useful(rank, p) {
+			isolated = append(isolated, p.Members...)
 		}
 	}
-	slices.Sort(picked)
-	return picked
+	slices.Sort(isolated)
+	return isolated
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"snd/internal/nodeid"
@@ -29,7 +30,7 @@ func TestPartitionsSizesAndOrder(t *testing.T) {
 			t.Errorf("partition %d size = %d, want %d", i, parts[i].Size(), want)
 		}
 	}
-	if !parts[0].Members.Equal(nodeid.NewSet(1, 2, 3, 4)) {
+	if !slices.Equal(parts[0].Members, nodeid.NewSet(1, 2, 3, 4)) {
 		t.Errorf("largest partition = %v", parts[0].Members)
 	}
 }
@@ -61,11 +62,14 @@ func TestIsolatedNodesLargestOnly(t *testing.T) {
 			t.Fatalf("isolated = %v, want %v", got, want)
 		}
 	}
-	non := g.NonIsolatedNodes(LargestOnly{})
-	if len(non) != 4 {
-		t.Errorf("non-isolated = %v", non)
-	}
 }
+
+// MinSize treats every partition with at least N members as useful, a
+// second usefulness policy for the paper's "can be defined in many ways".
+type MinSize struct{ N int }
+
+// Useful implements UsefulPolicy.
+func (m MinSize) Useful(_ int, p Partition) bool { return p.Size() >= m.N }
 
 func TestIsolatedNodesMinSize(t *testing.T) {
 	g := threeComponentGraph()

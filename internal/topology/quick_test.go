@@ -69,7 +69,7 @@ func TestQuickPartitionsCoverExactly(t *testing.T) {
 func TestQuickSubgraphIdempotent(t *testing.T) {
 	f := func(seed int64, keepMask uint32) bool {
 		g := graphFromOps(seed, 120)
-		if !g.Subgraph(g.NodeSet()).Equal(g) {
+		if !g.Subgraph(g.Nodes()).Equal(g) {
 			return false
 		}
 		var keep nodeid.Set

@@ -196,43 +196,3 @@ func TentativeGraph(l *deploy.Layout, v Verifier, r float64) *topology.Graph {
 	}
 	return b.Finalize()
 }
-
-// ErrorRates measures a mechanism's benign-pair false reject and false
-// accept rates over the alive non-replica devices of a layout, against the
-// ground truth distance ≤ r. It returns (falseReject, falseAccept).
-func ErrorRates(l *deploy.Layout, v Verifier, r float64) (falseReject, falseAccept float64) {
-	var devs []*deploy.Device
-	for _, d := range l.Devices() {
-		if d.Alive && !d.Replica {
-			devs = append(devs, d)
-		}
-	}
-	var neighbors, rejected, strangers, accepted int
-	for _, a := range devs {
-		for _, b := range devs {
-			if a.Handle == b.Handle {
-				continue
-			}
-			truth := a.Pos.InRange(b.Pos, r)
-			got := v.Verify(b, a, r)
-			if truth {
-				neighbors++
-				if !got {
-					rejected++
-				}
-			} else {
-				strangers++
-				if got {
-					accepted++
-				}
-			}
-		}
-	}
-	if neighbors > 0 {
-		falseReject = float64(rejected) / float64(neighbors)
-	}
-	if strangers > 0 {
-		falseAccept = float64(accepted) / float64(strangers)
-	}
-	return falseReject, falseAccept
-}

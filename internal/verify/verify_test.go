@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snd/internal/deploy"
@@ -168,7 +169,7 @@ func TestTentativeGraphSkipsDead(t *testing.T) {
 	b := l.Deploy(geometry.Point{X: 30, Y: 50}, 0)
 	l.Kill(b.Handle)
 	g := TentativeGraph(l, Oracle{}, 50)
-	if g.HasNode(b.Node) {
+	if slices.Contains(g.Nodes(), b.Node) {
 		t.Error("dead device in tentative graph")
 	}
 	if len(g.Out(a.Node)) != 0 {
@@ -180,7 +181,7 @@ func TestErrorRatesOracleZero(t *testing.T) {
 	l := deploy.NewLayout(geometry.NewField(100, 100))
 	rng := rand.New(rand.NewSource(12))
 	l.DeploySampled(deploy.Uniform{}, 60, rng, 0)
-	fr, fa := ErrorRates(l, Oracle{}, 50)
+	fr, fa := errorRates(l, Oracle{}, 50)
 	if fr != 0 || fa != 0 {
 		t.Errorf("oracle error rates = %v, %v", fr, fa)
 	}
@@ -191,7 +192,7 @@ func TestErrorRatesRTTSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	l.DeploySampled(deploy.Uniform{}, 60, rng, 0)
 	v := &RTT{NoiseStd: 2, Rng: rand.New(rand.NewSource(14))}
-	fr, fa := ErrorRates(l, v, 50)
+	fr, fa := errorRates(l, v, 50)
 	if fr > 0.1 {
 		t.Errorf("false reject rate %v too high for σ=2", fr)
 	}
@@ -219,4 +220,44 @@ func BenchmarkTentativeGraph200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = TentativeGraph(l, Oracle{}, 50)
 	}
+}
+
+// errorRates measures a mechanism's benign-pair false reject and false
+// accept rates over the alive non-replica devices of a layout, against the
+// ground truth distance ≤ r. It returns (falseReject, falseAccept).
+func errorRates(l *deploy.Layout, v Verifier, r float64) (falseReject, falseAccept float64) {
+	var devs []*deploy.Device
+	for _, d := range l.Devices() {
+		if d.Alive && !d.Replica {
+			devs = append(devs, d)
+		}
+	}
+	var neighbors, rejected, strangers, accepted int
+	for _, a := range devs {
+		for _, b := range devs {
+			if a.Handle == b.Handle {
+				continue
+			}
+			truth := a.Pos.InRange(b.Pos, r)
+			got := v.Verify(b, a, r)
+			if truth {
+				neighbors++
+				if !got {
+					rejected++
+				}
+			} else {
+				strangers++
+				if got {
+					accepted++
+				}
+			}
+		}
+	}
+	if neighbors > 0 {
+		falseReject = float64(rejected) / float64(neighbors)
+	}
+	if strangers > 0 {
+		falseAccept = float64(accepted) / float64(strangers)
+	}
+	return falseReject, falseAccept
 }

@@ -42,7 +42,6 @@ import (
 	"snd/internal/crypto"
 	"snd/internal/deploy"
 	"snd/internal/geometry"
-	"snd/internal/georoute"
 	"snd/internal/nodeid"
 	"snd/internal/radio"
 	"snd/internal/replica"
@@ -57,7 +56,7 @@ type (
 	NodeID = nodeid.ID
 	// NodeSet is an immutable set of node IDs: a strictly ascending slice,
 	// shared rather than copied. Build one with NewNodeSet; derive new
-	// ones with Union, Intersect and Diff.
+	// ones with Union and Diff.
 	NodeSet = nodeid.Set
 	// Point is a position in the deployment plane (meters).
 	Point = geometry.Point
@@ -134,16 +133,10 @@ type (
 	// Graph is an immutable directed graph of neighbor relations in CSR
 	// form, safe for concurrent readers.
 	Graph = topology.Graph
-	// GraphBuilder collects vertices and relations; Finalize turns them
-	// into a Graph.
-	GraphBuilder = topology.Builder
 	// CommonNeighborRule is the topology-only threshold rule that
 	// Theorems 1–2 prove attackable.
 	CommonNeighborRule = topology.CommonNeighborRule
 )
-
-// NewGraphBuilder returns an empty graph builder.
-func NewGraphBuilder() *GraphBuilder { return topology.NewBuilder() }
 
 // TopologyAccuracy returns the fraction of ground-truth relations present
 // in a functional topology.
@@ -177,13 +170,6 @@ var (
 	NewPolyPoolScheme = crypto.NewPolyPoolScheme
 )
 
-// GeoRouter is GPSR (the paper's reference [12]): it routes greedily with
-// recovery over a neighbor table.
-type GeoRouter = georoute.Router
-
-// NewGeoRouter builds a router over positions and a neighbor graph.
-var NewGeoRouter = georoute.New
-
 // Clustering algorithms from the paper's motivation (refs [1], [2]).
 type (
 	// ClusterAssignment maps nodes to elected cluster heads.
@@ -201,19 +187,14 @@ var (
 	ClusterStretch = cluster.Diameter2Cost
 )
 
-// Protocol tracing.
+// Protocol tracing: a SimParams.Recorder receives one TraceEvent per
+// protocol step.
 type (
 	// TraceEvent is one recorded protocol step.
 	TraceEvent = sim.Event
 	// TraceKind classifies protocol events.
 	TraceKind = sim.Kind
-	// TraceRing is a bounded in-memory event recorder; pass it as
-	// SimParams.Recorder to observe a run.
-	TraceRing = sim.Ring
 )
-
-// NewTraceRing builds an event recorder retaining up to capacity events.
-var NewTraceRing = sim.NewRing
 
 // DetectSplitNeighborhoods is the base station's topology-only replica
 // detector (the Section 4 centralized alternative).

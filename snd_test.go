@@ -6,6 +6,7 @@ import (
 
 	"snd"
 	"snd/internal/deploy"
+	"snd/internal/georoute"
 	"snd/internal/radio"
 )
 
@@ -52,7 +53,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			pos[d.Node] = d.Pos
 		}
 	}
-	router := snd.NewGeoRouter(pos, s.FunctionalGraph(), nil)
+	router := georoute.New(pos, s.FunctionalGraph(), nil)
 	ids := s.FunctionalGraph().Nodes()
 	delivered := 0
 	for i := 0; i < 30; i++ {
