@@ -6,6 +6,11 @@
 // Code field is the server's stable machine-matchable code, so callers
 // switch on codes — never on message text — exactly as DESIGN.md §9
 // prescribes.
+//
+// The package is also the one declaration of the /v1 wire vocabulary:
+// Job, Progress, SubmitRequest, JobList, APIError and the Status
+// constants are what sndserve serves, what its job log persists and what
+// the internal dist protocol returns as errors.
 package client
 
 import (
@@ -48,8 +53,12 @@ func New(base, key string) *Client {
 	}
 }
 
-// APIError is a typed /v1 error envelope plus its HTTP status. RetryAfter
-// is non-zero on rate_limited responses that carried a Retry-After header.
+// APIError is the typed /v1 error envelope, served as {"error": {...}},
+// plus its HTTP status. Code is stable and machine-matchable (the table is
+// in DESIGN.md §9); Message is human-readable and free to change; Field
+// names the offending request field when one is identifiable; TraceID
+// names the failing request's trace when the server traces. RetryAfter is
+// non-zero on rate_limited responses that carried a Retry-After header.
 type APIError struct {
 	Status     int           `json:"-"`
 	Code       string        `json:"code"`
@@ -113,7 +122,7 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 			}
 			return env.Error
 		}
-		return fmt.Errorf("client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, truncate(data, 200))
+		return fmt.Errorf("client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, data[:min(len(data), 200)])
 	}
 	if out == nil {
 		return nil
@@ -124,16 +133,26 @@ func (c *Client) Do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
-}
+// Job statuses. The lifecycle is
+//
+//	queued → running → done | failed | cancelled
+//
+// done jobs carry a result; failed jobs an error (including per-job
+// deadline expiry); cancelled jobs were stopped by DELETE /v1/jobs/{id} or
+// by server shutdown.
+const (
+	StatusQueued    = "queued"
+	StatusRunning   = "running"
+	StatusDone      = "done"
+	StatusFailed    = "failed"
+	StatusCancelled = "cancelled"
+)
 
 // Job is the /v1 job resource — the same shape on submit responses, gets,
-// and listings. Result is raw JSON so callers control decoding (and can
-// byte-compare results across runs).
+// and listings, and (without Store, Progress and TraceID, which only a
+// live server knows) the record sndserve's job log persists. Result is raw
+// JSON so callers control decoding (and can byte-compare results across
+// runs).
 type Job struct {
 	ID         string          `json:"id"`
 	Experiment string          `json:"experiment"`
@@ -150,23 +169,30 @@ type Job struct {
 	TraceID    string          `json:"trace_id,omitempty"`
 }
 
-// Progress mirrors the server's live trial counts.
+// Progress is a job's trial counts: live while it runs, the final tally
+// once it is terminal.
 type Progress struct {
-	Done    int64 `json:"done"`
-	Total   int64 `json:"total"`
-	Dropped int64 `json:"dropped"`
+	// Done counts cells completed (executed or served from cache).
+	Done int64 `json:"done"`
+	// Total counts cells scheduled so far. It grows as each sweep of the
+	// job starts, so Done == Total only means "caught up", not
+	// necessarily "finished", until the job itself reports terminal.
+	Total int64 `json:"total"`
+	// Dropped counts cells lost to the panic-retry budget.
+	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // Terminal reports whether the job has reached a final status.
 func (j Job) Terminal() bool {
-	return j.Status == "done" || j.Status == "failed" || j.Status == "cancelled"
+	return j.Status == StatusDone || j.Status == StatusFailed || j.Status == StatusCancelled
 }
 
 // SubmitRequest is the POST /v1/jobs body.
 type SubmitRequest struct {
 	Experiment string          `json:"experiment"`
 	Params     json.RawMessage `json:"params,omitempty"`
-	// Timeout is an optional per-job deadline as a Go duration string.
+	// Timeout is an optional per-job deadline as a Go duration string
+	// (e.g. "90s"). An expired job is marked failed with a deadline error.
 	Timeout string `json:"timeout,omitempty"`
 }
 
@@ -205,7 +231,7 @@ type ListOptions struct {
 // pages; pass it back via ListOptions.Cursor.
 type JobList struct {
 	Jobs       []Job  `json:"jobs"`
-	NextCursor string `json:"next_cursor"`
+	NextCursor string `json:"next_cursor,omitempty"`
 }
 
 // ListJobs fetches one page of the job listing (results elided).

@@ -93,7 +93,7 @@ func finishJob(job client.Job) error {
 	if err := printJSON(job); err != nil {
 		return err
 	}
-	if job.Status != "done" {
+	if job.Status != client.StatusDone {
 		return fmt.Errorf("job %s %s: %s", job.ID, job.Status, job.Error)
 	}
 	return nil
@@ -132,16 +132,14 @@ func getOne(ctx context.Context, c *client.Client, args []string, wait bool) err
 	if len(args) != 1 {
 		return fmt.Errorf("want exactly one job ID")
 	}
-	var job client.Job
-	var err error
 	if wait {
-		job, err = c.Wait(ctx, args[0], 0)
+		job, err := c.Wait(ctx, args[0], 0)
 		if err != nil {
 			return err
 		}
 		return finishJob(job)
 	}
-	job, err = c.GetJob(ctx, args[0])
+	job, err := c.GetJob(ctx, args[0])
 	if err != nil {
 		return err
 	}

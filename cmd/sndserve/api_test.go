@@ -11,12 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/runner"
 	"snd/internal/store"
 )
 
 // listPage fetches one GET /v1/jobs page with the given query string.
-func listPage(t *testing.T, ts *httptest.Server, query string) jobList {
+func listPage(t *testing.T, ts *httptest.Server, query string) client.JobList {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs" + query)
 	if err != nil {
@@ -27,7 +28,7 @@ func listPage(t *testing.T, ts *httptest.Server, query string) jobList {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("GET /v1/jobs%s: status %d: %s", query, resp.StatusCode, body)
 	}
-	var page jobList
+	var page client.JobList
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestListPaginationAndFilters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e struct{ Error apiError }
+		var e struct{ Error client.APIError }
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestAuthRequiredOnWrites(t *testing.T) {
 	// No key and a wrong key are typed 401 unauthorized envelopes.
 	for _, key := range []string{"", "wrong"} {
 		resp := authedPost(t, ts, key, body)
-		var e struct{ Error apiError }
+		var e struct{ Error client.APIError }
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func TestRateLimiting(t *testing.T) {
 		}
 	}
 	resp := authedPost(t, ts, "sekrit-alice", body)
-	var e struct{ Error apiError }
+	var e struct{ Error client.APIError }
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}

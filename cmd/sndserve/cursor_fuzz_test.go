@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"snd/client"
 )
 
 // FuzzDecodeCursor: a listing cursor is an untrusted query parameter.
@@ -16,7 +18,7 @@ func FuzzDecodeCursor(f *testing.F) {
 	f.Add(int64(-1), "id:with:colons", "MTIzOmFiYw")
 	f.Add(int64(0), "", "not base64!")
 	f.Fuzz(func(t *testing.T, nano int64, id, raw string) {
-		j := Job{ID: id, Submitted: time.Unix(0, nano)}
+		j := client.Job{ID: id, Created: time.Unix(0, nano)}
 		gotNano, gotID, err := decodeCursor(encodeCursor(j))
 		if err != nil || gotNano != nano || gotID != id {
 			t.Fatalf("cursor of (%d, %q) decodes to (%d, %q, %v)", nano, id, gotNano, gotID, err)
@@ -26,7 +28,7 @@ func FuzzDecodeCursor(f *testing.F) {
 		if err != nil {
 			return
 		}
-		n2, s2, err := decodeCursor(encodeCursor(Job{ID: s, Submitted: time.Unix(0, n)}))
+		n2, s2, err := decodeCursor(encodeCursor(client.Job{ID: s, Created: time.Unix(0, n)}))
 		if err != nil || n2 != n || s2 != s {
 			t.Fatalf("%q decodes to (%d, %q), whose cursor decodes to (%d, %q, %v)", raw, n, s, n2, s2, err)
 		}

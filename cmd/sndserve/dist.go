@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"snd/client"
 	"snd/internal/dist"
 )
 
@@ -12,13 +13,8 @@ import (
 // these expose the internal/dist lease protocol to the sndworker fleet;
 // without it every /v1/dist/* call answers 404 coordinator_disabled so a
 // misconfigured worker fails with a typed, actionable error instead of a
-// bare not-found.
-//
-// Status mapping for dist protocol errors (codes in DESIGN.md §9):
-//
-//	unknown_worker → 404 (re-register)
-//	unknown_lease  → 409 (lease expired or reassigned; abandon the batch)
-//	job_cancelled  → 409 (sweep revoked; abandon the batch)
+// bare not-found. Coordinator errors are *client.APIError values that
+// already carry their HTTP status, and are served as they are.
 func (s *Server) mountDist(handle func(pattern, route string, h http.HandlerFunc)) {
 	post := func(path string, h http.HandlerFunc) { handle("POST "+path, path, h) }
 	post(dist.PathRegister, distPost(s, func(req dist.RegisterRequest) (dist.RegisterResponse, error) {
@@ -40,25 +36,11 @@ func (s *Server) mountDist(handle func(pattern, route string, h http.HandlerFunc
 // was started without -coordinator.
 func (s *Server) distEnabled(w http.ResponseWriter) bool {
 	if s.coord == nil {
-		writeError(w, http.StatusNotFound, dist.CodeCoordinatorDisabled, "",
-			"this server does not host a coordinator (start sndserve with -coordinator)")
+		writeAPIError(w, dist.Errf(dist.CodeCoordinatorDisabled,
+			"this server does not host a coordinator (start sndserve with -coordinator)"))
 		return false
 	}
 	return true
-}
-
-// writeDistError maps a coordinator error onto the /v1 envelope.
-func writeDistError(w http.ResponseWriter, err error) {
-	var derr *dist.Error
-	if errors.As(err, &derr) {
-		status := http.StatusConflict
-		if derr.Code == dist.CodeUnknownWorker {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, derr.Code, "", "%s", derr.Message)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, "internal", "", "%v", err)
 }
 
 // distPost serves one protocol POST: it decodes the Req body strictly (an
@@ -79,7 +61,11 @@ func distPost[Req, Resp any](s *Server, call func(Req) (Resp, error)) http.Handl
 		}
 		resp, err := call(req)
 		if err != nil {
-			writeDistError(w, err)
+			var aerr *client.APIError
+			if !errors.As(err, &aerr) {
+				aerr = &client.APIError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
+			}
+			writeAPIError(w, aerr)
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/dist"
 	"snd/internal/obs"
 	"snd/internal/obs/trace"
@@ -41,7 +42,7 @@ func FuzzDistRequest(f *testing.F) {
 			}
 		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict:
 			var env struct {
-				Error *apiError `json:"error"`
+				Error *client.APIError `json:"error"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil || env.Error.Code == "" {
 				t.Fatalf("POST %s %q: %d without an error envelope: %q", path, body, rec.Code, rec.Body)
@@ -97,7 +98,7 @@ func TestDistPostRejectsUnknownFields(t *testing.T) {
 	body := `{"worker_id":"w-0003","bogus":true}`
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, dist.PathLease, bytes.NewReader([]byte(body))))
 	var env struct {
-		Error *apiError `json:"error"`
+		Error *client.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
 		env.Error == nil || env.Error.Code != errBadBody || !strings.Contains(env.Error.Message, `"bogus"`) {

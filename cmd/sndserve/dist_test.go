@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/dist"
 	"snd/internal/exp"
 	"snd/internal/obs"
@@ -104,7 +105,7 @@ func startWorker(t *testing.T, ts *httptest.Server, name string) *dist.Worker {
 	return w
 }
 
-func resultJSON(t *testing.T, job Job) []byte {
+func resultJSON(t *testing.T, job client.Job) []byte {
 	t.Helper()
 	enc, err := json.Marshal(job.Result)
 	if err != nil {
@@ -198,7 +199,7 @@ func TestDistDeleteJobRevokesLeases(t *testing.T) {
 	if code := deleteJob(t, ts, job.ID); code != http.StatusAccepted {
 		t.Fatalf("DELETE: status %d", code)
 	}
-	waitStatus(t, ts, job.ID, StatusCancelled)
+	waitStatus(t, ts, job.ID, client.StatusCancelled)
 
 	if !strings.Contains(fetchMetrics(t, ts), "snd_dist_lease_revocations_total 1") {
 		t.Error("lease revocation not recorded after DELETE")
@@ -225,7 +226,7 @@ func TestDistDisabledAnswersTypedError(t *testing.T) {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
 	var env struct {
-		Error apiError `json:"error"`
+		Error client.APIError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)

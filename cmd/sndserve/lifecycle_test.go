@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/exp"
 	"snd/internal/obs/trace"
 	"snd/internal/runner"
@@ -106,14 +107,14 @@ func newLifecycleServer(t *testing.T, cfg Config) (*Server, *runner.Engine, *htt
 	return s, eng, ts
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) (Job, int) {
+func getJob(t *testing.T, ts *httptest.Server, id string) (client.Job, int) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var job Job
+	var job client.Job
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 			t.Fatal(err)
@@ -122,22 +123,22 @@ func getJob(t *testing.T, ts *httptest.Server, id string) (Job, int) {
 	return job, resp.StatusCode
 }
 
-func waitStatus(t *testing.T, ts *httptest.Server, id, want string) Job {
+func waitStatus(t *testing.T, ts *httptest.Server, id, want string) client.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var job Job
+	var job client.Job
 	for time.Now().Before(deadline) {
 		job, _ = getJob(t, ts, id)
 		if job.Status == want {
 			return job
 		}
-		if terminal(job.Status) {
+		if job.Terminal() {
 			t.Fatalf("job %s reached %s (error %q), want %s", id, job.Status, job.Error, want)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s stuck at %s, want %s", id, job.Status, want)
-	return Job{}
+	return client.Job{}
 }
 
 func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
@@ -165,12 +166,12 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitStatus(t, ts, job.ID, StatusRunning)
+	waitStatus(t, ts, job.ID, client.StatusRunning)
 
 	if code := deleteJob(t, ts, job.ID); code != http.StatusAccepted {
 		t.Fatalf("DELETE running job: status %d, want 202", code)
 	}
-	got := waitStatus(t, ts, job.ID, StatusCancelled)
+	got := waitStatus(t, ts, job.ID, client.StatusCancelled)
 	if got.Finished == nil {
 		t.Error("cancelled job has no Finished timestamp")
 	}
@@ -211,8 +212,8 @@ func TestJobDeadlineExpiryFailsJob(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		j, _ := getJob(t, ts, job.ID)
-		if terminal(j.Status) {
-			if j.Status != StatusFailed {
+		if j.Terminal() {
+			if j.Status != client.StatusFailed {
 				t.Fatalf("status = %s, want failed", j.Status)
 			}
 			if !strings.Contains(j.Error, "deadline exceeded") || !strings.Contains(j.Error, "100ms") {
@@ -238,8 +239,8 @@ func TestOversizedJobFailsServerSurvives(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		j, _ := getJob(t, ts, job.ID)
-		if terminal(j.Status) {
-			if j.Status != StatusFailed || !strings.Contains(j.Error, runner.ErrGridTooLarge.Error()) {
+		if j.Terminal() {
+			if j.Status != client.StatusFailed || !strings.Contains(j.Error, runner.ErrGridTooLarge.Error()) {
 				t.Fatalf("status %s, error %q; want failed with %q", j.Status, j.Error, runner.ErrGridTooLarge)
 			}
 			break
@@ -278,8 +279,8 @@ func TestPanickingJobFailsServerSurvives(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		j, _ := getJob(t, ts, job.ID)
-		if terminal(j.Status) {
-			if j.Status != StatusFailed || j.Error != want {
+		if j.Terminal() {
+			if j.Status != client.StatusFailed || j.Error != want {
 				t.Fatalf("status %s, error %q; want failed with %q", j.Status, j.Error, want)
 			}
 			break
@@ -294,7 +295,7 @@ func TestPanickingJobFailsServerSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Status != StatusFailed || recs[0].Error != want {
+	if len(recs) != 1 || recs[0].Status != client.StatusFailed || recs[0].Error != want {
 		t.Errorf("WAL holds %+v, want the job failed with %q", recs, want)
 	}
 
@@ -352,7 +353,7 @@ func TestResubmitFailedJobReruns(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if j, _ := getJob(t, ts, job.ID); j.Status == StatusFailed {
+		if j, _ := getJob(t, ts, job.ID); j.Status == client.StatusFailed {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -392,7 +393,7 @@ func TestBackpressureRejectsOverCap(t *testing.T) {
 	if code := deleteJob(t, ts, job.ID); code != http.StatusAccepted {
 		t.Fatalf("cancel: status %d", code)
 	}
-	waitStatus(t, ts, job.ID, StatusCancelled)
+	waitStatus(t, ts, job.ID, client.StatusCancelled)
 	if _, code := postJob(t, ts, `{"experiment":"test-flaky","params":{"Seed":4}}`); code != http.StatusAccepted {
 		t.Errorf("submit after drain: status %d, want 202", code)
 	}
@@ -421,7 +422,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown = %v, want clean drain", err)
 	}
-	if j, _ := getJob(t, ts, job.ID); j.Status != StatusDone {
+	if j, _ := getJob(t, ts, job.ID); j.Status != client.StatusDone {
 		t.Errorf("job drained to %s, want done", j.Status)
 	}
 	if _, code := postJob(t, ts, `{"experiment":"test-flaky","params":{"Seed":5}}`); code != http.StatusServiceUnavailable {
@@ -438,14 +439,14 @@ func TestShutdownHardDeadlineCancels(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitStatus(t, ts, job.ID, StatusRunning)
+	waitStatus(t, ts, job.ID, client.StatusRunning)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want DeadlineExceeded after forced cancel", err)
 	}
-	if j, _ := getJob(t, ts, job.ID); j.Status != StatusCancelled {
+	if j, _ := getJob(t, ts, job.ID); j.Status != client.StatusCancelled {
 		t.Errorf("straggler job is %s, want cancelled", j.Status)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/exp"
 	"snd/internal/runner"
 	"snd/internal/store"
@@ -23,14 +24,14 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJob(t *testing.T, ts *httptest.Server, body string) (Job, int) {
+func postJob(t *testing.T, ts *httptest.Server, body string) (client.Job, int) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var job Job
+	var job client.Job
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 			t.Fatal(err)
@@ -39,7 +40,7 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (Job, int) {
 	return job, resp.StatusCode
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) Job {
+func waitDone(t *testing.T, ts *httptest.Server, id string) client.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -47,7 +48,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) Job {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var job Job
+		var job client.Job
 		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) Job {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
-	return Job{}
+	return client.Job{}
 }
 
 func TestSubmitRunsAndDedupes(t *testing.T) {
@@ -119,7 +120,7 @@ func TestUnknownExperimentAndBadParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e struct{ Error apiError }
+		var e struct{ Error client.APIError }
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestUnknownExperimentAndBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var page jobList
+	var page client.JobList
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e struct{ Error apiError }
+	var e struct{ Error client.APIError }
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestListAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var page jobList
+	var page client.JobList
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ func TestJobProgressAndTimestamps(t *testing.T) {
 	if done.Started == nil || done.Finished == nil {
 		t.Fatalf("timestamps missing: started=%v finished=%v", done.Started, done.Finished)
 	}
-	if done.Started.Before(done.Submitted) {
-		t.Errorf("started %v before submitted %v", done.Started, done.Submitted)
+	if done.Started.Before(done.Created) {
+		t.Errorf("started %v before submitted %v", done.Started, done.Created)
 	}
 	if done.Finished.Before(*done.Started) {
 		t.Errorf("finished %v before started %v", done.Finished, done.Started)

@@ -1,52 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 
+	"snd/client"
 	"snd/internal/exp"
 	"snd/internal/obs"
-	"snd/internal/store"
 )
 
-// recordOf converts a live job to its durable form. Result is re-encoded
-// to raw JSON; live-only fields (progress, trace_id) are dropped — a
-// restarted server mints a fresh trace for resumed jobs.
-func recordOf(job *Job) store.JobRecord {
-	var result json.RawMessage
-	switch v := job.Result.(type) {
-	case nil:
-	case json.RawMessage:
-		result = v
-	default:
-		if b, err := json.Marshal(v); err == nil {
-			result = b
-		}
-	}
-	return store.JobRecord{
-		ID:         job.ID,
-		Experiment: job.Experiment,
-		Params:     job.Params,
-		Timeout:    job.Timeout,
-		Status:     job.Status,
-		Error:      job.Error,
-		Result:     result,
-		Created:    job.Submitted,
-		Started:    job.Started,
-		Finished:   job.Finished,
-	}
-}
-
-// persistLocked writes the job's current state through the job store.
-// Callers hold s.mu, which also serializes WAL appends with the job's
-// actual transition order. Persistence failures are logged, not fatal:
-// the in-memory table stays authoritative for this process's lifetime.
-func (s *Server) persistLocked(job *Job) {
+// persistLocked writes the job's current state through the job store,
+// which drops the live-only fields (progress, trace_id, store): a
+// restarted server mints a fresh trace for resumed jobs. Callers hold
+// s.mu, which also serializes WAL appends with the job's actual
+// transition order. Persistence failures are logged, not fatal: the
+// in-memory table stays authoritative for this process's lifetime.
+func (s *Server) persistLocked(job *entry) {
 	if s.jobStore == nil {
 		return
 	}
-	if err := s.jobStore.Save(recordOf(job)); err != nil {
+	if err := s.jobStore.Save(job.Job); err != nil {
 		s.log.Error("job persist failed", obs.JobAttrs(job.ID, job.Experiment), slog.Any("err", err))
 	}
 }
@@ -83,22 +56,9 @@ func (s *Server) Recover() (resumed, restored int, err error) {
 		return 0, 0, fmt.Errorf("recover jobs: %w", err)
 	}
 	for _, rec := range recs {
-		job := &Job{
-			ID:         rec.ID,
-			Experiment: rec.Experiment,
-			Params:     rec.Params,
-			Timeout:    rec.Timeout,
-			Status:     rec.Status,
-			Error:      rec.Error,
-			Submitted:  rec.Created,
-			Started:    rec.Started,
-			Finished:   rec.Finished,
-			Store:      s.storeScheme,
-		}
-		if len(rec.Result) > 0 {
-			job.Result = rec.Result
-		}
-		if terminal(rec.Status) {
+		job := &entry{Job: rec}
+		job.Store = s.storeScheme
+		if job.Terminal() {
 			s.mu.Lock()
 			s.jobs[job.ID] = job
 			s.mu.Unlock()
@@ -120,10 +80,10 @@ func (s *Server) Recover() (resumed, restored int, err error) {
 // experiment no longer exists (or whose params no longer decode, e.g.
 // after a schema change across the restart) is marked failed instead of
 // resumed — visible history, not a crash loop.
-func (s *Server) recoverInterrupted(job *Job) bool {
+func (s *Server) recoverInterrupted(job *entry) bool {
 	fail := func(msg string) {
 		now := s.now().UTC()
-		job.Status = StatusFailed
+		job.Status = client.StatusFailed
 		job.Error = msg
 		job.Started = nil
 		job.Finished = &now
@@ -144,7 +104,7 @@ func (s *Server) recoverInterrupted(job *Job) bool {
 		fail(fmt.Sprintf("recovery: params no longer decode: %v", err))
 		return false
 	}
-	job.Status = StatusQueued
+	job.Status = client.StatusQueued
 	job.Started = nil
 	job.Finished = nil
 	job.Error = ""

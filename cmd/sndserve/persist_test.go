@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/runner"
 	"snd/internal/store"
 )
@@ -35,8 +36,8 @@ func bootPersistent(t *testing.T, dir string) (*Server, *httptest.Server, *store
 	return s, ts, wal
 }
 
-// canon re-encodes any decoded JSON value canonically (sorted keys) so
-// results can be compared byte-for-byte across restarts.
+// canon re-encodes a JSON value compactly so results can be compared
+// byte-for-byte across restarts.
 func canon(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -72,24 +73,24 @@ func TestRestartRestoresHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recovered Job
+	var recovered client.Job
 	if err := json.NewDecoder(resp.Body).Decode(&recovered); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || recovered.Status != StatusDone {
+	if resp.StatusCode != http.StatusOK || recovered.Status != client.StatusDone {
 		t.Fatalf("recovered job: status %d / %s", resp.StatusCode, recovered.Status)
 	}
 	if got := canon(t, recovered.Result); got != want {
 		t.Fatalf("result changed across restart:\n%s\nvs\n%s", got, want)
 	}
-	if !recovered.Submitted.Equal(done.Submitted) {
-		t.Fatalf("created_at changed across restart: %v vs %v", recovered.Submitted, done.Submitted)
+	if !recovered.Created.Equal(done.Created) {
+		t.Fatalf("created_at changed across restart: %v vs %v", recovered.Created, done.Created)
 	}
 
 	// Resubmission is answered from the recovered table, not recomputed.
 	again, code := postJob(t, ts2, body)
-	if code != http.StatusOK || again.Status != StatusDone {
+	if code != http.StatusOK || again.Status != client.StatusDone {
 		t.Fatalf("resubmit after restart: status %d / %s, want dedup hit", code, again.Status)
 	}
 }
@@ -116,10 +117,10 @@ func TestRecoverResumesInterrupted(t *testing.T) {
 	}
 	created := time.Now().UTC().Add(-time.Minute)
 	started := created.Add(time.Second)
-	for _, rec := range []store.JobRecord{
-		{ID: "interrupted1", Experiment: "overhead", Params: params, Status: StatusRunning, Created: created, Started: &started},
-		{ID: "interrupted2", Experiment: "overhead", Params: params, Status: StatusQueued, Created: created.Add(time.Second)},
-		{ID: "orphaned", Experiment: "no-such-experiment", Status: StatusQueued, Created: created.Add(2 * time.Second)},
+	for _, rec := range []client.Job{
+		{ID: "interrupted1", Experiment: "overhead", Params: params, Status: client.StatusRunning, Created: created, Started: &started},
+		{ID: "interrupted2", Experiment: "overhead", Params: params, Status: client.StatusQueued, Created: created.Add(time.Second)},
+		{ID: "orphaned", Experiment: "no-such-experiment", Status: client.StatusQueued, Created: created.Add(2 * time.Second)},
 	} {
 		if err := wal.Save(rec); err != nil {
 			t.Fatal(err)
@@ -148,12 +149,12 @@ func TestRecoverResumesInterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var orphan Job
+	var orphan client.Job
 	if err := json.NewDecoder(resp.Body).Decode(&orphan); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if orphan.Status != StatusFailed || orphan.Error == "" {
+	if orphan.Status != client.StatusFailed || orphan.Error == "" {
 		t.Fatalf("orphaned job = %+v, want failed with a recovery error", orphan)
 	}
 }

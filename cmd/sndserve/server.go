@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"snd/client"
 	"snd/internal/dist"
 	"snd/internal/exp"
 	"snd/internal/obs"
@@ -27,68 +28,22 @@ import (
 	"snd/internal/store"
 )
 
-// Job statuses. The lifecycle is
-//
-//	queued → running → done | failed | cancelled
-//
-// done jobs carry a result; failed jobs an error (including per-job
-// deadline expiry); cancelled jobs were stopped by DELETE /v1/jobs/{id} or
-// by server shutdown. Finished jobs linger in the table for the configured
-// TTL and are then evicted; failed and cancelled jobs are additionally
-// evicted on resubmission so they re-run instead of replaying the stale
-// outcome forever.
-const (
-	StatusQueued    = "queued"
-	StatusRunning   = "running"
-	StatusDone      = "done"
-	StatusFailed    = "failed"
-	StatusCancelled = "cancelled"
-)
-
-// terminal reports whether a status is final.
-func terminal(status string) bool {
-	return status == StatusDone || status == StatusFailed || status == StatusCancelled
-}
-
-// Job is one submitted experiment run. Jobs are content-addressed:
-// resubmitting the same experiment with the same parameters returns the
-// existing job (and its finished result) instead of recomputing — unless
-// that job failed or was cancelled, in which case the stale entry is
-// evicted and the job re-runs.
-type Job struct {
-	ID         string          `json:"id"`
-	Experiment string          `json:"experiment"`
-	Params     json.RawMessage `json:"params,omitempty"`
-	Timeout    string          `json:"timeout,omitempty"`
-	Status     string          `json:"status"`
-	Error      string          `json:"error,omitempty"`
-	Result     any             `json:"result,omitempty"`
-	// Submitted serializes as created_at: the stable resource timestamps
-	// are created_at/started_at/finished_at on every job shape (submit
-	// response, get, list). The pre-redesign names (submitted, started,
-	// finished) are gone; see DESIGN.md §9.
-	Submitted time.Time `json:"created_at"`
-	// Started is when execution began (the queued→running transition).
-	Started  *time.Time `json:"started_at,omitempty"`
-	Finished *time.Time `json:"finished_at,omitempty"`
-	// Store names the blob-store scheme (mem, file, s3) backing the trial
-	// cache this job's results were computed against.
-	Store string `json:"store,omitempty"`
-	// Progress reports live trial counts — done/total/dropped — while the
-	// job runs, and the final tally once it is terminal. Totals grow as
-	// the experiment schedules its sweeps, so done==total means "caught
-	// up", not necessarily "finished", until Status is terminal.
-	Progress *runner.ProgressSnapshot `json:"progress,omitempty"`
-	// TraceID names the job's trace in the flight recorder — fetch the full
-	// span tree with GET /v1/debug/traces?trace={TraceID}. Empty when the
-	// server runs untraced.
-	TraceID string `json:"trace_id,omitempty"`
+// entry is one job of the table: the /v1 resource plus what only the
+// running server holds. Jobs are content-addressed: resubmitting the same
+// experiment with the same parameters returns the existing job (and its
+// finished result) instead of recomputing — unless that job failed or was
+// cancelled, in which case the stale entry is evicted and the job re-runs.
+// Finished jobs linger in the table for the configured TTL and are then
+// evicted.
+type entry struct {
+	client.Job
 
 	// span is the job's "job.run" span; execute ends it.
 	span *trace.Span
 	// cancel stops the job's context; nil once the job is finished.
 	cancel context.CancelFunc
-	// progress is the live tracker behind the Progress snapshots.
+	// progress is the live tracker behind the Progress snapshots. Totals
+	// grow as the experiment schedules its sweeps.
 	progress *runner.Progress
 	// bound is the registry experiment instance bound to the decoded
 	// params at submission; execute runs it on the shared engine.
@@ -174,7 +129,7 @@ type Server struct {
 	httpInflight *obs.Gauge
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
+	jobs     map[string]*entry
 	inFlight int  // jobs queued or running right now
 	draining bool // shutdown started; no new jobs
 	wg       sync.WaitGroup
@@ -209,7 +164,7 @@ func NewServer(eng *runner.Engine, cfg Config) (*Server, *http.ServeMux) {
 		jobStore:    cfg.Jobs,
 		storeScheme: cfg.StoreScheme,
 		keys:        cfg.Keys,
-		jobs:        make(map[string]*Job),
+		jobs:        make(map[string]*entry),
 
 		dedupHits:    reg.Counter("snd_job_dedup_hits_total", "Resubmissions answered from the job table."),
 		rejected:     reg.Counter("snd_jobs_rejected_total", "Submissions bounced by the admission cap."),
@@ -262,7 +217,7 @@ func (s *Server) refreshJobGauges() {
 	}
 	s.jobsTotal.Set(int64(len(s.jobs)))
 	s.jobsInflight.Set(int64(s.inFlight))
-	for _, status := range []string{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
+	for _, status := range []string{client.StatusQueued, client.StatusRunning, client.StatusDone, client.StatusFailed, client.StatusCancelled} {
 		s.jobsByStatus.With(status).Set(byStatus[status])
 	}
 }
@@ -348,16 +303,8 @@ func jobID(experiment string, params json.RawMessage) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-type submitRequest struct {
-	Experiment string          `json:"experiment"`
-	Params     json.RawMessage `json:"params"`
-	// Timeout is an optional per-job deadline as a Go duration string
-	// (e.g. "90s"). An expired job is marked failed with a deadline error.
-	Timeout string `json:"timeout"`
-}
-
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
+	var req client.SubmitRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -397,7 +344,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	if job, ok := s.jobs[id]; ok {
 		// A failed or cancelled job must not be memoized forever: evict
 		// the stale entry and fall through to a fresh run.
-		if job.Status == StatusFailed || job.Status == StatusCancelled {
+		if job.Status == client.StatusFailed || job.Status == client.StatusCancelled {
 			delete(s.jobs, id)
 			s.unpersistLocked(id)
 		} else {
@@ -419,16 +366,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			"%d jobs already in flight (cap %d); retry later", s.maxInFlight, s.maxInFlight)
 		return
 	}
-	job := &Job{
+	job := &entry{Job: client.Job{
 		ID:         id,
 		Experiment: req.Experiment,
 		Params:     req.Params,
 		Timeout:    req.Timeout,
-		Status:     StatusQueued,
-		Submitted:  s.now().UTC(),
+		Status:     client.StatusQueued,
+		Created:    s.now().UTC(),
 		Store:      s.storeScheme,
-		bound:      bound,
-	}
+	}, bound: bound}
 	// The job.run span is a child of the submitting request's span, so the
 	// 202 response already carries the trace ID.
 	s.startLocked(job, spanOf(w).StartChild("job.run"))
@@ -448,7 +394,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 // caller minted; nil with tracing on gets a fresh root. The job_id
 // attribute is what GET /v1/debug/traces?job={id} keys on. Callers hold
 // s.mu and have set job.bound.
-func (s *Server) startLocked(job *Job, jspan *trace.Span) {
+func (s *Server) startLocked(job *entry, jspan *trace.Span) {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if d, err := time.ParseDuration(job.Timeout); err == nil && d > 0 {
@@ -474,8 +420,8 @@ func (s *Server) startLocked(job *Job, jspan *trace.Span) {
 
 // snapshotLocked copies a job for serialization, resolving its live
 // progress tracker into a point-in-time snapshot. Callers hold s.mu.
-func snapshotLocked(job *Job) Job {
-	out := *job
+func snapshotLocked(job *entry) client.Job {
+	out := job.Job
 	if job.progress != nil {
 		ps := job.progress.Snapshot()
 		out.Progress = &ps
@@ -483,13 +429,13 @@ func snapshotLocked(job *Job) Job {
 	return out
 }
 
-func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Job) {
+func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *entry) {
 	defer s.wg.Done()
 	defer cancel()
 
 	started := s.now().UTC()
 	s.mu.Lock()
-	job.Status = StatusRunning
+	job.Status = client.StatusRunning
 	job.Started = &started
 	bound := job.bound
 	s.persistLocked(job)
@@ -504,6 +450,14 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Jo
 	ctx = trace.WithTracer(ctx, s.tracer)
 	ctx = trace.ContextWithSpan(ctx, job.span)
 	result, err := s.run(ctx, job, bound)
+	var raw json.RawMessage
+	if err == nil && result != nil {
+		// Encoded once, here: GETs, listings and the job log all serve
+		// these bytes.
+		if raw, err = json.Marshal(result); err != nil {
+			err = fmt.Errorf("encode result: %w", err)
+		}
+	}
 
 	now := s.now().UTC()
 	s.mu.Lock()
@@ -512,16 +466,16 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Jo
 	job.cancel = nil
 	switch {
 	case err == nil:
-		job.Status = StatusDone
-		job.Result = result
+		job.Status = client.StatusDone
+		job.Result = raw
 	case errors.Is(err, context.DeadlineExceeded):
-		job.Status = StatusFailed
+		job.Status = client.StatusFailed
 		job.Error = fmt.Sprintf("deadline exceeded: job ran past its %s timeout", job.Timeout)
 	case errors.Is(err, context.Canceled):
-		job.Status = StatusCancelled
+		job.Status = client.StatusCancelled
 		job.Error = "cancelled before completion"
 	default:
-		job.Status = StatusFailed
+		job.Status = client.StatusFailed
 		job.Error = err.Error()
 	}
 	status := job.Status
@@ -548,7 +502,7 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, job *Jo
 // recovers panicking trials; a panic anywhere else on the job's goroutine
 // (a plan's set-up, a Reduce) becomes the job's error here instead of
 // ending the server.
-func (s *Server) run(ctx context.Context, job *Job, bound exp.Experiment) (result exp.Result, err error) {
+func (s *Server) run(ctx context.Context, job *entry, bound exp.Experiment) (result exp.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("job panicked: %v", v)
@@ -570,7 +524,7 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNotFound, "", "no such job")
 		return
 	}
-	if terminal(job.Status) {
+	if job.Terminal() {
 		id, status := job.ID, job.Status
 		s.mu.Unlock()
 		writeError(w, http.StatusConflict, errJobFinished, "",
@@ -614,7 +568,7 @@ func (s *Server) CancelAll() {
 	s.mu.Lock()
 	var cancels []context.CancelFunc
 	for _, job := range s.jobs {
-		if job.cancel != nil && !terminal(job.Status) {
+		if job.cancel != nil && !job.Terminal() {
 			cancels = append(cancels, job.cancel)
 		}
 	}
@@ -645,7 +599,7 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.evictExpiredLocked()
 	job, ok := s.jobs[r.PathValue("id")]
-	var snapshot Job
+	var snapshot client.Job
 	if ok {
 		snapshot = snapshotLocked(job)
 	}
@@ -663,21 +617,13 @@ const (
 	MaxPageLimit     = 1000
 )
 
-// jobList is the GET /v1/jobs envelope. NextCursor, when present, is an
-// opaque token: pass it back as ?cursor= to fetch the next page. Its
-// absence means the listing is complete.
-type jobList struct {
-	Jobs       []Job  `json:"jobs"`
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
 // encodeCursor/decodeCursor translate the stable listing position —
 // (created_at, id) of the last job returned — to an opaque token. The
 // ordering key is total (ID breaks creation-time ties), so pages never
 // skip or duplicate a job even as new jobs land between requests.
-func encodeCursor(j Job) string {
+func encodeCursor(j client.Job) string {
 	return base64.RawURLEncoding.EncodeToString(
-		[]byte(fmt.Sprintf("%d:%s", j.Submitted.UnixNano(), j.ID)))
+		[]byte(fmt.Sprintf("%d:%s", j.Created.UnixNano(), j.ID)))
 }
 
 func decodeCursor(s string) (nano int64, id string, err error) {
@@ -694,9 +640,11 @@ func decodeCursor(s string) (nano int64, id string, err error) {
 }
 
 // list serves GET /v1/jobs: creation-ordered, cursor-paginated
-// (?limit=, ?cursor=), filterable by ?status= and ?exp=, wrapped in the
-// {"jobs": [...], "next_cursor": ...} envelope. Results are elided from
-// listings; fetch GET /v1/jobs/{id} for a job's result.
+// (?limit=, ?cursor=), filterable by ?status= and ?exp=, as a
+// client.JobList. NextCursor, when present, is an opaque token: pass it
+// back as ?cursor= to fetch the next page; its absence means the listing
+// is complete. Results are elided from listings; fetch GET /v1/jobs/{id}
+// for a job's result.
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit := DefaultPageLimit
@@ -711,7 +659,7 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	}
 	status := q.Get("status")
 	switch status {
-	case "", StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
+	case "", client.StatusQueued, client.StatusRunning, client.StatusDone, client.StatusFailed, client.StatusCancelled:
 	default:
 		writeError(w, http.StatusBadRequest, errBadQuery, "status",
 			"bad status %q: want one of queued, running, done, failed, cancelled", status)
@@ -734,7 +682,7 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.evictExpiredLocked()
-	all := make([]Job, 0, len(s.jobs))
+	all := make([]client.Job, 0, len(s.jobs))
 	for _, job := range s.jobs {
 		if status != "" && job.Status != status {
 			continue
@@ -749,19 +697,19 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	sort.Slice(all, func(i, j int) bool {
-		if !all[i].Submitted.Equal(all[j].Submitted) {
-			return all[i].Submitted.Before(all[j].Submitted)
+		if !all[i].Created.Equal(all[j].Created) {
+			return all[i].Created.Before(all[j].Created)
 		}
 		return all[i].ID < all[j].ID
 	})
 	if usingCursor {
 		start := sort.Search(len(all), func(i int) bool {
-			nano := all[i].Submitted.UnixNano()
+			nano := all[i].Created.UnixNano()
 			return nano > afterNano || (nano == afterNano && all[i].ID > afterID)
 		})
 		all = all[start:]
 	}
-	page := jobList{Jobs: all}
+	page := client.JobList{Jobs: all}
 	if len(all) > limit {
 		page.Jobs = all[:limit]
 		page.NextCursor = encodeCursor(all[limit-1])
@@ -783,22 +731,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// apiError is the typed envelope every 4xx/5xx response carries, wrapped
-// as {"error": {"code", "message", "field"}}. Code is a stable,
-// machine-matchable identifier (the table lives in DESIGN.md §9); Message
-// is human-readable and free to change; Field names the offending request
-// field when one is identifiable.
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Field   string `json:"field,omitempty"`
-	// TraceID names the failing request's trace so an error report can be
-	// correlated with its span tree in /v1/debug/traces. Present only when
-	// the server traces.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// Error codes. Clients switch on these, never on Message text.
+// Error codes of the client.APIError envelope, each with the HTTP status
+// its writeError calls pass. Clients switch on these, never on Message
+// text.
 const (
 	errBadBody           = "bad_body"           // 400: request body is not valid JSON for the submit shape
 	errBadParams         = "bad_params"         // 400: params rejected by the experiment's strict decoder
@@ -813,19 +748,21 @@ const (
 	errUnauthorized      = "unauthorized"       // 401: /v1/jobs* write without a valid Authorization: Bearer key
 	errRateLimited       = "rate_limited"       // 429: the key's token bucket is empty; honor Retry-After
 
-	// The /v1/dist/* endpoints add the protocol codes defined in
-	// internal/dist (same envelope, same table in DESIGN.md §9):
-	// unknown_worker (404), unknown_lease (409), job_cancelled (409),
+	// The /v1/dist/* endpoints add the protocol codes defined, with their
+	// statuses, in internal/dist (same envelope, same table in DESIGN.md
+	// §9): unknown_worker (404), unknown_lease (409), job_cancelled (409),
 	// coordinator_disabled (404).
 )
 
 func writeError(w http.ResponseWriter, status int, code, field, format string, args ...any) {
-	writeJSON(w, status, map[string]apiError{"error": {
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-		Field:   field,
-		TraceID: spanOf(w).TraceID(),
-	}})
+	writeAPIError(w, &client.APIError{Status: status, Code: code, Message: fmt.Sprintf(format, args...), Field: field})
+}
+
+// writeAPIError answers e as the {"error": {...}} envelope under its
+// Status, naming the failing request's trace when the server traces.
+func writeAPIError(w http.ResponseWriter, e *client.APIError) {
+	e.TraceID = spanOf(w).TraceID()
+	writeJSON(w, e.Status, map[string]*client.APIError{"error": e})
 }
 
 // decodeFieldRe matches the two field-bearing shapes of encoding/json

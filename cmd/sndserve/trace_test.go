@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/dist"
 	"snd/internal/exp"
 	"snd/internal/obs"
@@ -91,7 +92,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var job Job
+	var job client.Job
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var env struct {
-		Error apiError `json:"error"`
+		Error client.APIError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
@@ -264,7 +265,7 @@ func TestDebugTracesDisabled(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var env struct {
-		Error apiError `json:"error"`
+		Error client.APIError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)

@@ -63,27 +63,15 @@ func wireCall(t *testing.T, method, url, body string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-// wireSubmitDone submits body and polls until the job is done, returning
+// wireSubmitDone submits body and waits for the job to finish, returning
 // its ID.
 func wireSubmitDone(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
-	code, raw := wireCall(t, http.MethodPost, ts.URL+"/v1/jobs", body)
-	var job struct{ ID, Status, Error string }
-	if err := json.Unmarshal(raw, &job); err != nil || (code != http.StatusAccepted && code != http.StatusOK) {
-		t.Fatalf("submit: status %d: %s", code, raw)
+	job, code := postJob(t, ts, body)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit %s: status %d", body, code)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for job.Status != "done" {
-		if job.Status == "failed" || job.Status == "cancelled" || time.Now().After(deadline) {
-			t.Fatalf("job %s: status %q (%s)", job.ID, job.Status, job.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
-		_, raw = wireCall(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID, "")
-		if err := json.Unmarshal(raw, &job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return job.ID
+	return waitDone(t, ts, job.ID).ID
 }
 
 // TestWireFixtures pins the bytes of the /v1 job resource, a job page, the

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"snd/client"
 	"snd/internal/obs"
 	"snd/internal/obs/trace"
 	"snd/internal/runner"
@@ -487,10 +488,10 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	}
 }
 
-func (c *Coordinator) workerLocked(id string) (*workerState, *Error) {
+func (c *Coordinator) workerLocked(id string) (*workerState, *client.APIError) {
 	w := c.workers[id]
 	if w == nil {
-		return nil, errf(CodeUnknownWorker, "worker %q is not registered (register first)", id)
+		return nil, Errf(CodeUnknownWorker, "worker %q is not registered (register first)", id)
 	}
 	w.lastSeen = c.now()
 	return w, nil
@@ -552,11 +553,11 @@ func (c *Coordinator) Renew(workerID, batchID string) (RenewResponse, error) {
 		return RenewResponse{}, werr
 	}
 	if _, revoked := c.revoked[batchID]; revoked {
-		return RenewResponse{}, errf(CodeJobCancelled, "batch %s: its job was cancelled; abandon it", batchID)
+		return RenewResponse{}, Errf(CodeJobCancelled, "batch %s: its job was cancelled; abandon it", batchID)
 	}
 	b := c.leases[batchID]
 	if b == nil || b.local || b.worker != workerID {
-		return RenewResponse{}, errf(CodeUnknownLease, "no live lease on batch %s for worker %s", batchID, workerID)
+		return RenewResponse{}, Errf(CodeUnknownLease, "no live lease on batch %s for worker %s", batchID, workerID)
 	}
 	b.expiry = c.now().Add(c.ttl)
 	return RenewResponse{LeaseTTL: c.ttl.String()}, nil
@@ -577,17 +578,17 @@ func (c *Coordinator) Report(req ResultsRequest) (ResultsResponse, error) {
 		return ResultsResponse{}, werr
 	}
 	if _, revoked := c.revoked[req.BatchID]; revoked {
-		return ResultsResponse{}, errf(CodeJobCancelled, "batch %s: its job was cancelled; results discarded", req.BatchID)
+		return ResultsResponse{}, Errf(CodeJobCancelled, "batch %s: its job was cancelled; results discarded", req.BatchID)
 	}
 	b := c.leases[req.BatchID]
 	if b == nil {
 		if _, done := c.finished[req.BatchID]; done {
 			return ResultsResponse{Duplicates: len(req.Results), Done: true}, nil
 		}
-		return ResultsResponse{}, errf(CodeUnknownLease, "no live lease on batch %s", req.BatchID)
+		return ResultsResponse{}, Errf(CodeUnknownLease, "no live lease on batch %s", req.BatchID)
 	}
 	if b.local || b.worker != req.WorkerID {
-		return ResultsResponse{}, errf(CodeUnknownLease, "batch %s is not leased to worker %s", req.BatchID, req.WorkerID)
+		return ResultsResponse{}, Errf(CodeUnknownLease, "batch %s is not leased to worker %s", req.BatchID, req.WorkerID)
 	}
 	// Merge the worker's span subtree into the flight recorder before any
 	// outcome branching: a failed batch's spans are exactly the ones worth

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -263,9 +262,4 @@ func TestReportFromNonHolderRejected(t *testing.T) {
 	}
 	cancel()
 	<-errc
-}
-
-func isCode(err error, code string) bool {
-	var derr *Error
-	return errors.As(err, &derr) && derr.Code == code
 }

@@ -10,7 +10,8 @@
 // renewable TTL leases, and post per-cell results back. Those three calls
 // are the whole conversation: each one refreshes the worker's liveness,
 // the lease answer carries the coordinator's drain signal, and a renewal
-// or results post for a cancelled job answers job_cancelled. Expired or failed
+// or results post for a cancelled job answers job_cancelled (protocol
+// errors are *client.APIError, the /v1 error envelope). Expired or failed
 // leases are re-queued with capped remote attempts, after which a batch is
 // pinned local-only — combined with the in-process loopback workers that
 // drain the same lease table, a killed worker can delay a sweep but never
@@ -21,8 +22,11 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 
+	"snd/client"
 	"snd/internal/obs/trace"
 	"snd/internal/runner"
 )
@@ -36,17 +40,11 @@ const (
 	PathStatus   = "/v1/dist/status"
 )
 
-// Error is a typed protocol failure. The coordinator returns these and the
-// HTTP layer maps Code onto the /v1 error envelope, so workers switch on
-// the same stable codes as every other API client.
-type Error struct {
-	Code    string
-	Message string
-}
-
-func (e *Error) Error() string { return e.Code + ": " + e.Message }
-
-// Protocol error codes (table in DESIGN.md §9).
+// Protocol error codes (table in DESIGN.md §9). The coordinator returns
+// them as *client.APIError, the /v1 error envelope, with the HTTP status
+// that codeStatus assigns; cmd/sndserve serves that error as it is, and
+// Client hands the decoded envelope back, so workers switch on the same
+// Code whether the coordinator is in process or across the network.
 const (
 	// CodeUnknownWorker rejects calls from an unregistered (or expired)
 	// worker ID; the worker must re-register.
@@ -63,8 +61,23 @@ const (
 	CodeCoordinatorDisabled = "coordinator_disabled"
 )
 
-func errf(code, format string, args ...any) *Error {
-	return &Error{Code: code, Message: fmt.Sprintf(format, args...)}
+// codeStatus is each protocol code's HTTP status.
+var codeStatus = map[string]int{
+	CodeUnknownWorker:       http.StatusNotFound, // re-register
+	CodeUnknownLease:        http.StatusConflict, // lease expired or reassigned; abandon the batch
+	CodeJobCancelled:        http.StatusConflict, // sweep revoked; abandon the batch
+	CodeCoordinatorDisabled: http.StatusNotFound,
+}
+
+// Errf builds the protocol error for code.
+func Errf(code, format string, args ...any) *client.APIError {
+	return &client.APIError{Status: codeStatus[code], Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// isCode reports whether err is a protocol error with code.
+func isCode(err error, code string) bool {
+	var e *client.APIError
+	return errors.As(err, &e) && e.Code == code
 }
 
 // RegisterRequest is a worker's handshake: a display name and the

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snd/client"
 	"snd/internal/obs"
 	"snd/internal/obs/trace"
 	"snd/internal/runner"
@@ -104,9 +105,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		lease, err := w.client.Lease(ctx, w.workerID())
-		var derr *Error
 		switch {
-		case errors.As(err, &derr) && derr.Code == CodeUnknownWorker:
+		case isCode(err, CodeUnknownWorker):
 			// Coordinator restarted or pruned us: re-register and go on.
 			if _, err := w.register(ctx); err != nil {
 				return err
@@ -267,9 +267,9 @@ func (w *Worker) renewLoop(ctx context.Context, batchID string, every time.Durat
 		case <-t.C:
 		}
 		_, err := w.client.Renew(ctx, w.workerID(), batchID)
-		var derr *Error
-		if errors.As(err, &derr) && (derr.Code == CodeJobCancelled || derr.Code == CodeUnknownLease) {
-			w.log.Info("lease lost; abandoning batch", "batch", batchID, "code", derr.Code)
+		var aerr *client.APIError
+		if errors.As(err, &aerr) && (aerr.Code == CodeJobCancelled || aerr.Code == CodeUnknownLease) {
+			w.log.Info("lease lost; abandoning batch", "batch", batchID, "code", aerr.Code)
 			cancelled.Store(true)
 			cancel()
 			return
@@ -288,8 +288,7 @@ func (w *Worker) report(ctx context.Context, req ResultsRequest) (ResultsRespons
 		if err == nil {
 			return resp, nil
 		}
-		var derr *Error
-		if errors.As(err, &derr) {
+		if errors.As(err, new(*client.APIError)) {
 			return ResultsResponse{}, err // typed: retrying cannot change the answer
 		}
 		last = err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"snd/client"
 	"snd/internal/runner"
 )
 
@@ -23,12 +24,10 @@ func serveCall[Req, Resp any](call func(Req) (Resp, error)) http.HandlerFunc {
 		}
 		resp, err := call(req)
 		w.Header().Set("Content-Type", "application/json")
-		var derr *Error
-		if errors.As(err, &derr) {
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]any{"error": map[string]string{
-				"code": derr.Code, "message": derr.Message,
-			}})
+		var aerr *client.APIError
+		if errors.As(err, &aerr) {
+			w.WriteHeader(aerr.Status)
+			json.NewEncoder(w).Encode(map[string]any{"error": aerr})
 			return
 		}
 		json.NewEncoder(w).Encode(resp)

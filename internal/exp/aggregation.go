@@ -133,8 +133,8 @@ func planAggregation(p AggregationParams) Sweep[aggregationSample, *AggregationR
 				for name, errs := range sample.Tables {
 					row := agg[name]
 					row.MeanError += errs.MeanError
-					row.MaxError = maxFloat(row.MaxError, errs.MaxError)
-					row.WorstSpan = maxFloat(row.WorstSpan, errs.WorstSpan)
+					row.MaxError = max(row.MaxError, errs.MaxError)
+					row.WorstSpan = max(row.WorstSpan, errs.WorstSpan)
 				}
 			}
 			res := &AggregationResult{}
@@ -218,11 +218,4 @@ func aggregationErrors(a cluster.Assignment, pos map[nodeid.ID]geometry.Point) (
 		}
 	}
 	return meanErr, maxErr, worstSpan, n
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

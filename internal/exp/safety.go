@@ -357,7 +357,7 @@ func planUpdate(p UpdateParams) Sweep[updateSample, *UpdateResult] {
 				}
 			}
 			sample := updateSample{Accuracy: s.Accuracy()}
-			for _, r := range s.AuditSafety(float64(maxInt(m, 1)+1) * p.Range) {
+			for _, r := range s.AuditSafety(float64(max(m, 1)+1) * p.Range) {
 				if r.Reach > sample.MaxReach {
 					sample.MaxReach = r.Reach
 				}
@@ -383,16 +383,9 @@ func planUpdate(p UpdateParams) Sweep[updateSample, *UpdateResult] {
 				sum := stats.Summarize(accs)
 				res.Accuracy.Append(float64(m), sum.Mean, sum.CI95())
 				res.MaxReach.Append(float64(m), maxReach, 0)
-				res.TheoremBound.Append(float64(m), float64(maxInt(m, 1)+1)*p.Range, 0)
+				res.TheoremBound.Append(float64(m), float64(max(m, 1)+1)*p.Range, 0)
 			}
 			return res, nil
 		},
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -34,6 +34,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,7 +174,7 @@ type Tracer struct {
 	ring []SpanData
 	next int // ring insert position
 	full bool
-	ids  map[SpanID]struct{} // spans currently in the ring, for idempotent ingest
+	ids  map[string]struct{} // SpanIDs currently in the ring, for idempotent ingest
 }
 
 // New builds a tracer with a bounded flight recorder.
@@ -184,7 +187,7 @@ func New(opts Options) *Tracer {
 		trialSampling: opts.TrialSampling,
 		sink:          opts.Sink,
 		ring:          make([]SpanData, 0, min(opts.Capacity, 256)),
-		ids:           make(map[SpanID]struct{}),
+		ids:           make(map[string]struct{}),
 	}
 }
 
@@ -238,20 +241,16 @@ func (t *Tracer) record(d SpanData) {
 		return
 	}
 	t.mu.Lock()
-	var id SpanID
-	if b, err := hex.DecodeString(d.SpanID); err == nil && len(b) == len(id) {
-		copy(id[:], b)
-		if _, dup := t.ids[id]; dup {
-			t.mu.Unlock()
-			return
-		}
-		t.ids[id] = struct{}{}
+	if _, dup := t.ids[d.SpanID]; dup {
+		t.mu.Unlock()
+		return
 	}
+	t.ids[d.SpanID] = struct{}{}
 	if len(t.ring) < t.capacity && !t.full {
 		t.ring = append(t.ring, d)
 	} else {
 		t.full = true
-		t.evictLocked(t.ring[t.next])
+		delete(t.ids, t.ring[t.next].SpanID)
 		t.ring[t.next] = d
 	}
 	t.next = (t.next + 1) % t.capacity
@@ -263,14 +262,6 @@ func (t *Tracer) record(d SpanData) {
 			t.sink.Write(append(line, '\n'))
 			t.sinkMu.Unlock()
 		}
-	}
-}
-
-func (t *Tracer) evictLocked(old SpanData) {
-	var id SpanID
-	if b, err := hex.DecodeString(old.SpanID); err == nil && len(b) == len(id) {
-		copy(id[:], b)
-		delete(t.ids, id)
 	}
 }
 
@@ -351,15 +342,8 @@ func (t *Tracer) Traces(limit int) []TraceSummary {
 	for _, id := range order {
 		out = append(out, *byTrace[id])
 	}
-	// Most recently ended first; the ring is oldest-first, so a simple
-	// sort by End descending is stable enough for a debug view.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].End.After(out[i].End) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	// Most recently ended first; equal End times keep ring order.
+	slices.SortStableFunc(out, func(a, b TraceSummary) int { return b.End.Compare(a.End) })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -378,14 +362,12 @@ func (t *Tracer) TraceSpans(traceID string) []SpanData {
 			out = append(out, d)
 		}
 	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Start.Before(out[i].Start) ||
-				(out[j].Start.Equal(out[i].Start) && out[j].SpanID < out[i].SpanID) {
-				out[i], out[j] = out[j], out[i]
-			}
+	slices.SortFunc(out, func(a, b SpanData) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.SpanID, b.SpanID)
+	})
 	return out
 }
 
@@ -567,7 +549,7 @@ func (s *Span) EndAt(at time.Time) {
 	}
 	s.ended = true
 	if s.eventsDropped > 0 {
-		s.attrs = append(s.attrs, Attr{"events_dropped", itoa(s.eventsDropped)})
+		s.attrs = append(s.attrs, Attr{"events_dropped", strconv.Itoa(s.eventsDropped)})
 	}
 	d := SpanData{
 		TraceID: s.traceID.String(),
@@ -584,33 +566,4 @@ func (s *Span) EndAt(at time.Time) {
 	}
 	s.mu.Unlock()
 	s.tracer.record(d)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -237,6 +239,28 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
+// Traces lists the most recently ended trace first; traces that ended at
+// the same instant keep the ring's (oldest-first) order.
+func TestTracesOrderStableOnEqualEnd(t *testing.T) {
+	tr := New(Options{Capacity: 32})
+	t0 := time.Unix(1700000000, 0).UTC()
+	var spans []SpanData
+	for i, end := range []int{1, 2, 1, 2, 1} {
+		spans = append(spans, SpanData{
+			TraceID: fmt.Sprintf("t%d", i), SpanID: fmt.Sprintf("%016x", i+1),
+			Start: t0, End: t0.Add(time.Duration(end) * time.Second),
+		})
+	}
+	tr.Ingest(spans)
+	var got []string
+	for _, s := range tr.Traces(0) {
+		got = append(got, s.TraceID)
+	}
+	if want := []string{"t1", "t3", "t0", "t2", "t4"}; !slices.Equal(got, want) {
+		t.Errorf("Traces order %v, want %v", got, want)
+	}
+}
+
 func TestIngestIsIdempotent(t *testing.T) {
 	tr := New(Options{Capacity: 32})
 	remote := []SpanData{
@@ -279,7 +303,7 @@ func TestConcurrentEventsAndChildren(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				root.Event("tick", "worker", itoa(i))
+				root.Event("tick", "worker", strconv.Itoa(i))
 				c := root.StartChild("child")
 				c.End()
 			}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -275,6 +276,58 @@ func TestTornCacheEntryIsRecomputed(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Points, want.Points) {
 			t.Fatalf("prefix %q: points %v, want %v", full[:n], got.Points, want.Points)
+		}
+	}
+}
+
+// A scalar sample has strict prefixes that decode: a float64 cell cached as
+// 0.123456789 and cut to 0.1234 is still a float. A cut entry, and one with
+// a digit changed, must both be misses that recompute the cell, not hits
+// that serve a wrong value.
+func TestAlteredScalarCacheEntryIsRecomputed(t *testing.T) {
+	spec := Spec{Experiment: "torn-scalar", Params: struct{ Seed int64 }{5}, Points: 2, Trials: 2}
+	var calls atomic.Int64
+	fn := func(p, tr int) (float64, error) {
+		calls.Add(1)
+		return float64(10*p+tr) + 0.123456789, nil
+	}
+	want, err := mapSweep(New(Options{Workers: 1}), spec, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := store.Open("file://" + t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mapSweep(New(Options{Workers: 1, Cache: cache}), spec, fn); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := cellKey(cacheKeyBase(cache, spec), 1, 0)
+	full, err := cache.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := bytes.Clone(full)
+	changed[len(changed)-1]-- // ...789 → ...788
+	for name, value := range map[string][]byte{
+		"truncated":     full[:len(full)-7],
+		"changed digit": changed,
+	} {
+		if err := cache.Put(ctx, key, value); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{Workers: 1, Cache: cache})
+		calls.Store(0)
+		got, err := mapSweep(e, spec, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := e.Metrics().CacheMisses.Sum(); misses != 1 || got.Cached != 3 || calls.Load() != 1 {
+			t.Errorf("%s entry: %d misses, %d cached, %d recomputed; want 1, 3, 1", name, misses, got.Cached, calls.Load())
+		}
+		if !reflect.DeepEqual(got.Points, want.Points) {
+			t.Errorf("%s entry: points %v, want %v", name, got.Points, want.Points)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"snd/client"
 	"snd/internal/obs"
 )
 
@@ -100,22 +101,9 @@ type Progress struct {
 	dropped atomic.Int64
 }
 
-// ProgressSnapshot is a point-in-time copy of a Progress, in the shape the
-// job API serves.
-type ProgressSnapshot struct {
-	// Done counts cells completed (executed or served from cache).
-	Done int64 `json:"done"`
-	// Total counts cells scheduled so far. It grows as each sweep under
-	// the context starts, so Done == Total only means "caught up", not
-	// necessarily "finished", until the job itself reports terminal.
-	Total int64 `json:"total"`
-	// Dropped counts cells lost to the panic-retry budget.
-	Dropped int64 `json:"dropped,omitempty"`
-}
-
-// Snapshot returns the current counts.
-func (p *Progress) Snapshot() ProgressSnapshot {
-	return ProgressSnapshot{
+// Snapshot returns the current counts in the shape the job API serves.
+func (p *Progress) Snapshot() client.Progress {
+	return client.Progress{
 		Done:    p.done.Load(),
 		Total:   p.total.Load(),
 		Dropped: p.dropped.Load(),

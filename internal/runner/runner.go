@@ -61,7 +61,8 @@ type Options struct {
 	// canonical-encoded sweep parameters and cell indices. Any blob store
 	// backend (mem://, file://, s3://) serves. The cache is best-effort:
 	// any Get error is a miss and Put errors are ignored, so the sweep
-	// simply recomputes next time.
+	// simply recomputes next time. Each value carries its sample's SHA-256,
+	// so a torn or altered value is a miss too.
 	Cache store.Blob
 	// Registry receives the engine's metrics (trial latency and queue-wait
 	// histograms, cache hit/miss and lifecycle counters, progress gauges —
@@ -445,7 +446,7 @@ func (sw *sweep[T]) deliverRemote(c Cell, sample []byte) bool {
 	sw.set(c.Point, c.Trial, v)
 	sw.m.done.Inc()
 	if sw.keyBase != nil {
-		_ = sw.engine.cache.Put(context.Background(), cellKey(sw.keyBase, c.Point, c.Trial), sample) // best-effort, as in runCell
+		_ = sw.engine.cache.Put(context.Background(), cellKey(sw.keyBase, c.Point, c.Trial), sealCell(sample)) // best-effort, as in runCell
 	}
 	sw.cellDone()
 	return true
@@ -603,7 +604,7 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 		// tracing to a nil check.
 		if data, err := e.cache.Get(context.Background(), key); err == nil {
 			var v T
-			if err := json.Unmarshal(data, &v); err == nil {
+			if sample, ok := openCell(data); ok && json.Unmarshal(sample, &v) == nil {
 				sw.set(p, t, v)
 				sw.cachedN.Add(1)
 				sw.m.cacheHits.Inc()
@@ -612,7 +613,7 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 				ts.End()
 				return
 			}
-			// A corrupt entry falls through to recomputation.
+			// A torn or corrupt entry falls through to recomputation.
 		}
 		sw.m.cacheMisses.Inc()
 		ts.Event("cache_miss")
@@ -653,7 +654,7 @@ func (sw *sweep[T]) runCell(fn TrialFunc[T], p, t int, enq time.Time) {
 		if key != "" {
 			if data, err := json.Marshal(v); err == nil {
 				// Best-effort: a failed Put only means a recompute later.
-				_ = e.cache.Put(context.Background(), key, data)
+				_ = e.cache.Put(context.Background(), key, sealCell(data))
 			}
 		}
 	}
@@ -699,6 +700,24 @@ func cacheKeyBase(c store.Blob, spec Spec) []byte {
 	}
 	sum, _ := sweepKey(spec)
 	return sum
+}
+
+// sealCell frames a marshaled sample as a trial-cache value: its SHA-256,
+// then the sample, so that a torn value whose bytes still decode (a float64
+// cut from 0.123456789 to 0.12) fails openCell and is a miss.
+func sealCell(sample []byte) []byte {
+	sum := sha256.Sum256(sample)
+	return append(sum[:], sample...)
+}
+
+// openCell returns the sample of a sealCell value; false when the value is
+// too short to carry a digest or its digest does not match.
+func openCell(value []byte) ([]byte, bool) {
+	if len(value) < sha256.Size {
+		return nil, false
+	}
+	sample := value[sha256.Size:]
+	return sample, [sha256.Size]byte(value) == sha256.Sum256(sample)
 }
 
 func cellKey(base []byte, p, t int) string {

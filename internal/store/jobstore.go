@@ -11,32 +11,26 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"snd/client"
 )
 
-// JobRecord is the durable form of one sndserve job. It is the wire shape
-// of the redesigned /v1 job resource minus the live-only fields
-// (progress, trace_id): everything needed to serve job history and to
-// resume an interrupted job after a restart.
-type JobRecord struct {
-	ID         string          `json:"id"`
-	Experiment string          `json:"experiment"`
-	Params     json.RawMessage `json:"params,omitempty"`
-	Timeout    string          `json:"timeout,omitempty"`
-	Status     string          `json:"status"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-	Created    time.Time       `json:"created_at"`
-	Started    *time.Time      `json:"started_at,omitempty"`
-	Finished   *time.Time      `json:"finished_at,omitempty"`
+// durable is job without the fields only a live server knows (the store
+// scheme, the progress tally and the trace ID): the part of the /v1 job
+// resource needed to serve history and to resume an interrupted job after
+// a restart.
+func durable(job client.Job) client.Job {
+	job.Store, job.Progress, job.TraceID = "", nil, ""
+	return job
 }
 
 // walRecord is one WAL line: a save carries the job, a delete carries
 // only the ID (a tombstone, so an evicted job stays evicted across both
 // restarts and compactions).
 type walRecord struct {
-	Op  string     `json:"op"` // "save" | "del"
-	Job *JobRecord `json:"job,omitempty"`
-	ID  string     `json:"id,omitempty"`
+	Op  string      `json:"op"` // "save" | "del"
+	Job *client.Job `json:"job,omitempty"`
+	ID  string      `json:"id,omitempty"`
 }
 
 // compactionSlack is how many times the record count may exceed the live
@@ -48,7 +42,8 @@ const compactionSlack = 4
 // considered, so small logs are never rewritten.
 const compactionFloor = 64
 
-// WAL is the job store: it persists job records across process restarts.
+// WAL is the job store: it persists jobs across process restarts, each as
+// a client.Job without its live-only fields.
 // Every Save/Delete appends one fsynced JSON line, recovery replays the log
 // last-wins (Save is last-writer-wins per job ID), and a log grown past
 // compactionSlack times its live set is rewritten in place (temp file +
@@ -66,9 +61,9 @@ type WAL struct {
 	mu      sync.Mutex
 	path    string
 	f       *os.File
-	jobs    map[string]JobRecord // live records, last-wins
-	deleted map[string]bool      // tombstones awaiting compaction
-	records int                  // lines in the file (live + superseded)
+	jobs    map[string]client.Job // live jobs, last-wins
+	deleted map[string]bool       // tombstones awaiting compaction
+	records int                   // lines in the file (live + superseded)
 }
 
 // OpenWAL opens (or creates) the log at path and replays it, removing
@@ -83,7 +78,7 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: jobstore: %w", err)
 	}
-	w := &WAL{path: path, f: f, jobs: make(map[string]JobRecord), deleted: make(map[string]bool)}
+	w := &WAL{path: path, f: f, jobs: make(map[string]client.Job), deleted: make(map[string]bool)}
 	if err := w.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -139,7 +134,7 @@ func (w *WAL) apply(rec walRecord) bool {
 		if rec.Job == nil || rec.Job.ID == "" {
 			return false
 		}
-		w.jobs[rec.Job.ID] = *rec.Job
+		w.jobs[rec.Job.ID] = durable(*rec.Job)
 		delete(w.deleted, rec.Job.ID)
 	case "del":
 		if rec.ID == "" {
@@ -173,16 +168,18 @@ func (w *WAL) append(rec walRecord) error {
 	return w.maybeCompactLocked()
 }
 
-// Save persists rec (last-writer-wins by ID).
-func (w *WAL) Save(rec JobRecord) error {
-	if rec.ID == "" {
-		return fmt.Errorf("store: jobstore: record has no ID")
+// Save persists job without its live-only fields (last-writer-wins by
+// ID).
+func (w *WAL) Save(job client.Job) error {
+	if job.ID == "" {
+		return fmt.Errorf("store: jobstore: job has no ID")
 	}
+	job = durable(job)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.jobs[rec.ID] = rec
-	delete(w.deleted, rec.ID)
-	return w.append(walRecord{Op: "save", Job: &rec})
+	w.jobs[job.ID] = job
+	delete(w.deleted, job.ID)
+	return w.append(walRecord{Op: "save", Job: &job})
 }
 
 // Delete tombstones id. Deleting an absent job is a no-op (no record is
@@ -198,9 +195,9 @@ func (w *WAL) Delete(id string) error {
 	return w.append(walRecord{Op: "del", ID: id})
 }
 
-// Load snapshots the live records, oldest creation first (ID breaks ties)
+// Load snapshots the live jobs, oldest creation first (ID breaks ties)
 // so recovery re-queues interrupted jobs in submission order.
-func (w *WAL) Load() ([]JobRecord, error) {
+func (w *WAL) Load() ([]client.Job, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.loadLocked()
@@ -266,8 +263,8 @@ func (w *WAL) compactLocked() error {
 }
 
 // loadLocked is Load without the lock, for internal reuse.
-func (w *WAL) loadLocked() ([]JobRecord, error) {
-	out := make([]JobRecord, 0, len(w.jobs))
+func (w *WAL) loadLocked() ([]client.Job, error) {
+	out := make([]client.Job, 0, len(w.jobs))
 	for _, rec := range w.jobs {
 		out = append(out, rec)
 	}

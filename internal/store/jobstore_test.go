@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"snd/client"
 )
 
-func record(id, status string, created time.Time) JobRecord {
-	return JobRecord{
+func record(id, status string, created time.Time) client.Job {
+	return client.Job{
 		ID:         id,
 		Experiment: "overhead",
 		Params:     json.RawMessage(`{"Seed":1}`),
@@ -100,7 +102,7 @@ func TestWALCrashPoints(t *testing.T) {
 	}
 	t0 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	statuses := []string{"queued", "running", "done"}
-	want := map[string]JobRecord{}
+	want := map[string]client.Job{}
 	var snaps [][]byte
 	var preRename, compacted []byte
 	// Run until the log has compacted and three more calls followed.
@@ -115,7 +117,7 @@ func TestWALCrashPoints(t *testing.T) {
 			delete(want, id)
 			line, _ = json.Marshal(walRecord{Op: "del", ID: id})
 		} else {
-			rec := JobRecord{ID: id, Status: statuses[i%3], Created: t0.Add(time.Duration(i%3) * time.Second)}
+			rec := client.Job{ID: id, Status: statuses[i%3], Created: t0.Add(time.Duration(i%3) * time.Second)}
 			if err := w.Save(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,7 @@ func TestWALCrashPoints(t *testing.T) {
 			t.Run(fmt.Sprintf("snapshot%02d", i), func(t *testing.T) {
 				t.Parallel()
 				path := filepath.Join(t.TempDir(), "jobs.wal")
-				var want map[string]JobRecord
+				var want map[string]client.Job
 				cut := -2 // no line boundary yet seen
 				for n := from; n <= len(snap); n++ {
 					// The expected table changes only at line boundaries.
@@ -197,7 +199,7 @@ func TestWALCrashPoints(t *testing.T) {
 // recovered table against want, the table of the complete lines of log,
 // and that only those lines are left in the file; one more Save must then
 // survive a reopen.
-func checkCrashPoint(t *testing.T, path string, log []byte, want map[string]JobRecord) {
+func checkCrashPoint(t *testing.T, path string, log []byte, want map[string]client.Job) {
 	t.Helper()
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
@@ -218,7 +220,7 @@ func checkCrashPoint(t *testing.T, path string, log []byte, want map[string]JobR
 	if complete := int64(bytes.LastIndexByte(log, '\n') + 1); fi.Size() != complete {
 		t.Fatalf("%d-byte prefix: log is %d bytes after recovery, want its %d bytes of complete lines", len(log), fi.Size(), complete)
 	}
-	extra := JobRecord{ID: "after-crash", Status: "queued", Created: time.Unix(1, 0).UTC()}
+	extra := client.Job{ID: "after-crash", Status: "queued", Created: time.Unix(1, 0).UTC()}
 	if err := w.Save(extra); err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +239,9 @@ func checkCrashPoint(t *testing.T, path string, log []byte, want map[string]JobR
 
 // replayLines folds the newline-terminated lines of a log into a job
 // table: the state a crash leaving exactly these bytes must recover.
-func replayLines(t *testing.T, log []byte) map[string]JobRecord {
+func replayLines(t *testing.T, log []byte) map[string]client.Job {
 	t.Helper()
-	table := map[string]JobRecord{}
+	table := map[string]client.Job{}
 	for {
 		line, rest, ok := bytes.Cut(log, []byte("\n"))
 		if !ok {
@@ -264,7 +266,7 @@ func loadJSON(t *testing.T, w *WAL) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := map[string]JobRecord{}
+	table := map[string]client.Job{}
 	for _, rec := range recs {
 		table[rec.ID] = rec
 	}
@@ -273,7 +275,7 @@ func loadJSON(t *testing.T, w *WAL) string {
 
 // tableJSON renders a job table canonically (encoding/json sorts map
 // keys) so tables compare as strings.
-func tableJSON(t *testing.T, table map[string]JobRecord) string {
+func tableJSON(t *testing.T, table map[string]client.Job) string {
 	t.Helper()
 	b, err := json.Marshal(table)
 	if err != nil {
@@ -362,4 +364,50 @@ func walRecords(w *WAL) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.records
+}
+
+// TestWALHistoryBytes writes the pinned submit → run → done → evict history
+// of testdata/wal_history.jsonl (a running sndserve's log) back through
+// Save and Delete, each saved job carrying the live-only fields a server
+// fills in. The log must come out byte for byte the same.
+func TestWALHistoryBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "wal_history.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	w, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(want, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == "del" {
+			err = w.Delete(rec.ID)
+		} else {
+			job := *rec.Job
+			job.Store, job.TraceID = "file", "4bf92f3577b34da6a3ce929d0e0e4736"
+			job.Progress = &client.Progress{Done: 1, Total: 1}
+			err = w.Save(job)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("log bytes moved\n--- got\n%s--- want\n%s", got, want)
+	}
 }

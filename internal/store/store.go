@@ -4,7 +4,9 @@
 // trial-result caching that dedups across processes and machines, and a
 // crash-safe job store (append-only JSONL WAL with compaction) that lets
 // sndserve reload its job table after a restart — including a SIGKILL —
-// and resume interrupted sweeps.
+// and resume interrupted sweeps. The job store persists the /v1 job
+// resource itself (client.Job) without its live-only fields; it declares
+// no job type of its own.
 //
 // The blob interface is exactly what the trial cache uses — Get and Put —
 // so a backend is a screenful of code and the engine's cache semantics

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"snd/client"
 )
 
 // FuzzWALReplay treats arbitrary bytes as a job log. OpenWAL must either
@@ -15,7 +17,7 @@ import (
 // testdata/fuzz/FuzzWALReplay cover an intact log, tombstones, a torn
 // tail, a corrupt middle record and non-canonical JSON.
 func FuzzWALReplay(f *testing.F) {
-	probe := JobRecord{ID: "probe", Experiment: "fig3", Status: "queued", Created: time.Unix(1700000000, 0).UTC()}
+	probe := client.Job{ID: "probe", Experiment: "fig3", Status: "queued", Created: time.Unix(1700000000, 0).UTC()}
 	f.Fuzz(func(t *testing.T, log []byte) {
 		path := filepath.Join(t.TempDir(), "jobs.wal")
 		if err := os.WriteFile(path, log, 0o644); err != nil {
@@ -45,7 +47,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := canonicalJobs(t, before)
-		want[probe.ID] = canonicalJobs(t, []JobRecord{probe})[probe.ID]
+		want[probe.ID] = canonicalJobs(t, []client.Job{probe})[probe.ID]
 		if got := canonicalJobs(t, after); !reflect.DeepEqual(got, want) {
 			t.Fatalf("job table changed across Save and reopen:\n got %v\nwant %v", got, want)
 		}
@@ -55,7 +57,7 @@ func FuzzWALReplay(f *testing.F) {
 // canonicalJobs keys each record's JSON encoding by ID. Encoding compacts
 // raw params and results, which a compaction may rewrite, so equal tables
 // compare equal whatever whitespace the log held.
-func canonicalJobs(t *testing.T, recs []JobRecord) map[string]string {
+func canonicalJobs(t *testing.T, recs []client.Job) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(recs))
 	for _, r := range recs {
